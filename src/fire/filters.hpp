@@ -16,9 +16,11 @@ VolumeF median_filter_3x3(const VolumeF& in);
 // 3x3x3 boxcar smoothing (post-pipeline spatial smoothing of maps).
 VolumeF average_filter_3x3x3(const VolumeF& in);
 
-// Work accounting used by exec::time_on — effective operations per voxel,
-// matching the actual implementations above (9-element gather plus partial
-// selection with its branchy comparisons; 27-element gather + accumulate).
+// Work accounting used by exec::time_on: effective operations per voxel of
+// the 1999 T3E code (a 9-element gather and a partial selection with its
+// branchy comparisons; a 27-element gather and accumulate).  They set the
+// simulated filter times behind Table 1, fig2 and e2, so they model that
+// code and must not follow host-side rewrites of the functions above.
 constexpr double kMedianOpsPerVoxel = 66.0;
 constexpr double kAverageOpsPerVoxel = 60.0;
 

@@ -30,29 +30,31 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
   const VolumeF smooth_scan =
       cfg_.presmooth ? average_filter_3x3x3(scan) : scan;
   VolumeF warped = smooth_scan;
+  const std::ptrdiff_t sy = d.nx, sz = sy * d.ny;  // voxel strides
   for (int iter = 0; iter < cfg_.max_iterations; ++iter) {
-    // J^T J (6x6) and J^T r accumulated over foreground voxels.
-    linalg::Matrix jtj(6, 6);
-    linalg::Vector jtr(6, 0.0);
+    // J^T J (upper triangle) and J^T r accumulated over foreground voxels.
+    double jtj_acc[6][6] = {};
+    double jtr_acc[6] = {};
     double sse = 0.0;
     std::size_t count = 0;
 
     for (int z = 1; z < d.nz - 1; ++z) {
       for (int y = 1; y < d.ny - 1; ++y) {
+        const std::ptrdiff_t row = z * sz + y * sy;
+        const float* ref_row = ref_.data().data() + row;
+        const float* warped_row = warped.data().data() + row;
         for (int x = 1; x < d.nx - 1; ++x) {
-          const float rv = ref_.at(x, y, z);
+          const float rv = ref_row[x];
           if (rv < mask_threshold_) continue;
-          const double r = warped.at(x, y, z) - rv;
+          const float* w = warped_row + x;
+          const double r = w[0] - rv;
           // Central-difference gradient of the warped image.
-          const double gx =
-              0.5 * (warped.at(x + 1, y, z) - warped.at(x - 1, y, z));
-          const double gy =
-              0.5 * (warped.at(x, y + 1, z) - warped.at(x, y - 1, z));
-          const double gz =
-              0.5 * (warped.at(x, y, z + 1) - warped.at(x, y, z - 1));
+          const double gx = 0.5 * (w[1] - w[-1]);
+          const double gy = 0.5 * (w[sy] - w[-sy]);
+          const double gz = 0.5 * (w[sz] - w[-sz]);
           const double px = x - cx, py = y - cy, pz = z - cz;
           // d(position)/d(theta_j) for [tx ty tz rx ry rz].
-          const std::array<double, 6> jrow = {
+          const double jrow[6] = {
               gx,
               gy,
               gz,
@@ -60,13 +62,13 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
               gx * pz + gz * (-px),
               gx * (-py) + gy * px,
           };
-          for (int a = 0; a < 6; ++a) {
-            jtr[static_cast<std::size_t>(a)] +=
-                jrow[static_cast<std::size_t>(a)] * r;
-            for (int b = a; b < 6; ++b)
-              jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) +=
-                  jrow[static_cast<std::size_t>(a)] *
-                  jrow[static_cast<std::size_t>(b)];
+          // Fully unrolled, the 27 sums are scalars rather than memory.
+#pragma GCC unroll 6
+          for (std::size_t a = 0; a < 6; ++a) {
+            jtr_acc[a] += jrow[a] * r;
+#pragma GCC unroll 6
+            for (std::size_t b = a; b < 6; ++b)
+              jtj_acc[a][b] += jrow[a] * jrow[b];
           }
           sse += r * r;
           ++count;
@@ -74,13 +76,13 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       }
     }
     if (count == 0) break;
-    for (int a = 0; a < 6; ++a)
-      for (int b = 0; b < a; ++b)
-        jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) =
-            jtj(static_cast<std::size_t>(b), static_cast<std::size_t>(a));
+    linalg::Matrix jtj(6, 6);
+    linalg::Vector jtr(jtr_acc, jtr_acc + 6);
+    for (std::size_t a = 0; a < 6; ++a)
+      for (std::size_t b = 0; b < 6; ++b)
+        jtj(a, b) = b < a ? jtj_acc[b][a] : jtj_acc[a][b];
     // Levenberg damping keeps the step sane when gradients are weak.
-    for (int a = 0; a < 6; ++a)
-      jtj(static_cast<std::size_t>(a), static_cast<std::size_t>(a)) *= 1.001;
+    for (std::size_t a = 0; a < 6; ++a) jtj(a, a) *= 1.001;
 
     const double rmse = std::sqrt(sse / static_cast<double>(count));
     if (iter == 0) result.initial_rmse = rmse;

@@ -46,9 +46,11 @@ class MotionCorrector {
   float mask_threshold_ = 0.0f;
 };
 
-// Execution-model work accounting: per voxel per Gauss-Newton iteration,
-// a trilinear warp (~33 ops), central gradients (~18), and the J^T J / J^T r
-// accumulation (~62).
+// Execution-model work accounting: per voxel per Gauss-Newton iteration of
+// the 1999 T3E code, a trilinear warp (~33 ops), central gradients (~18)
+// and the J^T J / J^T r accumulation (~62).  They set the simulated
+// motion-correction times behind Table 1, fig2 and e2, so they model that
+// code and must not follow host-side rewrites of correct() or resample().
 constexpr double kMotionOpsPerVoxelIter = 113.0;
 constexpr int kMotionTypicalIters = 8;
 

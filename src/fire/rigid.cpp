@@ -5,35 +5,61 @@
 
 namespace gtw::fire {
 
+namespace {
+
+// A RigidTransform with the sines and cosines of its rotation evaluated
+// once, so that mapping a point costs only its arithmetic.
+// RigidTransform::apply and resample both map points through it, so a
+// point maps to the same bits either way.
+class RigidMap {
+ public:
+  explicit RigidMap(const RigidTransform& t)
+      : cos_x_(std::cos(t.rx)), sin_x_(std::sin(t.rx)),
+        cos_y_(std::cos(t.ry)), sin_y_(std::sin(t.ry)),
+        cos_z_(std::cos(t.rz)), sin_z_(std::sin(t.rz)),
+        tx_(t.tx), ty_(t.ty), tz_(t.tz) {}
+
+  void apply(double cx, double cy, double cz, double x, double y, double z,
+             double& ox, double& oy, double& oz) const {
+    // Centre-relative coordinates.
+    double px = x - cx, py = y - cy, pz = z - cz;
+    // Rotate about x.
+    {
+      const double ny = cos_x_ * py - sin_x_ * pz,
+                   nz = sin_x_ * py + cos_x_ * pz;
+      py = ny;
+      pz = nz;
+    }
+    // Rotate about y.
+    {
+      const double nx = cos_y_ * px + sin_y_ * pz,
+                   nz = -sin_y_ * px + cos_y_ * pz;
+      px = nx;
+      pz = nz;
+    }
+    // Rotate about z.
+    {
+      const double nx = cos_z_ * px - sin_z_ * py,
+                   ny = sin_z_ * px + cos_z_ * py;
+      px = nx;
+      py = ny;
+    }
+    ox = px + cx + tx_;
+    oy = py + cy + ty_;
+    oz = pz + cz + tz_;
+  }
+
+ private:
+  double cos_x_, sin_x_, cos_y_, sin_y_, cos_z_, sin_z_;
+  double tx_, ty_, tz_;
+};
+
+}  // namespace
+
 void RigidTransform::apply(double cx, double cy, double cz, double x,
                            double y, double z, double& ox, double& oy,
                            double& oz) const {
-  // Centre-relative coordinates.
-  double px = x - cx, py = y - cy, pz = z - cz;
-  // Rotate about x.
-  {
-    const double c = std::cos(rx), s = std::sin(rx);
-    const double ny = c * py - s * pz, nz = s * py + c * pz;
-    py = ny;
-    pz = nz;
-  }
-  // Rotate about y.
-  {
-    const double c = std::cos(ry), s = std::sin(ry);
-    const double nx = c * px + s * pz, nz = -s * px + c * pz;
-    px = nx;
-    pz = nz;
-  }
-  // Rotate about z.
-  {
-    const double c = std::cos(rz), s = std::sin(rz);
-    const double nx = c * px - s * py, ny = s * px + c * py;
-    px = nx;
-    py = ny;
-  }
-  ox = px + cx + tx;
-  oy = py + cy + ty;
-  oz = pz + cz + tz;
+  RigidMap(*this).apply(cx, cy, cz, x, y, z, ox, oy, oz);
 }
 
 double RigidTransform::max_abs() const {
@@ -44,15 +70,17 @@ double RigidTransform::max_abs() const {
 VolumeF resample(const VolumeF& src, const RigidTransform& t) {
   const Dims d = src.dims();
   VolumeF out(d);
+  const RigidMap map(t);
   const double cx = (d.nx - 1) / 2.0;
   const double cy = (d.ny - 1) / 2.0;
   const double cz = (d.nz - 1) / 2.0;
+  float* dst = out.data().data();
   for (int z = 0; z < d.nz; ++z) {
     for (int y = 0; y < d.ny; ++y) {
       for (int x = 0; x < d.nx; ++x) {
         double sx, sy, sz;
-        t.apply(cx, cy, cz, x, y, z, sx, sy, sz);
-        out.at(x, y, z) = static_cast<float>(src.sample(sx, sy, sz));
+        map.apply(cx, cy, cz, x, y, z, sx, sy, sz);
+        *dst++ = static_cast<float>(src.sample(sx, sy, sz));
       }
     }
   }

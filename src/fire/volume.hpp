@@ -4,10 +4,13 @@
 // reference volumes are 256x256x128.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace gtw::fire {
@@ -52,24 +55,61 @@ class Volume {
   }
 
   // Trilinear interpolation at a continuous voxel coordinate; coordinates
-  // outside the volume are clamped to the border.
+  // outside the volume are clamped to the border, and a NaN coordinate
+  // gives NaN.
   double sample(double x, double y, double z) const {
-    const int x0 = static_cast<int>(std::floor(x));
-    const int y0 = static_cast<int>(std::floor(y));
-    const int z0 = static_cast<int>(std::floor(z));
+    if (std::isnan(x) || std::isnan(y) || std::isnan(z))
+      return std::numeric_limits<double>::quiet_NaN();
+    // Any coordinate this far out reads the edge; the limit keeps the int
+    // conversion below, and the index one past it, defined.
+    constexpr double kFar = 0x1p30;
+    x = std::clamp(x, -kFar, kFar);
+    y = std::clamp(y, -kFar, kFar);
+    z = std::clamp(z, -kFar, kFar);
+    // std::floor as an int for |v| <= kFar: truncate toward zero, then
+    // step down below a negative non-integer.
+    const auto floor_int = [](double v) {
+      const int i = static_cast<int>(v);
+      return v < i ? i - 1 : i;
+    };
+    const int x0 = floor_int(x), y0 = floor_int(y), z0 = floor_int(z);
     const double fx = x - x0, fy = y - y0, fz = z - z0;
+    // Offsets of the lattice points on either side along each axis.  A
+    // border sample clamps them; nothing else sets it apart.
+    const std::size_t sy = static_cast<std::size_t>(dims_.nx);
+    const std::size_t sz = sy * static_cast<std::size_t>(dims_.ny);
+    std::array<std::size_t, 2> xs{}, ys{}, zs{};
+    if (x0 >= 0 && x0 < dims_.nx - 1 && y0 >= 0 && y0 < dims_.ny - 1 &&
+        z0 >= 0 && z0 < dims_.nz - 1) {
+      const auto ux = static_cast<std::size_t>(x0);
+      const auto uy = static_cast<std::size_t>(y0);
+      const auto uz = static_cast<std::size_t>(z0);
+      xs = {ux, ux + 1};
+      ys = {uy * sy, (uy + 1) * sy};
+      zs = {uz * sz, (uz + 1) * sz};
+    } else {
+      const auto clamp_pair = [](int i, int n, std::size_t stride) {
+        return std::array<std::size_t, 2>{
+            stride * static_cast<std::size_t>(std::clamp(i, 0, n - 1)),
+            stride * static_cast<std::size_t>(std::clamp(i + 1, 0, n - 1))};
+      };
+      xs = clamp_pair(x0, dims_.nx, 1);
+      ys = clamp_pair(y0, dims_.ny, sy);
+      zs = clamp_pair(z0, dims_.nz, sz);
+    }
+    const T* p = data_.data();
     double acc = 0.0;
-    for (int dz = 0; dz <= 1; ++dz) {
+    for (std::size_t dz = 0; dz < 2; ++dz) {
       const double wz = dz != 0 ? fz : 1.0 - fz;
       if (wz == 0.0) continue;
-      for (int dy = 0; dy <= 1; ++dy) {
+      for (std::size_t dy = 0; dy < 2; ++dy) {
         const double wy = dy != 0 ? fy : 1.0 - fy;
         if (wy == 0.0) continue;
-        for (int dx = 0; dx <= 1; ++dx) {
+        const T* row = p + zs[dz] + ys[dy];
+        for (std::size_t dx = 0; dx < 2; ++dx) {
           const double wx = dx != 0 ? fx : 1.0 - fx;
           if (wx == 0.0) continue;
-          acc += wx * wy * wz *
-                 static_cast<double>(clamped(x0 + dx, y0 + dy, z0 + dz));
+          acc += wx * wy * wz * static_cast<double>(row[xs[dx]]);
         }
       }
     }

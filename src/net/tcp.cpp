@@ -69,7 +69,7 @@ void TcpConnection::send(int side, units::Bytes amount, std::any data,
   Endpoint& e = ep_[side];
   e.snd_end += amount.count();
   e.stats.bytes_queued += amount.count();
-  Message msg{e.snd_end, std::move(data), std::move(on_delivered)};
+  Message msg{e.snd_end, std::move(data), std::move(on_delivered), {}, 0};
   if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     msg.ctx = h->current();
     if (msg.ctx.valid())

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "des/random.hpp"
 #include "fire/correlation.hpp"
@@ -12,6 +18,8 @@
 #include "fire/rigid.hpp"
 #include "fire/rvo.hpp"
 #include "fire/volume.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/solve.hpp"
 #include "scanner/phantom.hpp"
 
 namespace gtw::fire {
@@ -370,6 +378,389 @@ TEST(RvoTest, MasksAirVoxels) {
   // Air voxels were skipped entirely.
   EXPECT_EQ(res.fits[5].best_correlation, 0.0f);
   EXPECT_LT(res.reference_evaluations, 120u);  // ~1 voxel x grid
+}
+
+TEST(VolumeTest, FarCoordinateReadsTheNearEdge) {
+  VolumeF v(4, 1, 1);
+  for (int x = 0; x < 4; ++x) v.at(x, 0, 0) = static_cast<float>(x + 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(v.sample(1e12, 0.0, 0.0), 4.0);
+  EXPECT_EQ(v.sample(-1e12, 0.0, 0.0), 1.0);
+  EXPECT_EQ(v.sample(inf, 0.0, 0.0), 4.0);
+  EXPECT_EQ(v.sample(-inf, 0.0, 0.0), 1.0);
+  EXPECT_EQ(v.sample(2.0, 1e12, -1e12), 3.0);
+  RigidTransform far;
+  far.tx = 1e12;  // every output voxel reads far right of the volume
+  const VolumeF out = resample(v, far);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 4.0f);
+}
+
+TEST(VolumeTest, NanCoordinateGivesNan) {
+  VolumeF v(4, 3, 2, 7.0f);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(v.sample(nan, 1.0, 1.0)));
+  EXPECT_TRUE(std::isnan(v.sample(1.0, nan, 1.0)));
+  EXPECT_TRUE(std::isnan(v.sample(1.0, 1.0, nan)));
+  RigidTransform t;
+  t.rz = nan;
+  const VolumeF out = resample(v, t);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_TRUE(std::isnan(out[i]));
+}
+
+// --- exactness of the per-voxel kernels --------------------------------------
+//
+// The kernels read interior voxels straight from memory, evaluate the
+// rotation's trig once per volume, select the median with a network and
+// keep the normal equations in locals.  Each must still give, bit for bit,
+// what the plain formulation below gives: trig per point, edge-clamped
+// reads, std::nth_element, and J^T J accumulated through linalg::Matrix.
+
+namespace plain {
+
+double sample(const VolumeF& v, double x, double y, double z) {
+  const int x0 = static_cast<int>(std::floor(x));
+  const int y0 = static_cast<int>(std::floor(y));
+  const int z0 = static_cast<int>(std::floor(z));
+  const double fx = x - x0, fy = y - y0, fz = z - z0;
+  double acc = 0.0;
+  for (int dz = 0; dz <= 1; ++dz) {
+    const double wz = dz != 0 ? fz : 1.0 - fz;
+    if (wz == 0.0) continue;
+    for (int dy = 0; dy <= 1; ++dy) {
+      const double wy = dy != 0 ? fy : 1.0 - fy;
+      if (wy == 0.0) continue;
+      for (int dx = 0; dx <= 1; ++dx) {
+        const double wx = dx != 0 ? fx : 1.0 - fx;
+        if (wx == 0.0) continue;
+        acc += wx * wy * wz *
+               static_cast<double>(v.clamped(x0 + dx, y0 + dy, z0 + dz));
+      }
+    }
+  }
+  return acc;
+}
+
+void apply(const RigidTransform& t, double cx, double cy, double cz, double x,
+           double y, double z, double& ox, double& oy, double& oz) {
+  double px = x - cx, py = y - cy, pz = z - cz;
+  {
+    const double c = std::cos(t.rx), s = std::sin(t.rx);
+    const double ny = c * py - s * pz, nz = s * py + c * pz;
+    py = ny;
+    pz = nz;
+  }
+  {
+    const double c = std::cos(t.ry), s = std::sin(t.ry);
+    const double nx = c * px + s * pz, nz = -s * px + c * pz;
+    px = nx;
+    pz = nz;
+  }
+  {
+    const double c = std::cos(t.rz), s = std::sin(t.rz);
+    const double nx = c * px - s * py, ny = s * px + c * py;
+    px = nx;
+    py = ny;
+  }
+  ox = px + cx + t.tx;
+  oy = py + cy + t.ty;
+  oz = pz + cz + t.tz;
+}
+
+VolumeF resample(const VolumeF& src, const RigidTransform& t) {
+  const Dims d = src.dims();
+  VolumeF out(d);
+  const double cx = (d.nx - 1) / 2.0;
+  const double cy = (d.ny - 1) / 2.0;
+  const double cz = (d.nz - 1) / 2.0;
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        double sx = 0, sy = 0, sz = 0;
+        plain::apply(t, cx, cy, cz, x, y, z, sx, sy, sz);
+        out.at(x, y, z) = static_cast<float>(plain::sample(src, sx, sy, sz));
+      }
+    }
+  }
+  return out;
+}
+
+VolumeF median_filter_3x3(const VolumeF& in) {
+  const Dims d = in.dims();
+  VolumeF out(d);
+  std::array<float, 9> window{};
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        std::size_t n = 0;
+        for (int dy = -1; dy <= 1; ++dy)
+          for (int dx = -1; dx <= 1; ++dx)
+            window[n++] = in.clamped(x + dx, y + dy, z);
+        std::nth_element(window.begin(), window.begin() + 4, window.end());
+        out.at(x, y, z) = window[4];
+      }
+    }
+  }
+  return out;
+}
+
+VolumeF average_filter_3x3x3(const VolumeF& in) {
+  const Dims d = in.dims();
+  VolumeF out(d);
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        double acc = 0.0;
+        for (int dz = -1; dz <= 1; ++dz)
+          for (int dy = -1; dy <= 1; ++dy)
+            for (int dx = -1; dx <= 1; ++dx)
+              acc += in.clamped(x + dx, y + dy, z + dz);
+        out.at(x, y, z) = static_cast<float>(acc / 27.0);
+      }
+    }
+  }
+  return out;
+}
+
+// MotionCorrector(reference, cfg).correct(scan), Gauss-Newton loop included.
+MotionResult correct(const VolumeF& reference, const VolumeF& scan,
+                     const MotionConfig& cfg) {
+  const VolumeF ref =
+      cfg.presmooth ? plain::average_filter_3x3x3(reference) : reference;
+  float peak = 0.0f;
+  for (std::size_t i = 0; i < ref.size(); ++i) peak = std::max(peak, ref[i]);
+  const float mask_threshold = peak * static_cast<float>(cfg.foreground_fraction);
+
+  const Dims d = ref.dims();
+  const double cx = (d.nx - 1) / 2.0, cy = (d.ny - 1) / 2.0,
+               cz = (d.nz - 1) / 2.0;
+  MotionResult result;
+  RigidTransform theta;
+  const VolumeF smooth_scan = cfg.presmooth ? plain::average_filter_3x3x3(scan) : scan;
+  VolumeF warped = smooth_scan;
+  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
+    linalg::Matrix jtj(6, 6);
+    linalg::Vector jtr(6, 0.0);
+    double sse = 0.0;
+    std::size_t count = 0;
+    for (int z = 1; z < d.nz - 1; ++z) {
+      for (int y = 1; y < d.ny - 1; ++y) {
+        for (int x = 1; x < d.nx - 1; ++x) {
+          const float rv = ref.at(x, y, z);
+          if (rv < mask_threshold) continue;
+          const double r = warped.at(x, y, z) - rv;
+          const double gx =
+              0.5 * (warped.at(x + 1, y, z) - warped.at(x - 1, y, z));
+          const double gy =
+              0.5 * (warped.at(x, y + 1, z) - warped.at(x, y - 1, z));
+          const double gz =
+              0.5 * (warped.at(x, y, z + 1) - warped.at(x, y, z - 1));
+          const double px = x - cx, py = y - cy, pz = z - cz;
+          const std::array<double, 6> jrow = {
+              gx, gy, gz, gy * (-pz) + gz * py, gx * pz + gz * (-px),
+              gx * (-py) + gy * px,
+          };
+          for (std::size_t a = 0; a < 6; ++a) {
+            jtr[a] += jrow[a] * r;
+            for (std::size_t b = a; b < 6; ++b) jtj(a, b) += jrow[a] * jrow[b];
+          }
+          sse += r * r;
+          ++count;
+        }
+      }
+    }
+    if (count == 0) break;
+    for (std::size_t a = 0; a < 6; ++a)
+      for (std::size_t b = 0; b < a; ++b) jtj(a, b) = jtj(b, a);
+    for (std::size_t a = 0; a < 6; ++a) jtj(a, a) *= 1.001;
+
+    const double rmse = std::sqrt(sse / static_cast<double>(count));
+    if (iter == 0) result.initial_rmse = rmse;
+    result.final_rmse = rmse;
+    result.iterations = iter;
+
+    linalg::Vector delta;
+    try {
+      delta = linalg::solve_spd(jtj, jtr);
+    } catch (const std::exception&) {
+      break;
+    }
+    auto arr = theta.as_array();
+    double step_max = 0.0;
+    for (std::size_t a = 0; a < 6; ++a) {
+      arr[a] -= delta[a];
+      step_max = std::max(step_max, std::abs(delta[a]));
+    }
+    theta = RigidTransform::from_array(arr);
+    warped = plain::resample(smooth_scan, theta);
+    result.iterations = iter + 1;
+    if (step_max < cfg.tolerance) break;
+  }
+  result.estimate = theta;
+  result.corrected =
+      cfg.presmooth && theta.max_abs() > 0.0 ? plain::resample(scan, theta)
+      : cfg.presmooth                        ? scan
+                                             : std::move(warped);
+  return result;
+}
+
+}  // namespace plain
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Index of the first voxel whose bit pattern differs, or size() if none.
+std::size_t first_difference(const VolumeF& a, const VolumeF& b) {
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
+      return i;
+  return a.size();
+}
+
+void expect_same_voxels(const VolumeF& got, const VolumeF& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const std::size_t i = first_difference(got, want);
+  EXPECT_EQ(i, got.size()) << "voxel " << i << " is " << got[i]
+                           << ", expected " << want[i];
+}
+
+const std::vector<Dims> kExactnessDims = {
+    {1, 1, 1}, {2, 3, 1}, {3, 3, 3}, {5, 4, 3}, {64, 64, 16}};
+
+// Seeded values of both signs.
+VolumeF random_volume(Dims d, std::uint64_t seed) {
+  des::Rng rng(seed);
+  VolumeF v(d);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<float>(rng.normal(0.0, 100.0));
+  return v;
+}
+
+// Translations up to 3 voxels and rotations up to 0.2 rad, so that many
+// samples land outside the volume and take the clamped border reads; the
+// fixed ones put samples exactly on lattice planes, where weights are zero.
+std::vector<RigidTransform> exactness_transforms(std::uint64_t seed) {
+  std::vector<RigidTransform> ts = {
+      RigidTransform{},
+      RigidTransform{1.0, -2.0, 1.0, 0.0, 0.0, 0.0},
+      RigidTransform{0.5, 0.0, 0.0, 0.0, 0.0, 0.15},
+  };
+  des::Rng rng(seed);
+  for (int i = 0; i < 6; ++i)
+    ts.push_back({rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                  rng.uniform(-3.0, 3.0), rng.uniform(-0.2, 0.2),
+                  rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)});
+  return ts;
+}
+
+TEST(KernelExactnessTest, SampleMatchesPlainFormulation) {
+  des::Rng rng(41);
+  for (const Dims& d : kExactnessDims) {
+    const VolumeF v = random_volume(d, 100 + d.voxels());
+    SCOPED_TRACE(::testing::Message() << d.nx << "x" << d.ny << "x" << d.nz);
+    for (int i = 0; i < 2000; ++i) {
+      // Half the points within three voxels of the volume, a quarter on
+      // lattice planes, a quarter far out (but below 2^30).
+      double p[3] = {};
+      const int n[3] = {d.nx, d.ny, d.nz};
+      for (int k = 0; k < 3; ++k) {
+        const double u = rng.uniform(-3.0, n[k] + 2.0);
+        p[k] = i % 4 == 1 ? std::floor(u)
+               : i % 4 == 3 ? rng.uniform(-1e9, 1e9)
+                            : u;
+      }
+      EXPECT_EQ(bits(v.sample(p[0], p[1], p[2])),
+                bits(plain::sample(v, p[0], p[1], p[2])))
+          << "at (" << p[0] << ", " << p[1] << ", " << p[2] << ")";
+    }
+  }
+}
+
+TEST(KernelExactnessTest, ApplyMatchesPlainFormulation) {
+  des::Rng rng(43);
+  for (const RigidTransform& t : exactness_transforms(44)) {
+    for (int i = 0; i < 200; ++i) {
+      const double x = rng.uniform(-5.0, 70.0), y = rng.uniform(-5.0, 70.0),
+                   z = rng.uniform(-5.0, 20.0);
+      double ox = 0, oy = 0, oz = 0, px = 0, py = 0, pz = 0;
+      t.apply(31.5, 31.5, 7.5, x, y, z, ox, oy, oz);
+      plain::apply(t, 31.5, 31.5, 7.5, x, y, z, px, py, pz);
+      EXPECT_EQ(bits(ox), bits(px));
+      EXPECT_EQ(bits(oy), bits(py));
+      EXPECT_EQ(bits(oz), bits(pz));
+    }
+  }
+}
+
+TEST(KernelExactnessTest, ResampleMatchesPlainFormulation) {
+  for (const Dims& d : kExactnessDims) {
+    const VolumeF v = random_volume(d, 200 + d.voxels());
+    for (const RigidTransform& t : exactness_transforms(d.voxels())) {
+      SCOPED_TRACE(::testing::Message()
+                   << d.nx << "x" << d.ny << "x" << d.nz << " t=(" << t.tx
+                   << ", " << t.ty << ", " << t.tz << ", " << t.rx << ", "
+                   << t.ry << ", " << t.rz << ")");
+      expect_same_voxels(resample(v, t), plain::resample(v, t));
+    }
+  }
+}
+
+TEST(KernelExactnessTest, FiltersMatchPlainFormulation) {
+  for (const Dims& d : kExactnessDims) {
+    SCOPED_TRACE(::testing::Message() << d.nx << "x" << d.ny << "x" << d.nz);
+    const VolumeF v = random_volume(d, 300 + d.voxels());
+    expect_same_voxels(median_filter_3x3(v), plain::median_filter_3x3(v));
+    expect_same_voxels(average_filter_3x3x3(v), plain::average_filter_3x3x3(v));
+  }
+}
+
+TEST(KernelExactnessTest, MedianNetworkSelectsTheMedianOfEveryZeroOneWindow) {
+  // A comparator network selects the median of every input if it does so
+  // for every input of zeros and ones (the 0-1 principle).  The centre of a
+  // 3x3 slice sees the whole slice as its window.
+  for (unsigned m = 0; m < 512; ++m) {
+    VolumeF w(3, 3, 1);
+    int ones = 0;
+    for (std::size_t i = 0; i < 9; ++i) {
+      const bool one = ((m >> i) & 1u) != 0;
+      w[i] = one ? 1.0f : 0.0f;
+      ones += one ? 1 : 0;
+    }
+    EXPECT_EQ(median_filter_3x3(w).at(1, 1, 0), ones >= 5 ? 1.0f : 0.0f)
+        << "window bits " << m;
+  }
+}
+
+TEST(KernelExactnessTest, MotionCorrectorMatchesPlainGaussNewton) {
+  // A seeded 64x64x16 phantom session with head motion, median filtered as
+  // in the pipeline; the first scan is the alignment reference.
+  scanner::FmriConfig scfg;
+  scfg.expected_scans = 8;
+  scfg.regions = {{44.0, 30.0, 8.0, 3.0, 0.05}};
+  scfg.motion.drift_per_scan = 0.05;
+  scfg.motion.jitter = 0.3;
+  scfg.motion.rot_jitter = 0.01;
+  scfg.seed = 77;
+  scanner::FmriSeriesGenerator gen(scfg);
+  std::vector<VolumeF> scans;
+  for (int t = 0; t < 4; ++t) scans.push_back(median_filter_3x3(gen.acquire(t)));
+
+  for (const bool presmooth : {true, false}) {
+    MotionConfig cfg;
+    cfg.presmooth = presmooth;
+    const MotionCorrector mc(scans[0], cfg);
+    for (std::size_t t = 1; t < scans.size(); ++t) {
+      SCOPED_TRACE(::testing::Message()
+                   << "presmooth=" << presmooth << " scan " << t);
+      const MotionResult got = mc.correct(scans[t]);
+      const MotionResult want = plain::correct(scans[0], scans[t], cfg);
+      EXPECT_GT(want.iterations, 1);
+      EXPECT_EQ(got.iterations, want.iterations);
+      const auto ge = got.estimate.as_array(), we = want.estimate.as_array();
+      for (std::size_t k = 0; k < 6; ++k) EXPECT_EQ(bits(ge[k]), bits(we[k]));
+      EXPECT_EQ(bits(got.initial_rmse), bits(want.initial_rmse));
+      EXPECT_EQ(bits(got.final_rmse), bits(want.final_rmse));
+      expect_same_voxels(got.corrected, want.corrected);
+    }
+  }
 }
 
 }  // namespace
