@@ -1,6 +1,6 @@
-// S — DES engine speed and fidelity (DESIGN.md §10).  Not a paper figure:
-// this bench certifies the simulator's engine core after the calendar-queue
-// overhaul, on three axes:
+// S — DES engine speed (DESIGN.md §10).  Not a paper figure: this bench
+// certifies the simulator's engine core after the calendar-queue overhaul,
+// on two axes:
 //
 //  1. events/sec sweeps of the production scheduler against an in-bench
 //     replica of the pre-refactor engine (binary heap of new-allocated
@@ -8,17 +8,13 @@
 //     PHOLD-style self-rescheduling workload and a TCP-timer churn workload.
 //     Both engines execute the identical schedule; their event-stream hashes
 //     must agree, so the speedup is measured on provably equal work.
-//  2. fluid-vs-exact link fidelity accuracy on the paper scenarios (the E1
-//     WAN bulk transfers and the Figure-2 fMRI pipeline): the batched-burst
-//     serialization model must stay within 1% of the exact per-frame model.
-//  3. a national-scale topology (32 sites, >2000 hosts, 100 000 flows)
-//     far beyond the two-site testbed, run to completion in exact and in
-//     hybrid fidelity (access links exact, trunks fluid).
+//  2. a national-scale topology (32 sites, >2000 hosts, 100 000 flows)
+//     far beyond the two-site testbed, run to completion.
 //
 // Writes BENCH_des_speed.json and OBS_des_speed.metrics.json.  With
 // --replay every wall-clock-derived field is omitted so the double-run
 // determinism gate can hold the artifact to byte identity; everything else
-// (event counts, stream hashes, goodputs, divergences) is deterministic.
+// (event counts, stream hashes, makespans) is deterministic.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -40,16 +36,12 @@
 #include "check/monitor.hpp"
 #include "des/random.hpp"
 #include "des/scheduler.hpp"
-#include "fire/pipeline.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
-#include "net/tcp.hpp"
 #include "net/units.hpp"
 #include "obs/exporter.hpp"
 #include "obs/instrument.hpp"
 #include "obs/registry.hpp"
-#include "scanner/phantom.hpp"
-#include "testbed/testbed.hpp"
 
 namespace {
 
@@ -324,71 +316,10 @@ struct SweepRow {
 };
 
 // ---------------------------------------------------------------------------
-// Fluid-vs-exact accuracy on the paper scenarios.
-
-struct FidelityRow {
-  const char* scenario;
-  const char* metric;
-  double exact = 0.0;
-  double fluid = 0.0;
-  double divergence_pct() const {
-    if (exact == 0.0) return 0.0;
-    return 100.0 * std::abs(fluid - exact) / std::abs(exact);
-  }
-};
-
-units::BitRate e1_goodput(net::LinkFidelity fid, bool wan_supercomputer) {
-  testbed::TestbedOptions opts;
-  opts.link_fidelity = fid;
-  testbed::Testbed tb{opts};
-  net::TcpConfig cfg;
-  cfg.mss = tb.options().atm_mtu -
-            units::Bytes{net::kIpHeaderBytes + net::kTcpHeaderBytes};
-  cfg.recv_buffer = units::Bytes{1u << 20};
-  net::Host& a = wan_supercomputer ? tb.t3e600() : tb.onyx2_juelich();
-  net::Host& b = wan_supercomputer ? tb.sp2() : tb.onyx2_gmd();
-  return net::run_bulk_transfer(tb.scheduler(), a, b,
-                                units::Bytes{16u << 20}, cfg)
-      .goodput;
-}
-
-double fig2_mean_delay_s(net::LinkFidelity fid) {
-  testbed::TestbedOptions opts;
-  opts.link_fidelity = fid;
-  testbed::Testbed tb{opts};
-
-  scanner::FmriConfig scfg;
-  scfg.dims = {32, 32, 8};
-  scfg.regions = {{10, 20, 4, 3.0, 0.05}};
-  scfg.expected_scans = 8;
-  scanner::FmriSeriesGenerator gen(scfg);
-
-  fire::AnalysisConfig acfg;
-  acfg.stimulus = scfg.stimulus;
-  acfg.hrf = scfg.hrf;
-  acfg.tr_s = scfg.tr_s;
-  acfg.motion_correction = false;
-  acfg.detrend_cfg.expected_scans = scfg.expected_scans;
-  fire::AnalysisEngine engine(scfg.dims, acfg);
-
-  fire::PipelineConfig cfg;
-  cfg.n_scans = 8;
-  cfg.t3e_pes = 256;
-  fire::FmriPipeline pipe(
-      tb.scheduler(),
-      {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg,
-      [&gen](int t) { return gen.acquire(t); }, &engine);
-  pipe.start();
-  tb.scheduler().run();
-  return pipe.result().mean_total_delay_s;
-}
-
-// ---------------------------------------------------------------------------
 // National-scale scenario: a star of `sites` metro sites hanging off one
 // national core, each site an access router fanning out to `leaves_per_site`
 // hosts.  100 000 datagram flows cross it.  Dozens of sites and thousands
-// of hosts is the scale the two-site testbed was the prototype for; hybrid
-// fidelity (exact access links, fluid trunks) is what makes it tractable.
+// of hosts is the scale the two-site testbed was the prototype for.
 
 // Point-to-point NIC: transmits every packet onto one fixed egress link
 // (the far end of the fibre delivers to the peer host).
@@ -415,7 +346,6 @@ struct NationalConfig {
   int datagrams_per_flow = 3;
   std::uint32_t flow_datagram_bytes = 4096 + net::kIpHeaderBytes;
   double window_s = 0.3;  // flow starts spread over this span
-  net::LinkFidelity trunk_fidelity = net::LinkFidelity::kFluid;
 };
 
 struct NationalStats {
@@ -434,7 +364,7 @@ struct NationalStats {
   std::vector<std::pair<double, std::uint64_t>> hash_checkpoints;
 };
 
-NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
+NationalStats run_national(const NationalConfig& nc) {
   des::Scheduler sched;
   std::vector<std::unique_ptr<net::Host>> hosts;
   std::vector<std::unique_ptr<net::Link>> links;
@@ -450,13 +380,11 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
   // One direction of a fibre: a link from `a` to `b` plus the NIC on `a`
   // that feeds it.  Returns the NIC (for routing table entries on `a`).
   auto add_simplex = [&](net::Host* a, net::Host* b, units::BitRate rate,
-                         des::SimTime prop, units::Bytes qlimit,
-                         net::LinkFidelity fid) -> P2pNic* {
+                         des::SimTime prop, units::Bytes qlimit) -> P2pNic* {
     net::Link::Config cfg;
     cfg.rate = rate;
     cfg.propagation = prop;
     cfg.queue_limit = qlimit;
-    cfg.fidelity = fid;
     links.push_back(std::make_unique<net::Link>(
         sched, a->name() + ">" + b->name(), cfg));
     net::Link* l = links.back().get();
@@ -486,11 +414,9 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
     net::Host* router = add_host(sname, router_costs);
     router->set_forwarding(true);
     P2pNic* router_up = add_simplex(router, core, trunk_rate, trunk_prop,
-                                    units::Bytes{8u << 20},
-                                    nc.trunk_fidelity);
+                                    units::Bytes{8u << 20});
     P2pNic* core_down = add_simplex(core, router, trunk_rate, trunk_prop,
-                                    units::Bytes{8u << 20},
-                                    nc.trunk_fidelity);
+                                    units::Bytes{8u << 20});
     if (first_core_trunk == nullptr) first_core_trunk = links.back().get();
     router->set_default_route(router_up, core->id());
 
@@ -498,11 +424,9 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
       net::Host* leaf =
           add_host(sname + ".h" + std::to_string(h), net::HostCosts{});
       P2pNic* leaf_up = add_simplex(leaf, router, leaf_rate, leaf_prop,
-                                    units::Bytes{2u << 20},
-                                    net::LinkFidelity::kExact);
+                                    units::Bytes{2u << 20});
       P2pNic* router_down = add_simplex(router, leaf, leaf_rate, leaf_prop,
-                                        units::Bytes{2u << 20},
-                                        net::LinkFidelity::kExact);
+                                        units::Bytes{2u << 20});
       leaf->set_default_route(leaf_up, router->id());
       router->add_route(leaf->id(), router_down, leaf->id());
       core->add_route(leaf->id(), core_down, router->id());
@@ -563,18 +487,17 @@ NationalStats run_national(const NationalConfig& nc, bool emit_obs) {
 
 #if defined(GTW_CHECK)
   mon.finish();
-  mon.require_clean(emit_obs ? "des_speed national hybrid"
-                             : "des_speed national exact");
+  mon.require_clean("des_speed national");
 #endif
 
-  if (emit_obs) {
+  {
     // Snapshot the engine-core dashboard after the run (probes read current
     // values at export time); gtw-trace --obs renders this file.
     obs::Registry reg;
     obs::instrument_scheduler(reg, sched);
     obs::instrument_link(reg, *first_core_trunk, "net.link.core_trunk0");
     std::ofstream metrics("OBS_des_speed.metrics.json", std::ios::binary);
-    obs::write_metrics_json(metrics, reg, "des_speed national hybrid");
+    obs::write_metrics_json(metrics, reg, "des_speed national exact");
   }
 
   std::uint64_t drops = 0;
@@ -610,9 +533,9 @@ void print_des_speed(bool replay, bool quick) {
     std::uint64_t budget;
     std::uint64_t far_one_in;
   };
-  // --quick: the CI check-build job wants every code path (all workloads,
-  // both national fidelities) under GTW_CHECK without the full event
-  // budgets; artifacts from quick and full runs are never cross-compared.
+  // --quick: the CI check-build job wants every code path (all workloads
+  // and the national star) under GTW_CHECK without the full event budgets;
+  // artifacts from quick and full runs are never cross-compared.
   const SweepCase full_cases[] = {
       {"hold", 1'000, 300'000, 16},
       {"hold", 10'000, 500'000, 16},
@@ -679,68 +602,30 @@ void print_des_speed(bool replay, bool quick) {
     }
   }
 
-  std::printf("\n== link fidelity: fluid bursts vs exact per-frame ==\n");
-  FidelityRow fid[3];
-  fid[0] = {"e1_wan_t3e_sp2", "goodput_bps",
-            e1_goodput(net::LinkFidelity::kExact, true).bps(),
-            e1_goodput(net::LinkFidelity::kFluid, true).bps()};
-  fid[1] = {"e1_wan_onyx2", "goodput_bps",
-            e1_goodput(net::LinkFidelity::kExact, false).bps(),
-            e1_goodput(net::LinkFidelity::kFluid, false).bps()};
-  fid[2] = {"fig2_fmri", "mean_total_delay_s",
-            fig2_mean_delay_s(net::LinkFidelity::kExact),
-            fig2_mean_delay_s(net::LinkFidelity::kFluid)};
-
   std::printf("\n== national scale: %s ==\n",
               quick ? "8 sites, 137 hosts, 10000 flows (quick)"
                     : "32 sites, 2081 hosts, 100000 flows");
-  NationalConfig exact_cfg;
-  exact_cfg.trunk_fidelity = net::LinkFidelity::kExact;
+  NationalConfig nat_cfg;
   if (quick) {
-    exact_cfg.sites = 8;
-    exact_cfg.leaves_per_site = 16;
-    exact_cfg.flows = 10'000;
+    nat_cfg.sites = 8;
+    nat_cfg.leaves_per_site = 16;
+    nat_cfg.flows = 10'000;
   }
-  const NationalStats nat_exact = run_national(exact_cfg, /*emit_obs=*/false);
-  NationalConfig hybrid_cfg;
-  if (quick) {
-    hybrid_cfg.sites = 8;
-    hybrid_cfg.leaves_per_site = 16;
-    hybrid_cfg.flows = 10'000;
-  }
-  const NationalStats nat_hybrid = run_national(hybrid_cfg, /*emit_obs=*/true);
-  FidelityRow nat_row{"national", "makespan_s", nat_exact.makespan_s,
-                      nat_hybrid.makespan_s};
-
-  for (const FidelityRow& r : {fid[0], fid[1], fid[2], nat_row})
-    std::printf("%-16s %-20s exact %.6g  fluid %.6g  divergence %.4f%%\n",
-                r.scenario, r.metric, r.exact, r.fluid, r.divergence_pct());
-
-  auto print_nat = [&](const char* mode, const NationalStats& n) {
-    std::printf("%-7s: %zu hosts, %zu links, delivered %llu, drops %llu, "
-                "%llu events, makespan %.4f s%s\n",
-                mode, n.hosts, n.links,
-                static_cast<unsigned long long>(n.delivered),
-                static_cast<unsigned long long>(n.drops),
-                static_cast<unsigned long long>(n.events), n.makespan_s,
-                n.completed ? "" : "  [INCOMPLETE]");
-  };
-  print_nat("exact", nat_exact);
-  print_nat("hybrid", nat_hybrid);
+  const NationalStats nat = run_national(nat_cfg);
+  std::printf("exact: %zu hosts, %zu links, delivered %llu, drops %llu, "
+              "%llu events, makespan %.4f s%s\n",
+              nat.hosts, nat.links,
+              static_cast<unsigned long long>(nat.delivered),
+              static_cast<unsigned long long>(nat.drops),
+              static_cast<unsigned long long>(nat.events), nat.makespan_s,
+              nat.completed ? "" : "  [INCOMPLETE]");
   if (!replay)
-    std::printf("hybrid wall %.2f s (%.3g events/s); exact wall %.2f s\n",
-                nat_hybrid.wall_s,
-                static_cast<double>(nat_hybrid.events) / nat_hybrid.wall_s,
-                nat_exact.wall_s);
+    std::printf("exact wall %.2f s (%.3g events/s)\n", nat.wall_s,
+                static_cast<double>(nat.events) / nat.wall_s);
 
-  double max_div = 0.0;
-  for (const FidelityRow& r : {fid[0], fid[1], fid[2], nat_row})
-    max_div = std::max(max_div, r.divergence_pct());
   const SweepRow& largest = rows[3];  // hold_near @ population 1M
-  std::printf("\nlargest exact-mode sweep speedup: %s; max fluid divergence "
-              "%.4f%% (budget: 1%%)\n",
-              replay ? "(replay)" : std::to_string(largest.speedup()).c_str(),
-              max_div);
+  std::printf("\nlargest sweep speedup: %s\n",
+              replay ? "(replay)" : std::to_string(largest.speedup()).c_str());
 
   // ---- BENCH_des_speed.json ----
   std::ofstream json("BENCH_des_speed.json", std::ios::binary);
@@ -777,60 +662,39 @@ void print_des_speed(bool replay, bool quick) {
                   largest.speedup());
     json << buf;
   }
-  json << "  \"fidelity\": [\n";
-  const FidelityRow all_fid[] = {fid[0], fid[1], fid[2], nat_row};
-  for (std::size_t i = 0; i < 4; ++i) {
-    const FidelityRow& r = all_fid[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"scenario\": \"%s\", \"metric\": \"%s\", "
-                  "\"exact\": %.17g, \"fluid\": %.17g, "
-                  "\"divergence_pct\": %.17g}%s\n",
-                  r.scenario, r.metric, r.exact, r.fluid, r.divergence_pct(),
-                  i + 1 < 4 ? "," : "");
+  std::snprintf(
+      buf, sizeof buf,
+      "  \"national_exact\": {\"sites\": %d, \"hosts\": %zu, "
+      "\"links\": %zu, \"flows\": %llu, \"datagrams_delivered\": %llu, "
+      "\"drops\": %llu, \"completed\": %s, \"events\": %llu, "
+      "\"stream_hash\": \"0x%016llx\", \"makespan_s\": %.17g",
+      nat_cfg.sites, nat.hosts, nat.links,
+      static_cast<unsigned long long>(nat_cfg.flows),
+      static_cast<unsigned long long>(nat.delivered),
+      static_cast<unsigned long long>(nat.drops),
+      nat.completed ? "true" : "false",
+      static_cast<unsigned long long>(nat.events),
+      static_cast<unsigned long long>(nat.hash), nat.makespan_s);
+  json << buf;
+  // Periodic (simulated time, stream hash) samples: when two runs of this
+  // artifact differ, tools/determinism_gate.py reports the first diverging
+  // checkpoint, bounding the divergence to one simulated-time window.
+  json << ", \"hash_checkpoints\": [";
+  for (std::size_t i = 0; i < nat.hash_checkpoints.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s{\"t_s\": %.17g, \"hash\": \"0x%016llx\"}",
+                  i == 0 ? "" : ", ", nat.hash_checkpoints[i].first,
+                  static_cast<unsigned long long>(
+                      nat.hash_checkpoints[i].second));
     json << buf;
   }
-  std::snprintf(buf, sizeof buf, "  ],\n  \"max_divergence_pct\": %.17g,\n",
-                max_div);
-  json << buf;
-  auto nat_json = [&](const char* key, const NationalStats& n,
-                      const NationalConfig& cfg, bool last) {
-    std::snprintf(
-        buf, sizeof buf,
-        "  \"%s\": {\"sites\": %d, \"hosts\": %zu, \"links\": %zu, "
-        "\"flows\": %llu, \"datagrams_delivered\": %llu, \"drops\": %llu, "
-        "\"completed\": %s, \"events\": %llu, "
-        "\"stream_hash\": \"0x%016llx\", \"makespan_s\": %.17g",
-        key, cfg.sites, n.hosts, n.links,
-        static_cast<unsigned long long>(cfg.flows),
-        static_cast<unsigned long long>(n.delivered),
-        static_cast<unsigned long long>(n.drops),
-        n.completed ? "true" : "false",
-        static_cast<unsigned long long>(n.events),
-        static_cast<unsigned long long>(n.hash), n.makespan_s);
+  json << "]";
+  if (!replay) {
+    std::snprintf(buf, sizeof buf,
+                  ", \"wall_s\": %.17g, \"events_per_s\": %.17g",
+                  nat.wall_s, static_cast<double>(nat.events) / nat.wall_s);
     json << buf;
-    // Periodic (simulated time, stream hash) samples: when two runs of this
-    // artifact differ, tools/determinism_gate.py reports the first diverging
-    // checkpoint, bounding the divergence to one simulated-time window.
-    json << ", \"hash_checkpoints\": [";
-    for (std::size_t i = 0; i < n.hash_checkpoints.size(); ++i) {
-      std::snprintf(buf, sizeof buf, "%s{\"t_s\": %.17g, \"hash\": \"0x%016llx\"}",
-                    i == 0 ? "" : ", ", n.hash_checkpoints[i].first,
-                    static_cast<unsigned long long>(
-                        n.hash_checkpoints[i].second));
-      json << buf;
-    }
-    json << "]";
-    if (!replay) {
-      std::snprintf(buf, sizeof buf,
-                    ", \"wall_s\": %.17g, \"events_per_s\": %.17g",
-                    n.wall_s, static_cast<double>(n.events) / n.wall_s);
-      json << buf;
-    }
-    json << (last ? "}\n" : "},\n");
-  };
-  nat_json("national_exact", nat_exact, exact_cfg, false);
-  nat_json("national_hybrid", nat_hybrid, hybrid_cfg, true);
-  json << "}\n";
+  }
+  json << "}\n}\n";
 }
 
 void BM_CalendarHold(benchmark::State& state) {

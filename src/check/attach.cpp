@@ -122,16 +122,6 @@ void attach_link(Monitor& mon, const net::Link& link,
                       [&link]() -> std::optional<std::string> {
                         return link_drained(snapshot_link(link));
                       });
-  if (link.fidelity() == net::LinkFidelity::kFluid) {
-    mon.add_drain_check(id + ".burst-pool",
-                        [&link]() -> std::optional<std::string> {
-                          if (link.burst_pool_in_use() == 0)
-                            return std::nullopt;
-                          return fmt("%zu burst record(s) still live at "
-                                     "drain",
-                                     link.burst_pool_in_use());
-                        });
-  }
 }
 
 void attach_host(Monitor& mon, const net::Host& host) {

@@ -75,9 +75,9 @@ class SchedulerChecker : public des::SchedulerCheckHook {
 SchedulerChecker& attach_scheduler(Monitor& mon, des::Scheduler& sched);
 
 // Leak census over any SlabPool-shaped object (in_use(); in checked builds
-// also check_double_frees()).  For pools reachable only through accessors —
-// the scheduler's event pool, a fluid link's burst pool — the owning
-// attach_* registers the equivalent checks itself.
+// also check_double_frees()).  For a pool reachable only through accessors —
+// the scheduler's event pool — the owning attach_* registers the equivalent
+// checks itself.
 template <typename Pool>
 void attach_pool(Monitor& mon, const Pool& pool, const std::string& name) {
   mon.add_drain_check(name + ".leak",
@@ -98,8 +98,8 @@ void attach_pool(Monitor& mon, const Pool& pool, const std::string& name) {
 }
 
 // --- net --------------------------------------------------------------------
-// Byte/frame conservation, continuously; drained-queue + burst-pool leak
-// census at drain.  `name` defaults to the link's own name.
+// Byte/frame conservation, continuously; drained-queue census at drain.
+// `name` defaults to the link's own name.
 void attach_link(Monitor& mon, const net::Link& link,
                  const std::string& name = "");
 

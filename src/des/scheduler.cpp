@@ -35,6 +35,14 @@ bool EventHandle::pending() const {
   return sched_ != nullptr && sched_->is_pending(seq_, slot_);
 }
 
+void Scheduler::set_span_hook(SpanHook* hook) {
+  if (span_hook_ != nullptr) span_hook_->installed_on_ = nullptr;
+  if (hook != nullptr && hook->installed_on_ != nullptr)
+    hook->installed_on_->span_hook_ = nullptr;
+  span_hook_ = hook;
+  if (hook != nullptr) hook->installed_on_ = this;
+}
+
 EventHandle Scheduler::schedule_at(SimTime when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
   const EventId id = pool_.acquire();

@@ -54,7 +54,7 @@ class Scheduler {
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-  ~Scheduler() = default;
+  ~Scheduler() { set_span_hook(nullptr); }
 
   SimTime now() const { return now_; }
 
@@ -109,9 +109,12 @@ class Scheduler {
   // Causal tracing (obs::SpanTracer, DESIGN.md §13): observe schedule/
   // fire/cancel so trace context propagates through continuation chains.
   // Present in every build; a null hook costs one branch per site.  The
-  // hook must outlive the scheduler or be detached with nullptr first; it
-  // observes only and never steers the schedule.
-  void set_span_hook(SpanHook* hook) { span_hook_ = hook; }
+  // hook observes only and never steers the schedule.  Installing a hook
+  // moves it off any scheduler it served before; nullptr uninstalls.  The
+  // hook and the scheduler may be destroyed in either order: each one's
+  // destructor breaks the link (see SpanHook), so span_hook() never
+  // returns a destroyed hook.
+  void set_span_hook(SpanHook* hook);
   SpanHook* span_hook() const { return span_hook_; }
 #if defined(GTW_CHECK)
   std::uint64_t pool_double_frees() const {

@@ -1,6 +1,12 @@
 #include "des/span_hook.hpp"
 
+#include "des/scheduler.hpp"
+
 namespace gtw::des {
+
+SpanHook::~SpanHook() {
+  if (installed_on_ != nullptr) installed_on_->set_span_hook(nullptr);
+}
 
 const char* span_phase_name(SpanPhase p) {
   switch (p) {

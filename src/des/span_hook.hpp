@@ -31,6 +31,8 @@
 
 namespace gtw::des {
 
+class Scheduler;
+
 // Identity of one causal trace (a workload unit: a scan, a WAN message)
 // and the currently innermost span within it.  trace_id 0 means "not
 // traced": payloads default to that and every hook call site tolerates it.
@@ -72,8 +74,20 @@ const char* span_phase_name(SpanPhase p);
 
 // Implemented by obs::SpanTracer and installed with
 // Scheduler::set_span_hook.  Calls are synchronous and in event order.
+//
+// A hook serves at most one scheduler at a time, and the two know each
+// other: installing it records the scheduler here, destroying the hook
+// uninstalls it, and destroying the scheduler forgets the hook.  Either may
+// die first — components torn down after the hook (a TcpConnection retiring
+// its spans) see no hook rather than a dangling one.
 struct SpanHook {
-  virtual ~SpanHook() = default;
+  SpanHook() = default;
+  SpanHook(const SpanHook&) = delete;
+  SpanHook& operator=(const SpanHook&) = delete;
+  virtual ~SpanHook();
+
+  // The scheduler this hook is installed on, or nullptr.
+  Scheduler* installed_on() const { return installed_on_; }
 
   // --- scheduler integration (call sites live in des/scheduler.cpp) ----
   virtual void on_event_scheduled(std::uint64_t seq) = 0;
@@ -107,6 +121,10 @@ struct SpanHook {
   // the root and closes it.
   virtual void abort_trace(TraceContext ctx, const char* reason,
                            SimTime now) = 0;
+
+ private:
+  friend class Scheduler;
+  Scheduler* installed_on_ = nullptr;  // maintained by Scheduler only
 };
 
 }  // namespace gtw::des

@@ -10,9 +10,7 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "des/pool.hpp"
 #include "des/random.hpp"
 #include "des/scheduler.hpp"
 #include "des/stats.hpp"
@@ -33,17 +31,12 @@ struct Frame {
 
 using FrameSink = std::function<void(Frame)>;
 
-// Fidelity of the serialization model (DESIGN.md §10).
-//  kExact — one transmit-complete and one propagation event per frame;
-//    per-frame delivery timestamps are exact.  The default, and the mode all
-//    paper-figure benches run in.
-//  kFluid — frames are clocked out in bursts: one transmit event covers up
-//    to burst_frames frames (bounded by burst_window of wire time), and the
-//    survivors share one propagation event, arriving together at the burst's
-//    end.  Admission, queue limits, per-frame BER draws (same order as
-//    exact), outage and drop accounting are unchanged — only intra-burst
-//    timestamp spread is approximated, bounded by burst_window.
-enum class LinkFidelity : std::uint8_t { kExact, kFluid };
+// Serialization model (DESIGN.md §10): one transmit-complete and one
+// propagation event per frame, so every delivery timestamp is exact.
+// kExact is the only value.  The enum and Link::Config::fidelity, which
+// nothing reads, remain only because gtwbench/src/national_star.cpp
+// assigns the field.
+enum class LinkFidelity : std::uint8_t { kExact };
 
 class Link {
  public:
@@ -57,11 +50,7 @@ class Link {
     // (paper section 2); a frame is lost with probability
     // 1-(1-BER)^bits.  0 disables corruption.
     double bit_error_rate = 0.0;
-    // Serialization fidelity (see LinkFidelity).  Burst caps only apply in
-    // kFluid mode; the delivery-timestamp error is bounded by burst_window.
-    LinkFidelity fidelity = LinkFidelity::kExact;
-    std::uint32_t burst_frames = 64;
-    des::SimTime burst_window = des::SimTime::microseconds(50);
+    LinkFidelity fidelity = LinkFidelity::kExact;  // see LinkFidelity
   };
 
   Link(des::Scheduler& sched, std::string name, Config cfg);
@@ -71,16 +60,6 @@ class Link {
   // Degrade (or repair) the line at runtime — models the testbed's early
   // attenuation/timing problems and their later fix.
   void set_bit_error_rate(double ber) { cfg_.bit_error_rate = ber; }
-
-  // Switch the serialization model at runtime; takes effect at the next
-  // transmission start (an in-flight frame or burst finishes under the mode
-  // it began with).
-  void set_fidelity(LinkFidelity f) { cfg_.fidelity = f; }
-  LinkFidelity fidelity() const { return cfg_.fidelity; }
-  void set_burst_limits(std::uint32_t frames, des::SimTime window) {
-    cfg_.burst_frames = frames;
-    cfg_.burst_window = window;
-  }
 
   // Cut (or restore) the line.  While down, new submissions are refused,
   // the queue is flushed and anything mid-transmission is lost — a fibre
@@ -118,17 +97,8 @@ class Link {
   double utilization() const;   // busy fraction since construction
   double mean_queue_bytes() const;
 
-  // Fluid-mode accounting (0 in exact mode).
-  std::uint64_t bursts_completed() const { return bursts_completed_; }
-  std::size_t burst_pool_slots() const { return burst_pool_.slots(); }
-  std::size_t burst_pool_in_use() const { return burst_pool_.in_use(); }
-  std::size_t burst_pool_high_water() const { return burst_pool_.high_water(); }
-
  private:
-  using BurstId = des::SlabPool<std::vector<Frame>, 16>::Index;
-
   void maybe_start();
-  void finish_burst(BurstId idx);
 
   des::Scheduler& sched_;
   std::string name_;
@@ -153,11 +123,6 @@ class Link {
   des::SimTime busy_accum_ = des::SimTime::zero();
   des::SimTime created_at_ = des::SimTime::zero();
   mutable des::TimeWeighted queue_depth_;
-
-  // Fluid mode: in-flight bursts live in pooled frame vectors (capacity is
-  // retained across reuse), so batching adds no per-burst allocation either.
-  des::SlabPool<std::vector<Frame>, 16> burst_pool_;
-  std::uint64_t bursts_completed_ = 0;
 };
 
 }  // namespace gtw::net

@@ -69,16 +69,6 @@ void instrument_link(Registry& reg, const net::Link& link,
   reg.probe_gauge(p + "queue_mean_bytes",
                   [&link] { return link.mean_queue_bytes(); });
   reg.probe_gauge(p + "utilization", [&link] { return link.utilization(); });
-  if (link.fidelity() == net::LinkFidelity::kFluid) {
-    reg.probe_counter(p + "bursts_completed",
-                      [&link] { return link.bursts_completed(); });
-    reg.probe_counter(p + "burst_pool_slots", [&link] {
-      return static_cast<std::uint64_t>(link.burst_pool_slots());
-    });
-    reg.probe_counter(p + "burst_pool_high_water", [&link] {
-      return static_cast<std::uint64_t>(link.burst_pool_high_water());
-    });
-  }
 }
 
 void instrument_host(Registry& reg, const net::Host& host) {

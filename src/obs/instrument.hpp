@@ -43,8 +43,7 @@ void instrument_scheduler(Registry& reg, const des::Scheduler& sched,
                           const std::string& prefix = "des.sched");
 
 // net.link.<name>.{tx_frames,tx_bytes,drops,dropped_bytes,corrupted_frames,
-// outage_drops,queue_bytes,queue_mean_bytes,utilization} plus, on fluid
-// links, {bursts_completed,burst_pool_slots,burst_pool_high_water}; pass
+// outage_drops,queue_bytes,queue_frames,queue_mean_bytes,utilization}; pass
 // `prefix` to override the default "net.link.<name>" (the ATM switch
 // instruments its port links under its own hierarchy).
 void instrument_link(Registry& reg, const net::Link& link,

@@ -34,8 +34,8 @@ net::Host* ExtendedTestbed::add_site(const std::string& host_name,
 
   // Site <-> GMD trunk.
   const units::BitRate usable = link_rate * net::kSdhPayloadFraction;
-  const net::Link::Config trunk =
-      link_cfg(usable, kSiteProp, opts_.switch_buffer, des::SimTime::zero());
+  const net::Link::Config trunk{usable, kSiteProp, opts_.switch_buffer,
+                                des::SimTime::zero()};
   const int port_site_to_gmd = sw.add_port(trunk);
   const int port_gmd_to_site = gmd.add_port(trunk);
   sw.connect_egress(port_site_to_gmd, gmd.ingress(port_gmd_to_site));

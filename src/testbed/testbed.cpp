@@ -62,23 +62,11 @@ net::Host* Testbed::add_host(const std::string& name, net::HostCosts costs) {
   return h;
 }
 
-net::Link::Config Testbed::link_cfg(units::BitRate usable,
-                                    des::SimTime propagation,
-                                    units::Bytes queue_limit,
-                                    des::SimTime per_frame_overhead) const {
-  net::Link::Config cfg{usable, propagation, queue_limit, per_frame_overhead};
-  cfg.fidelity = opts_.link_fidelity;
-  cfg.burst_frames = opts_.burst_frames;
-  cfg.burst_window = opts_.burst_window;
-  return cfg;
-}
-
 net::AtmNic* Testbed::attach_atm(net::Host& h, net::AtmSwitch& sw,
                                  units::BitRate rate) {
   const units::BitRate usable = rate * net::kSdhPayloadFraction;
-  const net::Link::Config link = link_cfg(usable, kLocalProp,
-                                          opts_.switch_buffer,
-                                          des::SimTime::zero());
+  const net::Link::Config link{usable, kLocalProp, opts_.switch_buffer,
+                               des::SimTime::zero()};
   atm_nics_.push_back(std::make_unique<net::AtmNic>(
       sched_, h, h.name() + ".atm", link, opts_.atm_mtu));
   net::AtmNic* nic = atm_nics_.back().get();
@@ -116,8 +104,8 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
   // --- WAN: two ASX-4000s joined by the SDH line --------------------------
   const des::SimTime wan_prop =
       des::SimTime::seconds(opts_.distance_km * net::kFiberDelaySecPerKm);
-  const net::Link::Config wan_link = link_cfg(
-      wan_rate(), wan_prop, opts_.switch_buffer, des::SimTime::zero());
+  const net::Link::Config wan_link{wan_rate(), wan_prop,
+                                   opts_.switch_buffer, des::SimTime::zero()};
   wan_port_j_ = atm_j_->add_port(wan_link);
   wan_port_g_ = atm_g_->add_port(wan_link);
   atm_j_->connect_egress(wan_port_j_, atm_g_->ingress(wan_port_g_));
@@ -138,11 +126,9 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
     hippi_nics_.push_back(
         std::make_unique<net::HippiNic>(sched_, h, h.name() + ".hippi"));
     net::HippiNic* nic = hippi_nics_.back().get();
-    nic->uplink().set_fidelity(opts_.link_fidelity);
-    nic->uplink().set_burst_limits(opts_.burst_frames, opts_.burst_window);
-    const net::Link::Config port_cfg = link_cfg(net::kHippiRate, kLocalProp,
-                                                units::Bytes{4u << 20},
-                                                des::SimTime::zero());
+    const net::Link::Config port_cfg{net::kHippiRate, kLocalProp,
+                                     units::Bytes{4u << 20},
+                                     des::SimTime::zero()};
     const int port = hippi_j_->add_port(port_cfg);
     nic->uplink().set_sink(hippi_j_->ingress(port));
     hippi_j_->connect_egress(port, nic->ingress());
@@ -164,10 +150,6 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
   hippi_nics_.push_back(
       std::make_unique<net::HippiNic>(sched_, *gw_e5000_, "gw_e5000.hippi"));
   net::HippiNic* hip_e5000 = hippi_nics_.back().get();
-  for (net::HippiNic* n : {hip_sp2, hip_e5000}) {
-    n->uplink().set_fidelity(opts_.link_fidelity);
-    n->uplink().set_burst_limits(opts_.burst_frames, opts_.burst_window);
-  }
   hip_sp2->uplink().set_sink(hip_e5000->ingress());
   hip_e5000->uplink().set_sink(hip_sp2->ingress());
   attach_rate_["sp2"] = net::kHippiRate;

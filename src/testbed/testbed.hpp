@@ -34,13 +34,6 @@ struct TestbedOptions {
   // network").
   units::Bytes atm_mtu = net::kMtuAtmFore;
   units::Bytes switch_buffer{4u << 20};
-  // Serialization fidelity stamped on every link the builder creates
-  // (NIC uplinks, switch egress ports, the WAN trunk).  kExact reproduces
-  // the paper figures frame-for-frame; kFluid batches frames into bursts
-  // and is the mode national-scale scenarios run in (DESIGN.md §10).
-  net::LinkFidelity link_fidelity = net::LinkFidelity::kExact;
-  std::uint32_t burst_frames = 64;
-  des::SimTime burst_window = des::SimTime::microseconds(50);
 };
 
 // Everything needed to run experiments on the assembled testbed.  Hosts are
@@ -108,10 +101,6 @@ class Testbed {
   net::Host* add_host(const std::string& name, net::HostCosts costs);
   net::AtmNic* attach_atm(net::Host& h, net::AtmSwitch& sw,
                           units::BitRate rate);
-  // Link config stamped with the testbed-wide fidelity options.
-  net::Link::Config link_cfg(units::BitRate usable, des::SimTime propagation,
-                             units::Bytes queue_limit,
-                             des::SimTime per_frame_overhead) const;
 
   TestbedOptions opts_;
   des::Scheduler sched_;

@@ -95,6 +95,62 @@ TEST(LinkTest, OverflowDropsWholeFrame) {
   EXPECT_EQ(link.drops(), 1u);
 }
 
+// A fibre cut while a frame is being clocked out: the frame already past
+// the transmitter still arrives, the one on the wire is lost with the
+// photons, the queued one is flushed, and the restored line carries
+// traffic again.
+TEST(LinkTest, CutDuringTransmissionLosesOnlyTheWireAndQueue) {
+  des::Scheduler sched;
+  // 12500 B at 100 Mbit/s = 1 ms of wire time, then 5 ms of fibre.
+  Link link(sched, "l",
+            {units::BitRate::mbps(100.0), des::SimTime::milliseconds(5),
+             units::Bytes{1 << 20}, des::SimTime::zero()});
+  std::vector<std::uint64_t> arrived;
+  link.set_sink([&](Frame f) { arrived.push_back(f.pkt.id); });
+  auto submit = [&](std::uint64_t id) {
+    Frame f;
+    f.pkt.id = id;
+    f.wire_bytes = 12500;
+    return link.submit(std::move(f));
+  };
+  for (std::uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(submit(id));
+  auto conserved = [&] {
+    EXPECT_EQ(link.submitted_frames(), link.frames_sent() + link.drops() +
+                                           link.outage_drops() +
+                                           link.queue_frames());
+    EXPECT_EQ(link.submitted_bytes(), link.bytes_sent() +
+                                          link.dropped_bytes() +
+                                          link.outage_dropped_bytes() +
+                                          link.queue_bytes());
+  };
+
+  // At 1.5 ms frame 1 is propagating, frame 2 is half on the wire and
+  // frame 3 waits in the queue.
+  sched.schedule_at(des::SimTime::microseconds(1500), [&] {
+    link.set_up(false);
+    EXPECT_EQ(link.outage_drops(), 1u);  // frame 3, flushed from the queue
+    EXPECT_EQ(link.queue_frames(), 0u);
+    EXPECT_EQ(link.queue_bytes(), 12500u);  // frame 2 still occupies the wire
+  });
+  sched.run();
+
+  EXPECT_EQ(arrived, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(sched.now().ps(), des::SimTime::milliseconds(6).ps());
+  EXPECT_EQ(link.frames_sent(), 1u);
+  EXPECT_EQ(link.outage_drops(), 2u);  // + frame 2, lost at its transmit end
+  EXPECT_EQ(link.outage_dropped_bytes(), 25000u);
+  EXPECT_EQ(link.drops(), 0u);
+  EXPECT_EQ(link.queue_bytes(), 0u);
+  conserved();
+
+  link.set_up(true);
+  ASSERT_TRUE(submit(4));
+  sched.run();
+  EXPECT_EQ(arrived, (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(link.submitted_frames(), 4u);
+  conserved();
+}
+
 // Two hosts on one ATM switch exchanging datagrams through a provisioned VC.
 struct AtmPair {
   des::Scheduler sched;

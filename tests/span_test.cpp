@@ -3,10 +3,12 @@
 // trip, latency-budget sweep exactness, and the lifecycle edge cases the
 // WAN makes interesting — spans held open across a PathTransport stall
 // reset, traces aborted when the Communicator declares a peer
-// unreachable, a zero-leak census at drain, and the guarantee that
-// attaching the tracer does not perturb the simulation.
+// unreachable, a zero-leak census at drain, the guarantee that
+// attaching the tracer does not perturb the simulation, and tracer and
+// scheduler dying in either order while spans are open.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -357,6 +359,58 @@ TEST(SpanLifecycleTest, AttachingTracerIsPerturbationFree) {
   const SimTime traced = run(&tracer);
   EXPECT_EQ(bare.ps(), traced.ps());
   EXPECT_GT(tracer.spans().size(), 0u);  // it did observe the run
+}
+
+// Sends a traced 4 MB message and runs 5 ms of it, so the message's
+// transfer span is still open on `conn`.
+void run_traced_message_partway(WanFixture& f, SpanTracer& tracer,
+                                net::TcpConnection& conn) {
+  tracer.mint("test.origin", f.sched.now());  // current until adopt({})
+  conn.send(0, units::Bytes{4u << 20});
+  tracer.adopt({});
+  f.sched.run(ms(5));
+}
+
+TEST(SpanLifecycleTest, TracerDestroyedFirstDetachesFromScheduler) {
+  WanFixture f;
+  auto conn = std::make_unique<net::TcpConnection>(f.a, f.b, 100, 200);
+  {
+    SpanTracer tracer;
+    f.sched.set_span_hook(&tracer);
+    EXPECT_EQ(tracer.installed_on(), &f.sched);
+    run_traced_message_partway(f, tracer, *conn);
+    ASSERT_GE(tracer.open_spans(), 2u);  // the root and the message
+  }
+  // The dead tracer uninstalled itself, so tearing the connection down
+  // (which retires open spans through the scheduler's hook) calls no hook;
+  // a dangling one would be a call into a destroyed object.
+  EXPECT_EQ(f.sched.span_hook(), nullptr);
+  conn.reset();
+  f.sched.run();  // the rest of the run drains untraced
+}
+
+TEST(SpanLifecycleTest, SchedulerDestroyedFirstForgetsTracer) {
+  SpanTracer tracer;
+  {
+    WanFixture f;
+    f.sched.set_span_hook(&tracer);
+    net::TcpConnection conn(f.a, f.b, 100, 200);
+    run_traced_message_partway(f, tracer, conn);
+  }  // conn retires its span through the live tracer, then the scheduler dies
+  std::size_t aborted = 0;
+  for (const auto& s : tracer.spans())
+    if (s.aborted) ++aborted;
+  EXPECT_GE(aborted, 1u);
+  EXPECT_EQ(tracer.installed_on(), nullptr);
+
+  // The tracer outlives its scheduler and can serve another, one at a time.
+  des::Scheduler s1;
+  des::Scheduler s2;
+  s1.set_span_hook(&tracer);
+  s2.set_span_hook(&tracer);
+  EXPECT_EQ(s1.span_hook(), nullptr);
+  EXPECT_EQ(s2.span_hook(), &tracer);
+  EXPECT_EQ(tracer.installed_on(), &s2);
 }
 
 }  // namespace

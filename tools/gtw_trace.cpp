@@ -65,10 +65,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// Print the engine-core metrics (scheduler calendar, event pool, link burst
-// pools) out of an OBS_*.metrics.json snapshot.  The exporter writes one
-// metric per line as `    "name": value,` so a line scan suffices — no JSON
-// parser needed for our own format.
+// Print the engine-core metrics (scheduler calendar, event pool) out of an
+// OBS_*.metrics.json snapshot.  The exporter writes one metric per line as
+// `    "name": value,` so a line scan suffices — no JSON parser needed for
+// our own format.
 int print_obs_engine(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -84,11 +84,7 @@ int print_obs_engine(const std::string& path) {
     const auto q1 = line.find('"', q0 + 1);
     if (q1 == std::string::npos) continue;
     const std::string name = line.substr(q0 + 1, q1 - q0 - 1);
-    const bool engine =
-        name.rfind("des.sched.", 0) == 0 ||
-        name.find(".burst_pool_") != std::string::npos ||
-        name.find(".bursts_completed") != std::string::npos;
-    if (!engine) continue;
+    if (name.rfind("des.sched.", 0) != 0) continue;
     auto colon = line.find(':', q1);
     if (colon == std::string::npos) continue;
     std::string value = line.substr(colon + 1);
