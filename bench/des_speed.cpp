@@ -1,13 +1,9 @@
 // S — DES engine speed (DESIGN.md §10).  Not a paper figure: this bench
-// certifies the simulator's engine core after the calendar-queue overhaul,
-// on two axes:
+// measures the simulator's calendar-queue engine core on two axes:
 //
-//  1. events/sec sweeps of the production scheduler against an in-bench
-//     replica of the pre-refactor engine (binary heap of new-allocated
-//     entries, std::function actions, std::map cancellation index), on a
-//     PHOLD-style self-rescheduling workload and a TCP-timer churn workload.
-//     Both engines execute the identical schedule; their event-stream hashes
-//     must agree, so the speedup is measured on provably equal work.
+//  1. events/sec sweeps of the scheduler on a PHOLD-style self-rescheduling
+//     workload and a TCP-timer churn workload.  Each row's event count and
+//     event-stream hash are deterministic.
 //  2. a national-scale topology (32 sites, >2000 hosts, 100 000 flows)
 //     far beyond the two-site testbed, run to completion.
 //
@@ -17,15 +13,12 @@
 // (event counts, stream hashes, makespans) is deterministic.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -61,138 +54,7 @@ struct WallTimer {
 };
 
 // ---------------------------------------------------------------------------
-// Pre-refactor scheduler, reproduced verbatim from the engine this repo
-// shipped before the calendar-queue overhaul: a std::push_heap/std::pop_heap
-// binary heap of individually new-allocated entries, std::function actions
-// (which heap-allocate every capture larger than the SBO of ~2 words), and a
-// std::map from sequence number to entry for cancellation.  It exists only
-// as the measurement baseline; production code uses des::Scheduler.
-class BaselineScheduler {
- public:
-  using Action = std::function<void()>;
-
-  class Handle {
-   public:
-    Handle() = default;
-    void cancel() {
-      if (s_ != nullptr && seq_ != 0) s_->cancel(seq_);
-      s_ = nullptr;
-      seq_ = 0;
-    }
-
-   private:
-    friend class BaselineScheduler;
-    Handle(BaselineScheduler* s, std::uint64_t q) : s_(s), seq_(q) {}
-    BaselineScheduler* s_ = nullptr;
-    std::uint64_t seq_ = 0;
-  };
-
-  BaselineScheduler() = default;
-  BaselineScheduler(const BaselineScheduler&) = delete;
-  BaselineScheduler& operator=(const BaselineScheduler&) = delete;
-  ~BaselineScheduler() {
-    for (Entry* e : heap_) delete e;
-  }
-
-  des::SimTime now() const { return now_; }
-
-  Handle schedule_at(des::SimTime when, Action action) {
-    assert(when >= now_ && "cannot schedule into the past");
-    auto* e = new Entry{when, next_seq_++, std::move(action), false};
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Order{});
-    pending_.emplace(e->seq, e);
-    return Handle{this, e->seq};
-  }
-  Handle schedule_after(des::SimTime delay, Action action) {
-    return schedule_at(now_ + delay, std::move(action));
-  }
-
-  std::uint64_t run() {
-    std::uint64_t n = 0;
-    while (step()) ++n;
-    return n;
-  }
-
-  std::uint64_t events_executed() const { return executed_; }
-  std::uint64_t stream_hash() const { return stream_hash_; }
-
- private:
-  struct Entry {
-    des::SimTime when;
-    std::uint64_t seq;
-    Action action;
-    bool cancelled = false;
-  };
-  struct Order {
-    bool operator()(const Entry* a, const Entry* b) const {
-      if (a->when != b->when) return a->when > b->when;
-      return a->seq > b->seq;
-    }
-  };
-
-  static void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-
-  void cancel(std::uint64_t seq) {
-    auto it = pending_.find(seq);
-    if (it == pending_.end()) return;
-    it->second->cancelled = true;
-    pending_.erase(it);
-    ++cancelled_in_heap_;
-    if (cancelled_in_heap_ > heap_.size() - cancelled_in_heap_) {
-      auto alive = heap_.begin();
-      for (Entry* e : heap_) {
-        if (e->cancelled)
-          delete e;
-        else
-          *alive++ = e;
-      }
-      heap_.erase(alive, heap_.end());
-      std::make_heap(heap_.begin(), heap_.end(), Order{});
-      cancelled_in_heap_ = 0;
-    }
-  }
-
-  bool step() {
-    while (!heap_.empty()) {
-      Entry* e = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), Order{});
-      heap_.pop_back();
-      if (e->cancelled) {
-        --cancelled_in_heap_;
-        delete e;
-        continue;
-      }
-      pending_.erase(e->seq);
-      now_ = e->when;
-      ++executed_;
-      fnv1a_mix(stream_hash_, static_cast<std::uint64_t>(e->when.ps()));
-      fnv1a_mix(stream_hash_, e->seq);
-      Action action = std::move(e->action);
-      delete e;
-      action();
-      return true;
-    }
-    return false;
-  }
-
-  des::SimTime now_ = des::SimTime::zero();
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t executed_ = 0;
-  std::uint64_t stream_hash_ = 14695981039346656037ULL;
-  std::vector<Entry*> heap_;
-  std::size_t cancelled_in_heap_ = 0;
-  std::map<std::uint64_t, Entry*> pending_;
-};
-
-// ---------------------------------------------------------------------------
-// Synthetic engine workloads, templated over the scheduler so the baseline
-// and the calendar queue execute bit-identical schedules.
+// Synthetic engine workloads.
 
 struct RunStats {
   std::uint64_t events = 0;
@@ -202,17 +64,15 @@ struct RunStats {
 
 // Closure ballast sized like the simulator's real hot-path actions (a
 // Host::emit completion captures this + a full IpPacket + a route, ~112
-// bytes).  des::Action keeps this inline; std::function heap-allocates it —
-// exactly the per-event cost difference the refactor removed.
+// bytes), which des::Action keeps inline.
 using Ballast = std::array<std::uint64_t, 12>;
 
 // PHOLD-style hold model: a fixed population of self-rescheduling events.
 // 15/16 hops stay within ~200 µs (calendar buckets), 1/16 jump up to ~80 ms
 // ahead (overflow tier + day advance), so the sweep exercises every tier of
 // the calendar, not just the happy path.
-template <class Sched>
 struct HoldState {
-  Sched sched;
+  des::Scheduler sched;
   des::Rng rng{0x686f6c64ULL};
   std::uint64_t to_schedule = 0;
   // 1-in-N hops jump far ahead (overflow tier); 0 keeps every hop near
@@ -221,8 +81,7 @@ struct HoldState {
   std::uint64_t far_one_in = 16;
 };
 
-template <class Sched>
-void hold_fire(HoldState<Sched>* st, const Ballast& b) {
+void hold_fire(HoldState* st, const Ballast& b) {
   if (st->to_schedule == 0) return;
   --st->to_schedule;
   const bool far =
@@ -235,10 +94,9 @@ void hold_fire(HoldState<Sched>* st, const Ballast& b) {
                            [st, next] { hold_fire(st, next); });
 }
 
-template <class Sched>
 RunStats run_hold(std::size_t population, std::uint64_t budget,
                   std::uint64_t far_one_in = 16) {
-  HoldState<Sched> st;
+  HoldState st;
   st.to_schedule = budget;
   st.far_one_in = far_one_in;
   const WallTimer timer;
@@ -258,21 +116,16 @@ RunStats run_hold(std::size_t population, std::uint64_t budget,
 // TCP-retransmit-timer churn: every "segment send" arms an RTO timer that
 // the next send cancels (the ack won the race) — except for a 1-in-8 stall
 // where the timer genuinely fires first.  ~1 cancellation per executed
-// event, the workload the old engine's sweep-and-rebuild was worst at.
-template <class Sched>
+// event, so the sweep times the cancel path, not just schedule and fire.
 struct ChurnSim {
-  using Handle =
-      decltype(std::declval<Sched&>().schedule_after(des::SimTime::zero(),
-                                                     [] {}));
-  Sched sched;
+  des::Scheduler sched;
   des::Rng rng{0x636875726eULL};
   std::uint64_t sends_left = 0;
   std::uint64_t timeouts = 0;
-  std::vector<Handle> rto;  // one armed timer per connection
+  std::vector<des::EventHandle> rto;  // one armed timer per connection
 };
 
-template <class Sched>
-void churn_send(ChurnSim<Sched>* sim, std::size_t c) {
+void churn_send(ChurnSim* sim, std::size_t c) {
   sim->rto[c].cancel();
   if (sim->sends_left == 0) return;
   --sim->sends_left;
@@ -285,9 +138,8 @@ void churn_send(ChurnSim<Sched>* sim, std::size_t c) {
                             [sim, c] { churn_send(sim, c); });
 }
 
-template <class Sched>
 RunStats run_churn(std::size_t connections, std::uint64_t budget) {
-  ChurnSim<Sched> sim;
+  ChurnSim sim;
   sim.sends_left = budget;
   sim.rto.resize(connections);
   const WallTimer timer;
@@ -305,13 +157,9 @@ RunStats run_churn(std::size_t connections, std::uint64_t budget) {
 struct SweepRow {
   const char* workload;
   std::size_t population;
-  RunStats baseline;
-  RunStats calendar;
-  bool hash_match() const { return baseline.hash == calendar.hash; }
-  double speedup() const {
-    if (baseline.wall_s <= 0.0 || calendar.wall_s <= 0.0) return 0.0;
-    return (static_cast<double>(calendar.events) / calendar.wall_s) /
-           (static_cast<double>(baseline.events) / baseline.wall_s);
+  RunStats run;
+  double events_per_s() const {
+    return static_cast<double>(run.events) / run.wall_s;
   }
 };
 
@@ -524,7 +372,7 @@ NationalStats run_national(const NationalConfig& nc) {
 // ---------------------------------------------------------------------------
 
 void print_des_speed(bool replay, bool quick) {
-  std::printf("== DES engine: calendar queue vs pre-refactor baseline ==%s\n",
+  std::printf("== DES engine: calendar queue sweeps ==%s\n",
               quick ? " (quick)" : "");
 
   struct SweepCase {
@@ -552,54 +400,36 @@ void print_des_speed(bool replay, bool quick) {
   };
   const SweepCase* cases = quick ? quick_cases : full_cases;
   const std::size_t n_cases = 5;
-  // Best of two runs per engine: the schedule (and hash) is identical both
+  // Best of two timed runs: the schedule (and hash) is identical both
   // times, only the wall clock varies, so min-of-N is the standard way to
-  // strip scheduler/turbo noise from the rate estimate.
+  // strip scheduler/turbo noise from the rate estimate.  --replay reports no
+  // rate, so one run is enough there.
   std::vector<SweepRow> rows;
   for (std::size_t ci = 0; ci < n_cases; ++ci) {
     const SweepCase& c = cases[ci];
-    SweepRow r;
-    r.workload = c.workload;
-    r.population = c.population;
-    const auto best = [](RunStats a, RunStats b) {
-      assert(a.hash == b.hash && a.events == b.events);
-      return a.wall_s <= b.wall_s ? a : b;
+    const auto run = [&c] {
+      return std::string_view(c.workload) == "churn"
+                 ? run_churn(c.population, c.budget)
+                 : run_hold(c.population, c.budget, c.far_one_in);
     };
-    if (std::string_view(c.workload) == "churn") {
-      r.baseline = best(run_churn<BaselineScheduler>(c.population, c.budget),
-                        run_churn<BaselineScheduler>(c.population, c.budget));
-      r.calendar = best(run_churn<des::Scheduler>(c.population, c.budget),
-                        run_churn<des::Scheduler>(c.population, c.budget));
-    } else {
-      r.baseline = best(run_hold<BaselineScheduler>(c.population, c.budget,
-                                                    c.far_one_in),
-                        run_hold<BaselineScheduler>(c.population, c.budget,
-                                                    c.far_one_in));
-      r.calendar = best(
-          run_hold<des::Scheduler>(c.population, c.budget, c.far_one_in),
-          run_hold<des::Scheduler>(c.population, c.budget, c.far_one_in));
+    SweepRow r{c.workload, c.population, run()};
+    if (!replay) {
+      const RunStats again = run();
+      assert(again.hash == r.run.hash && again.events == r.run.events);
+      if (again.wall_s < r.run.wall_s) r.run = again;
     }
     rows.push_back(r);
   }
 
-  std::printf("workload | population |   events | hash match |"
-              " baseline ev/s | calendar ev/s | speedup\n");
+  std::printf("workload | population |   events |   events/s\n");
   for (const SweepRow& r : rows) {
-    if (replay) {
-      std::printf("%8s | %10zu | %8llu | %10s |      (replay) |"
-                  "      (replay) |  --\n",
-                  r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
-                  r.hash_match() ? "yes" : "NO");
-    } else {
-      std::printf("%8s | %10zu | %8llu | %10s | %13.3g | %13.3g | %6.2fx\n",
-                  r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
-                  r.hash_match() ? "yes" : "NO",
-                  static_cast<double>(r.baseline.events) / r.baseline.wall_s,
-                  static_cast<double>(r.calendar.events) / r.calendar.wall_s,
-                  r.speedup());
-    }
+    const auto events = static_cast<unsigned long long>(r.run.events);
+    if (replay)
+      std::printf("%8s | %10zu | %8llu |   (replay)\n", r.workload,
+                  r.population, events);
+    else
+      std::printf("%8s | %10zu | %8llu | %10.3g\n", r.workload,
+                  r.population, events, r.events_per_s());
   }
 
   std::printf("\n== national scale: %s ==\n",
@@ -623,10 +453,6 @@ void print_des_speed(bool replay, bool quick) {
     std::printf("exact wall %.2f s (%.3g events/s)\n", nat.wall_s,
                 static_cast<double>(nat.events) / nat.wall_s);
 
-  const SweepRow& largest = rows[3];  // hold_near @ population 1M
-  std::printf("\nlargest sweep speedup: %s\n",
-              replay ? "(replay)" : std::to_string(largest.speedup()).c_str());
-
   // ---- BENCH_des_speed.json ----
   std::ofstream json("BENCH_des_speed.json", std::ios::binary);
   json << "{\n  \"bench\": \"des_speed\",\n  \"replay\": "
@@ -637,31 +463,19 @@ void print_des_speed(bool replay, bool quick) {
     const SweepRow& r = rows[i];
     std::snprintf(buf, sizeof buf,
                   "    {\"workload\": \"%s\", \"population\": %zu, "
-                  "\"events\": %llu, \"stream_hash\": \"0x%016llx\", "
-                  "\"hash_match\": %s",
+                  "\"events\": %llu, \"stream_hash\": \"0x%016llx\"",
                   r.workload, r.population,
-                  static_cast<unsigned long long>(r.calendar.events),
-                  static_cast<unsigned long long>(r.calendar.hash),
-                  r.hash_match() ? "true" : "false");
+                  static_cast<unsigned long long>(r.run.events),
+                  static_cast<unsigned long long>(r.run.hash));
     json << buf;
     if (!replay) {
-      std::snprintf(
-          buf, sizeof buf,
-          ", \"baseline_events_per_s\": %.17g, "
-          "\"calendar_events_per_s\": %.17g, \"speedup\": %.17g",
-          static_cast<double>(r.baseline.events) / r.baseline.wall_s,
-          static_cast<double>(r.calendar.events) / r.calendar.wall_s,
-          r.speedup());
+      std::snprintf(buf, sizeof buf, ", \"events_per_s\": %.17g",
+                    r.events_per_s());
       json << buf;
     }
     json << (i + 1 < rows.size() ? "},\n" : "}\n");
   }
   json << "  ],\n";
-  if (!replay) {
-    std::snprintf(buf, sizeof buf, "  \"largest_exact_speedup\": %.17g,\n",
-                  largest.speedup());
-    json << buf;
-  }
   std::snprintf(
       buf, sizeof buf,
       "  \"national_exact\": {\"sites\": %d, \"hosts\": %zu, "
@@ -699,22 +513,12 @@ void print_des_speed(bool replay, bool quick) {
 
 void BM_CalendarHold(benchmark::State& state) {
   for (auto _ : state) {
-    const RunStats r = run_hold<des::Scheduler>(
+    const RunStats r = run_hold(
         static_cast<std::size_t>(state.range(0)), 200'000);
     benchmark::DoNotOptimize(r.hash);
   }
 }
 BENCHMARK(BM_CalendarHold)->Arg(1'000)->Arg(100'000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BaselineHold(benchmark::State& state) {
-  for (auto _ : state) {
-    const RunStats r = run_hold<BaselineScheduler>(
-        static_cast<std::size_t>(state.range(0)), 200'000);
-    benchmark::DoNotOptimize(r.hash);
-  }
-}
-BENCHMARK(BM_BaselineHold)->Arg(1'000)->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,14 +2,17 @@
 // companion reference [1], Eickermann/Grund/Henrichs, "Performance issues
 // of distributed MPI applications in a German gigabit testbed"): latency
 // and bandwidth of the meta communication library inside a machine vs
-// between machines, and collective cost as rank counts and machine splits
-// grow.  The headline metacomputing lesson is the orders-of-magnitude gap
-// between the two fabrics — the reason only loosely-coupled applications
-// profit from the metacomputer.
+// between machines, collective cost as rank counts and machine splits
+// grow, and the WAN traffic each collective's pattern sends.  The headline
+// metacomputing lesson is the orders-of-magnitude gap between the two
+// fabrics — the reason only loosely-coupled applications profit from the
+// metacomputer.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "meta/communicator.hpp"
 #include "net/probe.hpp"
@@ -106,6 +109,54 @@ void print_m1() {
                   rep.rtt_ms.min());
     });
     tb.scheduler().run();
+  }
+  std::printf("\n");
+
+  // Each collective once, on a fresh rig: the WAN messages and bytes of its
+  // pattern (DESIGN.md section 3) and when its last callback fires.
+  std::printf("collectives, 2 T3E + 2 SP2 ranks, 64 KiB payloads, allreduce "
+              "of 2 doubles (all ranks enter at t=0):\n");
+  std::printf("%10s | %8s | %10s | %10s\n", "op", "WAN msgs", "WAN bytes",
+              "done");
+  constexpr std::uint64_t b = 65536;
+  using Done = std::function<void()>;
+  using Enter = std::function<void(meta::Communicator&, int rank, Done)>;
+  const std::pair<const char*, Enter> ops[] = {
+      {"barrier",
+       [](meta::Communicator& c, int r, Done d) { c.barrier(r, d); }},
+      {"allreduce",
+       [](meta::Communicator& c, int r, Done d) {
+         c.allreduce(r, {1.0, 2.0}, meta::ReduceOp::kSum,
+                     [d](std::vector<double>) { d(); });
+       }},
+      {"broadcast",
+       [](meta::Communicator& c, int r, Done d) {
+         c.broadcast(r, 0, b, [d](const std::any&) { d(); });
+       }},
+      {"gather",
+       [](meta::Communicator& c, int r, Done d) {
+         c.gather(r, b, {}, 0, [d](std::vector<std::any>) { d(); });
+       }},
+      {"scatter",
+       [](meta::Communicator& c, int r, Done d) {
+         c.scatter(r, 0, b, [d](const std::any&) { d(); });
+       }},
+      {"alltoall",
+       [](meta::Communicator& c, int r, Done d) {
+         c.alltoall(r, b, {}, [d](std::vector<std::any>) { d(); });
+       }},
+  };
+  for (const auto& [name, enter] : ops) {
+    Rig r;
+    meta::Communicator comm(
+        r.mc, {{r.t3e, 0}, {r.t3e, 1}, {r.sp2, 0}, {r.sp2, 1}});
+    des::SimTime done;
+    for (int rank = 0; rank < comm.size(); ++rank)
+      enter(comm, rank, [&] { done = r.tb.scheduler().now(); });
+    r.tb.scheduler().run();
+    std::printf("%10s | %8llu | %10llu | %7.3f ms\n", name,
+                static_cast<unsigned long long>(r.mc.wan_messages()),
+                static_cast<unsigned long long>(r.mc.wan_bytes()), done.ms());
   }
   std::printf("\n");
 }

@@ -1,7 +1,6 @@
 #include "meta/communicator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -220,258 +219,218 @@ void Communicator::deliver(int dst_rank, Message msg) {
   st.unexpected.push_back(std::move(msg));
 }
 
-des::SimTime Communicator::intra_tree_cost(std::uint64_t bytes) const {
-  // Tree depth on the machine holding the most ranks of this communicator.
-  std::map<int, int> counts;
-  for (const ProcLoc& p : ranks_) ++counts[p.machine];
-  des::SimTime worst = des::SimTime::zero();
-  for (const auto& [machine, count] : counts) {
+// A collective's WAN pattern: the phases it runs between machines, in this
+// order.  Up goes to the root's machine, down comes from it.  A
+// personalized op (gather, scatter, alltoall) sends one unit per pair of
+// ranks a leg stands for; the others send one unit per leg.
+struct Communicator::CollectiveOp {
+  const char* name;    // VAMPIR state
+  const char* origin;  // trace minted when none is current
+  bool pairwise = false, up = false, down = false, personalized = false;
+};
+
+void Communicator::collective(int rank, const CollectiveOp& op, int root,
+                              std::uint64_t unit, std::uint64_t intra_bytes,
+                              std::any in,
+                              std::function<void(const Collective&)> done) {
+  RankState& rs = states_.at(static_cast<std::size_t>(rank));
+  const std::uint64_t key = rs.collective_calls;
+  Collective& c = collectives_[key];
+  if (c.op == nullptr) {
+    c.op = &op;
+    c.root = root;
+    c.in.resize(ranks_.size());
+    c.done.resize(ranks_.size());
+  } else if (c.op != &op || c.root != root) {
+    throw std::invalid_argument(
+        "Communicator: collective call " + std::to_string(key) + " of rank " +
+        std::to_string(rank) + " is " + op.name + " (root " +
+        std::to_string(root) + ") but another rank's is " + c.op->name +
+        " (root " + std::to_string(c.root) + ")");
+  }
+  ++rs.collective_calls;
+  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state(op.name),
+                mc_->scheduler().now());
+  c.in[static_cast<std::size_t>(rank)] = std::move(in);
+  c.done[static_cast<std::size_t>(rank)] = std::move(done);
+  if (++c.arrived < size()) return;
+
+  // Everyone is in.  n[m] counts the ranks on machine m; machines are
+  // visited in order of their first rank.
+  std::map<int, std::uint64_t> n;
+  std::vector<int> machines;
+  for (const ProcLoc& p : ranks_)
+    if (n[p.machine]++ == 0) machines.push_back(p.machine);
+  // An intra stage is a log2 tree on the slowest machine (closed form).
+  for (const auto& [m, count] : n) {
     const int depth = count > 1
         ? static_cast<int>(std::ceil(std::log2(static_cast<double>(count))))
         : 0;
-    const des::SimTime cost =
-        mc_->intra_cost(machine, units::Bytes{bytes}) * depth;
-    worst = std::max(worst, cost);
+    c.intra = std::max(
+        c.intra, mc_->intra_cost(m, units::Bytes{intra_bytes}) * depth);
   }
-  return worst;
-}
-
-std::vector<int> Communicator::machines_involved() const {
-  std::vector<int> out;
-  for (const ProcLoc& p : ranks_)
-    if (std::find(out.begin(), out.end(), p.machine) == out.end())
-      out.push_back(p.machine);
-  return out;
-}
-
-void Communicator::finish_collective(std::uint64_t key, const char* name,
-                                     std::uint64_t wan_bytes,
-                                     std::function<void(int rank)> per_rank) {
-  const des::SimTime intra = intra_tree_cost(wan_bytes);
-  const std::vector<int> machines = machines_involved();
-  const int root_machine = location(collectives_[key].root).machine;
-  auto& sched = mc_->scheduler();
-
-  auto final_stage = [this, key, name, intra, per_rank, &sched]() {
-    sched.schedule_after(intra, [this, key, name, per_rank]() {
-      const std::uint32_t state = tracer_.state(name);
-      for (int r = 0; r < size(); ++r) {
-        tracer_.leave(static_cast<std::uint32_t>(r), state,
-                      mc_->scheduler().now());
-        per_rank(r);
-      }
-      collectives_.erase(key);
-    });
+  // The WAN legs between machines; a personalized leg carries one unit per
+  // pair of ranks it stands for.
+  const int hub = location(root).machine;
+  const auto leg_bytes = [&](std::uint64_t pairs) {
+    return op.personalized ? unit * pairs : unit;
   };
-
-  if (machines.size() <= 1) {
-    // Single machine: up the tree and back down.
-    sched.schedule_after(intra, final_stage);
-    return;
+  std::vector<WanLeg> pairwise, up, down;
+  for (int a : machines) {
+    if (op.pairwise)
+      for (int b : machines)
+        if (b != a) pairwise.push_back({a, b, leg_bytes(n[a] * n[b])});
+    if (a == hub) continue;
+    if (op.up) up.push_back({a, hub, leg_bytes(n[a])});
+    if (op.down) down.push_back({hub, a, leg_bytes(n[a])});
   }
+  for (std::vector<WanLeg>* phase : {&pairwise, &up, &down})
+    if (!phase->empty()) c.phases.push_back(std::move(*phase));
 
-  // Intra gather, then WAN exchange with the root machine's leader, then
-  // intra broadcast.  The shared_ptr counters survive until all WAN legs
-  // complete.
-  auto pending_in = std::make_shared<int>(0);
-  auto pending_out = std::make_shared<int>(0);
-  sched.schedule_after(intra, [this, machines, root_machine, wan_bytes,
-                               pending_in, pending_out, final_stage]() {
-    *pending_in = static_cast<int>(machines.size()) - 1;
-    for (int m : machines) {
-      if (m == root_machine) continue;
-      mc_->wan_send(m, root_machine, units::Bytes{wan_bytes},
-                    [this, machines, root_machine, wan_bytes, pending_in,
-                     pending_out, final_stage]() {
-        if (--*pending_in > 0) return;
-        // All partial contributions at the root leader: send results back.
-        *pending_out = static_cast<int>(machines.size()) - 1;
-        for (int m2 : machines) {
-          if (m2 == root_machine) continue;
-          mc_->wan_send(root_machine, m2, units::Bytes{wan_bytes},
-                        [pending_out, final_stage]() {
-                          if (--*pending_out == 0) final_stage();
-                        });
-        }
-      });
+  // The legs run under the current trace, or one minted here the way a
+  // point-to-point send mints comm.wan; complete() closes a minted one.
+  des::SpanHook* h = mc_->scheduler().span_hook();
+  des::TraceContext prev;
+  if (h != nullptr) {
+    prev = h->current();
+    c.owns_trace = !prev.valid();
+    c.ctx = c.owns_trace ? h->mint(op.origin, mc_->scheduler().now()) : prev;
+  }
+  mc_->scheduler().schedule_after(c.intra, [this, key] { run_phase(key, 0); });
+  if (h != nullptr) h->adopt(prev);
+}
+
+// Sends the legs of WAN phase `phase`; the last arrival starts the next
+// phase, and after the last phase comes the closing intra stage.
+void Communicator::run_phase(std::uint64_t key, std::size_t phase) {
+  Collective& c = collectives_.at(key);
+  des::SpanHook* h = mc_->scheduler().span_hook();
+  des::TraceContext prev;
+  if (h != nullptr) prev = h->adopt(c.ctx);
+  if (phase == c.phases.size()) {
+    mc_->scheduler().schedule_after(c.intra, [this, key] { complete(key); });
+  } else {
+    c.in_flight = c.phases[phase].size();
+    for (const WanLeg& leg : c.phases[phase]) {
+      mc_->wan_send(leg.from, leg.to, units::Bytes{leg.bytes},
+                    [this, key, phase] {
+                      if (--collectives_.at(key).in_flight == 0)
+                        run_phase(key, phase + 1);
+                    });
     }
-  });
+  }
+  if (h != nullptr) h->adopt(prev);
+}
+
+void Communicator::complete(std::uint64_t key) {
+  const Collective& c = collectives_.at(key);
+  const std::uint32_t state = tracer_.state(c.op->name);
+  for (std::size_t r = 0; r < c.done.size(); ++r) {
+    tracer_.leave(static_cast<std::uint32_t>(r), state,
+                  mc_->scheduler().now());
+    if (c.done[r]) c.done[r](c);
+  }
+  if (des::SpanHook* h = mc_->scheduler().span_hook();
+      h != nullptr && c.owns_trace)
+    h->close_trace(c.ctx, mc_->scheduler().now());
+  collectives_.erase(key);
 }
 
 void Communicator::barrier(int rank, Callback cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("barrier"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (1ULL << 62) | barrier_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) c.continuations.resize(ranks_.size());
-  c.continuations.at(static_cast<std::size_t>(rank)) = std::move(cb);
-  if (++c.arrived < size()) return;
-  ++barrier_seq_;
-  finish_collective(key, "barrier", 8, [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
+  static constexpr CollectiveOp kOp{
+      .name = "barrier", .origin = "comm.barrier", .up = true, .down = true};
+  collective(rank, kOp, 0, 8, 8, {}, [cb = std::move(cb)](const Collective&) {
+    if (cb) cb();
   });
 }
 
 void Communicator::broadcast(int rank, int root, std::uint64_t bytes,
                              std::function<void(const std::any&)> cb,
                              std::any root_data) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("broadcast"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (2ULL << 62) | bcast_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) c.continuations.resize(ranks_.size());
-  c.root = root;
-  c.bytes = bytes;
-  if (rank == root) c.bcast_data = std::move(root_data);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, cb = std::move(cb)]() { cb(collectives_[key].bcast_data); };
-  if (++c.arrived < size()) return;
-  ++bcast_seq_;
-  finish_collective(key, "broadcast", bytes, [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  static constexpr CollectiveOp kOp{
+      .name = "broadcast", .origin = "comm.broadcast", .down = true};
+  collective(rank, kOp, root, bytes, bytes, std::move(root_data),
+             [cb = std::move(cb)](const Collective& c) {
+               cb(c.in[static_cast<std::size_t>(c.root)]);
+             });
 }
 
 void Communicator::allreduce(int rank, const std::vector<double>& contribution,
                              ReduceOp op,
                              std::function<void(std::vector<double>)> cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("allreduce"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (3ULL << 62) | reduce_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.contribs.resize(ranks_.size());
-  }
-  c.contribs.at(static_cast<std::size_t>(rank)) = contribution;
-  c.continuations.at(static_cast<std::size_t>(rank)) = nullptr;  // placeholder
-  auto cbs = std::make_shared<
-      std::function<void(std::vector<double>)>>(std::move(cb));
-  c.continuations.at(static_cast<std::size_t>(rank)) = [this, key, cbs]() {
-    // Reduction computed once all contributions are in; recompute per rank
-    // is cheap for the small vectors used here.
-    Collective& cc = collectives_[key];
-    std::vector<double> acc = cc.contribs.at(0);
-    for (std::size_t i = 1; i < cc.contribs.size(); ++i) {
-      const auto& v = cc.contribs[i];
+  static constexpr CollectiveOp kOp{
+      .name = "allreduce", .origin = "comm.allreduce", .up = true,
+      .down = true};
+  const std::uint64_t bytes =
+      std::max<std::uint64_t>(contribution.size() * sizeof(double), 8);
+  collective(rank, kOp, 0, bytes, bytes, contribution,
+             [op, cb = std::move(cb)](const Collective& c) {
+    // Every rank reduces all contributions, in rank order.
+    auto acc = std::any_cast<const std::vector<double>&>(c.in[0]);
+    for (std::size_t i = 1; i < c.in.size(); ++i) {
+      const auto& v = std::any_cast<const std::vector<double>&>(c.in[i]);
       for (std::size_t j = 0; j < acc.size() && j < v.size(); ++j) {
-        switch (static_cast<ReduceOp>(cc.bytes)) {
+        switch (op) {
           case ReduceOp::kSum: acc[j] += v[j]; break;
           case ReduceOp::kMax: acc[j] = std::max(acc[j], v[j]); break;
           case ReduceOp::kMin: acc[j] = std::min(acc[j], v[j]); break;
         }
       }
     }
-    (*cbs)(std::move(acc));
-  };
-  c.bytes = static_cast<std::uint64_t>(op);  // stash the op
-  if (++c.arrived < size()) return;
-  ++reduce_seq_;
-  const std::uint64_t payload = contribution.size() * sizeof(double);
-  finish_collective(key, "allreduce", std::max<std::uint64_t>(payload, 8),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
+    cb(std::move(acc));
   });
 }
 
 void Communicator::gather(int rank, std::uint64_t bytes, std::any data,
                           int root,
                           std::function<void(std::vector<std::any>)> root_cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("gather"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (4ULL << 62) | gather_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.gathered.resize(ranks_.size());
-  }
-  c.root = root;
-  c.gathered.at(static_cast<std::size_t>(rank)) = std::move(data);
-  if (rank == root) {
-    c.continuations.at(static_cast<std::size_t>(rank)) =
-        [this, key, cb = std::move(root_cb)]() {
-          cb(collectives_[key].gathered);
-        };
-  }
-  if (++c.arrived < size()) return;
-  ++gather_seq_;
-  finish_collective(key, "gather",
-                    bytes * static_cast<std::uint64_t>(size()),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  static constexpr CollectiveOp kOp{.name = "gather", .origin = "comm.gather",
+                                    .up = true, .personalized = true};
+  collective(rank, kOp, root, bytes, bytes, std::move(data),
+             [is_root = rank == root,
+              cb = std::move(root_cb)](const Collective& c) {
+               if (is_root) cb(c.in);
+             });
 }
 
 void Communicator::scatter(int rank, int root, std::uint64_t bytes_per_rank,
                            std::function<void(const std::any&)> cb,
                            std::vector<std::any> root_data) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("scatter"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (5ULL << 60) | scatter_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.gathered.resize(ranks_.size());
-  }
-  c.root = root;
-  if (rank == root) c.gathered = std::move(root_data);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, rank, cb = std::move(cb)]() {
-        Collective& cc = collectives_[key];
-        cb(static_cast<std::size_t>(rank) < cc.gathered.size()
-               ? cc.gathered[static_cast<std::size_t>(rank)]
-               : std::any{});
-      };
-  if (++c.arrived < size()) return;
-  ++scatter_seq_;
-  finish_collective(key, "scatter",
-                    bytes_per_rank * static_cast<std::uint64_t>(size()),
-                    [this, key](int r) {
-    auto& cont = collectives_[key].continuations.at(static_cast<std::size_t>(r));
-    if (cont) cont();
-  });
+  static constexpr CollectiveOp kOp{.name = "scatter",
+                                    .origin = "comm.scatter", .down = true,
+                                    .personalized = true};
+  collective(rank, kOp, root, bytes_per_rank, bytes_per_rank,
+             std::move(root_data),
+             [r = static_cast<std::size_t>(rank),
+              cb = std::move(cb)](const Collective& c) {
+               const auto& slices = std::any_cast<const std::vector<std::any>&>(
+                   c.in[static_cast<std::size_t>(c.root)]);
+               cb(r < slices.size() ? slices[r] : std::any{});
+             });
 }
 
 void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
                             std::vector<std::any> contributions,
                             std::function<void(std::vector<std::any>)> cb) {
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state("alltoall"),
-                mc_->scheduler().now());
-  const std::uint64_t key = (6ULL << 60) | alltoall_seq_;
-  Collective& c = collectives_[key];
-  if (c.continuations.empty()) {
-    c.continuations.resize(ranks_.size());
-    c.matrix.resize(ranks_.size());
-  }
-  c.matrix.at(static_cast<std::size_t>(rank)) = std::move(contributions);
-  c.continuations.at(static_cast<std::size_t>(rank)) =
-      [this, key, rank, cb = std::move(cb)]() {
-        // Column `rank` of the contribution matrix.
-        Collective& cc = collectives_[key];
-        std::vector<std::any> column;
-        column.reserve(cc.matrix.size());
-        for (const auto& row : cc.matrix) {
-          column.push_back(static_cast<std::size_t>(rank) < row.size()
-                               ? row[static_cast<std::size_t>(rank)]
-                               : std::any{});
-        }
-        cb(std::move(column));
-      };
-  if (++c.arrived < size()) return;
-  ++alltoall_seq_;
-  finish_collective(
-      key, "alltoall",
-      bytes_per_pair * static_cast<std::uint64_t>(size()) *
-          static_cast<std::uint64_t>(size()),
-      [this, key](int r) {
-        auto& cont =
-            collectives_[key].continuations.at(static_cast<std::size_t>(r));
-        if (cont) cont();
-      });
+  static constexpr CollectiveOp kOp{.name = "alltoall",
+                                    .origin = "comm.alltoall",
+                                    .pairwise = true, .personalized = true};
+  // Each rank's intra stage moves its whole row of `size()` payloads.
+  collective(rank, kOp, 0, bytes_per_pair,
+             bytes_per_pair * static_cast<std::uint64_t>(size()),
+             std::move(contributions),
+             [r = static_cast<std::size_t>(rank),
+              cb = std::move(cb)](const Collective& c) {
+               // Column `r` of the contribution matrix.
+               std::vector<std::any> column;
+               column.reserve(c.in.size());
+               for (const std::any& row : c.in) {
+                 const auto& v =
+                     std::any_cast<const std::vector<std::any>&>(row);
+                 column.push_back(r < v.size() ? v[r] : std::any{});
+               }
+               cb(std::move(column));
+             });
 }
 
 void Communicator::sendrecv(int rank, int dst, int send_tag,

@@ -5,9 +5,11 @@
 //   - point-to-point send/recv with tag and source matching (wildcards),
 //     routed intra-machine (interconnect model) or inter-machine (real
 //     simulated TCP over the testbed);
-//   - collectives: barrier, broadcast, reduce/allreduce, gather -- staged
-//     as intra-machine tree + WAN exchange between machine leaders, which
-//     is exactly the hierarchical scheme a metacomputing-aware MPI uses;
+//   - collectives: barrier, broadcast, allreduce, gather, scatter and
+//     alltoall, all run by one engine: an intra-machine tree, then only the
+//     bytes that must cross between machines over the WAN (each op's
+//     pattern, DESIGN.md section 3), then the intra tree again -- the
+//     hierarchical scheme a metacomputing-aware MPI uses;
 //   - MPI-2 features called out in the paper: dynamic process creation
 //     (spawn), and name-based connect/accept yielding intercommunicators
 //     (used by FIRE for realtime visualization attachment), plus typed
@@ -123,8 +125,11 @@ class Communicator {
   void recv(int rank, int source, int tag, RecvCallback cb);
 
   // --- collectives ----------------------------------------------------------
-  // Every rank must call; callbacks fire once all ranks have entered and the
-  // staged (intra tree + WAN leader exchange) communication completes.
+  // Every rank must call.  A rank's k-th collective call joins every other
+  // rank's k-th (MPI's matching rule), so a rank may have several
+  // outstanding; one whose k-th call names a different op or root throws
+  // std::invalid_argument.  Callbacks fire in rank order once the staged
+  // communication (intra tree, WAN phases, intra tree) completes.
   void barrier(int rank, Callback cb);
   void broadcast(int rank, int root, std::uint64_t bytes,
                  std::function<void(const std::any&)> cb,
@@ -212,16 +217,25 @@ class Communicator {
   struct RankState {
     std::deque<PostedRecv> recvs;
     std::deque<Message> unexpected;
+    std::uint64_t collective_calls = 0;  // index of this rank's next one
   };
+  struct CollectiveOp;  // an op's WAN pattern; see communicator.cpp
+  struct WanLeg {
+    int from, to;
+    std::uint64_t bytes;
+  };
+  // One collective instance: every rank's k-th collective call.
   struct Collective {
-    int arrived = 0;
-    std::vector<Callback> continuations;       // per rank, completion actions
-    std::vector<std::vector<double>> contribs; // allreduce
-    std::vector<std::any> gathered;            // gather / scatter slices
-    std::vector<std::vector<std::any>> matrix; // alltoall
-    std::any bcast_data;
-    std::uint64_t bytes = 0;
+    const CollectiveOp* op = nullptr;
     int root = 0;
+    int arrived = 0;
+    std::vector<std::any> in;  // each rank's contribution
+    std::vector<std::function<void(const Collective&)>> done;  // per rank
+    std::vector<std::vector<WanLeg>> phases;
+    std::size_t in_flight = 0;  // legs of the running phase
+    des::SimTime intra;         // one intra-machine tree stage
+    des::TraceContext ctx;
+    bool owns_trace = false;
   };
 
   // In-flight state of one watchdog-guarded WAN message.
@@ -248,21 +262,20 @@ class Communicator {
   void deliver(int dst_rank, Message msg);
   void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
-  // Staged completion of a collective that moves `bytes` per WAN hop;
-  // `name` is the trace state every rank leaves on completion.
-  void finish_collective(std::uint64_t key, const char* name,
-                         std::uint64_t wan_bytes,
-                         std::function<void(int rank)> per_rank);
-  des::SimTime intra_tree_cost(std::uint64_t bytes) const;
-  // Machines participating, and the designated leader rank per machine.
-  std::vector<int> machines_involved() const;
+  // The collective engine.  Records `rank`'s next collective call; the last
+  // rank in starts the staged run, whose WAN legs carry `unit` bytes (times
+  // the rank pairs of a personalized leg) and whose intra stages move
+  // `intra_bytes`.  `done` then runs with the instance, in rank order.
+  void collective(int rank, const CollectiveOp& op, int root,
+                  std::uint64_t unit, std::uint64_t intra_bytes, std::any in,
+                  std::function<void(const Collective&)> done);
+  void run_phase(std::uint64_t key, std::size_t phase);
+  void complete(std::uint64_t key);
 
   Metacomputer* mc_;
   std::vector<ProcLoc> ranks_;
   std::vector<RankState> states_;
-  std::map<std::uint64_t, Collective> collectives_;
-  std::uint64_t barrier_seq_ = 0, bcast_seq_ = 0, reduce_seq_ = 0,
-                gather_seq_ = 0, scatter_seq_ = 0, alltoall_seq_ = 0;
+  std::map<std::uint64_t, Collective> collectives_;  // by call index
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::map<std::pair<int, int>, PeerStats> peer_traffic_;

@@ -2,12 +2,17 @@
 // and the language-interoperability helpers.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "des/scheduler.hpp"
 #include "meta/communicator.hpp"
 #include "meta/interop.hpp"
 #include "meta/metacomputer.hpp"
+#include "testbed/testbed.hpp"
 
 namespace gtw::meta {
 namespace {
@@ -45,6 +50,7 @@ TEST(ScatterTest, EveryRankGetsItsSlice) {
   }
   f.sched.run();
   EXPECT_EQ(got, (std::vector<int>{10, 11, 12, 13}));
+  EXPECT_EQ(f.mc.wan_messages(), 0u);  // one machine: nothing crosses
 }
 
 TEST(AlltoallTest, TransposesContributionMatrix) {
@@ -65,6 +71,120 @@ TEST(AlltoallTest, TransposesContributionMatrix) {
   EXPECT_EQ(got[0], (std::vector<int>{0, 10, 20}));
   EXPECT_EQ(got[1], (std::vector<int>{1, 11, 21}));
   EXPECT_EQ(got[2], (std::vector<int>{2, 12, 22}));
+  EXPECT_EQ(f.mc.wan_messages(), 0u);
+}
+
+// Ranks on testbed machines, every pair of machines linked: layout[i] ranks
+// on the i-th of the T3E-600, the SP2 and the Onyx 2 at GMD.  {2, 2} is
+// bench/m1_metampi_performance's rig.
+struct TestbedComm {
+  testbed::Testbed tb{testbed::TestbedOptions{}};
+  Metacomputer mc{tb.scheduler()};
+  std::shared_ptr<Communicator> comm;
+
+  explicit TestbedComm(const std::vector<int>& layout) {
+    net::Host* frontends[] = {&tb.t3e600(), &tb.sp2(), &tb.onyx2_gmd()};
+    std::vector<ProcLoc> locs;
+    for (std::size_t m = 0; m < layout.size(); ++m) {
+      MachineSpec spec;
+      spec.name = frontends[m]->name();
+      spec.max_pes = 64;
+      spec.frontend = frontends[m];
+      const int id = mc.add_machine(spec);
+      for (int pe = 0; pe < layout[m]; ++pe) locs.push_back({id, pe});
+    }
+    net::TcpConfig cfg;
+    cfg.mss = tb.options().atm_mtu - units::Bytes{40};
+    cfg.recv_buffer = units::Bytes{1u << 20};
+    std::uint16_t port = 7000;
+    for (int a = 0; a < mc.machine_count(); ++a)
+      for (int b = a + 1; b < mc.machine_count(); ++b, port += 100)
+        mc.link_machines(a, b, cfg, port);
+    comm = std::make_shared<Communicator>(mc, std::move(locs));
+  }
+};
+
+// Per-op WAN traffic equals the closed forms of the pattern table in
+// DESIGN.md section 3, for `layout` ranks per machine and the root of the
+// rooted ops at rank `root`.
+void expect_pattern_table(const std::vector<int>& layout, int root) {
+  const std::uint64_t b = 64u << 10, h = kMetaHeaderBytes;
+  const std::uint64_t M = layout.size();
+  int n_ranks = 0;
+  int hub = 0;  // R: the machine holding rank `root`
+  for (std::size_t m = 0; m < layout.size(); ++m) {
+    if (root >= n_ranks && root < n_ranks + layout[m])
+      hub = static_cast<int>(m);
+    n_ranks += layout[m];
+  }
+  std::uint64_t to_or_from_hub = 0;  // sum over m != R of (n_m b + h)
+  std::uint64_t pairwise = 0;        // sum over a != c of (n_a n_c b + h)
+  for (std::size_t a = 0; a < M; ++a) {
+    const auto n_a = static_cast<std::uint64_t>(layout[a]);
+    if (static_cast<int>(a) != hub) to_or_from_hub += n_a * b + h;
+    for (std::size_t c = 0; c < M; ++c)
+      if (c != a)
+        pairwise += n_a * static_cast<std::uint64_t>(layout[c]) * b + h;
+  }
+
+  using Done = std::function<void()>;
+  struct Case {
+    const char* op;
+    std::function<void(Communicator&, int rank, Done)> enter;
+    std::uint64_t messages, bytes;
+  };
+  const Case cases[] = {
+      {"barrier",
+       [](Communicator& c, int r, Done d) { c.barrier(r, d); },
+       2 * (M - 1), 2 * (M - 1) * (8 + h)},
+      {"allreduce",
+       [](Communicator& c, int r, Done d) {
+         c.allreduce(r, {1.0, 2.0}, ReduceOp::kSum,
+                     [d](std::vector<double>) { d(); });
+       },
+       2 * (M - 1), 2 * (M - 1) * (16 + h)},
+      {"broadcast",
+       [&](Communicator& c, int r, Done d) {
+         c.broadcast(r, root, b, [d](const std::any&) { d(); });
+       },
+       M - 1, (M - 1) * (b + h)},
+      {"gather",
+       [&](Communicator& c, int r, Done d) {
+         c.gather(r, b, {}, root, [d](std::vector<std::any>) { d(); });
+       },
+       M - 1, to_or_from_hub},
+      {"scatter",
+       [&](Communicator& c, int r, Done d) {
+         c.scatter(r, root, b, [d](const std::any&) { d(); });
+       },
+       M - 1, to_or_from_hub},
+      {"alltoall",
+       [&](Communicator& c, int r, Done d) {
+         c.alltoall(r, b, {}, [d](std::vector<std::any>) { d(); });
+       },
+       M * (M - 1), pairwise},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.op);
+    TestbedComm f(layout);
+    int callbacks = 0;
+    for (int r = 0; r < n_ranks; ++r)
+      k.enter(*f.comm, r, [&] { ++callbacks; });
+    f.tb.scheduler().run();
+    // Only gather's root has a callback.
+    EXPECT_EQ(callbacks, std::string(k.op) == "gather" ? 1 : n_ranks);
+    EXPECT_EQ(f.mc.wan_messages(), k.messages);
+    EXPECT_EQ(f.mc.wan_bytes(), k.bytes);
+  }
+}
+
+TEST(CollectiveTrafficTest, MatchesPatternTableOnM1Rig) {
+  expect_pattern_table({2, 2}, /*root=*/0);
+}
+
+TEST(CollectiveTrafficTest, MatchesPatternTableOnThreeMachines) {
+  // Root on the SP2, so the hub is not the first machine.
+  expect_pattern_table({2, 1, 1}, /*root=*/2);
 }
 
 TEST(SendrecvTest, ExchangesLikeAHaloSwap) {

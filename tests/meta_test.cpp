@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "des/scheduler.hpp"
@@ -209,6 +210,45 @@ TEST(CommunicatorTest, AllreduceMaxMin) {
   }
   f.sched.run();
   EXPECT_EQ(done, 6);
+}
+
+TEST(CommunicatorTest, OutstandingAllreducesMatchByCallIndex) {
+  // Each rank's k-th call joins the other ranks' k-th, even when a rank
+  // enters its second allreduce before the first has completed.
+  MetaFixture f;
+  auto comm = f.world(1, 1);
+  std::vector<std::vector<double>> got[2];
+  for (int r = 0; r < 2; ++r) {
+    for (double scale : {1.0, 10.0}) {
+      comm->allreduce(r, {scale * (r + 1)}, ReduceOp::kSum,
+                      [&got, r](std::vector<double> v) {
+                        got[r].push_back(std::move(v));
+                      });
+    }
+  }
+  f.sched.run();
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(got[r], (std::vector<std::vector<double>>{{3.0}, {30.0}}));
+  }
+}
+
+TEST(CommunicatorTest, MismatchedCollectiveCallThrows) {
+  MetaFixture f;
+  auto comm = f.world(2, 0);
+  comm->barrier(0, nullptr);
+  EXPECT_THROW(comm->allreduce(1, {1.0}, ReduceOp::kSum,
+                               [](std::vector<double>) {}),
+               std::invalid_argument);
+  // The failed call was not counted: rank 1's barrier still completes the
+  // instance.  A different root at the same call index is a mismatch too.
+  bool released = false;
+  comm->barrier(1, [&] { released = true; });
+  comm->broadcast(0, /*root=*/0, 64, [](const std::any&) {});
+  EXPECT_THROW(comm->broadcast(1, /*root=*/1, 64, [](const std::any&) {}),
+               std::invalid_argument);
+  f.sched.run();
+  EXPECT_TRUE(released);
 }
 
 TEST(CommunicatorTest, BroadcastDeliversRootData) {

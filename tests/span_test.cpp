@@ -277,12 +277,8 @@ TEST(SpanLifecycleTest, StallResetAbortsStrandedChunkSpansWithoutLeaks) {
   EXPECT_EQ(tracer.traces().begin()->second.status, "closed");
 }
 
-TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
-  WanFixture f;
-  SpanTracer tracer;
-  f.sched.set_span_hook(&tracer);
-
-  meta::Metacomputer mc(f.sched);
+// Registers the fixture's two hosts as linked machines 0 and 1 of `mc`.
+void add_linked_machines(WanFixture& f, meta::Metacomputer& mc) {
   meta::MachineSpec sa;
   sa.name = "T3E";
   sa.max_pes = 8;
@@ -291,9 +287,18 @@ TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
   sb.name = "SP2";
   sb.max_pes = 8;
   sb.frontend = &f.b;
-  const int ma = mc.add_machine(sa);
-  const int mb = mc.add_machine(sb);
-  mc.link_machines(ma, mb, net::TcpConfig{}, 7000);
+  mc.link_machines(mc.add_machine(sa), mc.add_machine(sb),
+                   net::TcpConfig{}, 7000);
+}
+
+TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
+  WanFixture f;
+  SpanTracer tracer;
+  f.sched.set_span_hook(&tracer);
+
+  meta::Metacomputer mc(f.sched);
+  add_linked_machines(f, mc);
+  const int ma = 0, mb = 1;
 
   net::FaultPlan plan(f.sched);
   // Watchdogs at 50, 150, 350 ms (backoff 2): all inside the outage, so
@@ -321,6 +326,34 @@ TEST(SpanLifecycleTest, UnreachableAbortsTraceAndLateCopiesDoNotLeak) {
     if (tr.status == "aborted" && tr.abort_reason == "unreachable")
       saw_unreachable = true;
   EXPECT_TRUE(saw_unreachable);
+}
+
+TEST(SpanLifecycleTest, CollectiveMintsOneTraceOverItsWanLegs) {
+  WanFixture f;
+  SpanTracer tracer;
+  f.sched.set_span_hook(&tracer);
+  meta::Metacomputer mc(f.sched);
+  add_linked_machines(f, mc);
+
+  // Entered outside any traced event, so the broadcast is a workload
+  // origin: it mints comm.broadcast, and its one WAN leg nests under it.
+  meta::Communicator comm(mc, {{0, 0}, {0, 1}, {1, 0}});
+  int got = 0;
+  for (int r = 0; r < comm.size(); ++r)
+    comm.broadcast(r, /*root=*/0, 64u << 10, [&](const std::any&) { ++got; });
+  f.sched.run();
+
+  EXPECT_EQ(got, 3);
+  ASSERT_EQ(tracer.traces().size(), 1u);
+  const SpanTracer::Trace& trace = tracer.traces().begin()->second;
+  EXPECT_EQ(trace.origin, "comm.broadcast");
+  EXPECT_EQ(trace.status, "closed");
+  std::size_t path_spans = 0;
+  for (const auto& s : tracer.spans())
+    if (s.trace == trace.id && s.layer == "meta") ++path_spans;
+  EXPECT_GE(path_spans, 1u);  // PathTransport's message span
+  EXPECT_EQ(tracer.open_spans(), 0u);
+  EXPECT_EQ(tracer.open_traces(), 0u);
 }
 
 TEST(SpanLifecycleTest, DrainLeakCensusIsCleanUnderMonitor) {
