@@ -10,7 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string_view>
 
 #include "check/attach.hpp"
@@ -21,9 +23,9 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "scanner/phantom.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 #include "viz/merge.hpp"
 #include "viz/workbench.hpp"
 
@@ -57,18 +59,18 @@ void print_fig2(bool with_trace) {
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg,
       [&gen](int t) { return gen.acquire(t); }, &engine);
 
-  // --trace: record a VAMPIR-style stage trace and attach the observability
-  // registry.  Everything here is read-only probes plus sampler ticks, so
-  // the pipeline results (and BENCH_*.json) are unchanged by tracing.
-  trace::TraceRecorder rec(4);  // transfer / compute / return / display
+  // --trace: record causal spans and attach the observability registry.
+  // Everything here is read-only probes plus sampler ticks, so the pipeline
+  // results (and BENCH_*.json) are unchanged by tracing.
   obs::Registry reg;
   obs::TimeSeriesSampler sampler(tb.scheduler(), reg);
   obs::SpanTracer spans;
   if (with_trace) {
-    pipe.attach_trace(&rec);
     // Causal span tracing (DESIGN.md section 13): per-scan latency trees
-    // rooted at pipeline admission.  Observe-only — attaching the hook
-    // schedules nothing and BENCH_*.json stays byte-identical.
+    // rooted at pipeline admission, with each stage's spans on its VAMPIR
+    // lane (transfer / compute / return / display).  Observe-only —
+    // attaching the hook schedules nothing and BENCH_*.json stays
+    // byte-identical.
     tb.scheduler().set_span_hook(&spans);
     obs::instrument_link(reg, tb.wan_link_j_to_g(), "net.link.wan_j_to_g");
     obs::instrument_link(reg, tb.wan_link_g_to_j(), "net.link.wan_g_to_j");
@@ -163,19 +165,22 @@ void print_fig2(bool with_trace) {
                    : "[failed to write BENCH_fig2_fmri_pipeline.json]\n\n");
 
   if (with_trace) {
+    std::stringstream span_json;
+    spans.write_json(span_json, "fig2_fmri_pipeline");
     {
-      std::ofstream gtwt("OBS_fig2_fmri_pipeline.trace.gtwt",
-                         std::ios::binary);
-      rec.write(gtwt);
-    }
-    {
+      obs::SpanFile file;
+      std::string error;
+      if (!obs::load_spans(span_json, "fig2 spans", file, error)) {
+        std::fprintf(stderr, "fig2: %s\n", error.c_str());
+        std::exit(1);
+      }
       std::ofstream chrome("OBS_fig2_fmri_pipeline.chrome.json",
                            std::ios::binary);
       obs::ChromeTraceOptions copts;
       copts.process_name = "fig2_fmri_pipeline";
       copts.series = &sampler;
       copts.marks_from = &reg;
-      obs::write_chrome_trace(chrome, rec, copts);
+      obs::write_chrome_trace(chrome, file, copts);
     }
     {
       std::ofstream metrics("OBS_fig2_fmri_pipeline.metrics.json",
@@ -189,10 +194,10 @@ void print_fig2(bool with_trace) {
     }
     {
       std::ofstream sp("OBS_fig2_fmri_pipeline.spans.json", std::ios::binary);
-      spans.write_json(sp, "fig2_fmri_pipeline");
+      sp << span_json.str();
     }
-    std::printf("[wrote OBS_fig2_fmri_pipeline.{trace.gtwt,chrome.json,"
-                "metrics.json,series.json,spans.json}]\n\n");
+    std::printf("[wrote OBS_fig2_fmri_pipeline.{chrome.json,metrics.json,"
+                "series.json,spans.json}]\n\n");
   }
 }
 

@@ -6,11 +6,14 @@
 //   $ ./coupled_groundwater
 #include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "apps/groundwater.hpp"
 #include "meta/communicator.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 
 int main() {
   using namespace gtw;
@@ -37,10 +40,9 @@ int main() {
   auto comm = std::make_shared<meta::Communicator>(
       mc, std::vector<meta::ProcLoc>{{m_sp2, 0}, {m_t3e, 0}});
 
-  // Trace the run like VAMPIR would.
-  trace::TraceRecorder rec(2);
-  const auto st_flow = rec.define_state("flow");
-  const auto st_advect = rec.define_state("advect");
+  // Trace the run like VAMPIR would: the two ranks are the span lanes.
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
 
   apps::TraceConfig cfg;
   cfg.dims = {64, 64, 16};  // 64x64x16 x 3 components x f32 = 3.1 MB/step
@@ -49,7 +51,6 @@ int main() {
               cfg.dims.ny, cfg.dims.nz);
 
   apps::GroundwaterCoupling run(comm, cfg, /*particles=*/400, /*steps=*/15);
-  run.set_trace(&rec, st_flow, st_advect);
   run.start();
   tb.scheduler().run();
 
@@ -65,9 +66,16 @@ int main() {
   std::printf("particles still in the domain: %d / 400\n",
               res.particles_remaining);
 
-  trace::TraceStats stats(rec);
-  std::printf("\nVAMPIR-style summary:\n%s", stats.profile().c_str());
+  std::stringstream json;
+  spans.write_json(json, "coupled_groundwater");
+  obs::SpanFile file;
+  std::string error;
+  if (!obs::load_spans(json, "coupled_groundwater spans", file, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+  std::printf("\nVAMPIR-style summary:\n%s", obs::profile(file).c_str());
   std::printf("\ntimeline (f = flow solve, a = advect):\n%s",
-              stats.gantt(64).c_str());
+              obs::gantt(file, 64).c_str());
   return 0;
 }

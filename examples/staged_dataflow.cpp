@@ -1,14 +1,16 @@
 // The dataflow engine on its own: a three-stage acquire->compute->display
 // pipeline run in both of the paper's orchestration modes, with the
 // per-stage metrics report and the VAMPIR-style Gantt that every
-// flow::StageGraph provides for free.
+// flow::StageGraph provides for free: each stage's spans sit on its lane.
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
 #include "flow/stage.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 
 using namespace gtw;
 
@@ -16,6 +18,8 @@ namespace {
 
 void run_mode(const char* label, flow::GraphConfig cfg) {
   des::Scheduler sched;
+  obs::SpanTracer spans;
+  sched.set_span_hook(&spans);
   flow::StageGraph g(sched, cfg);
   g.add_stage(flow::compute_stage("transfer", [](const flow::Item&) {
     return des::SimTime::seconds(0.5);
@@ -24,9 +28,6 @@ void run_mode(const char* label, flow::GraphConfig cfg) {
     return des::SimTime::seconds(1.1);
   }, 1));
   g.add_stage(flow::delay_stage("display", des::SimTime::seconds(0.6)));
-
-  trace::TraceRecorder rec(g.stage_count());
-  g.attach_trace(&rec);
 
   des::SimTime last = des::SimTime::zero(), period = des::SimTime::zero();
   g.on_complete([&](const flow::Item&) {
@@ -41,8 +42,15 @@ void run_mode(const char* label, flow::GraphConfig cfg) {
   std::printf("== %s ==\n", label);
   std::printf("%s", g.metrics().report().c_str());
   std::printf("steady-state period %.2f s\n", period.sec());
-  trace::TraceStats stats(rec);
-  std::printf("%s\n", stats.gantt(64).c_str());
+  std::stringstream json;
+  spans.write_json(json, "staged_dataflow");
+  obs::SpanFile file;
+  std::string error;
+  if (!obs::load_spans(json, "staged_dataflow spans", file, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return;
+  }
+  std::printf("%s\n", obs::gantt(file, 64).c_str());
 }
 
 }  // namespace

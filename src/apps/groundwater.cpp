@@ -204,14 +204,6 @@ GroundwaterCoupling::GroundwaterCoupling(
   particles_ = tracker_.seed(cfg.dims, particles, rng);
 }
 
-void GroundwaterCoupling::set_trace(trace::TraceRecorder* rec,
-                                    std::uint32_t solve_state,
-                                    std::uint32_t advect_state) {
-  trace_ = rec;
-  st_solve_ = solve_state;
-  st_advect_ = advect_state;
-}
-
 void GroundwaterCoupling::start() {
   started_ = comm_->metacomputer().scheduler().now();
   // The flow solve runs for real once (steady flow; the real application
@@ -241,37 +233,49 @@ void GroundwaterCoupling::coupling_step(int step) {
     return;
   }
 
+  // The step's trace; the solve and advect spans sit on the ranks' lanes.
+  des::SpanHook* h = sched.span_hook();
+  des::TraceContext prev, ctx;
+  std::uint64_t solve = 0;
+  if (h != nullptr) {
+    prev = h->current();
+    ctx = h->mint("apps.groundwater", sched.now());
+    solve = h->begin_span(ctx, des::SpanPhase::kCompute, "apps", "flow",
+                          sched.now());
+    h->set_lane(solve, des::Lane{0});
+  }
+
   // Rank 1 (PARTRACE) posts its receive, then advects when the field lands.
-  comm_->recv(1, 0, /*tag=*/step, [this, step, &sched](const meta::Message& msg) {
+  comm_->recv(1, 0, /*tag=*/step, [this, step, ctx,
+                                   &sched](const meta::Message& msg) {
     transfer_accum_s_ += (sched.now() - send_started_).sec();
-    if (trace_ != nullptr) {
-      trace_->recv(1, 0, static_cast<std::uint32_t>(step),
-                   units::Bytes{msg.bytes},
-                   sched.now());
-      trace_->enter(1, st_advect_, sched.now());
+    std::uint64_t advect = 0;
+    if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr) {
+      advect = h2->begin_span(ctx, des::SpanPhase::kCompute, "apps",
+                              "advect", sched.now());
+      h2->set_lane(advect, des::Lane{1});
     }
     auto field = std::any_cast<std::shared_ptr<FlowField>>(msg.data);
-    sched.schedule_after(timing_.advect_per_step, [this, step, field,
-                                                   &sched]() {
+    sched.schedule_after(timing_.advect_per_step, [this, step, field, ctx,
+                                                   advect, &sched]() {
       tracker_.step(particles_, *field);
-      if (trace_ != nullptr) trace_->leave(1, st_advect_, sched.now());
+      if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr) {
+        h2->end_span(advect, sched.now());
+        h2->close_trace(ctx, sched.now());
+      }
       ++result_.steps_completed;
       coupling_step(step + 1);
     });
   });
 
   // Rank 0 (TRACE) recomputes the flow, then ships the field.
-  if (trace_ != nullptr) trace_->enter(0, st_solve_, sched.now());
-  sched.schedule_after(timing_.solve_per_step, [this, step, &sched]() {
-    if (trace_ != nullptr) {
-      trace_->leave(0, st_solve_, sched.now());
-      trace_->send(0, 1, static_cast<std::uint32_t>(step),
-                   units::Bytes{field_->bytes()},
-                   sched.now());
-    }
+  sched.schedule_after(timing_.solve_per_step, [this, step, solve, &sched]() {
+    if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr)
+      h2->end_span(solve, sched.now());
     send_started_ = sched.now();
     comm_->send(0, 1, /*tag=*/step, field_->bytes(), field_);
   });
+  if (h != nullptr) h->adopt(prev);
 }
 
 }  // namespace gtw::apps

@@ -14,7 +14,6 @@
 #include "des/random.hpp"
 #include "fire/volume.hpp"
 #include "meta/communicator.hpp"
-#include "trace/trace.hpp"
 
 namespace gtw::apps {
 
@@ -84,6 +83,8 @@ class ParTraceTracker {
 // The coupled metacomputing run: rank 0 (flow machine) recomputes/sends the
 // velocity field every coupling step, rank 1 (particle machine) advects.
 // Communication is the paper's pattern: one 3-D field transfer per step.
+// While a span hook is installed, each step is a trace: the solve (state
+// "flow") on lane 0, the field transfer, then "advect" on lane 1.
 struct CouplingResult {
   int steps_completed = 0;
   std::uint64_t bytes_per_step = 0;
@@ -110,11 +111,6 @@ class GroundwaterCoupling {
                       TraceConfig cfg, int particles, int steps,
                       CouplingTiming timing = {});
 
-  // Optional VAMPIR-style tracing: the recorder must outlive the run;
-  // states are defined by the caller.
-  void set_trace(trace::TraceRecorder* rec, std::uint32_t solve_state,
-                 std::uint32_t advect_state);
-
   // Schedules the coupled run; inspect result() after the scheduler drains.
   void start();
   const CouplingResult& result() const { return result_; }
@@ -133,8 +129,6 @@ class GroundwaterCoupling {
   double transfer_accum_s_ = 0.0;
   CouplingResult result_;
   std::shared_ptr<FlowField> field_;
-  trace::TraceRecorder* trace_ = nullptr;
-  std::uint32_t st_solve_ = 0, st_advect_ = 0;
 };
 
 }  // namespace gtw::apps

@@ -84,8 +84,6 @@ class DistributedTrafficViz {
   void start();
   const TrafficVizResult& result() const { return result_; }
 
-  // Stage events as trace ranks 0 (simulate) / 1 (publish).
-  void attach_trace(trace::TraceRecorder* rec) { graph_.attach_trace(rec); }
   const flow::MetricsRegistry& metrics() const { return graph_.metrics(); }
   // For failure wiring (net::FaultPlan observers, degraded-mode tests).
   flow::StageGraph& graph() { return graph_; }

@@ -43,8 +43,6 @@ class D1VideoSession {
   // Call after the scheduler drained.
   D1VideoReport report() const;
 
-  // Uplink send events as trace rank 0.
-  void attach_trace(trace::TraceRecorder* rec) { graph_.attach_trace(rec); }
   const flow::MetricsRegistry& metrics() const { return graph_.metrics(); }
   // For failure wiring (net::FaultPlan observers, degraded-mode tests).
   flow::StageGraph& graph() { return graph_; }

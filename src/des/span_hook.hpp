@@ -72,6 +72,15 @@ enum class SpanPhase : std::uint8_t {
 
 const char* span_phase_name(SpanPhase p);
 
+// A span's place on the VAMPIR lanes: `lane` is a stage index or a
+// communicator rank.  A message send also names the lane it goes `to` and
+// its byte count.  Lanes are one namespace per tracer.
+struct Lane {
+  std::int64_t lane = 0;
+  std::int64_t to = -1;     // send only: the receiving lane
+  std::uint64_t bytes = 0;  // send only: the message size
+};
+
 // Implemented by obs::SpanTracer and installed with
 // Scheduler::set_span_hook.  Calls are synchronous and in event order.
 //
@@ -121,6 +130,20 @@ struct SpanHook {
   // the root and closes it.
   virtual void abort_trace(TraceContext ctx, const char* reason,
                            SimTime now) = 0;
+  // Puts span `span_id` on a lane (id 0 is a no-op).  The default ignores
+  // lanes.
+  virtual void set_lane(std::uint64_t /*span_id*/, const Lane& /*lane*/) {}
+
+  // VAMPIR messages as zero-width spans, built from the calls above.
+  // send_message records one under `ctx` from lane `from` to lane `to` and
+  // returns the context its receipt parents on (invalid when untraced or
+  // filtered out).  recv_message records that receipt on lane `at` as a
+  // child of the send: the parent link is the message's flow edge.
+  TraceContext send_message(TraceContext ctx, const char* layer,
+                            std::int64_t from, std::int64_t to,
+                            std::uint64_t bytes, SimTime now);
+  void recv_message(TraceContext send, const char* layer, std::int64_t at,
+                    SimTime now);
 
  private:
   friend class Scheduler;

@@ -49,16 +49,15 @@ void FmriPipeline::build_graph() {
                                    flow::Done done) {
     const int index = it.index;
     records_[static_cast<std::size_t>(index)].sent = sched_.now();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                   cfg_.image_bytes);
-    sched_.schedule_after(half_rpc, [this, ctx, index, done]() {
+    const des::TraceContext sent = ctx.trace_send(ctx.stage + 1,
+                                                  cfg_.image_bytes);
+    sched_.schedule_after(half_rpc, [this, ctx, sent, index, done]() {
       to_compute_->send(
           0, cfg_.image_bytes, {},
-          [this, ctx, index, done](const std::any&, des::SimTime) {
+          [this, ctx, sent, index, done](const std::any&, des::SimTime) {
             records_[static_cast<std::size_t>(index)].at_compute =
                 sched_.now();
-            ctx.trace_recv(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                           cfg_.image_bytes);
+            ctx.trace_recv(ctx.stage + 1, sent);
             // Run the real numerics, if wired up (timing still from the
             // execution model — this host's wall clock is irrelevant).
             if (source_ && engine_ != nullptr)
@@ -84,12 +83,12 @@ void FmriPipeline::build_graph() {
                                flow::Done done) {
     const int index = it.index;
     records_[static_cast<std::size_t>(index)].processed = sched_.now();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                   cfg_.result_bytes);
-    auto deliver = [this, ctx, index, done](const std::any&, des::SimTime) {
+    const des::TraceContext sent = ctx.trace_send(ctx.stage + 1,
+                                                  cfg_.result_bytes);
+    auto deliver = [this, ctx, sent, index, done](const std::any&,
+                                                  des::SimTime) {
       records_[static_cast<std::size_t>(index)].at_client = sched_.now();
-      ctx.trace_recv(ctx.stage + 1, static_cast<std::uint32_t>(index),
-                     cfg_.result_bytes);
+      ctx.trace_recv(ctx.stage + 1, sent);
       done();
     };
     if (to_client_) {

@@ -109,9 +109,6 @@ class FmriPipeline {
   // Compute time per image for the enabled modules at `pes` PEs.
   des::SimTime compute_time(int pes) const;
 
-  // Record VAMPIR-style stage events (ranks = transfer/compute/return/
-  // display) into `rec`; build it with >= 4 ranks.
-  void attach_trace(trace::TraceRecorder* rec) { graph_.attach_trace(rec); }
   // Per-stage throughput/occupancy/queue accounting from the flow engine.
   const flow::MetricsRegistry& metrics() const { return graph_.metrics(); }
 

@@ -6,18 +6,17 @@ des::Scheduler& StageContext::scheduler() const { return graph->sched_; }
 
 des::SimTime StageContext::now() const { return graph->sched_.now(); }
 
-void StageContext::trace_send(int to_stage, std::uint32_t tag,
-                              units::Bytes bytes) const {
-  graph->tracer_.send(static_cast<std::uint32_t>(stage),
-                      static_cast<std::uint32_t>(to_stage), tag, bytes,
-                      graph->sched_.now());
+des::TraceContext StageContext::trace_send(int to_stage,
+                                           units::Bytes bytes) const {
+  des::SpanHook* h = graph->sched_.span_hook();
+  if (h == nullptr) return {};
+  return h->send_message(trace, "flow", stage, to_stage, bytes.count(),
+                         graph->sched_.now());
 }
 
-void StageContext::trace_recv(int at_stage, std::uint32_t tag,
-                              units::Bytes bytes) const {
-  graph->tracer_.recv(static_cast<std::uint32_t>(at_stage),
-                      static_cast<std::uint32_t>(stage), tag, bytes,
-                      graph->sched_.now());
+void StageContext::trace_recv(int at_stage, des::TraceContext send) const {
+  if (des::SpanHook* h = graph->sched_.span_hook(); h != nullptr)
+    h->recv_message(send, "flow", at_stage, graph->sched_.now());
 }
 
 StageGraph::StageGraph(des::Scheduler& sched, GraphConfig cfg)
@@ -190,8 +189,6 @@ void StageGraph::start(int s, std::uint64_t id) {
     m.started = true;
     m.first_start = is.started;
   }
-  tracer_.enter(static_cast<std::uint32_t>(s), tracer_.state(st.cfg.name),
-                is.started);
   des::SpanHook* h = sched_.span_hook();
   const bool traced = h != nullptr && is.ctx.valid();
   des::TraceContext prev;
@@ -201,12 +198,13 @@ void StageGraph::start(int s, std::uint64_t id) {
     is.body_span = h->begin_span(is.ctx, des::SpanPhase::kCompute,
                                  "flow",
                                  st.cfg.name.c_str(), is.started);
+    h->set_lane(is.body_span, des::Lane{s});
     // Run the body under its own span so whatever it launches (a WAN
     // transfer, a CPU job) nests beneath this stage in the span tree.
     prev = h->adopt(des::under(is.ctx, is.body_span));
   }
-  st.cfg.body(StageContext{this, s}, is.item,
-              [this, s, id]() { finish(s, id); });
+  st.cfg.body(StageContext{this, s, des::under(is.ctx, is.body_span)},
+              is.item, [this, s, id]() { finish(s, id); });
   // `is` may be gone here: a synchronous Done can complete the item.
   if (traced) h->adopt(prev);
 }
@@ -223,8 +221,6 @@ void StageGraph::finish(int s, std::uint64_t id) {
   ++m.items_out;
   m.busy += now - is.started;
   m.last_finish = now;
-  tracer_.leave(static_cast<std::uint32_t>(s), tracer_.state(st.cfg.name),
-                now);
   des::SpanHook* h = sched_.span_hook();
   if (h != nullptr) {
     h->end_span(is.body_span, now);

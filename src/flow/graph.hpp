@@ -18,9 +18,9 @@
 // max_in_flight == 0 is the fully pipelined mode where only per-stage
 // concurrency limits throttle the flow.
 //
-// Every stage feeds a MetricsRegistry and, when a trace::TraceRecorder is
-// attached, emits VAMPIR-style enter/leave events with the stage index as
-// the trace rank; transfer stages add send/recv edges via StageContext.
+// Every stage feeds a MetricsRegistry and, while a span hook is installed
+// on the scheduler, puts each item's stage body span on the stage's VAMPIR
+// lane; transfer stages add send/recv messages via StageContext.
 #pragma once
 
 #include <any>
@@ -33,7 +33,7 @@
 
 #include "des/scheduler.hpp"
 #include "flow/metrics.hpp"
-#include "flow/tracing.hpp"
+#include "units/units.hpp"
 
 namespace gtw::flow {
 
@@ -53,14 +53,15 @@ using Done = std::function<void()>;
 struct StageContext {
   StageGraph* graph = nullptr;
   int stage = 0;
+  des::TraceContext trace;  // the item's, under its body span
 
   des::Scheduler& scheduler() const;
   des::SimTime now() const;
-  // Record a message from this stage to `to_stage` (kSend at this rank) or
-  // its receipt at `at_stage` coming from this rank (kRecv).  No-ops while
-  // no recorder is attached.
-  void trace_send(int to_stage, std::uint32_t tag, units::Bytes bytes) const;
-  void trace_recv(int at_stage, std::uint32_t tag, units::Bytes bytes) const;
+  // Record a message from this stage's lane to `to_stage`'s, and return
+  // the context its receipt is recorded under: trace_recv at `at_stage`.
+  // No-ops while the item is untraced.
+  des::TraceContext trace_send(int to_stage, units::Bytes bytes) const;
+  void trace_recv(int at_stage, des::TraceContext send) const;
 };
 
 using StageFn = std::function<void(StageContext, Item&, Done)>;
@@ -87,12 +88,8 @@ class StageGraph {
   // the tracer's leak census stays clean (obs, DESIGN.md section 13).
   ~StageGraph();
 
-  // Append a stage; returns its index (== its trace rank).
+  // Append a stage; returns its index (== its VAMPIR lane).
   int add_stage(StageConfig cfg);
-
-  // Attach/detach the trace stream.  Stage indices are the trace ranks, so
-  // the recorder should be built with ranks >= stage_count().
-  void attach_trace(trace::TraceRecorder* rec) { tracer_.attach(rec); }
 
   // Called when an item leaves the last stage.
   void on_complete(std::function<void(const Item&)> cb) {
@@ -118,7 +115,6 @@ class StageGraph {
   bool degraded() const { return degraded_; }
 
   des::Scheduler& scheduler() { return sched_; }
-  Tracer& tracer() { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -179,7 +175,6 @@ class StageGraph {
   des::SimTime degraded_since_;
   des::SimTime recovery_started_;
   MetricsRegistry metrics_;
-  Tracer tracer_;
   std::function<void(const Item&)> complete_;
   std::function<void(const Item&, int)> drop_;
 };

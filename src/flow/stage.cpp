@@ -49,12 +49,11 @@ StageConfig tcp_transfer_stage(std::string name, net::TcpConnection& conn,
   cfg.body = [&conn, side, bytes = std::move(bytes)](StageContext ctx,
                                                      Item& it, Done done) {
     const units::Bytes n = bytes ? bytes(it) : units::Bytes::zero();
-    const auto tag = static_cast<std::uint32_t>(it.index);
-    ctx.trace_send(ctx.stage + 1, tag, n);
+    const des::TraceContext sent = ctx.trace_send(ctx.stage + 1, n);
     conn.send(side, n, {},
-              [ctx, tag, n, done = std::move(done)](const std::any&,
-                                                    des::SimTime) {
-                ctx.trace_recv(ctx.stage + 1, tag, n);
+              [ctx, sent, done = std::move(done)](const std::any&,
+                                                  des::SimTime) {
+                ctx.trace_recv(ctx.stage + 1, sent);
                 done();
               });
   };
@@ -71,7 +70,8 @@ StageConfig datagram_transfer_stage(
   cfg.body = [&socket, dst, dst_port, bytes = std::move(bytes),
               number_frames](StageContext ctx, Item& it, Done done) {
     const units::Bytes n = bytes ? bytes(it) : units::Bytes::zero();
-    ctx.trace_send(ctx.stage + 1, static_cast<std::uint32_t>(it.index), n);
+    // Datagrams record only the send: loss shows up at the receiver.
+    ctx.trace_send(ctx.stage + 1, n);
     socket.send_to(dst, dst_port, n,
                    number_frames
                        ? std::any{static_cast<std::int64_t>(it.index)}

@@ -29,15 +29,16 @@ StageConfig inline_stage(std::string name,
                          int concurrency = 0);
 
 // Ship bytes(item) over a TcpConnection; the item finishes on delivery.
-// Emits trace send on departure and recv on arrival, tagged by item index.
+// Records a message to the next stage's lane: send on departure, recv on
+// arrival.
 StageConfig tcp_transfer_stage(std::string name, net::TcpConnection& conn,
                                int side,
                                std::function<units::Bytes(const Item&)> bytes,
                                int concurrency = 1);
 
 // Fire-and-forget datagram send; completes immediately (loss shows up at
-// the receiving socket, not here).  With number_frames the item index rides
-// along as the CBR sequence number.
+// the receiving socket, not here), so it records only a message send.
+// With number_frames the item index rides along as the CBR sequence number.
 StageConfig datagram_transfer_stage(
     std::string name, net::DatagramSocket& socket, net::HostId dst,
     std::uint16_t dst_port, std::function<units::Bytes(const Item&)> bytes,

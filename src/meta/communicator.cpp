@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace gtw::meta {
 
@@ -24,6 +25,17 @@ Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
     throw std::invalid_argument("Communicator: empty rank set");
 }
 
+Communicator::~Communicator() {
+  if (collectives_.empty()) return;
+  des::SpanHook* h = mc_->scheduler().span_hook();
+  if (h == nullptr) return;
+  const des::SimTime now = mc_->scheduler().now();
+  for (const auto& [key, c] : collectives_) {
+    for (const std::uint64_t span : c.spans) h->abort_span(span, now);
+    if (c.owns_trace) h->abort_trace(c.ctx, "teardown", now);
+  }
+}
+
 bool Communicator::matches(const PostedRecv& r, const Message& m) const {
   return (r.source == kAnySource || r.source == m.source) &&
          (r.tag == kAnyTag || r.tag == m.tag);
@@ -38,17 +50,37 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
   PeerStats& peer = peer_traffic_[{src_rank, dst_rank}];
   ++peer.messages;
   peer.bytes += bytes;
-  tracer_.send(static_cast<std::uint32_t>(src_rank),
-               static_cast<std::uint32_t>(dst_rank),
-               static_cast<std::uint32_t>(tag), units::Bytes{bytes},
-               mc_->scheduler().now());
+
+  // The message runs under the current trace, or under one minted here
+  // and closed at delivery; either way it is a send on the source rank's
+  // lane.  The caller's own context is restored on return.
+  const bool wan = src.machine != dst.machine;
+  des::SpanHook* h = mc_->scheduler().span_hook();
+  des::TraceContext prev, ctx, sent;
+  bool minted = false;
+  if (h != nullptr) {
+    prev = h->current();
+    minted = !prev.valid();
+    ctx = minted ? h->mint(wan ? "comm.wan" : "comm.intra",
+                           mc_->scheduler().now())
+                 : prev;
+    sent = h->send_message(ctx, "comm", src_rank, dst_rank, bytes,
+                           mc_->scheduler().now());
+  }
+  const auto delivered = [this, dst_rank, sent, ctx,
+                          minted](Message m) {
+    deliver(dst_rank, std::move(m), sent);
+    if (des::SpanHook* h2 = mc_->scheduler().span_hook();
+        h2 != nullptr && minted)
+      h2->close_trace(ctx, mc_->scheduler().now());
+  };
 
   Message msg{src_rank, tag, bytes, std::move(data)};
-  if (src.machine == dst.machine) {
+  if (!wan) {
     const des::SimTime cost = mc_->intra_cost(src.machine, units::Bytes{bytes});
     mc_->scheduler().schedule_after(
-        cost, [this, dst_rank, msg = std::move(msg)]() mutable {
-          deliver(dst_rank, std::move(msg));
+        cost, [delivered, msg = std::move(msg)]() mutable {
+          delivered(std::move(msg));
         });
   } else if (retry_enabled_) {
     auto st = std::make_shared<WanSendState>();
@@ -62,39 +94,18 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
     // The library may retransmit this message, so the application buffer
     // stays pinned: on_sent is deferred to the first successful delivery
     // (and never fires if the message is reported unreachable).
-    st->on_sent = std::move(on_sent);
-    if (des::SpanHook* h = mc_->scheduler().span_hook(); h != nullptr) {
-      st->ctx = h->current();
-      if (!st->ctx.valid()) {
-        st->ctx = h->mint("comm.wan", mc_->scheduler().now());
-        st->owns_trace = true;
-      }
-    }
+    st->on_sent = std::exchange(on_sent, nullptr);
+    st->ctx = ctx;
+    st->owns_trace = minted;
+    st->sent = sent;
     wan_attempt(std::move(st));
-    return;
   } else {
-    des::SpanHook* h = mc_->scheduler().span_hook();
-    des::TraceContext ctx;
-    bool minted = false;
-    if (h != nullptr) {
-      ctx = h->current();
-      if (!ctx.valid()) {
-        ctx = h->mint("comm.wan", mc_->scheduler().now());
-        minted = true;
-      }
-    }
-    des::TraceContext prev;
-    if (h != nullptr) prev = h->adopt(ctx);
     mc_->wan_send(src.machine, dst.machine, units::Bytes{bytes},
-                  [this, dst_rank, ctx, minted,
-                   msg = std::move(msg)]() mutable {
-                    deliver(dst_rank, std::move(msg));
-                    if (des::SpanHook* h2 = mc_->scheduler().span_hook();
-                        h2 != nullptr && minted)
-                      h2->close_trace(ctx, mc_->scheduler().now());
+                  [delivered, msg = std::move(msg)]() mutable {
+                    delivered(std::move(msg));
                   });
-    if (h != nullptr) h->adopt(prev);
   }
+  if (h != nullptr) h->adopt(prev);
   if (on_sent) on_sent();
 }
 
@@ -137,7 +148,7 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
       st->on_sent = nullptr;
       sent();
     }
-    deliver(st->dst_rank, std::move(st->msg));
+    deliver(st->dst_rank, std::move(st->msg), st->sent);
     if (des::SpanHook* h2 = mc_->scheduler().span_hook();
         h2 != nullptr && st->owns_trace)
       h2->close_trace(st->ctx, mc_->scheduler().now());
@@ -202,11 +213,10 @@ void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
   st.recvs.push_back(PostedRecv{source, tag, std::move(cb)});
 }
 
-void Communicator::deliver(int dst_rank, Message msg) {
-  tracer_.recv(static_cast<std::uint32_t>(dst_rank),
-               static_cast<std::uint32_t>(msg.source),
-               static_cast<std::uint32_t>(msg.tag), units::Bytes{msg.bytes},
-               mc_->scheduler().now());
+void Communicator::deliver(int dst_rank, Message msg,
+                           des::TraceContext sent) {
+  if (des::SpanHook* h = mc_->scheduler().span_hook(); h != nullptr)
+    h->recv_message(sent, "comm", dst_rank, mc_->scheduler().now());
   RankState& st = states_.at(static_cast<std::size_t>(dst_rank));
   for (auto it = st.recvs.begin(); it != st.recvs.end(); ++it) {
     if (matches(*it, msg)) {
@@ -224,7 +234,7 @@ void Communicator::deliver(int dst_rank, Message msg) {
 // personalized op (gather, scatter, alltoall) sends one unit per pair of
 // ranks a leg stands for; the others send one unit per leg.
 struct Communicator::CollectiveOp {
-  const char* name;    // VAMPIR state
+  const char* name;    // the span each rank's call is on its lane
   const char* origin;  // trace minted when none is current
   bool pairwise = false, up = false, down = false, personalized = false;
 };
@@ -236,11 +246,22 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
   RankState& rs = states_.at(static_cast<std::size_t>(rank));
   const std::uint64_t key = rs.collective_calls;
   Collective& c = collectives_[key];
+  des::SpanHook* h = mc_->scheduler().span_hook();
+  const des::SimTime now = mc_->scheduler().now();
   if (c.op == nullptr) {
     c.op = &op;
     c.root = root;
     c.in.resize(ranks_.size());
     c.done.resize(ranks_.size());
+    c.spans.resize(ranks_.size());
+    // The instance runs under the trace current at its first arrival, or
+    // under comm.<op> minted here; the caller's own context is restored.
+    if (h != nullptr) {
+      const des::TraceContext prev = h->current();
+      c.owns_trace = !prev.valid();
+      c.ctx = c.owns_trace ? h->mint(op.origin, now) : prev;
+      h->adopt(prev);
+    }
   } else if (c.op != &op || c.root != root) {
     throw std::invalid_argument(
         "Communicator: collective call " + std::to_string(key) + " of rank " +
@@ -249,8 +270,13 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
         " (root " + std::to_string(c.root) + ")");
   }
   ++rs.collective_calls;
-  tracer_.enter(static_cast<std::uint32_t>(rank), tracer_.state(op.name),
-                mc_->scheduler().now());
+  if (h != nullptr) {
+    // This rank waits in the call until the instance completes.
+    const std::uint64_t span = h->begin_span(
+        c.ctx, des::SpanPhase::kQueueWait, "comm", op.name, now);
+    h->set_lane(span, des::Lane{rank});
+    c.spans[static_cast<std::size_t>(rank)] = span;
+  }
   c.in[static_cast<std::size_t>(rank)] = std::move(in);
   c.done[static_cast<std::size_t>(rank)] = std::move(done);
   if (++c.arrived < size()) return;
@@ -287,15 +313,9 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
   for (std::vector<WanLeg>* phase : {&pairwise, &up, &down})
     if (!phase->empty()) c.phases.push_back(std::move(*phase));
 
-  // The legs run under the current trace, or one minted here the way a
-  // point-to-point send mints comm.wan; complete() closes a minted one.
-  des::SpanHook* h = mc_->scheduler().span_hook();
+  // The legs run under the instance's trace; complete() closes a minted one.
   des::TraceContext prev;
-  if (h != nullptr) {
-    prev = h->current();
-    c.owns_trace = !prev.valid();
-    c.ctx = c.owns_trace ? h->mint(op.origin, mc_->scheduler().now()) : prev;
-  }
+  if (h != nullptr) prev = h->adopt(c.ctx);
   mc_->scheduler().schedule_after(c.intra, [this, key] { run_phase(key, 0); });
   if (h != nullptr) h->adopt(prev);
 }
@@ -324,10 +344,9 @@ void Communicator::run_phase(std::uint64_t key, std::size_t phase) {
 
 void Communicator::complete(std::uint64_t key) {
   const Collective& c = collectives_.at(key);
-  const std::uint32_t state = tracer_.state(c.op->name);
   for (std::size_t r = 0; r < c.done.size(); ++r) {
-    tracer_.leave(static_cast<std::uint32_t>(r), state,
-                  mc_->scheduler().now());
+    if (des::SpanHook* h = mc_->scheduler().span_hook(); h != nullptr)
+      h->end_span(c.spans[r], mc_->scheduler().now());
     if (c.done[r]) c.done[r](c);
   }
   if (des::SpanHook* h = mc_->scheduler().span_hook();

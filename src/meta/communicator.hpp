@@ -13,7 +13,13 @@
 //   - MPI-2 features called out in the paper: dynamic process creation
 //     (spawn), and name-based connect/accept yielding intercommunicators
 //     (used by FIRE for realtime visualization attachment), plus typed
-//     datatypes for language interoperability.
+//     datatypes for language interoperability;
+//   - VAMPIR integration (the paper's Metacomputing Tools project: "the
+//     parallel tracing tool VAMPIR is extended for the use with this
+//     library"): while a span hook is installed on the scheduler, ranks are
+//     lanes, every point-to-point send and delivery is a message between
+//     them, and each collective call is a span on the caller's lane from
+//     its arrival to the instance's completion.
 #pragma once
 
 #include <any>
@@ -26,9 +32,7 @@
 #include <vector>
 
 #include "des/check_hook.hpp"
-#include "flow/tracing.hpp"
 #include "meta/metacomputer.hpp"
-#include "trace/trace.hpp"
 
 namespace gtw::meta {
 
@@ -105,6 +109,11 @@ class Communicator {
 
   // A communicator over explicit process locations.
   Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks);
+  // Collectives still waiting for ranks retire their spans as aborted, so
+  // the tracer's leak census stays clean.
+  ~Communicator();
+  Communicator(const Communicator&) = delete;
+  Communicator& operator=(const Communicator&) = delete;
 
   int size() const { return static_cast<int>(ranks_.size()); }
   const ProcLoc& location(int rank) const {
@@ -160,14 +169,6 @@ class Communicator {
              std::function<void(std::shared_ptr<Communicator> intercomm)> cb);
 
   Metacomputer& metacomputer() { return *mc_; }
-
-  // VAMPIR integration (the paper's Metacomputing Tools project: "the
-  // parallel tracing tool VAMPIR is extended for the use with this
-  // library").  When attached, every point-to-point send and delivery is
-  // recorded with its simulated timestamp, and each collective shows up as
-  // an enter/leave pair per rank.  The recorder must outlive the
-  // communicator and have at least size() ranks.
-  void attach_trace(trace::TraceRecorder* rec) { tracer_.attach(rec); }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -234,8 +235,10 @@ class Communicator {
     std::vector<std::vector<WanLeg>> phases;
     std::size_t in_flight = 0;  // legs of the running phase
     des::SimTime intra;         // one intra-machine tree stage
+    // Fixed at the first arrival: the current trace, or comm.<op> minted.
     des::TraceContext ctx;
     bool owns_trace = false;
+    std::vector<std::uint64_t> spans;  // each rank's call, on its lane
   };
 
   // In-flight state of one watchdog-guarded WAN message.
@@ -254,18 +257,20 @@ class Communicator {
     // is a workload origin; every attempt's transport spans nest under it.
     des::TraceContext ctx;
     bool owns_trace = false;
+    des::TraceContext sent;  // the send, which the delivery's recv names
     // Open retry-backoff span: begun when the first watchdog-triggered
     // resend is issued, ended at delivery, aborted on unreachable.
     std::uint64_t retry_span = 0;
   };
 
-  void deliver(int dst_rank, Message msg);
+  void deliver(int dst_rank, Message msg, des::TraceContext sent);
   void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
-  // The collective engine.  Records `rank`'s next collective call; the last
-  // rank in starts the staged run, whose WAN legs carry `unit` bytes (times
-  // the rank pairs of a personalized leg) and whose intra stages move
-  // `intra_bytes`.  `done` then runs with the instance, in rank order.
+  // The collective engine.  Records `rank`'s next collective call; the
+  // first rank in fixes the instance's trace, and the last starts the
+  // staged run, whose WAN legs carry `unit` bytes (times the rank pairs of
+  // a personalized leg) and whose intra stages move `intra_bytes`.  `done`
+  // then runs with the instance, in rank order.
   void collective(int rank, const CollectiveOp& op, int root,
                   std::uint64_t unit, std::uint64_t intra_bytes, std::any in,
                   std::function<void(const Collective&)> done);
@@ -283,7 +288,6 @@ class Communicator {
   bool retry_enabled_ = false;
   UnreachableCallback unreachable_;
   ReliabilityStats reliability_;
-  flow::Tracer tracer_;  // shared hook layer with the dataflow engine
   CommCheckObserver* check_observer_ = nullptr;
 };
 

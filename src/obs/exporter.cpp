@@ -1,19 +1,46 @@
 #include "obs/exporter.hpp"
 
+#include <cinttypes>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <ostream>
-#include <tuple>
-
-#include "obs/json_util.hpp"
 
 namespace gtw::obs {
 
 namespace {
 
-using detail::json_escape;
-using detail::ts_us;
+// JSON string escape (control characters, quote, backslash).
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+// Chrome `ts` is microseconds.  1 us == 1'000'000 ps, so the 6-digit
+// fraction below is the picosecond remainder verbatim: exact integer
+// formatting, byte-identical run to run.
+std::string ts_us(std::int64_t ps) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%" PRId64 ".%06" PRId64, ps / 1'000'000,
+                ps % 1'000'000);
+  return buf;
+}
 
 std::string fmt_double(double v) {
   char buf[40];
@@ -23,7 +50,7 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
+void write_chrome_trace(std::ostream& os, const SpanFile& f,
                         const ChromeTraceOptions& opts) {
   os << "{\"traceEvents\":[\n";
   bool first = true;
@@ -33,61 +60,72 @@ void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
     os << line;
   };
 
+  // Process 0: the lane tracks (and the marks and counters below).
+  const LaneStats lanes = lane_stats(f);
   emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
        "\"args\":{\"name\":\"" + json_escape(opts.process_name) + "\"}}");
-  for (int r = 0; r < rec.ranks(); ++r) {
+  for (std::int64_t l = 0; l < lanes.lanes; ++l) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(r) + ",\"args\":{\"name\":\"rank " +
-         std::to_string(r) + "\"}}");
+         std::to_string(l) + ",\"args\":{\"name\":\"lane " +
+         std::to_string(l) + "\"}}");
   }
 
-  // FIFO matcher for flow arrows: sends and receipts pair up per
-  // (src rank, dst rank, tag) in order, which is exactly the in-order
-  // delivery the simulated transports provide.
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::deque<std::uint64_t>>
-      in_flight;
-  std::uint64_t next_flow_id = 1;
+  // One process per trace, one track per span.
+  for (const TraceRec& t : f.traces) {
+    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+         std::to_string(t.id) + ",\"tid\":0,\"args\":{\"name\":\"trace " +
+         std::to_string(t.id) + " " + json_escape(t.origin) + " (" +
+         json_escape(t.status) + ")\"}}");
+  }
+  for (const SpanRec& s : f.spans) {
+    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
+         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
+         ",\"args\":{\"name\":\"" + json_escape(s.layer) + "/" +
+         json_escape(s.name) + "\"}}");
+    emit("{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
+         json_escape(s.phase) + "\",\"ph\":\"X\",\"pid\":" +
+         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
+         ",\"ts\":" + ts_us(s.begin_ps) + ",\"dur\":" +
+         ts_us(s.end_ps - s.begin_ps) + ",\"args\":{\"layer\":\"" +
+         json_escape(s.layer) + "\",\"status\":\"" + json_escape(s.status) +
+         "\"}}");
+  }
+  // Causal edges: a flow arrow from each parent span to each child, bound
+  // at the child's begin time (the instant causality transfers).
+  for (const SpanRec& s : f.spans) {
+    if (s.parent == 0) continue;
+    const std::string id = std::to_string(s.id);
+    emit("{\"name\":\"span-edge\",\"cat\":\"span\",\"ph\":\"s\",\"pid\":" +
+         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.parent) +
+         ",\"ts\":" + ts_us(s.begin_ps) + ",\"id\":" + id + "}");
+    emit("{\"name\":\"span-edge\",\"cat\":\"span\",\"ph\":\"f\",\"bp\":\"e\","
+         "\"pid\":" +
+         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
+         ",\"ts\":" + ts_us(s.begin_ps) + ",\"id\":" + id + "}");
+  }
 
-  for (const trace::TraceEvent& e : rec.events()) {
-    const std::string ts = ts_us(e.time_ps);
-    const std::string tid = std::to_string(e.rank);
-    switch (e.kind) {
-      case trace::EventKind::kEnter:
-        emit("{\"name\":\"" + json_escape(rec.state_name(e.id)) +
-             "\",\"ph\":\"B\",\"pid\":0,\"tid\":" + tid + ",\"ts\":" + ts +
-             "}");
-        break;
-      case trace::EventKind::kLeave:
-        emit("{\"name\":\"" + json_escape(rec.state_name(e.id)) +
-             "\",\"ph\":\"E\",\"pid\":0,\"tid\":" + tid + ",\"ts\":" + ts +
-             "}");
-        break;
-      case trace::EventKind::kSend: {
-        if (!opts.flow_arrows) break;
-        const std::uint64_t id = next_flow_id++;
-        in_flight[{e.rank, e.id, e.tag}].push_back(id);
-        emit("{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"pid\":0,"
-             "\"tid\":" + tid + ",\"ts\":" + ts + ",\"id\":" +
-             std::to_string(id) + ",\"args\":{\"tag\":" +
-             std::to_string(e.tag) + ",\"bytes\":" + std::to_string(e.bytes) +
-             "}}");
-        break;
-      }
-      case trace::EventKind::kRecv: {
-        if (!opts.flow_arrows) break;
-        const auto key = std::make_tuple(e.id, e.rank, e.tag);
-        const auto it = in_flight.find(key);
-        if (it == in_flight.end() || it->second.empty()) break;  // unmatched
-        const std::uint64_t id = it->second.front();
-        it->second.pop_front();
-        emit("{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\","
-             "\"pid\":0,\"tid\":" + tid + ",\"ts\":" + ts + ",\"id\":" +
-             std::to_string(id) + ",\"args\":{\"tag\":" +
-             std::to_string(e.tag) + ",\"bytes\":" + std::to_string(e.bytes) +
-             "}}");
-        break;
-      }
+  // The lane tracks: states as complete events, and per message an arrow
+  // from its send to its recv.  Message arrows take the id space after the
+  // span edges', so every flow id in the file is unique.
+  for (const SpanRec& s : f.spans) {
+    if (s.lane < 0 || s.status != "ok") continue;
+    const SpanRec* send = span_by_id(f, s.parent);
+    const std::string tid = std::to_string(s.lane);
+    if (send != nullptr && send->to >= 0) {
+      const std::string id = std::to_string(f.spans.size() + s.id);
+      const std::string bytes = std::to_string(send->bytes);
+      emit("{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"pid\":0,"
+           "\"tid\":" + std::to_string(send->lane) + ",\"ts\":" +
+           ts_us(send->begin_ps) + ",\"id\":" + id +
+           ",\"args\":{\"bytes\":" + bytes + "}}");
+      emit("{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\","
+           "\"pid\":0,\"tid\":" + tid + ",\"ts\":" + ts_us(s.begin_ps) +
+           ",\"id\":" + id + ",\"args\":{\"bytes\":" + bytes + "}}");
+    } else if (s.to < 0) {
+      emit("{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
+           json_escape(s.phase) + "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + tid +
+           ",\"ts\":" + ts_us(s.begin_ps) + ",\"dur\":" +
+           ts_us(s.end_ps - s.begin_ps) + "}");
     }
   }
 

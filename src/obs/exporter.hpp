@@ -3,10 +3,11 @@
 // raw-metric-print).  Two output families:
 //
 //  - Chrome trace-event JSON (the format Perfetto and chrome://tracing
-//    load): GTWT enter/leave pairs become B/E duration events per rank
-//    (tid), send/recv pairs become flow arrows (ph s/f matched FIFO on
-//    (src, dst, tag)), registry marks become instant events, and sampled
-//    time series become counter tracks (ph C).
+//    load), written from a spans artifact: one process per trace with a
+//    track per span and flow arrows along parent->child edges; process 0
+//    with one track per VAMPIR lane, its states as complete events and a
+//    send->recv arrow per message; registry marks as instant events and
+//    sampled time series as counter tracks (ph C).
 //  - stable-ordered JSON / CSV snapshots of a Registry and the long-format
 //    time series a TimeSeriesSampler collected.
 //
@@ -21,20 +22,19 @@
 
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "trace/trace.hpp"
+#include "obs/span_analysis.hpp"
 
 namespace gtw::obs {
 
 struct ChromeTraceOptions {
-  std::string process_name = "gtw";
-  // Emit flow arrows for matched send/recv pairs.
-  bool flow_arrows = true;
+  std::string process_name = "gtw";  // names process 0, the lane tracks
   // Optional extra tracks.
   const TimeSeriesSampler* series = nullptr;  // counter tracks (ph "C")
   const Registry* marks_from = nullptr;       // instant events (ph "i")
 };
 
-void write_chrome_trace(std::ostream& os, const trace::TraceRecorder& rec,
+// In-process callers get `f` from SpanTracer::write_json and load_spans.
+void write_chrome_trace(std::ostream& os, const SpanFile& f,
                         const ChromeTraceOptions& opts = {});
 
 // {"label": ..., "metrics": {name: value, ...}, "histograms": {...},

@@ -103,6 +103,11 @@ void SpanTracer::abort_span(std::uint64_t span_id, des::SimTime now) {
   --open_spans_;
 }
 
+void SpanTracer::set_lane(std::uint64_t span_id, const des::Lane& lane) {
+  if (span_id == 0 || span_id > spans_.size()) return;
+  spans_[span_id - 1].lane = lane;
+}
+
 void SpanTracer::close_trace(des::TraceContext ctx, des::SimTime now) {
   auto it = traces_.find(ctx.trace_id);
   if (it == traces_.end() || it->second.status != "open") return;
@@ -146,7 +151,13 @@ void SpanTracer::write_json(std::ostream& os, const std::string& label) const {
        << "\", \"name\": \"" << s.name << "\", \"begin_ps\": " << s.begin.ps()
        << ", \"end_ps\": " << (s.open ? s.begin : s.end).ps()
        << ", \"status\": \""
-       << (s.open ? "open" : (s.aborted ? "aborted" : "ok")) << "\"}\n";
+       << (s.open ? "open" : (s.aborted ? "aborted" : "ok")) << "\"";
+    if (s.lane.lane >= 0) {
+      os << ", \"lane\": " << s.lane.lane;
+      if (s.lane.to >= 0)
+        os << ", \"to\": " << s.lane.to << ", \"bytes\": " << s.lane.bytes;
+    }
+    os << "}\n";
   }
   os << "{\"spans_total\": " << spans_.size()
      << ", \"traces_total\": " << traces_.size()

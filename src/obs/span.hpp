@@ -64,6 +64,7 @@ class SpanTracer : public des::SpanHook {
   void close_trace(des::TraceContext ctx, des::SimTime now) override;
   void abort_trace(des::TraceContext ctx, const char* reason,
                    des::SimTime now) override;
+  void set_lane(std::uint64_t span_id, const des::Lane& lane) override;
 
   // --- recorded data --------------------------------------------------------
   struct Span {
@@ -77,6 +78,7 @@ class SpanTracer : public des::SpanHook {
     des::SimTime end;
     bool open = true;
     bool aborted = false;
+    des::Lane lane{-1};  // set by set_lane; lane.lane < 0: on no lane
   };
   struct Trace {
     std::uint64_t id = 0;
@@ -100,8 +102,9 @@ class SpanTracer : public des::SpanHook {
 
   // Line-oriented spans artifact (OBS_<label>.spans.json): a header line,
   // one trace line per trace, one span line per span — all timestamps
-  // exact integer picoseconds — and a {"spans_total": N} footer that lets
-  // readers detect truncation.
+  // exact integer picoseconds; a lane span adds "lane", a send also "to"
+  // and "bytes" — and a {"spans_total": N} footer that lets readers detect
+  // truncation.
   void write_json(std::ostream& os, const std::string& label) const;
 
  private:

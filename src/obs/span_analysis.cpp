@@ -1,11 +1,16 @@
 #include "obs/span_analysis.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstdio>
 #include <istream>
 #include <ostream>
+#include <set>
+#include <sstream>
+#include <tuple>
 
-#include "obs/json_util.hpp"
+#include "des/time.hpp"
 
 namespace gtw::obs {
 
@@ -13,43 +18,82 @@ namespace {
 
 // Field extraction for our own line-oriented writer (span.cpp): every
 // field appears as `"key": value` with a single space, values are either
-// unsigned integers, signed integers, or quoted strings with no embedded
-// escapes (identifiers and labels).  A full JSON parser would be overkill
-// and a second source of truth for the format.
-bool find_value(const std::string& line, const char* key, std::size_t& pos) {
-  const std::string pat = std::string("\"") + key + "\": ";
-  const auto p = line.find(pat);
-  if (p == std::string::npos) return false;
-  pos = p + pat.size();
-  return true;
-}
+// integers or quoted strings with no embedded escapes (identifiers and
+// labels).  A full JSON parser would be overkill and a second source of
+// truth for the format.  Reads the fields of one line and keeps the first
+// reason one of them failed.
+class LineFields {
+ public:
+  explicit LineFields(const std::string& line) : line_(line) {}
 
-bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
-  std::size_t pos;
-  if (!find_value(line, key, pos)) return false;
-  out = std::strtoull(line.c_str() + pos, nullptr, 10);
-  return true;
-}
+  // Where the value of `key` starts, or npos (an error unless `optional`).
+  std::size_t find(const char* key, bool optional = false) {
+    const std::string pat = std::string("\"") + key + "\": ";
+    const auto p = line_.find(pat);
+    if (p != std::string::npos) return p + pat.size();
+    if (!optional) fail(std::string("missing \"") + key + "\"");
+    return std::string::npos;
+  }
+  bool has(const char* key) { return find(key, true) != std::string::npos; }
 
-bool get_i64(const std::string& line, const char* key, std::int64_t& out) {
-  std::size_t pos;
-  if (!find_value(line, key, pos)) return false;
-  out = std::strtoll(line.c_str() + pos, nullptr, 10);
-  return true;
-}
+  // A decimal literal (a leading '-' only for signed T) ending at ',' or
+  // '}'.
+  template <typename T>
+  void integer(const char* key, T& out) {
+    const std::size_t pos = find(key);
+    if (pos == std::string::npos) return;
+    const char* last = line_.data() + line_.size();
+    const auto [ptr, ec] = std::from_chars(line_.data() + pos, last, out);
+    if (ec != std::errc{} || ptr == last || (*ptr != ',' && *ptr != '}'))
+      fail(std::string("\"") + key + "\" is not an integer");
+  }
 
-bool get_str(const std::string& line, const char* key, std::string& out) {
-  std::size_t pos;
-  if (!find_value(line, key, pos)) return false;
-  if (pos >= line.size() || line[pos] != '"') return false;
-  const auto close = line.find('"', pos + 1);
-  if (close == std::string::npos) return false;
-  out = line.substr(pos + 1, close - pos - 1);
-  return true;
-}
+  void string(const char* key, std::string& out, bool optional = false) {
+    const std::size_t pos = find(key, optional);
+    if (pos == std::string::npos) return;
+    const auto close = line_.find('"', pos + 1);
+    if (line_[pos] != '"' || close == std::string::npos)
+      fail(std::string("\"") + key + "\" is not a string");
+    else
+      out = line_.substr(pos + 1, close - pos - 1);
+  }
+
+  void fail(const std::string& why) {
+    if (error_.empty()) error_ = why;
+  }
+  const std::string& error() const { return error_; }
+
+ private:
+  const std::string& line_;
+  std::string error_;
+};
 
 bool starts_with(const std::string& line, const char* prefix) {
   return line.rfind(prefix, 0) == 0;
+}
+
+// Sanity ceiling for lane numbers: far above any stage or rank count, low
+// enough that a corrupt one cannot drive the views' per-lane allocation.
+constexpr std::int64_t kMaxLane = 1 << 20;
+
+// Lane keys: "lane", and for a message send "to" (a lane) and "bytes".
+void read_lane(LineFields& in, SpanRec& s) {
+  if (!in.has("lane")) {
+    if (in.has("to") || in.has("bytes"))
+      in.fail("\"to\"/\"bytes\" without \"lane\"");
+    return;
+  }
+  const auto check = [&in](const char* key, std::int64_t& lane) {
+    in.integer(key, lane);
+    if (lane < 0 || lane >= kMaxLane)
+      in.fail(std::string("\"") + key + "\" " + std::to_string(lane) +
+              " is not a lane");
+  };
+  check("lane", s.lane);
+  if (in.has("to") || in.has("bytes")) {
+    check("to", s.to);
+    in.integer("bytes", s.bytes);
+  }
 }
 
 }  // namespace
@@ -61,58 +105,58 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
     error = what + ": not a spans artifact (missing {\"gtw_spans\": 1} header)";
     return false;
   }
-  get_str(line, "label", out.label);
+  LineFields(line).string("label", out.label, /*optional=*/true);
 
   bool have_footer = false;
   std::size_t lineno = 1;
+  const auto reject = [&](const std::string& why) {
+    error = what + ": line " + std::to_string(lineno) + ": " + why;
+    return false;
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    if (have_footer) {
-      error = what + ": trailing data after the spans_total footer (line " +
-              std::to_string(lineno) + ")";
-      return false;
-    }
+    if (have_footer)
+      return reject("trailing data after the spans_total footer");
+    LineFields fields(line);
     if (starts_with(line, "{\"spans_total\"")) {
-      if (!get_u64(line, "spans_total", out.spans_total) ||
-          !get_u64(line, "traces_total", out.traces_total) ||
-          !get_u64(line, "open_spans", out.open_spans)) {
-        error = what + ": malformed footer (line " + std::to_string(lineno) +
-                ")";
-        return false;
-      }
+      fields.integer("spans_total", out.spans_total);
+      fields.integer("traces_total", out.traces_total);
+      fields.integer("open_spans", out.open_spans);
+      if (!fields.error().empty())
+        return reject("malformed footer: " + fields.error());
       have_footer = true;
     } else if (starts_with(line, "{\"trace\"")) {
       TraceRec t;
-      if (!get_u64(line, "trace", t.id) || !get_u64(line, "root", t.root) ||
-          !get_str(line, "origin", t.origin) ||
-          !get_str(line, "status", t.status)) {
-        error = what + ": malformed trace line " + std::to_string(lineno);
-        return false;
-      }
-      get_str(line, "reason", t.reason);  // optional
+      fields.integer("trace", t.id);
+      fields.integer("root", t.root);
+      fields.string("origin", t.origin);
+      fields.string("status", t.status);
+      fields.string("reason", t.reason, /*optional=*/true);
+      if (!fields.error().empty())
+        return reject("malformed trace line: " + fields.error());
       out.traces.push_back(std::move(t));
     } else if (starts_with(line, "{\"span\"")) {
       SpanRec s;
-      if (!get_u64(line, "span", s.id) || !get_u64(line, "trace", s.trace) ||
-          !get_u64(line, "parent", s.parent) ||
-          !get_str(line, "phase", s.phase) ||
-          !get_str(line, "layer", s.layer) || !get_str(line, "name", s.name) ||
-          !get_i64(line, "begin_ps", s.begin_ps) ||
-          !get_i64(line, "end_ps", s.end_ps) ||
-          !get_str(line, "status", s.status)) {
-        error = what + ": malformed span line " + std::to_string(lineno);
-        return false;
-      }
-      if (s.id != out.spans.size() + 1) {
-        error = what + ": non-sequential span id " + std::to_string(s.id) +
-                " (line " + std::to_string(lineno) + ")";
-        return false;
-      }
+      fields.integer("span", s.id);
+      fields.integer("trace", s.trace);
+      fields.integer("parent", s.parent);
+      fields.string("phase", s.phase);
+      fields.string("layer", s.layer);
+      fields.string("name", s.name);
+      fields.integer("begin_ps", s.begin_ps);
+      fields.integer("end_ps", s.end_ps);
+      fields.string("status", s.status);
+      read_lane(fields, s);
+      if (!fields.error().empty())
+        return reject("malformed span line: " + fields.error());
+      if (s.id != out.spans.size() + 1)
+        return reject("non-sequential span id " + std::to_string(s.id));
+      if (s.status != "open" && s.end_ps < s.begin_ps)
+        return reject("span " + std::to_string(s.id) + " ends before it begins");
       out.spans.push_back(std::move(s));
     } else {
-      error = what + ": unrecognised line " + std::to_string(lineno);
-      return false;
+      return reject("unrecognised line");
     }
   }
   if (!have_footer) {
@@ -128,6 +172,24 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
             std::to_string(out.traces_total) + " trace(s), file has " +
             std::to_string(out.spans.size()) + " / " +
             std::to_string(out.traces.size());
+    return false;
+  }
+  // Roots and parents must name a span of their own trace.
+  const auto in_trace = [&out](std::uint64_t span, std::uint64_t trace) {
+    const SpanRec* s = span_by_id(out, span);
+    return s != nullptr && s->trace == trace;
+  };
+  for (const TraceRec& t : out.traces) {
+    if (in_trace(t.root, t.id)) continue;
+    error = what + ": trace " + std::to_string(t.id) + " names root span " +
+            std::to_string(t.root) + ", which is not a span of that trace";
+    return false;
+  }
+  for (const SpanRec& s : out.spans) {
+    if (s.parent == 0 || in_trace(s.parent, s.trace)) continue;
+    error = what + ": span " + std::to_string(s.id) + " names parent " +
+            std::to_string(s.parent) + ", which is not a span of trace " +
+            std::to_string(s.trace);
     return false;
   }
   return true;
@@ -278,50 +340,151 @@ const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
   return nullptr;
 }
 
-void write_spans_chrome(std::ostream& os, const SpanFile& f) {
-  using detail::json_escape;
-  using detail::ts_us;
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) os << ",\n";
-    first = false;
-    os << line;
-  };
+namespace {
 
-  for (const TraceRec& t : f.traces) {
-    emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(t.id) + ",\"tid\":0,\"args\":{\"name\":\"trace " +
-         std::to_string(t.id) + " " + json_escape(t.origin) + " (" +
-         json_escape(t.status) + ")\"}}");
-  }
+bool on_lane(const SpanRec& s) { return s.lane >= 0 && s.status == "ok"; }
+
+bool is_recv(const SpanFile& f, const SpanRec& s) {
+  const SpanRec* parent = span_by_id(f, s.parent);
+  return parent != nullptr && parent->to >= 0;
+}
+
+// Closed state spans (lane spans that are not messages), per lane.
+std::vector<std::vector<const SpanRec*>> lane_states(const SpanFile& f,
+                                                     std::int64_t lanes) {
+  std::vector<std::vector<const SpanRec*>> out(
+      static_cast<std::size_t>(lanes));
+  for (const SpanRec& s : f.spans)
+    if (on_lane(s) && s.to < 0 && !is_recv(f, s))
+      out[static_cast<std::size_t>(s.lane)].push_back(&s);
+  return out;
+}
+
+}  // namespace
+
+LaneStats lane_stats(const SpanFile& f) {
+  LaneStats st;
+  bool first = true;
   for (const SpanRec& s : f.spans) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
-         ",\"args\":{\"name\":\"" + json_escape(s.layer) + "/" +
-         json_escape(s.name) + "\"}}");
-    emit("{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
-         json_escape(s.phase) + "\",\"ph\":\"X\",\"pid\":" +
-         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
-         ",\"ts\":" + ts_us(s.begin_ps) + ",\"dur\":" +
-         ts_us(s.end_ps - s.begin_ps) + ",\"args\":{\"layer\":\"" +
-         json_escape(s.layer) + "\",\"status\":\"" + json_escape(s.status) +
-         "\"}}");
+    if (!on_lane(s)) continue;
+    st.lanes = std::max(st.lanes, s.lane + 1);
+    st.begin_ps = first ? s.begin_ps : std::min(st.begin_ps, s.begin_ps);
+    st.end_ps = first ? s.end_ps : std::max(st.end_ps, s.end_ps);
+    first = false;
+    if (s.to >= 0) {
+      ++st.messages[{s.lane, s.to}];
+      st.bytes[{s.lane, s.to}] += s.bytes;
+      ++st.total_messages;
+      st.total_bytes += s.bytes;
+    } else if (!is_recv(f, s) &&
+               std::find(st.states.begin(), st.states.end(), s.name) ==
+                   st.states.end()) {
+      st.states.push_back(s.name);
+    }
   }
-  // Causal edges: a flow arrow from each parent span to each child, bound
-  // at the child's begin time (the instant causality transfers).
-  for (const SpanRec& s : f.spans) {
-    if (s.parent == 0) continue;
-    const std::string id = std::to_string(s.id);
-    emit("{\"name\":\"span-edge\",\"cat\":\"span\",\"ph\":\"s\",\"pid\":" +
-         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.parent) +
-         ",\"ts\":" + ts_us(s.begin_ps) + ",\"id\":" + id + "}");
-    emit("{\"name\":\"span-edge\",\"cat\":\"span\",\"ph\":\"f\",\"bp\":\"e\","
-         "\"pid\":" +
-         std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
-         ",\"ts\":" + ts_us(s.begin_ps) + ",\"id\":" + id + "}");
+
+  // Sweep each lane's state boundaries, ends before begins at an instant:
+  // between two of them the innermost active state (begun last, higher id
+  // on ties) owns the time.
+  const auto states = lane_states(f, st.lanes);
+  for (std::int64_t lane = 0; lane < st.lanes; ++lane) {
+    std::vector<std::tuple<std::int64_t, bool, const SpanRec*>> edges;
+    for (const SpanRec* s : states[static_cast<std::size_t>(lane)]) {
+      if (s->end_ps <= s->begin_ps) continue;  // owns no time
+      edges.emplace_back(s->begin_ps, true, s);
+      edges.emplace_back(s->end_ps, false, s);
+    }
+    std::stable_sort(edges.begin(), edges.end(), [](const auto& a,
+                                                    const auto& b) {
+      return std::get<0>(a) != std::get<0>(b) ? std::get<0>(a) < std::get<0>(b)
+                                              : std::get<1>(a) < std::get<1>(b);
+    });
+    std::set<std::pair<std::int64_t, std::uint64_t>> active;  // (begin, id)
+    std::int64_t t = 0;
+    for (const auto& [at, opens, s] : edges) {
+      if (!active.empty() && at > t)
+        st.state_ps[{lane, span_by_id(f, active.rbegin()->second)->name}] +=
+            at - t;
+      t = at;
+      if (opens)
+        active.insert({s->begin_ps, s->id});
+      else
+        active.erase({s->begin_ps, s->id});
+    }
   }
-  os << "\n]}\n";
+  return st;
+}
+
+std::string profile(const SpanFile& f) {
+  const LaneStats st = lane_stats(f);
+  std::ostringstream os;
+  os << "state time profile (seconds):\n";
+  for (std::int64_t lane = 0; lane < st.lanes; ++lane) {
+    os << "  rank " << lane << ":";
+    for (const std::string& state : st.states) {
+      const auto it = st.state_ps.find({lane, state});
+      if (it != st.state_ps.end() && it->second > 0)
+        os << "  " << state << "="
+           << des::SimTime::picoseconds(it->second).sec();
+    }
+    os << "\n";
+  }
+  os << "messages: " << st.total_messages << ", bytes: " << st.total_bytes
+     << "\n";
+  return os.str();
+}
+
+std::string gantt(const SpanFile& f, int columns) {
+  const LaneStats st = lane_stats(f);
+  if (st.lanes == 0 || st.end_ps <= st.begin_ps) return "(empty trace)\n";
+  const double range = static_cast<double>(st.end_ps - st.begin_ps);
+  const auto cell = [&](std::int64_t t) {
+    return static_cast<int>(static_cast<double>(t - st.begin_ps) / range *
+                            columns);
+  };
+  std::string out;
+  auto states = lane_states(f, st.lanes);
+  for (std::int64_t lane = 0; lane < st.lanes; ++lane) {
+    // A state paints when it ends, so an enclosing state paints over the
+    // ones it holds; of two ending together the later-begun goes first.
+    std::vector<const SpanRec*>& v = states[static_cast<std::size_t>(lane)];
+    std::sort(v.begin(), v.end(), [](const SpanRec* a, const SpanRec* b) {
+      if (a->end_ps != b->end_ps) return a->end_ps < b->end_ps;
+      if (a->begin_ps != b->begin_ps) return a->begin_ps > b->begin_ps;
+      return a->id > b->id;
+    });
+    std::string row(static_cast<std::size_t>(columns), '.');
+    for (const SpanRec* s : v) {
+      const int a = std::clamp(cell(s->begin_ps), 0, columns - 1);
+      const int b = std::clamp(cell(s->end_ps), a, columns - 1);
+      const char c = s->name.empty() ? '?' : s->name[0];
+      for (int i = a; i <= b; ++i) row[static_cast<std::size_t>(i)] = c;
+    }
+    char label[32];
+    std::snprintf(label, sizeof label, "rank %2d |", static_cast<int>(lane));
+    out += label + row + "|\n";
+  }
+  return out;
+}
+
+std::string msg_matrix(const SpanFile& f) {
+  const LaneStats st = lane_stats(f);
+  std::ostringstream os;
+  for (const auto* m : {&st.messages, &st.bytes}) {
+    os << (m == &st.messages ? "messages" : "bytes")
+       << " (rows: from, cols: to)\n      ";
+    for (std::int64_t to = 0; to < st.lanes; ++to) os << "\t" << to;
+    os << "\n";
+    for (std::int64_t from = 0; from < st.lanes; ++from) {
+      os << "  " << from << "  ";
+      for (std::int64_t to = 0; to < st.lanes; ++to) {
+        const auto it = m->find({from, to});
+        os << "\t" << (it != m->end() ? it->second : 0);
+      }
+      os << "\n";
+    }
+  }
+  return os.str();
 }
 
 }  // namespace gtw::obs

@@ -4,10 +4,12 @@
 // The artifact is line-oriented (one JSON object per line: header, trace
 // lines, span lines, footer), so the loader is a strict line scanner, not
 // a general JSON parser.  Strict means: a missing or wrong header, a
-// missing footer, or a footer whose counts disagree with the lines
-// actually present is a hard load error — gtw-trace turns those into a
-// non-zero exit so CI catches truncated artifacts (a run killed mid-write)
-// instead of silently analysing a prefix.
+// missing footer, a footer whose counts disagree with the lines actually
+// present, an integer field that is not a number, a closed span that ends
+// before it begins, a root or parent id naming no span of the same trace,
+// or a malformed lane key is a hard load error — gtw-trace turns those
+// into a non-zero exit so CI catches truncated or corrupt artifacts
+// instead of silently analysing them.
 //
 // Analyses:
 //  - sweep_trace(): the latency-budget decomposition.  At every instant of
@@ -23,8 +25,8 @@
 //    paper-style delay-budget table (e2 experiment).
 //  - select_trace(): resolves --critical-path's argument (a trace id,
 //    "worst", or "p99") against the closed traces' root durations.
-//  - write_spans_chrome(): Chrome trace-event export; spans become
-//    complete ("X") events and parent->child edges become flow arrows.
+//  - lane_stats(), profile(), gantt(), msg_matrix(): the VAMPIR views
+//    over lane spans (see below).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,9 @@ struct SpanRec {
   std::int64_t begin_ps = 0;
   std::int64_t end_ps = 0;
   std::string status;  // "ok" | "aborted" | "open"
+  std::int64_t lane = -1;  // stage index or communicator rank; -1: none
+  std::int64_t to = -1;    // a message send's receiving lane; -1: not a send
+  std::uint64_t bytes = 0;  // a message send's size
 };
 
 struct TraceRec {
@@ -65,8 +70,8 @@ struct SpanFile {
 };
 
 // Strict loader; on failure returns false and sets `error` to a one-line
-// human-readable reason (unreadable, bad header, truncated, count
-// mismatch).  `what` names the artifact in the message (usually the path).
+// human-readable reason (see the file comment).  `what` names the artifact
+// in the message (usually the path).
 bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
                 std::string& error);
 
@@ -112,9 +117,34 @@ PhaseBudget budget(const SpanFile& f);
 const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
                              std::string& error);
 
-// Chrome trace-event JSON: one complete ("X") event per span (pid = trace
-// id, tid = span id, a thread_name metadata row naming the span) and one
-// flow arrow (ph "s"/"f") per parent->child span edge.
-void write_spans_chrome(std::ostream& os, const SpanFile& f);
+// --- VAMPIR views --------------------------------------------------------
+// The views read closed lane spans only.  A lane span with "to" is a
+// message send; one whose parent is a send is that message's receipt;
+// every other lane span is a state, named by its span name.  Rows run from
+// lane 0 to the highest lane, states print in the order they first appear,
+// and the time range is that of the lane spans.
+struct LaneStats {
+  std::int64_t lanes = 0;           // highest lane + 1
+  std::vector<std::string> states;  // in order of first appearance
+  // Time of each (lane, state): every instant of a lane belongs to its
+  // innermost state, the one begun last (higher span id on ties).
+  std::map<std::pair<std::int64_t, std::string>, std::int64_t> state_ps;
+  // Sends per (from lane, to lane).
+  std::map<std::pair<std::int64_t, std::int64_t>, std::uint64_t> messages;
+  std::map<std::pair<std::int64_t, std::int64_t>, std::uint64_t> bytes;
+  std::uint64_t total_messages = 0;
+  std::uint64_t total_bytes = 0;
+  std::int64_t begin_ps = 0, end_ps = 0;
+};
+LaneStats lane_stats(const SpanFile& f);
+
+// Per-lane state time profile (seconds) plus the message totals.
+std::string profile(const SpanFile& f);
+// Text timeline: one row per lane, `columns` cells over the time range.
+// Each closed state paints its interval with its first letter, in the
+// order the states end (an enclosing state after the ones it holds).
+std::string gantt(const SpanFile& f, int columns = 72);
+// Message count and byte matrices, rows from, columns to.
+std::string msg_matrix(const SpanFile& f);
 
 }  // namespace gtw::obs

@@ -69,8 +69,6 @@ class FrameStreamer {
   double achieved_fps() const;
   const des::RunningStats& frame_interval_ms() const { return intervals_; }
 
-  // Stage events as trace ranks 0 (render) / 1 (uplink).
-  void attach_trace(trace::TraceRecorder* rec) { graph_.attach_trace(rec); }
   const flow::MetricsRegistry& metrics() const { return graph_.metrics(); }
 
  private:

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "apps/climate.hpp"
 #include "apps/groundwater.hpp"
 #include "apps/meg.hpp"
 #include "apps/video.hpp"
 #include "meta/communicator.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/testbed.hpp"
 
 namespace gtw::apps {
@@ -250,10 +254,8 @@ TEST(GroundwaterCouplingTest, RunsToCompletionWithFieldTransfers) {
   TraceConfig cfg;
   cfg.dims = {16, 16, 4};
   GroundwaterCoupling run(f.pair_comm(), cfg, /*particles=*/100, /*steps=*/10);
-  trace::TraceRecorder rec(2);
-  const auto st_solve = rec.define_state("solve");
-  const auto st_advect = rec.define_state("advect");
-  run.set_trace(&rec, st_solve, st_advect);
+  obs::SpanTracer spans;
+  f.tb.scheduler().set_span_hook(&spans);
   run.start();
   f.tb.scheduler().run();
   const CouplingResult& res = run.result();
@@ -262,11 +264,23 @@ TEST(GroundwaterCouplingTest, RunsToCompletionWithFieldTransfers) {
   EXPECT_GT(res.burst_mbyte_per_s, 1.0);
   EXPECT_GT(res.elapsed_s, 10 * 0.12);  // includes the compute phases
 
-  // The trace saw both compute states and every field transfer.
-  trace::TraceStats stats(rec);
-  EXPECT_NEAR(stats.state_time(0, st_solve).sec(), 1.0, 0.01);   // 10 x 100ms
-  EXPECT_NEAR(stats.state_time(1, st_advect).sec(), 0.2, 0.01);  // 10 x 20ms
-  EXPECT_EQ(stats.messages(0, 1), 10u);
+  // One trace per coupling step; its spans saw both compute states on the
+  // two rank lanes and every field transfer between them.
+  std::stringstream json;
+  spans.write_json(json, "groundwater");
+  obs::SpanFile file;
+  std::string error;
+  ASSERT_TRUE(obs::load_spans(json, "groundwater", file, error)) << error;
+  EXPECT_EQ(file.traces.size(), 10u);
+  const obs::LaneStats stats = obs::lane_stats(file);
+  EXPECT_EQ(stats.state_ps.at({0, "flow"}),
+            des::SimTime::milliseconds(1000).ps());  // 10 x 100 ms
+  EXPECT_EQ(stats.state_ps.at({1, "advect"}),
+            des::SimTime::milliseconds(200).ps());  // 10 x 20 ms
+  EXPECT_EQ(stats.messages.at({0, 1}), 10u);
+  EXPECT_EQ(stats.bytes.at({0, 1}), 10 * res.bytes_per_step);
+  EXPECT_EQ(spans.open_spans(), 0u);
+  EXPECT_EQ(spans.open_traces(), 0u);
 }
 
 TEST(ClimateCouplingTest, ExchangesFieldsAndStaysPhysical) {

@@ -1,34 +1,54 @@
 // Integration coverage for the dataflow engine as deployed: the fMRI
 // pipeline (fire), the workbench frame streamer (viz) and the section-5
 // apps (video, traffic) all run on flow::StageGraph, so each must expose
-// coherent per-stage metrics and a well-formed multi-rank trace.
+// coherent per-stage metrics and well-formed spans on the stage lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "apps/traffic.hpp"
 #include "apps/video.hpp"
 #include "fire/pipeline.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/extensions.hpp"
 #include "testbed/testbed.hpp"
-#include "trace/trace.hpp"
 #include "viz/workbench.hpp"
 
 namespace gtw {
 namespace {
 
-int count_kind(const trace::TraceRecorder& rec, trace::EventKind kind,
-               std::uint32_t rank) {
+// The traced run as the artifact readers see it.
+obs::SpanFile loaded(const obs::SpanTracer& t) {
+  std::stringstream json;
+  t.write_json(json, "flow_integration");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(json, "flow_integration", f, error)) << error;
+  return f;
+}
+
+enum class Kind { kState, kSend, kRecv };
+
+// Closed spans of one kind on `lane`.
+int count_kind(const obs::SpanFile& f, Kind kind, std::int64_t lane) {
   int n = 0;
-  for (const trace::TraceEvent& e : rec.events())
-    if (e.kind == kind && e.rank == rank) ++n;
+  for (const obs::SpanRec& s : f.spans) {
+    if (s.lane != lane || s.status != "ok") continue;
+    const obs::SpanRec* parent = obs::span_by_id(f, s.parent);
+    const Kind k = s.to >= 0                                  ? Kind::kSend
+                   : parent != nullptr && parent->to >= 0 ? Kind::kRecv
+                                                          : Kind::kState;
+    if (k == kind) ++n;
+  }
   return n;
 }
 
-bool has_state(const trace::TraceRecorder& rec, const std::string& name) {
-  for (std::uint32_t s = 0; s < rec.state_count(); ++s)
-    if (rec.state_name(s) == name) return true;
-  return false;
+bool has_state(const obs::SpanFile& f, const std::string& name) {
+  const std::vector<std::string> states = obs::lane_stats(f).states;
+  return std::find(states.begin(), states.end(), name) != states.end();
 }
 
 TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
@@ -38,10 +58,11 @@ TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
   fire::FmriPipeline pipe(
       tb.scheduler(),
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
-  trace::TraceRecorder rec(4);  // transfer / compute / return / display
-  pipe.attach_trace(&rec);
+  obs::SpanTracer spans;  // lanes: transfer / compute / return / display
+  tb.scheduler().set_span_hook(&spans);
   pipe.start();
   tb.scheduler().run();
+  const obs::SpanFile f = loaded(spans);
 
   const fire::PipelineResult res = pipe.result();
   EXPECT_EQ(res.records.size(), 6u);
@@ -59,18 +80,19 @@ TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
   // The compute stage's integrated busy time is n_scans * compute_time.
   EXPECT_EQ(m.stage(1).busy, pipe.compute_time(cfg.t3e_pes) * 6);
 
-  // Trace: one enter and one leave per scan on each of the four ranks, and
-  // the transfer/return stages add send/recv edges.
-  EXPECT_TRUE(has_state(rec, "transfer"));
-  EXPECT_TRUE(has_state(rec, "compute"));
-  EXPECT_TRUE(has_state(rec, "return"));
-  EXPECT_TRUE(has_state(rec, "display"));
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, r), 6) << "rank " << r;
-    EXPECT_EQ(count_kind(rec, trace::EventKind::kLeave, r), 6) << "rank " << r;
-  }
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 0), 6);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kRecv, 1), 6);
+  // Spans: one closed state per scan on each of the four lanes, and the
+  // transfer/return stages add send/recv messages.
+  EXPECT_TRUE(has_state(f, "transfer"));
+  EXPECT_TRUE(has_state(f, "compute"));
+  EXPECT_TRUE(has_state(f, "return"));
+  EXPECT_TRUE(has_state(f, "display"));
+  for (std::int64_t lane = 0; lane < 4; ++lane)
+    EXPECT_EQ(count_kind(f, Kind::kState, lane), 6) << "lane " << lane;
+  EXPECT_EQ(count_kind(f, Kind::kSend, 0), 6);
+  EXPECT_EQ(count_kind(f, Kind::kRecv, 1), 6);
+  EXPECT_EQ(count_kind(f, Kind::kSend, 2), 6);
+  EXPECT_EQ(count_kind(f, Kind::kRecv, 3), 6);
+  EXPECT_EQ(spans.open_spans(), 0u);
 
   // Leak census at drain: the whole pipeline (timers, transfers, stage
   // wakeups) returned every event-pool slot it ever acquired.
@@ -103,17 +125,14 @@ TEST(FlowIntegrationTest, FireTraceFeedsMultiRankGanttAndProfile) {
   fire::FmriPipeline pipe(
       tb.scheduler(),
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
-  trace::TraceRecorder rec(4);
-  pipe.attach_trace(&rec);
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   pipe.start();
   tb.scheduler().run();
 
-  // Round-trip through the binary format, then render the multi-rank views.
-  std::stringstream buf;
-  rec.write(buf);
-  const trace::TraceRecorder loaded = trace::TraceRecorder::read(buf);
-  trace::TraceStats stats(loaded);
-  const std::string g = stats.gantt(60);
+  // Round-trip through the spans artifact, then render the multi-lane views.
+  const obs::SpanFile f = loaded(spans);
+  const std::string g = obs::gantt(f, 60);
   for (int r = 0; r < 4; ++r) {
     char label[16];
     std::snprintf(label, sizeof label, "rank %2d", r);
@@ -124,16 +143,12 @@ TEST(FlowIntegrationTest, FireTraceFeedsMultiRankGanttAndProfile) {
   EXPECT_NE(g.find('c'), std::string::npos);
   EXPECT_NE(g.find('d'), std::string::npos);
 
-  const std::string prof = stats.profile();
+  const std::string prof = obs::profile(f);
   EXPECT_NE(prof.find("compute="), std::string::npos);
   EXPECT_NE(prof.find("display="), std::string::npos);
-  // Profile time on the compute rank matches the metrics' busy integral.
-  std::uint32_t compute_state = 0;
-  for (std::uint32_t s = 0; s < loaded.state_count(); ++s)
-    if (loaded.state_name(s) == "compute") compute_state = s;
-  ASSERT_NE(compute_state, 0u);
-  EXPECT_EQ(stats.state_time(1, compute_state),
-            pipe.metrics().stage(1).busy);
+  // Profile time on the compute lane matches the metrics' busy integral.
+  EXPECT_EQ(obs::lane_stats(f).state_ps.at({1, "compute"}),
+            pipe.metrics().stage(1).busy.ps());
 }
 
 TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
@@ -144,10 +159,11 @@ TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
   viz::FrameStreamer streamer(tb.scheduler(), tb.onyx2_gmd(),
                               tb.workbench_juelich(), viz::WorkbenchFormat{},
                               viz::RenderModel{}, 10, tcp);
-  trace::TraceRecorder rec(2);
-  streamer.attach_trace(&rec);
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   streamer.start();
   tb.scheduler().run();
+  const obs::SpanFile f = loaded(spans);
 
   EXPECT_EQ(streamer.frames_delivered(), 10);
   const flow::MetricsRegistry& m = streamer.metrics();
@@ -161,12 +177,13 @@ TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
   EXPECT_GT(m.stage(1).occupancy(), 0.9);
   EXPECT_LT(m.stage(0).occupancy(), m.stage(1).occupancy());
 
-  EXPECT_TRUE(has_state(rec, "render"));
-  EXPECT_TRUE(has_state(rec, "uplink"));
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 10);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 1), 10);
+  EXPECT_TRUE(has_state(f, "render"));
+  EXPECT_TRUE(has_state(f, "uplink"));
+  EXPECT_EQ(count_kind(f, Kind::kState, 0), 10);
+  EXPECT_EQ(count_kind(f, Kind::kState, 1), 10);
   // One send per frame leaving the uplink, one recv on its delivery.
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 1), 10);
+  EXPECT_EQ(count_kind(f, Kind::kSend, 1), 10);
+  EXPECT_EQ(count_kind(f, Kind::kRecv, 2), 10);
 }
 
 TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
@@ -174,10 +191,11 @@ TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
   apps::D1VideoConfig cfg;
   cfg.frames = 50;
   apps::D1VideoSession session(tb.onyx2_gmd(), tb.onyx2_juelich(), cfg);
-  trace::TraceRecorder rec(1);
-  session.attach_trace(&rec);
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   session.start();
   tb.scheduler().run();
+  const obs::SpanFile f = loaded(spans);
 
   const apps::D1VideoReport rep = session.report();
   EXPECT_EQ(rep.frames_sent, 50u);
@@ -186,8 +204,10 @@ TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
   EXPECT_EQ(m.stage(0).name, "uplink");
   EXPECT_EQ(m.stage(0).items_out, 50u);
   EXPECT_EQ(m.completed, 50u);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 50);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 0), 50);
+  EXPECT_EQ(count_kind(f, Kind::kState, 0), 50);
+  // Datagrams record only the send.
+  EXPECT_EQ(count_kind(f, Kind::kSend, 0), 50);
+  EXPECT_EQ(count_kind(f, Kind::kRecv, 1), 0);
 }
 
 TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
@@ -196,10 +216,11 @@ TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
   cfg.cells = 200;
   apps::DistributedTrafficViz run(tb.dlr_traffic(), tb.cologne_viz(), cfg,
                                   /*steps=*/30);
-  trace::TraceRecorder rec(2);
-  run.attach_trace(&rec);
+  obs::SpanTracer spans;
+  tb.scheduler().set_span_hook(&spans);
   run.start();
   tb.scheduler().run();
+  const obs::SpanFile f = loaded(spans);
 
   const apps::TrafficVizResult& res = run.result();
   EXPECT_EQ(res.steps_simulated, 30);
@@ -210,10 +231,10 @@ TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
   EXPECT_EQ(m.stage(0).items_out, 30u);
   EXPECT_EQ(m.stage(1).items_out, 30u);
   EXPECT_EQ(m.completed, 30u);
-  EXPECT_TRUE(has_state(rec, "simulate"));
-  EXPECT_TRUE(has_state(rec, "publish"));
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kEnter, 0), 30);
-  EXPECT_EQ(count_kind(rec, trace::EventKind::kSend, 1), 30);
+  EXPECT_TRUE(has_state(f, "simulate"));
+  EXPECT_TRUE(has_state(f, "publish"));
+  EXPECT_EQ(count_kind(f, Kind::kState, 0), 30);
+  EXPECT_EQ(count_kind(f, Kind::kSend, 1), 30);
   // The metrics report is printable and names both stages.
   const std::string report = m.report();
   EXPECT_NE(report.find("simulate"), std::string::npos);

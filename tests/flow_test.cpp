@@ -1,15 +1,16 @@
 // Unit tests for the staged-dataflow engine: queue policies, concurrency
 // limits, admission control, backpressure, drop accounting, metrics and the
-// built-in trace hooks.
+// stage spans on VAMPIR lanes.
 #include <gtest/gtest.h>
 
 #include <any>
+#include <string>
 #include <vector>
 
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
 #include "flow/stage.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
 
 namespace gtw {
 namespace {
@@ -212,8 +213,20 @@ TEST(FlowGraphTest, PayloadTravelsWithItem) {
   EXPECT_EQ(out, 42);
 }
 
+// Closed body spans of `stage` on lane `lane`.
+int lane_states(const obs::SpanTracer& t, std::int64_t lane,
+                const std::string& stage) {
+  int n = 0;
+  for (const obs::SpanTracer::Span& s : t.spans())
+    if (s.lane.lane == lane && s.name == stage && !s.open)
+      ++n;
+  return n;
+}
+
 TEST(FlowGraphTest, TracerEmitsEnterLeavePerStage) {
   Scheduler sched;
+  obs::SpanTracer tracer;
+  sched.set_span_hook(&tracer);
   flow::StageGraph g(sched);
   g.add_stage(flow::compute_stage("alpha", [](const flow::Item&) {
     return sec(1.0);
@@ -221,27 +234,13 @@ TEST(FlowGraphTest, TracerEmitsEnterLeavePerStage) {
   g.add_stage(flow::compute_stage("beta", [](const flow::Item&) {
     return sec(0.5);
   }));
-  trace::TraceRecorder rec(2);
-  g.attach_trace(&rec);
   for (int i = 0; i < 3; ++i) g.push(i);
   sched.run();
-  int enters[2] = {0, 0}, leaves[2] = {0, 0};
-  for (const trace::TraceEvent& e : rec.events()) {
-    if (e.kind == trace::EventKind::kEnter) ++enters[e.rank];
-    if (e.kind == trace::EventKind::kLeave) ++leaves[e.rank];
-  }
-  EXPECT_EQ(enters[0], 3);
-  EXPECT_EQ(leaves[0], 3);
-  EXPECT_EQ(enters[1], 3);
-  EXPECT_EQ(leaves[1], 3);
-  // Stage names became trace states (id 0 is reserved for "idle").
-  bool alpha = false, beta = false;
-  for (std::uint32_t s = 0; s < rec.state_count(); ++s) {
-    if (rec.state_name(s) == "alpha") alpha = true;
-    if (rec.state_name(s) == "beta") beta = true;
-  }
-  EXPECT_TRUE(alpha);
-  EXPECT_TRUE(beta);
+  // Each stage's body spans sit on its lane, named after the stage.
+  EXPECT_EQ(lane_states(tracer, 0, "alpha"), 3);
+  EXPECT_EQ(lane_states(tracer, 1, "beta"), 3);
+  EXPECT_EQ(lane_states(tracer, 1, "alpha"), 0);
+  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 TEST(FlowGraphTest, TraceAttachMidstreamOnlyRecordsLaterItems) {
@@ -252,14 +251,11 @@ TEST(FlowGraphTest, TraceAttachMidstreamOnlyRecordsLaterItems) {
   }));
   g.push(0);
   sched.run();
-  trace::TraceRecorder rec(1);
-  g.attach_trace(&rec);
+  obs::SpanTracer tracer;
+  sched.set_span_hook(&tracer);
   g.push(1);
   sched.run();
-  int enters = 0;
-  for (const trace::TraceEvent& e : rec.events())
-    if (e.kind == trace::EventKind::kEnter) ++enters;
-  EXPECT_EQ(enters, 1);
+  EXPECT_EQ(lane_states(tracer, 0, "s"), 1);
 }
 
 TEST(PeriodicSourceTest, ScheduledFirstMatchesCbrCadence) {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "meta/communicator.hpp"
 #include "meta/interop.hpp"
 #include "meta/metacomputer.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "testbed/testbed.hpp"
 
 namespace gtw::meta {
@@ -252,31 +255,91 @@ TEST(InteropTest, EnvelopeTravelsThroughCommunicator) {
   EXPECT_TRUE(checked);
 }
 
+obs::SpanFile loaded(const obs::SpanTracer& t) {
+  std::stringstream json;
+  t.write_json(json, "meta2");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(json, "meta2", f, error)) << error;
+  return f;
+}
+
 TEST(VampirHookTest, CommunicatorRecordsSendsAndReceives) {
   LocalComm f(3);
-  trace::TraceRecorder rec(3);
-  f.comm->attach_trace(&rec);
+  obs::SpanTracer spans;
+  f.sched.set_span_hook(&spans);
 
   f.comm->recv(2, 0, 5, [](const Message&) {});
   f.comm->send(0, 2, 5, 4096);
   f.comm->send(1, 2, 6, 128);  // unexpected: delivered, no recv posted
   f.sched.run();
 
-  trace::TraceStats stats(rec);
-  EXPECT_EQ(stats.messages(0, 2), 1u);
-  EXPECT_EQ(stats.messages(1, 2), 1u);
-  EXPECT_EQ(stats.bytes(0, 2), 4096u);
-  EXPECT_EQ(stats.total_messages(), 2u);
-  // Both a send and a recv event exist per message.
-  int sends = 0, recvs = 0;
-  for (const auto& e : rec.events()) {
-    if (e.kind == trace::EventKind::kSend) ++sends;
-    if (e.kind == trace::EventKind::kRecv) ++recvs;
+  const obs::SpanFile file = loaded(spans);
+  const obs::LaneStats stats = obs::lane_stats(file);
+  EXPECT_EQ(stats.messages.at({0, 2}), 1u);
+  EXPECT_EQ(stats.messages.at({1, 2}), 1u);
+  EXPECT_EQ(stats.bytes.at({0, 2}), 4096u);
+  EXPECT_EQ(stats.total_messages, 2u);
+  // Each untraced send minted its own trace, closed at delivery, holding
+  // the send on the source lane and the recv on the destination lane; the
+  // recv's parent is its send, and it comes later (transport delay).
+  ASSERT_EQ(file.traces.size(), 2u);
+  int recvs = 0;
+  for (const obs::SpanRec& s : file.spans) {
+    const obs::SpanRec* send = obs::span_by_id(file, s.parent);
+    if (send == nullptr || send->to < 0) continue;
+    ++recvs;
+    EXPECT_EQ(s.lane, 2);
+    EXPECT_EQ(s.lane, send->to);
+    EXPECT_GT(s.begin_ps, send->begin_ps);
   }
-  EXPECT_EQ(sends, 2);
   EXPECT_EQ(recvs, 2);
-  // The recv timestamp is after the send timestamp (transport delay).
-  EXPECT_GT(rec.events().back().time_ps, rec.events().front().time_ps);
+  for (const obs::TraceRec& t : file.traces) {
+    EXPECT_EQ(t.origin, "comm.intra");
+    EXPECT_EQ(t.status, "closed");
+  }
+  EXPECT_EQ(spans.open_spans(), 0u);
+}
+
+// A traced allreduce over two machines: every rank's call is a span on its
+// lane from its own arrival to the instance's completion.
+TEST(VampirHookTest, AllreduceSpansEveryRankFromArrivalToCompletion) {
+  TestbedComm f({2, 2});
+  obs::SpanTracer spans;
+  f.tb.scheduler().set_span_hook(&spans);
+  des::SimTime done;
+  for (int r = 0; r < 4; ++r) {
+    f.tb.scheduler().schedule_at(
+        des::SimTime::milliseconds(r), [&f, &done, r] {
+          f.comm->allreduce(r, {1.0}, ReduceOp::kSum,
+                            [&f, &done](std::vector<double>) {
+                              done = f.tb.scheduler().now();
+                            });
+        });
+  }
+  f.tb.scheduler().run();
+  ASSERT_GT(done, des::SimTime::milliseconds(3));
+
+  const obs::SpanFile file = loaded(spans);
+  // The first arrival minted the instance's trace; the WAN legs ran in it.
+  ASSERT_EQ(file.traces.size(), 1u);
+  EXPECT_EQ(file.traces[0].origin, "comm.allreduce");
+  EXPECT_EQ(file.traces[0].status, "closed");
+  const obs::LaneStats stats = obs::lane_stats(file);
+  EXPECT_EQ(stats.lanes, 4);
+  EXPECT_EQ(stats.states, (std::vector<std::string>{"allreduce"}));
+  for (std::int64_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(stats.state_ps.at({r, "allreduce"}),
+              (done - des::SimTime::milliseconds(r)).ps())
+        << "rank " << r;
+  }
+  const std::string profile = obs::profile(file);
+  for (int r = 0; r < 4; ++r)
+    EXPECT_NE(profile.find("rank " + std::to_string(r) + ":  allreduce="),
+              std::string::npos)
+        << profile;
+  EXPECT_EQ(spans.open_spans(), 0u);
+  EXPECT_EQ(spans.open_traces(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Observability layer: registry semantics (collisions, stable ordering),
-// DES-clock sampling, Chrome trace export (golden files + >65k-event
-// stress), and the guarantee that instrumentation never perturbs the
-// simulation it observes.
+// DES-clock sampling, Chrome trace export from spans artifacts (golden
+// files + >65k flow-id stress), and the guarantee that instrumentation
+// never perturbs the simulation it observes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,8 @@
 #include "obs/instrument.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "trace/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 
 #ifndef GTW_GOLDEN_DIR
 #define GTW_GOLDEN_DIR "tests/golden"
@@ -273,27 +274,52 @@ TEST(ObsTcpInstrumentationTest, InstrumentationDoesNotPerturbSimulation) {
 
 // --------------------------------------------------------------- exporters
 
+// The Chrome writer reads spans artifacts; in-process spans get there
+// through write_json and load_spans.
+obs::SpanFile loaded(const obs::SpanTracer& t) {
+  std::stringstream json;
+  t.write_json(json, "chrome");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(json, "chrome", f, error)) << error;
+  return f;
+}
+
+// A state span on `lane` under `ctx`.
+std::uint64_t lane_state(obs::SpanTracer& t, des::TraceContext ctx,
+                         std::uint32_t lane, des::SimTime at) {
+  const std::uint64_t id =
+      t.begin_span(ctx, des::SpanPhase::kCompute, "flow", "compute", at);
+  t.set_lane(id, des::Lane{lane});
+  return id;
+}
+
 TEST(ObsChromeExportTest, EmptyTraceMatchesGolden) {
-  trace::TraceRecorder rec(1);
   std::ostringstream os;
-  obs::write_chrome_trace(os, rec);
+  obs::write_chrome_trace(os, obs::SpanFile{});
   EXPECT_EQ(os.str(), read_golden("chrome_empty.json")) << os.str();
 }
 
 TEST(ObsChromeExportTest, SmallTraceMatchesGolden) {
-  trace::TraceRecorder rec(2);
-  const std::uint32_t compute = rec.define_state("compute");
-  rec.enter(0, compute, des::SimTime::milliseconds(1));
-  rec.send(0, 1, 7, units::Bytes{4096}, des::SimTime::milliseconds(2));
-  rec.leave(0, compute, des::SimTime::milliseconds(2));
-  rec.enter(1, compute, des::SimTime::microseconds(2500));
+  obs::SpanTracer t;
+  const des::TraceContext ctx = t.mint("test", des::SimTime::milliseconds(1));
+  const std::uint64_t c0 = lane_state(t, ctx, 0, des::SimTime::milliseconds(1));
+  const des::TraceContext sent = t.send_message(
+      des::under(ctx, c0), "flow", 0, 1, 4096, des::SimTime::milliseconds(2));
+  t.end_span(c0, des::SimTime::milliseconds(2));
+  const std::uint64_t c1 =
+      lane_state(t, ctx, 1, des::SimTime::microseconds(2500));
   // Sub-microsecond timestamp: exercises the exact integer ts formatting.
-  rec.recv(1, 0, 7, units::Bytes{4096},
-           des::SimTime::picoseconds(2'500'000'001));
-  rec.leave(1, compute, des::SimTime::milliseconds(4));
+  t.recv_message(sent, "flow", 1, des::SimTime::picoseconds(2'500'000'001));
+  t.end_span(c1, des::SimTime::milliseconds(4));
+  t.close_trace(ctx, des::SimTime::milliseconds(4));
+  obs::Registry reg;
+  reg.mark("fault.link_down.wan", des::SimTime::milliseconds(3), true);
 
   std::ostringstream os;
-  obs::write_chrome_trace(os, rec);
+  obs::ChromeTraceOptions opts;
+  opts.marks_from = &reg;
+  obs::write_chrome_trace(os, loaded(t), opts);
   EXPECT_EQ(os.str(), read_golden("chrome_small.json")) << os.str();
 }
 
@@ -343,24 +369,28 @@ TEST(ObsRegistryTest, HistogramQuantiles) {
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 40.0);    // clamped to the top bound
 }
 
-// Traces beyond 65k events must export with unique flow ids and stay
+// Traces beyond 65k flow ids must export with unique ids and stay
 // byte-deterministic (a 16-bit id counter would silently wrap here).
 TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {
-  const int kPairs = 16'500;  // 4 events each -> 66'000 events
-  trace::TraceRecorder rec(2);
-  const std::uint32_t st = rec.define_state("work");
+  const int kPairs = 16'500;  // 3 spans each -> 49'500 span edges
+  obs::SpanTracer t;
+  const des::TraceContext ctx = t.mint("test", des::SimTime::zero());
   for (int i = 0; i < kPairs; ++i) {
-    const des::SimTime t = des::SimTime::microseconds(10 * i);
-    rec.enter(0, st, t);
-    rec.send(0, 1, 1, units::Bytes{64}, t);
-    rec.recv(1, 0, 1, units::Bytes{64}, t + des::SimTime::microseconds(5));
-    rec.leave(0, st, t + des::SimTime::microseconds(5));
+    const des::SimTime at = des::SimTime::microseconds(10 * i);
+    const des::SimTime until = at + des::SimTime::microseconds(5);
+    const std::uint64_t work = lane_state(t, ctx, 0, at);
+    const des::TraceContext sent =
+        t.send_message(des::under(ctx, work), "flow", 0, 1, 64, at);
+    t.recv_message(sent, "flow", 1, until);
+    t.end_span(work, until);
   }
-  ASSERT_GT(rec.events().size(), 65'536u);
+  t.close_trace(ctx, des::SimTime::microseconds(10 * kPairs));
+  const obs::SpanFile f = loaded(t);
+  ASSERT_EQ(f.spans.size(), 1u + 3u * kPairs);
 
   std::ostringstream os1, os2;
-  obs::write_chrome_trace(os1, rec);
-  obs::write_chrome_trace(os2, rec);
+  obs::write_chrome_trace(os1, f);
+  obs::write_chrome_trace(os2, f);
   const std::string json = os1.str();
   EXPECT_EQ(json, os2.str());  // byte-identical double export
 
@@ -371,12 +401,15 @@ TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {
       ++n;
     return n;
   };
-  EXPECT_EQ(count("\"ph\":\"B\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"E\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"s\""), static_cast<std::size_t>(kPairs));
-  EXPECT_EQ(count("\"ph\":\"f\""), static_cast<std::size_t>(kPairs));
-  // The last flow pair carries the id of the 16'500th send: no wrap.
-  EXPECT_NE(json.find("\"id\":16500,"), std::string::npos);
+  // Every span on its trace track, the work spans again on lane 0.
+  EXPECT_EQ(count("\"ph\":\"X\""), f.spans.size() + kPairs);
+  // One arrow per span edge plus one per message, every id distinct.
+  const std::size_t flows = (f.spans.size() - 1) + kPairs;
+  EXPECT_EQ(count("\"ph\":\"s\""), flows);
+  EXPECT_EQ(count("\"ph\":\"f\""), flows);
+  // The last message arrow takes id spans + the last recv's id: no wrap.
+  EXPECT_NE(json.find("\"id\":" + std::to_string(2 * f.spans.size()) + ","),
+            std::string::npos);
 }
 
 TEST(ObsSeriesExportTest, SeriesJsonAndCsvAreStable) {

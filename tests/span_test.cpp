@@ -139,6 +139,38 @@ TEST(SpanAnalysisTest, WriteJsonRoundTripsThroughLoader) {
   EXPECT_EQ(f.spans[1].parent, f.traces[0].root);
 }
 
+TEST(SpanAnalysisTest, WriteJsonRoundTripsLaneKeys) {
+  SpanTracer t;
+  const des::TraceContext ctx = t.mint("test.origin", ps(1'000));
+  const std::uint64_t s1 =
+      t.begin_span(ctx, des::SpanPhase::kCompute, "flow", "body", ps(1'500));
+  t.set_lane(s1, des::Lane{3});
+  t.end_span(s1, ps(2'500));
+  const des::TraceContext sent =
+      t.send_message(ctx, "flow", 3, 5, 64, ps(2'500));
+  t.recv_message(sent, "flow", 5, ps(2'750));
+  t.close_trace(ctx, ps(3'000));
+
+  std::ostringstream os;
+  t.write_json(os, "lanes");
+  std::istringstream is(os.str());
+  SpanFile f;
+  std::string error;
+  ASSERT_TRUE(load_spans(is, "lanes", f, error)) << error;
+  // A state lane, then a zero-width send naming its peer and size, and its
+  // recv parented on the send.
+  ASSERT_EQ(f.spans.size(), 4u);
+  EXPECT_EQ(f.spans[1].lane, 3);
+  EXPECT_EQ(f.spans[1].to, -1);
+  EXPECT_EQ(f.spans[2].lane, 3);
+  EXPECT_EQ(f.spans[2].to, 5);
+  EXPECT_EQ(f.spans[2].bytes, 64u);
+  EXPECT_EQ(f.spans[2].begin_ps, f.spans[2].end_ps);
+  EXPECT_EQ(f.spans[3].lane, 5);
+  EXPECT_EQ(f.spans[3].parent, f.spans[2].id);
+  EXPECT_EQ(f.spans[0].lane, -1);  // the root is on no lane
+}
+
 TEST(SpanAnalysisTest, SweepPartitionsRootIntervalExactly) {
   // Root [0, 1000); child serialize [100, 400); grandchild propagate
   // [200, 300).  Innermost-active attribution: root owns [0,100) and
@@ -195,6 +227,89 @@ TEST(SpanAnalysisTest, LoaderRejectsTruncatedArtifact) {
   std::string error;
   EXPECT_FALSE(load_spans(is, "truncated", f, error));
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+}
+
+// A valid artifact: root 1 of trace 1, span 2 under it, and a message
+// (send 3 on lane 0, recv 4 on lane 1).
+std::string small_artifact() {
+  SpanTracer t;
+  const des::TraceContext ctx = t.mint("test.origin", ps(0));
+  const std::uint64_t s = t.begin_span(ctx, des::SpanPhase::kCompute, "flow",
+                                       "body", ps(10));
+  t.end_span(s, ps(20));
+  t.recv_message(t.send_message(ctx, "flow", 0, 1, 8, ps(20)), "flow", 1,
+                 ps(30));
+  t.close_trace(ctx, ps(40));
+  std::ostringstream os;
+  t.write_json(os, "small");
+  return os.str();
+}
+
+std::string with(std::string s, const std::string& from,
+                 const std::string& to) {
+  const auto at = s.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) s.replace(at, from.size(), to);
+  return s;
+}
+
+// Loads `artifact`, expecting a one-line rejection that contains `needle`.
+void expect_rejected(const std::string& artifact, const std::string& needle) {
+  std::istringstream is(artifact);
+  SpanFile f;
+  std::string error;
+  ASSERT_FALSE(load_spans(is, "t", f, error)) << needle;
+  EXPECT_NE(error.find(needle), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+}
+
+TEST(SpanAnalysisTest, LoaderAcceptsTheSmallArtifact) {
+  std::istringstream is(small_artifact());
+  SpanFile f;
+  std::string error;
+  EXPECT_TRUE(load_spans(is, "t", f, error)) << error;
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsIntegerFieldThatIsNotANumber) {
+  expect_rejected(with(small_artifact(), "\"end_ps\": 20,", "\"end_ps\": zz,"),
+                  "\"end_ps\" is not an integer");
+  expect_rejected(with(small_artifact(), "\"root\": 1,", "\"root\": -1,"),
+                  "\"root\" is not an integer");
+  expect_rejected(with(small_artifact(), "\"spans_total\": 4",
+                       "\"spans_total\": 4x"),
+                  "\"spans_total\" is not an integer");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsSpanEndingBeforeItBegins) {
+  expect_rejected(with(small_artifact(), "\"end_ps\": 20,", "\"end_ps\": 9,"),
+                  "span 2 ends before it begins");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsRootNamingNoSpanOfItsTrace) {
+  expect_rejected(with(small_artifact(), "\"root\": 1,", "\"root\": 9,"),
+                  "trace 1 names root span 9");
+  // A span that exists but belongs to another trace is no root either.
+  expect_rejected(with(small_artifact(), "{\"span\": 1, \"trace\": 1,",
+                       "{\"span\": 1, \"trace\": 2,"),
+                  "trace 1 names root span 1");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsParentNamingNoSpanOfItsTrace) {
+  expect_rejected(with(small_artifact(), "{\"span\": 3, \"trace\": 1,",
+                       "{\"span\": 3, \"trace\": 2,"),
+                  "names parent 1, which is not a span of trace 2");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsMalformedLaneKeys) {
+  expect_rejected(with(small_artifact(), "\"lane\": 1}", "\"lane\": x}"),
+                  "\"lane\" is not an integer");
+  expect_rejected(with(small_artifact(), "\"lane\": 0, ", ""),
+                  "\"to\"/\"bytes\" without \"lane\"");
+  expect_rejected(with(small_artifact(), ", \"bytes\": 8", ""),
+                  "missing \"bytes\"");
+  expect_rejected(with(small_artifact(), "\"lane\": 1}",
+                       "\"lane\": 1, \"bytes\": 8}"),
+                  "missing \"to\"");
 }
 
 // --- WAN lifecycle edge cases -----------------------------------------------

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
-#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "des/scheduler.hpp"
 #include "fire/volume.hpp"
+#include "flow/graph.hpp"
+#include "flow/stage.hpp"
 #include "net/atm.hpp"
 #include "net/units.hpp"
+#include "obs/span.hpp"
+#include "obs/span_analysis.hpp"
 #include "scanner/phantom.hpp"
-#include "trace/trace.hpp"
 #include "viz/merge.hpp"
 #include "viz/workbench.hpp"
 
@@ -87,209 +91,266 @@ TEST(RenderModelTest, FrameTimeScalesWithProcessors) {
               1e-9);
 }
 
-TEST(TraceTest, StateTimesAttributed) {
-  trace::TraceRecorder rec(2);
-  const auto compute = rec.define_state("compute");
-  const auto comm = rec.define_state("comm");
-  rec.enter(0, compute, des::SimTime::seconds(0.0));
-  rec.enter(0, comm, des::SimTime::seconds(2.0));   // nested
-  rec.leave(0, comm, des::SimTime::seconds(3.0));
-  rec.leave(0, compute, des::SimTime::seconds(5.0));
-  rec.enter(1, compute, des::SimTime::seconds(1.0));
-  rec.leave(1, compute, des::SimTime::seconds(4.0));
+// --- VAMPIR views over lane spans (obs/span_analysis) ------------------------
 
-  trace::TraceStats stats(rec);
-  EXPECT_NEAR(stats.state_time(0, compute).sec(), 4.0, 1e-9);  // 2 + 2
-  EXPECT_NEAR(stats.state_time(0, comm).sec(), 1.0, 1e-9);
-  EXPECT_NEAR(stats.state_time(1, compute).sec(), 3.0, 1e-9);
+des::SimTime sec(double s) { return des::SimTime::seconds(s); }
+
+obs::SpanFile loaded(const obs::SpanTracer& t) {
+  std::stringstream json;
+  t.write_json(json, "trace_test");
+  obs::SpanFile f;
+  std::string error;
+  EXPECT_TRUE(obs::load_spans(json, "trace_test", f, error)) << error;
+  return f;
+}
+
+// One trace whose states and messages sit on lanes, entered the way a
+// VAMPIR recorder saw them: in time order.
+struct Lanes {
+  obs::SpanTracer t;
+  des::TraceContext ctx = t.mint("trace_test", des::SimTime::zero());
+
+  std::uint64_t enter(std::uint32_t lane, const char* state, double at) {
+    const std::uint64_t id =
+        t.begin_span(ctx, des::SpanPhase::kCompute, "test", state, sec(at));
+    t.set_lane(id, des::Lane{lane});
+    return id;
+  }
+  void leave(std::uint64_t id, double at) { t.end_span(id, sec(at)); }
+  des::TraceContext send(std::uint32_t from, std::uint32_t to,
+                         std::uint64_t bytes, double at) {
+    return t.send_message(ctx, "test", from, to, bytes, sec(at));
+  }
+  void recv(des::TraceContext sent, std::uint32_t at_lane, double at) {
+    t.recv_message(sent, "test", at_lane, sec(at));
+  }
+  obs::SpanFile file(double end) {
+    t.close_trace(ctx, sec(end));
+    return loaded(t);
+  }
+};
+
+TEST(TraceTest, StateTimesAttributed) {
+  Lanes l;
+  const auto compute0 = l.enter(0, "compute", 0.0);
+  const auto compute1 = l.enter(1, "compute", 1.0);
+  const auto comm0 = l.enter(0, "comm", 2.0);  // nested
+  l.leave(comm0, 3.0);
+  l.leave(compute1, 4.0);
+  l.leave(compute0, 5.0);
+
+  const obs::LaneStats st = obs::lane_stats(l.file(5.0));
+  EXPECT_EQ(st.lanes, 2);
+  EXPECT_EQ(st.states, (std::vector<std::string>{"compute", "comm"}));
+  EXPECT_EQ(st.state_ps.at({0, "compute"}), sec(4.0).ps());  // 2 + 2
+  EXPECT_EQ(st.state_ps.at({0, "comm"}), sec(1.0).ps());
+  EXPECT_EQ(st.state_ps.at({1, "compute"}), sec(3.0).ps());
 }
 
 TEST(TraceTest, MessageMatrix) {
-  trace::TraceRecorder rec(3);
-  rec.send(0, 1, 5, units::Bytes{1000}, des::SimTime::seconds(0.1));
-  rec.send(0, 1, 5, units::Bytes{2000}, des::SimTime::seconds(0.2));
-  rec.send(2, 0, 9, units::Bytes{512}, des::SimTime::seconds(0.3));
-  rec.recv(1, 0, 5, units::Bytes{1000}, des::SimTime::seconds(0.4));
+  Lanes l;
+  const auto first = l.send(0, 1, 1000, 0.1);
+  l.send(0, 1, 2000, 0.2);
+  l.send(2, 0, 512, 0.3);
+  l.recv(first, 1, 0.4);
 
-  trace::TraceStats stats(rec);
-  EXPECT_EQ(stats.messages(0, 1), 2u);
-  EXPECT_EQ(stats.bytes(0, 1), 3000u);
-  EXPECT_EQ(stats.messages(2, 0), 1u);
-  EXPECT_EQ(stats.messages(1, 0), 0u);
-  EXPECT_EQ(stats.total_messages(), 3u);
-  EXPECT_EQ(stats.total_bytes(), 3512u);
-}
-
-TEST(TraceTest, BinaryRoundTrip) {
-  trace::TraceRecorder rec(4);
-  const auto s1 = rec.define_state("solve");
-  const auto s2 = rec.define_state("exchange");
-  for (int i = 0; i < 100; ++i) {
-    rec.enter(static_cast<std::uint32_t>(i % 4), i % 2 ? s1 : s2,
-              des::SimTime::milliseconds(i));
-    rec.leave(static_cast<std::uint32_t>(i % 4), i % 2 ? s1 : s2,
-              des::SimTime::milliseconds(i + 1));
-    rec.send(static_cast<std::uint32_t>(i % 4),
-             static_cast<std::uint32_t>((i + 1) % 4), 7, units::Bytes{100u + i},
-             des::SimTime::milliseconds(i));
-  }
-  std::stringstream buf;
-  rec.write(buf);
-  const trace::TraceRecorder back = trace::TraceRecorder::read(buf);
-  ASSERT_EQ(back.events().size(), rec.events().size());
-  EXPECT_EQ(back.ranks(), 4);
-  EXPECT_EQ(back.state_name(s1), "solve");
-  EXPECT_EQ(back.state_name(s2), "exchange");
-  for (std::size_t i = 0; i < rec.events().size(); ++i) {
-    EXPECT_EQ(back.events()[i].time_ps, rec.events()[i].time_ps);
-    EXPECT_EQ(back.events()[i].rank, rec.events()[i].rank);
-    EXPECT_EQ(back.events()[i].bytes, rec.events()[i].bytes);
-  }
-}
-
-TEST(TraceTest, ReadRejectsGarbage) {
-  std::stringstream buf;
-  buf << "not a trace file";
-  EXPECT_THROW(trace::TraceRecorder::read(buf), std::runtime_error);
-}
-
-namespace {
-
-// A small valid serialized trace: 2 ranks, states {"idle", "work"}, one
-// enter/leave pair and one send.  Offsets into the byte string:
-//   0 magic, 4 version, 8 ranks, 12 n_states, 16 len("idle"), 20 "idle",
-//   24 len("work"), 28 "work", 32 n_events (u64), 40 first event
-//   (+0 time i64, +8 rank u32, +12 kind u8, +13 id u32, +17 tag u32,
-//    +21 bytes u64; 29 bytes per event).
-std::string good_trace_bytes() {
-  trace::TraceRecorder rec(2);
-  const auto w = rec.define_state("work");
-  rec.enter(0, w, des::SimTime::seconds(1.0));
-  rec.leave(0, w, des::SimTime::seconds(2.0));
-  rec.send(1, 0, 5, units::Bytes{4096}, des::SimTime::seconds(1.5));
-  std::stringstream buf;
-  rec.write(buf);
-  return buf.str();
-}
-
-// Read a trace from raw bytes, expecting a runtime_error whose message
-// contains `needle` (the reader must say *what* was wrong).
-void expect_rejects(std::string bytes, const std::string& needle) {
-  std::stringstream buf(std::move(bytes));
-  try {
-    trace::TraceRecorder::read(buf);
-    FAIL() << "expected rejection mentioning \"" << needle << "\"";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "actual message: " << e.what();
-  }
-}
-
-template <typename T>
-void patch(std::string& bytes, std::size_t offset, T value) {
-  ASSERT_LE(offset + sizeof value, bytes.size());
-  std::memcpy(bytes.data() + offset, &value, sizeof value);
-}
-
-}  // namespace
-
-TEST(TraceTest, GoodBytesRoundTrip) {
-  std::stringstream buf(good_trace_bytes());
-  const trace::TraceRecorder rec = trace::TraceRecorder::read(buf);
-  EXPECT_EQ(rec.ranks(), 2);
-  EXPECT_EQ(rec.state_count(), 2u);
-  EXPECT_EQ(rec.state_name(1), "work");
-  ASSERT_EQ(rec.events().size(), 3u);
-}
-
-TEST(TraceTest, ReadRejectsWrongVersion) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 4, 99);
-  expect_rejects(std::move(b), "version");
-}
-
-TEST(TraceTest, ReadRejectsZeroRanks) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 8, 0);
-  expect_rejects(std::move(b), "rank count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdRankCount) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 8, 0xffffffffu);
-  expect_rejects(std::move(b), "rank count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdStateCount) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 12, 0xffffffffu);
-  expect_rejects(std::move(b), "state count");
-}
-
-TEST(TraceTest, ReadRejectsAbsurdStateNameLength) {
-  // A lying name length must be rejected up front, not allocated.
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 16, 0x7fffffffu);
-  expect_rejects(std::move(b), "state-name length");
-}
-
-TEST(TraceTest, ReadRejectsLyingEventCountAsTruncation) {
-  std::string b = good_trace_bytes();
-  // Claim ~10^18 events while the payload holds 3: the reader must fail on
-  // the missing bytes instead of reserving for the fake count.
-  patch<std::uint64_t>(b, 32, 1ull << 60);
-  expect_rejects(std::move(b), "truncated");
-}
-
-TEST(TraceTest, ReadRejectsTruncatedEventPayload) {
-  std::string b = good_trace_bytes();
-  b.resize(b.size() - 10);  // chop into the last event
-  expect_rejects(std::move(b), "truncated");
-}
-
-TEST(TraceTest, ReadRejectsUnknownEventKind) {
-  std::string b = good_trace_bytes();
-  patch<std::uint8_t>(b, 40 + 12, 17);
-  expect_rejects(std::move(b), "kind");
-}
-
-TEST(TraceTest, ReadRejectsEventRankOutOfRange) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 40 + 8, 2);  // ranks == 2, so rank 2 is invalid
-  expect_rejects(std::move(b), "rank");
-}
-
-TEST(TraceTest, ReadRejectsEnterStateOutOfRange) {
-  std::string b = good_trace_bytes();
-  patch<std::uint32_t>(b, 40 + 13, 7);  // enter event, only 2 states exist
-  expect_rejects(std::move(b), "state id");
+  const obs::SpanFile f = l.file(0.4);
+  const obs::LaneStats st = obs::lane_stats(f);
+  EXPECT_EQ(st.messages.at({0, 1}), 2u);
+  EXPECT_EQ(st.bytes.at({0, 1}), 3000u);
+  EXPECT_EQ(st.messages.at({2, 0}), 1u);
+  EXPECT_EQ(st.messages.count({1, 0}), 0u);
+  EXPECT_EQ(st.total_messages, 3u);
+  EXPECT_EQ(st.total_bytes, 3512u);
+  EXPECT_TRUE(st.states.empty());  // messages are not states
+  EXPECT_EQ(obs::msg_matrix(f),
+            "messages (rows: from, cols: to)\n      \t0\t1\t2\n"
+            "  0  \t0\t2\t0\n  1  \t0\t0\t0\n  2  \t1\t0\t0\n"
+            "bytes (rows: from, cols: to)\n      \t0\t1\t2\n"
+            "  0  \t0\t3000\t0\n  1  \t0\t0\t0\n  2  \t512\t0\t0\n");
 }
 
 TEST(TraceTest, GanttRendersStates) {
-  trace::TraceRecorder rec(2);
-  const auto a = rec.define_state("alpha");
-  const auto b = rec.define_state("beta");
-  rec.enter(0, a, des::SimTime::seconds(0.0));
-  rec.leave(0, a, des::SimTime::seconds(1.0));
-  rec.enter(1, b, des::SimTime::seconds(0.5));
-  rec.leave(1, b, des::SimTime::seconds(1.0));
-  trace::TraceStats stats(rec);
-  const std::string g = stats.gantt(40);
+  Lanes l;
+  const auto a = l.enter(0, "alpha", 0.0);
+  const auto b = l.enter(1, "beta", 0.5);
+  l.leave(a, 1.0);
+  l.leave(b, 1.0);
+  const std::string g = obs::gantt(l.file(1.0), 40);
   EXPECT_NE(g.find('a'), std::string::npos);
   EXPECT_NE(g.find('b'), std::string::npos);
   EXPECT_NE(g.find("rank  0"), std::string::npos);
 }
 
 TEST(TraceTest, ProfileMentionsStatesAndMessages) {
-  trace::TraceRecorder rec(1);
-  const auto s = rec.define_state("work");
-  rec.enter(0, s, des::SimTime::seconds(0.0));
-  rec.leave(0, s, des::SimTime::seconds(2.5));
-  rec.send(0, 0, 1, units::Bytes{42}, des::SimTime::seconds(1.0));
-  trace::TraceStats stats(rec);
-  const std::string p = stats.profile();
+  Lanes l;
+  const auto s = l.enter(0, "work", 0.0);
+  l.send(0, 0, 42, 1.0);
+  l.leave(s, 2.5);
+  const std::string p = obs::profile(l.file(2.5));
   EXPECT_NE(p.find("work"), std::string::npos);
   EXPECT_NE(p.find("messages: 1"), std::string::npos);
+}
+
+// Exact strings, the ones the retired enter/leave recorder printed for the
+// same sequences: a nested state is timed innermost-first and painted over
+// by the state that holds it.
+TEST(TraceTest, NestedStatesMatchVampirGolden) {
+  {
+    Lanes l;
+    const auto compute0 = l.enter(0, "compute", 0.0);
+    const auto compute1 = l.enter(1, "compute", 1.0);
+    const auto comm0 = l.enter(0, "comm", 2.0);
+    l.leave(comm0, 3.0);
+    l.leave(compute1, 4.0);
+    l.leave(compute0, 5.0);
+    const obs::SpanFile f = l.file(5.0);
+    EXPECT_EQ(obs::profile(f),
+              "state time profile (seconds):\n"
+              "  rank 0:  compute=4  comm=1\n"
+              "  rank 1:  compute=3\n"
+              "messages: 0, bytes: 0\n");
+    EXPECT_EQ(obs::gantt(f, 40),
+              "rank  0 |cccccccccccccccccccccccccccccccccccccccc|\n"
+              "rank  1 |........ccccccccccccccccccccccccc.......|\n");
+  }
+  {
+    // An inner state ending with its holder, and a zero-width state.
+    Lanes l;
+    const auto solve0 = l.enter(0, "solve", 0.0);
+    l.leave(l.enter(2, "exchange", 0.5), 0.5);
+    const auto solve1 = l.enter(1, "solve", 1.0);
+    l.leave(l.enter(0, "exchange", 2.0), 3.0);
+    const auto exch1 = l.enter(1, "exchange", 3.0);
+    l.leave(exch1, 4.0);
+    l.leave(solve1, 4.0);
+    const auto solve2 = l.enter(2, "solve", 4.5);
+    l.leave(solve0, 5.0);
+    l.leave(solve2, 5.0);
+    const obs::SpanFile f = l.file(5.0);
+    EXPECT_EQ(obs::profile(f),
+              "state time profile (seconds):\n"
+              "  rank 0:  solve=4  exchange=1\n"
+              "  rank 1:  solve=2  exchange=1\n"
+              "  rank 2:  solve=0.5\n"
+              "messages: 0, bytes: 0\n");
+    EXPECT_EQ(obs::gantt(f, 30),
+              "rank  0 |ssssssssssssssssssssssssssssss|\n"
+              "rank  1 |......sssssssssssssssssss.....|\n"
+              "rank  2 |...e.......................sss|\n");
+  }
+}
+
+// A concurrency-2 stage overlaps items on its lane: overlapping spans of
+// one state count once, and the messages to the next stage are counted.
+TEST(TraceTest, OverlappingStageMatchesVampirGolden) {
+  des::Scheduler sched;
+  obs::SpanTracer spans;
+  sched.set_span_hook(&spans);
+  flow::StageGraph g(sched);
+  flow::StageConfig work;
+  work.name = "overlap";
+  work.concurrency = 2;
+  work.body = [&sched](flow::StageContext ctx, flow::Item& it,
+                       flow::Done done) {
+    const des::TraceContext sent = ctx.trace_send(
+        ctx.stage + 1, units::Bytes{1000u + static_cast<unsigned>(it.index)});
+    sched.schedule_after(sec(1.0 + 0.25 * it.index), [ctx, sent, done]() {
+      ctx.trace_recv(ctx.stage + 1, sent);
+      done();
+    });
+  };
+  g.add_stage(std::move(work));
+  g.add_stage(flow::delay_stage("tail", sec(0.3)));
+  for (int i = 0; i < 4; ++i)
+    sched.schedule_at(sec(0.4 * i), [&g, i] { g.push(i); });
+  sched.run();
+
+  const obs::SpanFile f = loaded(spans);
+  EXPECT_EQ(obs::profile(f),
+            "state time profile (seconds):\n"
+            "  rank 0:  overlap=3.4\n"
+            "  rank 1:  tail=1.2\n"
+            "messages: 4, bytes: 4006\n");
+  EXPECT_EQ(obs::gantt(f, 48),
+            "rank  0 |ooooooooooooooooooooooooooooooooooooooooooooo...|\n"
+            "rank  1 |............ttttt....ttttt......ttttt.......tttt|\n");
+}
+
+// --- the spans reader rejects corrupt artifacts ------------------------------
+
+// A small valid artifact: a state on lane 0 and a message to lane 1.
+std::string good_spans() {
+  Lanes l;
+  const auto work = l.enter(0, "work", 1.0);
+  l.recv(l.send(0, 1, 4096, 1.5), 1, 1.75);
+  l.leave(work, 2.0);
+  l.t.close_trace(l.ctx, sec(2.0));
+  std::ostringstream os;
+  l.t.write_json(os, "good");
+  return os.str();
+}
+
+// Load an artifact, expecting a rejection whose message contains `needle`
+// (the reader must say *what* was wrong).
+void expect_rejects(const std::string& artifact, const std::string& needle) {
+  std::istringstream in(artifact);
+  obs::SpanFile f;
+  std::string error;
+  ASSERT_FALSE(obs::load_spans(in, "t", f, error))
+      << "expected rejection mentioning \"" << needle << "\"";
+  EXPECT_NE(error.find(needle), std::string::npos) << "actual: " << error;
+}
+
+std::string replaced(std::string s, const std::string& from,
+                     const std::string& to) {
+  const auto at = s.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) s.replace(at, from.size(), to);
+  return s;
+}
+
+TEST(TraceTest, ReadRejectsGarbage) {
+  expect_rejects("not a trace file", "not a spans artifact");
+}
+
+TEST(TraceTest, ReadRejectsWrongVersion) {
+  expect_rejects(replaced(good_spans(), "{\"gtw_spans\": 1",
+                          "{\"gtw_spans\": 2"),
+                 "{\"gtw_spans\": 1} header");
+}
+
+TEST(TraceTest, ReadRejectsLyingEventCountAsTruncation) {
+  expect_rejects(replaced(good_spans(), "\"spans_total\": 4",
+                          "\"spans_total\": 1152921504606846976"),
+                 "truncated");
+}
+
+TEST(TraceTest, ReadRejectsTruncatedEventPayload) {
+  std::string b = good_spans();
+  b.resize(b.rfind("{\"spans_total\"") - 40);  // into the last span line
+  expect_rejects(b, "malformed span line");
+}
+
+TEST(TraceTest, ReadRejectsUnknownEventKind) {
+  expect_rejects(replaced(good_spans(), "{\"spans_total\"",
+                          "{\"event\": 3}\n{\"spans_total\""),
+                 "unrecognised line");
+}
+
+TEST(TraceTest, ReadRejectsEventRankOutOfRange) {
+  expect_rejects(replaced(good_spans(), "\"lane\": 1}", "\"lane\": -1}"),
+                 "\"lane\" -1 is not a lane");
+}
+
+TEST(TraceTest, ReadRejectsAbsurdRankCount) {
+  expect_rejects(replaced(good_spans(), "\"to\": 1,", "\"to\": 99999999999,"),
+                 "\"to\" 99999999999 is not a lane");
+}
+
+TEST(TraceTest, ReadRejectsEnterStateOutOfRange) {
+  expect_rejects(replaced(good_spans(), "\"parent\": 3,", "\"parent\": 99,"),
+                 "names parent 99");
 }
 
 }  // namespace

@@ -1,19 +1,7 @@
-// gtw-trace: inspect a GTWT binary trace (the VAMPIR-style logs the
-// simulator's TraceRecorder writes) from the command line.
+// gtw-trace: inspect the simulator's artifacts from the command line.
 //
-//   gtw-trace run.gtwt                     summary (ranks, events, span)
-//   gtw-trace run.gtwt --profile           per-rank/state time profile
-//   gtw-trace run.gtwt --gantt [cols]      text timeline
-//   gtw-trace run.gtwt --msg-matrix        rank-pair message statistics
-//   gtw-trace run.gtwt --chrome out.json   convert to Chrome trace-event
-//                                          JSON (Perfetto / chrome://tracing)
-//   gtw-trace run.gtwt --metrics           event-kind and message totals
-//   gtw-trace run.gtwt --obs m.json        DES-engine section from an
-//                                          OBS_*.metrics.json snapshot
-//   gtw-trace OBS_x.metrics.json           engine section alone (no trace)
-//
-// Spans mode — first argument is an OBS_*.spans.json causal-span artifact
-// (DESIGN.md section 13):
+// The first argument is an OBS_*.spans.json causal-span artifact (DESIGN.md
+// sections 9 and 13):
 //
 //   gtw-trace x.spans.json                       summary (traces, spans)
 //   gtw-trace x.spans.json --budget              latency-budget table: the
@@ -25,9 +13,18 @@
 //   gtw-trace x.spans.json --critical-path SEL   per-phase waterfall of one
 //                                                trace; SEL is a trace id,
 //                                                `worst`, or `p99`
+//   gtw-trace x.spans.json --profile             VAMPIR views over the lane
+//   gtw-trace x.spans.json --gantt [cols]        spans: per-lane state
+//   gtw-trace x.spans.json --msg-matrix          profile, text timeline
+//                                                (1-1000 columns, default
+//                                                72), message matrices
 //   gtw-trace x.spans.json --chrome out.json     Chrome trace-event export
-//                                                with flow arrows on the
-//                                                parent->child span edges
+//                                                (Perfetto /
+//                                                chrome://tracing)
+//
+// or an OBS_*.metrics.json snapshot:
+//
+//   gtw-trace OBS_x.metrics.json                 its DES-engine section
 //
 // A missing, malformed, or truncated spans artifact (footer counts
 // disagree with the lines present) is a non-zero exit with a one-line
@@ -44,24 +41,16 @@
 
 #include "obs/exporter.hpp"
 #include "obs/span_analysis.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
-using gtw::trace::EventKind;
-using gtw::trace::TraceEvent;
-using gtw::trace::TraceRecorder;
-using gtw::trace::TraceStats;
-
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <trace.gtwt|metrics.json> [--profile] [--gantt [cols]]"
-               " [--msg-matrix] [--chrome out.json] [--metrics]"
-               " [--obs metrics.json]\n"
-               "       "
-            << argv0
             << " <spans.json> [--budget] [--critical-path <id|worst|p99>]"
-               " [--chrome out.json]\n";
+               " [--profile] [--gantt [cols]] [--msg-matrix]"
+               " [--chrome out.json]\n"
+               "       "
+            << argv0 << " <metrics.json>\n";
   return 2;
 }
 
@@ -98,59 +87,6 @@ int print_obs_engine(const std::string& path) {
     std::cout << "  (no des.sched.* metrics in snapshot — was the scheduler"
                  " instrumented?)\n";
   return 0;
-}
-
-void print_summary(const TraceRecorder& rec) {
-  std::int64_t begin = 0, end = 0;
-  if (!rec.events().empty()) {
-    begin = rec.events().front().time_ps;
-    end = rec.events().back().time_ps;
-  }
-  std::cout << "ranks:   " << rec.ranks() << "\n"
-            << "states:  " << rec.state_count() << "\n"
-            << "events:  " << rec.events().size() << "\n"
-            << "span:    " << static_cast<double>(end - begin) * 1e-12
-            << " s (" << begin << " .. " << end << " ps)\n";
-}
-
-void print_metrics(const TraceRecorder& rec, const TraceStats& stats) {
-  std::uint64_t enters = 0, leaves = 0, sends = 0, recvs = 0;
-  for (const TraceEvent& e : rec.events()) {
-    switch (e.kind) {
-      case EventKind::kEnter: ++enters; break;
-      case EventKind::kLeave: ++leaves; break;
-      case EventKind::kSend: ++sends; break;
-      case EventKind::kRecv: ++recvs; break;
-    }
-  }
-  std::cout << "enter events:   " << enters << "\n"
-            << "leave events:   " << leaves << "\n"
-            << "send events:    " << sends << "\n"
-            << "recv events:    " << recvs << "\n"
-            << "total messages: " << stats.total_messages() << "\n"
-            << "total bytes:    " << stats.total_bytes() << "\n";
-}
-
-void print_msg_matrix(const TraceRecorder& rec, const TraceStats& stats) {
-  const auto ranks = static_cast<std::uint32_t>(rec.ranks());
-  std::cout << "messages (rows: from, cols: to)\n      ";
-  for (std::uint32_t to = 0; to < ranks; ++to) std::cout << "\t" << to;
-  std::cout << "\n";
-  for (std::uint32_t from = 0; from < ranks; ++from) {
-    std::cout << "  " << from << "  ";
-    for (std::uint32_t to = 0; to < ranks; ++to)
-      std::cout << "\t" << stats.messages(from, to);
-    std::cout << "\n";
-  }
-  std::cout << "bytes (rows: from, cols: to)\n      ";
-  for (std::uint32_t to = 0; to < ranks; ++to) std::cout << "\t" << to;
-  std::cout << "\n";
-  for (std::uint32_t from = 0; from < ranks; ++from) {
-    std::cout << "  " << from << "  ";
-    for (std::uint32_t to = 0; to < ranks; ++to)
-      std::cout << "\t" << stats.bytes(from, to);
-    std::cout << "\n";
-  }
 }
 
 // --- spans mode -------------------------------------------------------------
@@ -264,13 +200,32 @@ void print_critical_path(const SpanFile& f, const TraceRec& t) {
 }
 
 int run_spans_mode(const std::string& path, int argc, char** argv) {
-  bool budget = false;
+  bool budget = false, profile = false, gantt = false, msg_matrix = false;
+  int gantt_cols = 72;
   std::string critical_sel;
   std::string chrome_out;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--budget") {
       budget = true;
+    } else if (arg == "--profile") {
+      profile = true;
+    } else if (arg == "--gantt") {
+      gantt = true;
+      if (i + 1 < argc && argv[i + 1][0] != '-') {
+        const std::string cols = argv[++i];
+        const bool digits =
+            !cols.empty() && cols.size() <= 4 &&
+            cols.find_first_not_of("0123456789") == std::string::npos;
+        gantt_cols = digits ? std::stoi(cols) : 0;
+        if (gantt_cols < 1 || gantt_cols > 1000) {
+          std::cerr << "gtw-trace: --gantt takes 1-1000 columns, got '"
+                    << cols << "'\n";
+          return usage(argv[0]);
+        }
+      }
+    } else if (arg == "--msg-matrix") {
+      msg_matrix = true;
     } else if (arg == "--critical-path") {
       if (i + 1 >= argc) return usage(argv[0]);
       critical_sel = argv[++i];
@@ -278,7 +233,7 @@ int run_spans_mode(const std::string& path, int argc, char** argv) {
       if (i + 1 >= argc) return usage(argv[0]);
       chrome_out = argv[++i];
     } else {
-      std::cerr << "gtw-trace: unknown spans-mode flag '" << arg << "'\n";
+      std::cerr << "gtw-trace: unknown flag '" << arg << "'\n";
       return usage(argv[0]);
     }
   }
@@ -295,7 +250,8 @@ int run_spans_mode(const std::string& path, int argc, char** argv) {
     return 1;
   }
 
-  if (!budget && critical_sel.empty() && chrome_out.empty())
+  if (!budget && critical_sel.empty() && !profile && !gantt && !msg_matrix &&
+      chrome_out.empty())
     print_spans_summary(f);
   if (budget) {
     if (const int rc = print_budget(f); rc != 0) return rc;
@@ -308,13 +264,16 @@ int run_spans_mode(const std::string& path, int argc, char** argv) {
     }
     print_critical_path(f, *t);
   }
+  if (profile) std::cout << gtw::obs::profile(f);
+  if (gantt) std::cout << gtw::obs::gantt(f, gantt_cols);
+  if (msg_matrix) std::cout << gtw::obs::msg_matrix(f);
   if (!chrome_out.empty()) {
     std::ofstream out(chrome_out, std::ios::binary);
     if (!out) {
       std::cerr << "gtw-trace: cannot write '" << chrome_out << "'\n";
       return 1;
     }
-    gtw::obs::write_spans_chrome(out, f);
+    gtw::obs::write_chrome_trace(out, f);
     std::cout << "wrote " << chrome_out << "\n";
   }
   return 0;
@@ -327,69 +286,10 @@ int main(int argc, char** argv) {
   const std::string path = argv[1];
   if (path == "--help" || path == "-h") return usage(argv[0]);
 
-  // Spans mode: causal-span artifacts get their own flag set.
   if (path.size() > 11 && path.rfind(".spans.json") == path.size() - 11)
     return run_spans_mode(path, argc, argv);
 
-  // Metrics-snapshot-only mode: the engine section needs no trace file.
   if (path.size() > 5 && path.rfind(".json") == path.size() - 5)
     return print_obs_engine(path);
-
-  bool profile = false, gantt = false, msg_matrix = false, metrics = false;
-  int gantt_cols = 72;
-  std::string chrome_out;
-  std::string obs_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--gantt") {
-      gantt = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        gantt_cols = std::stoi(argv[++i]);
-    } else if (arg == "--msg-matrix") {
-      msg_matrix = true;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--chrome") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      chrome_out = argv[++i];
-    } else if (arg == "--obs") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      obs_path = argv[++i];
-    } else {
-      std::cerr << "gtw-trace: unknown flag '" << arg << "'\n";
-      return usage(argv[0]);
-    }
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "gtw-trace: cannot open '" << path << "'\n";
-    return 1;
-  }
-  TraceRecorder rec = TraceRecorder::read(in);
-  const TraceStats stats(rec);
-
-  const bool any_section =
-      profile || gantt || msg_matrix || metrics || !chrome_out.empty();
-  if (!any_section) print_summary(rec);
-  if (!obs_path.empty()) {
-    if (const int rc = print_obs_engine(obs_path); rc != 0) return rc;
-  }
-
-  if (profile) std::cout << stats.profile();
-  if (gantt) std::cout << stats.gantt(gantt_cols);
-  if (msg_matrix) print_msg_matrix(rec, stats);
-  if (metrics) print_metrics(rec, stats);
-  if (!chrome_out.empty()) {
-    std::ofstream out(chrome_out, std::ios::binary);
-    if (!out) {
-      std::cerr << "gtw-trace: cannot write '" << chrome_out << "'\n";
-      return 1;
-    }
-    gtw::obs::write_chrome_trace(out, rec);
-    std::cout << "wrote " << chrome_out << "\n";
-  }
-  return 0;
+  return usage(argv[0]);
 }

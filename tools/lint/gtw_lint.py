@@ -1323,8 +1323,8 @@ def obs_catalog(sites: list[ObsSite]) -> dict:
 # Simulator modules whose qualified types count as components when they
 # appear in a catalog function's parameter list.  Deliberately excludes
 # units (value types), std, and the catalogs' own modules (obs, check).
-COMPONENT_MODULES = ("des", "net", "exec", "trace", "flow", "meta",
-                     "testbed", "linalg", "fire", "scanner", "viz", "apps")
+COMPONENT_MODULES = ("des", "net", "exec", "flow", "meta", "testbed",
+                     "linalg", "fire", "scanner", "viz", "apps")
 # Qualified value types that ride along in catalog signatures without
 # being components themselves.
 COMPONENT_IGNORE = {("des", "SimTime"), ("des", "EventHandle")}

@@ -13,10 +13,11 @@ Checks, per file:
 Files named *.spans.json are validated as causal-span artifacts instead
 (the line-oriented format obs::SpanTracer::write_json emits, DESIGN.md
 section 13): a {"gtw_spans": 1} header, trace and span lines with exact
-integer-picosecond stamps and dense 1-based span ids, and a footer whose
-counts must match the lines actually present — the same truncation
-detection gtw-trace's loader performs, kept in sync here so CI catches a
-bad artifact even without running the tool.
+integer-picosecond stamps, dense 1-based span ids and well-formed lane keys
+("lane"; a message send adds "to" and "bytes"), and a footer whose counts
+must match the lines actually present — the same truncation detection
+gtw-trace's loader performs, kept in sync here so CI catches a bad
+artifact even without running the tool.
 
 This is intentionally a format check, not a semantic one: the byte-level
 determinism of the same files is covered by tools/determinism_gate.py.
@@ -144,6 +145,16 @@ def validate_spans(path: str) -> list[str]:
             for k in ("phase", "layer", "name"):
                 if not isinstance(obj.get(k), str):
                     err(f"span field {k} must be a string")
+            # Lane keys: "lane" alone, or a send's "lane", "to" and "bytes".
+            lane_keys = {k for k in ("lane", "to", "bytes") if k in obj}
+            if lane_keys not in (set(), {"lane"}, {"lane", "to", "bytes"}):
+                err(f"lane keys {sorted(lane_keys)}: want lane, or lane, "
+                    "to and bytes")
+            for k in sorted(lane_keys):
+                v = obj[k]
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    err(f"span field {k} must be a non-negative integer, "
+                        f"got {v!r}")
         elif "trace" in obj:
             traces += 1
             if obj.get("status") not in SPAN_TRACE_STATUS:
