@@ -37,12 +37,24 @@
 
 namespace gtw::des {
 
+class Scheduler;
+
 // Implemented by check::SchedulerChecker (src/check/attach.hpp) and
 // installed with Scheduler::set_check_hook.  Calls are synchronous, in
 // event order, and must not schedule, cancel, or otherwise reach back into
 // the scheduler.
+//
+// Lifetime as for SpanHook: a hook serves at most one scheduler at a time,
+// installing it records the scheduler here, destroying the hook uninstalls
+// it, and destroying the scheduler forgets the hook.  Either may die first.
 struct SchedulerCheckHook {
-  virtual ~SchedulerCheckHook() = default;
+  SchedulerCheckHook() = default;
+  SchedulerCheckHook(const SchedulerCheckHook&) = delete;
+  SchedulerCheckHook& operator=(const SchedulerCheckHook&) = delete;
+  virtual ~SchedulerCheckHook();  // defined in des/scheduler.cpp
+
+  // The scheduler this hook is installed on, or nullptr.
+  Scheduler* installed_on() const { return installed_on_; }
 
   // A new event was accepted at simulated time `now` for dispatch at
   // `when`.  `when < now` is the schedule-in-past bug class the release
@@ -58,6 +70,10 @@ struct SchedulerCheckHook {
     kDouble,     // second cancel of the same still-queued tombstone
   };
   virtual void on_cancel(std::uint64_t seq, CancelOutcome outcome) = 0;
+
+ private:
+  friend class Scheduler;
+  Scheduler* installed_on_ = nullptr;  // maintained by Scheduler only
 };
 
 }  // namespace gtw::des

@@ -1,7 +1,6 @@
 #include "des/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace gtw::des {
@@ -15,11 +14,10 @@ void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-constexpr unsigned kMinBucketShift = 6;   // 64 buckets
-constexpr unsigned kMaxBucketShift = 18;  // 262144 buckets
-// Bucket width bounds: 2^10 ps ~ 1 ns up to 2^40 ps ~ 1.1 s.
-constexpr unsigned kMinWidthShift = 10;
-constexpr unsigned kMaxWidthShift = 40;
+// Children of heap node i are kArity*i+1 .. kArity*i+kArity.  Four
+// children of 24 bytes span 1.5 cache lines, and the tree is half as deep
+// as a binary heap's.
+constexpr std::size_t kArity = 4;
 }  // namespace
 
 void EventHandle::cancel() {
@@ -43,6 +41,18 @@ void Scheduler::set_span_hook(SpanHook* hook) {
   if (hook != nullptr) hook->installed_on_ = this;
 }
 
+void Scheduler::set_check_hook(SchedulerCheckHook* hook) {
+  if (check_hook_ != nullptr) check_hook_->installed_on_ = nullptr;
+  if (hook != nullptr && hook->installed_on_ != nullptr)
+    hook->installed_on_->check_hook_ = nullptr;
+  check_hook_ = hook;
+  if (hook != nullptr) hook->installed_on_ = this;
+}
+
+SchedulerCheckHook::~SchedulerCheckHook() {
+  if (installed_on_ != nullptr) installed_on_->set_check_hook(nullptr);
+}
+
 EventHandle Scheduler::schedule_at(SimTime when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
   const EventId id = pool_.acquire();
@@ -56,56 +66,41 @@ EventHandle Scheduler::schedule_at(SimTime when, Action action) {
                      check_hook_->on_schedule(when, now_, seq));
   if (span_hook_ != nullptr) span_hook_->on_event_scheduled(seq);
   ++live_events_;
-  place(QItem{when, seq, id});
-  maybe_resize();
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, QItem{when, seq, id});
   return EventHandle{this, seq, id};
 }
 
-void Scheduler::place(QItem it) {
-  const std::uint64_t day = day_of(it.when);
-  if (day == current_day_) {
-    push_bucket(bucket_of(it.when), it);
-    return;
+void Scheduler::sift_up(std::size_t i, QItem it) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(it, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
-  if (day > current_day_) {
-    overflow_.push_back(it);
-    std::push_heap(overflow_.begin(), overflow_.end(), later);
-    if (overflow_.size() > overflow_high_water_)
-      overflow_high_water_ = overflow_.size();
-    return;
-  }
-  // day < current_day_: the pop path jumped the calendar to a far-future day
-  // (everything nearer had fired), but the clock itself lags behind — a new
-  // event can legally land in between.  Rewind: demote the whole calendar to
-  // the overflow tier and restart the day at the new event.  Ordering is
-  // untouched; events merely change tiers.
-  for (auto& b : buckets_) {
-    overflow_.insert(overflow_.end(), b.begin(), b.end());
-    b.clear();
-  }
-  std::make_heap(overflow_.begin(), overflow_.end(), later);
-  if (overflow_.size() > overflow_high_water_)
-    overflow_high_water_ = overflow_.size();
-  calendar_size_ = 0;
-  current_day_ = day;
-  scan_idx_ = 0;
-  push_bucket(bucket_of(it.when), it);
+  heap_[i] = it;
 }
 
-void Scheduler::push_bucket(std::size_t b, QItem it) {
-  auto& v = buckets_[b];
-  v.push_back(it);
-  std::push_heap(v.begin(), v.end(), later);
-  ++calendar_size_;
-  if (v.size() > bucket_high_water_) bucket_high_water_ = v.size();
-  if (b < scan_idx_) scan_idx_ = b;
+void Scheduler::sift_down(std::size_t i, QItem it) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c)
+      if (earlier(heap_[c], heap_[best])) best = c;
+    if (!earlier(heap_[best], it)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = it;
 }
 
-void Scheduler::pop_bucket(std::size_t b) {
-  auto& v = buckets_[b];
-  std::pop_heap(v.begin(), v.end(), later);
-  v.pop_back();
-  --calendar_size_;
+void Scheduler::pop_top() {
+  const QItem last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void Scheduler::release_entry(EventId id) {
@@ -141,10 +136,7 @@ void Scheduler::cancel(std::uint64_t seq, EventId slot) {
   ++cancelled_in_q_;
   // Once tombstones outnumber live entries, sweep — cancellation-heavy
   // workloads stay O(live), not O(ever-scheduled).
-  if (cancelled_in_q_ > live_events_)
-    sweep_cancelled();
-  else
-    maybe_resize();
+  if (cancelled_in_q_ > live_events_) sweep_cancelled();
 }
 
 bool Scheduler::is_pending(std::uint64_t seq, EventId slot) const {
@@ -154,96 +146,46 @@ bool Scheduler::is_pending(std::uint64_t seq, EventId slot) const {
 }
 
 void Scheduler::sweep_cancelled() {
-  for (auto& b : buckets_) {
-    auto alive = b.begin();
-    for (const QItem& it : b) {
-      if (pool_[it.id].cancelled)
-        release_entry(it.id);
-      else
-        *alive++ = it;
-    }
-    calendar_size_ -= static_cast<std::size_t>(b.end() - alive);
-    b.erase(alive, b.end());
-    std::make_heap(b.begin(), b.end(), later);
-  }
-  auto alive = overflow_.begin();
-  for (const QItem& it : overflow_) {
+  auto alive = heap_.begin();
+  for (const QItem& it : heap_) {
     if (pool_[it.id].cancelled)
       release_entry(it.id);
     else
       *alive++ = it;
   }
-  overflow_.erase(alive, overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), later);
+  heap_.erase(alive, heap_.end());
+  // Floyd's heapify: sift every internal node down, deepest first — O(n).
+  if (heap_.size() > 1) {
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;)
+      sift_down(i, heap_[i]);
+  }
   cancelled_in_q_ = 0;
 }
 
 void Scheduler::drop_all_tombstones() {
-  for (auto& b : buckets_) {
-    for (const QItem& it : b) release_entry(it.id);
-    b.clear();
-  }
-  for (const QItem& it : overflow_) release_entry(it.id);
-  overflow_.clear();
-  calendar_size_ = 0;
+  for (const QItem& it : heap_) release_entry(it.id);
+  heap_.clear();
   cancelled_in_q_ = 0;
-}
-
-Scheduler::QItem Scheduler::find_next() {
-  for (;;) {
-    // Scan forward within the current day.  Buckets hold *only* current-day
-    // events (future days wait in the overflow tier), so the first non-empty
-    // bucket's top is the global minimum — no wrap-around checks needed.
-    const std::size_t nb = buckets_.size();
-    while (scan_idx_ < nb) {
-      auto& b = buckets_[scan_idx_];
-      while (!b.empty() && pool_[b.front().id].cancelled) {
-        const EventId dead = b.front().id;
-        pop_bucket(scan_idx_);
-        --cancelled_in_q_;
-        release_entry(dead);
-      }
-      if (!b.empty()) return b.front();
-      ++scan_idx_;
-    }
-    // Day exhausted: jump straight to the day of the earliest overflow event
-    // (empty days cost nothing) and pull that whole day into the buckets.
-    while (!overflow_.empty() && pool_[overflow_.front().id].cancelled) {
-      const EventId dead = overflow_.front().id;
-      std::pop_heap(overflow_.begin(), overflow_.end(), later);
-      overflow_.pop_back();
-      --cancelled_in_q_;
-      release_entry(dead);
-    }
-    assert(!overflow_.empty() && "live_events_ > 0 but no event found");
-    current_day_ = day_of(overflow_.front().when);
-    scan_idx_ = 0;
-    while (!overflow_.empty()) {
-      const QItem top = overflow_.front();
-      const bool dead = pool_[top.id].cancelled;
-      if (!dead && day_of(top.when) != current_day_) break;
-      std::pop_heap(overflow_.begin(), overflow_.end(), later);
-      overflow_.pop_back();
-      if (dead) {
-        --cancelled_in_q_;
-        release_entry(top.id);
-      } else {
-        push_bucket(bucket_of(top.when), top);
-      }
-    }
-  }
 }
 
 bool Scheduler::step(SimTime horizon) {
   if (live_events_ == 0) {
     // Nothing left to fire; drop any remaining tombstones so a drained
-    // scheduler reports zero queued entries, as the vector-heap did.
+    // scheduler reports zero queued entries.
     if (cancelled_in_q_ != 0) drop_all_tombstones();
     return false;
   }
-  const QItem it = find_next();
+  // Release cancelled tops as they surface; live_events_ > 0 guarantees a
+  // live item underneath.
+  while (cancelled_in_q_ != 0 && pool_[heap_.front().id].cancelled) {
+    const EventId dead = heap_.front().id;
+    pop_top();
+    --cancelled_in_q_;
+    release_entry(dead);
+  }
+  const QItem it = heap_.front();
   if (it.when > horizon) return false;
-  pop_bucket(scan_idx_);
+  pop_top();
   GTW_CHECK_HOOK(if (check_hook_ != nullptr)
                      check_hook_->on_fire(it.when, it.seq));
   --live_events_;
@@ -252,11 +194,10 @@ bool Scheduler::step(SimTime horizon) {
   fnv1a_mix(stream_hash_, static_cast<std::uint64_t>(it.when.ps()));
   fnv1a_mix(stream_hash_, it.seq);
   // Move the action out and free the slot *before* invoking: the action may
-  // schedule, cancel, or trigger a calendar resize, all of which may touch
-  // this slot's tier — nothing below references the entry.
+  // schedule or cancel, which may recycle this slot — nothing below
+  // references the entry.
   Action action = std::move(pool_[it.id].action);
   release_entry(it.id);
-  maybe_resize();
   if (span_hook_ != nullptr) {
     span_hook_->on_event_fire(it.seq);
     action();
@@ -272,70 +213,6 @@ std::uint64_t Scheduler::run(SimTime horizon) {
   while (step(horizon)) ++n;
   if (queued_entries() != 0 && horizon != SimTime::max()) now_ = horizon;
   return n;
-}
-
-void Scheduler::maybe_resize() {
-  const std::size_t nb = std::size_t{1} << bucket_shift_;
-  const bool grow = live_events_ > 2 * nb && bucket_shift_ < kMaxBucketShift;
-  const bool shrink = live_events_ < nb / 8 && bucket_shift_ > kMinBucketShift;
-  if (!grow && !shrink) return;
-  const unsigned target = static_cast<unsigned>(std::bit_width(
-      std::max<std::size_t>(live_events_, std::size_t{1} << kMinBucketShift)));
-  rebuild(std::clamp(target, kMinBucketShift, kMaxBucketShift));
-}
-
-void Scheduler::rebuild(unsigned new_bucket_shift) {
-  ++resizes_;
-  auto& live = rebuild_scratch_;
-  live.clear();
-  for (auto& b : buckets_) {
-    for (const QItem& it : b) {
-      if (pool_[it.id].cancelled)
-        release_entry(it.id);
-      else
-        live.push_back(it);
-    }
-    b.clear();
-  }
-  for (const QItem& it : overflow_) {
-    if (pool_[it.id].cancelled)
-      release_entry(it.id);
-    else
-      live.push_back(it);
-  }
-  overflow_.clear();
-  calendar_size_ = 0;
-  cancelled_in_q_ = 0;
-
-  bucket_shift_ = new_bucket_shift;
-  buckets_.resize(std::size_t{1} << bucket_shift_);
-
-  if (live.empty()) {
-    current_day_ = day_of(now_);
-    scan_idx_ = 0;
-    return;
-  }
-
-  // Re-estimate the bucket width from the *imminent* inter-event gap: sort
-  // the survivors and size buckets so one day spans ~4x the next
-  // table-load of events.  The headroom factor keeps the bulk of the live
-  // horizon inside the current day — with a day sized exactly to the
-  // sampled span, roughly half the events would straddle the day boundary
-  // and detour through the overflow heap.  Far-future timers land in the
-  // overflow tier and do not distort the estimate.
-  std::sort(live.begin(), live.end(),
-            [](const QItem& a, const QItem& b) { return later(b, a); });
-  const std::size_t k = std::min(live.size(), buckets_.size());
-  const std::uint64_t span = static_cast<std::uint64_t>(
-      live[k - 1].when.ps() - live[0].when.ps());
-  const std::uint64_t gap = (span / static_cast<std::uint64_t>(k)) * 4 + 1;
-  const unsigned ws = static_cast<unsigned>(std::bit_width(gap));
-  width_shift_ = std::clamp(ws, kMinWidthShift,
-                            std::min(kMaxWidthShift, 61U - bucket_shift_));
-  current_day_ = day_of(live[0].when);
-  scan_idx_ = 0;
-  for (const QItem& it : live) place(it);
-  live.clear();
 }
 
 }  // namespace gtw::des

@@ -12,20 +12,6 @@ void instrument_scheduler(Registry& reg, const des::Scheduler& sched,
   reg.probe_gauge(p + "live_events", [&sched] {
     return static_cast<double>(sched.live_events());
   });
-  reg.probe_gauge(p + "calendar_buckets", [&sched] {
-    return static_cast<double>(sched.calendar_buckets());
-  });
-  reg.probe_gauge(p + "overflow_entries", [&sched] {
-    return static_cast<double>(sched.overflow_entries());
-  });
-  reg.probe_counter(p + "bucket_high_water", [&sched] {
-    return static_cast<std::uint64_t>(sched.bucket_high_water());
-  });
-  reg.probe_counter(p + "overflow_high_water", [&sched] {
-    return static_cast<std::uint64_t>(sched.overflow_high_water());
-  });
-  reg.probe_counter(p + "calendar_resizes",
-                    [&sched] { return sched.calendar_resizes(); });
   reg.probe_counter(p + "pool_slots", [&sched] {
     return static_cast<std::uint64_t>(sched.pool_slots());
   });

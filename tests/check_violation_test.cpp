@@ -60,7 +60,10 @@ TEST(MonitorTest, ViolationCarriesHistoryOldestFirst) {
 TEST(MonitorTest, HistoryRingKeepsLastCapacityNotes) {
   des::Scheduler sched;
   Monitor mon(sched);
-  for (int i = 0; i < 100; ++i) mon.note("n" + std::to_string(i));
+  // Not "n" + std::to_string(i): GCC 12 at -O3 flags that with a false
+  // -Wrestrict.
+  for (int i = 0; i < 100; ++i)
+    mon.note(std::string(1, 'n').append(std::to_string(i)));
   mon.violation("unit.test", "broke");
   const auto& hist = mon.violations()[0].history;
   ASSERT_EQ(hist.size(), Monitor::kHistoryCapacity);

@@ -1,14 +1,16 @@
-// Property test: the calendar-queue scheduler is observationally identical
-// to a reference binary-heap scheduler (the seed engine's ordering rule,
-// re-implemented here in its simplest possible form).
+// Property test: the event-heap scheduler is observationally identical to
+// a reference scheduler (the seed engine's ordering rule, re-implemented
+// here in its simplest possible form).
 //
 // A randomized workload of schedules, cancels, nested reschedules, timestamp
 // collisions, and horizon-bounded runs is driven through both engines with
 // the same RNG stream.  The full execution transcript — (timestamp, tag) per
-// fired event — and the FNV-1a stream hash must match exactly.  This pins the
-// calendar's tier mechanics (bucket heaps, overflow ladder, day jumps,
-// demotion, resize, tombstone sweeps) to the simple model: any internal
-// reorganization that leaks into execution order is caught here.
+// fired event — and the FNV-1a stream hash must match exactly.  This pins
+// the queue's mechanics (sifts across heap levels, tombstones released at
+// the top, sweeps that re-heapify) to the simple model: any internal
+// reorganization that leaks into execution order is caught here.  The
+// suite name CalendarPropertyTest dates from the calendar queue the heap
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,7 +132,7 @@ Transcript drive(Sched& sched, std::uint64_t seed, std::uint64_t* hash_out) {
 
   for (int round = 0; round < 40; ++round) {
     // A burst of fresh events: near, far, and colliding timestamps.  The
-    // far band is many calendar "days" out, forcing overflow traffic.
+    // far band reaches 80 ms.
     for (int i = 0; i < 25; ++i) {
       const std::uint64_t r = rng.next_u64();
       std::int64_t delay_ps = 0;
@@ -163,7 +165,7 @@ Transcript drive(Sched& sched, std::uint64_t seed, std::uint64_t* hash_out) {
                         static_cast<std::ptrdiff_t>(pick));
     }
     // Drain a horizon-bounded slice, so later rounds insert both before and
-    // after the calendar's current day cursor.
+    // after events already pending.
     const std::int64_t horizon_ps =
         sched.now().ps() + static_cast<std::int64_t>(rng.next_u64() % 30'000'000);
     sched.run(SimTime::picoseconds(horizon_ps));
@@ -216,9 +218,9 @@ TEST(CalendarPropertyTest, MatchesReferenceHeapUnderRandomChurn) {
   }
 }
 
-// The transcript must also be insensitive to the calendar's initial
-// geometry: force resizes mid-run by front-loading a large population.
-TEST(CalendarPropertyTest, ResizeDuringRunPreservesOrder) {
+// The transcript must also be insensitive to the population's shape: a
+// large front-loaded population drains in order.
+TEST(CalendarPropertyTest, FrontLoadedPopulationPreservesOrder) {
   Scheduler sched;
   ReferenceScheduler ref;
   Rng rng(0x5ca1ab1eULL);
@@ -241,7 +243,97 @@ TEST(CalendarPropertyTest, ResizeDuringRunPreservesOrder) {
   ref.run();
   EXPECT_EQ(cal_t, ref_t);
   EXPECT_EQ(sched.stream_hash(), ref.stream_hash());
-  EXPECT_GE(sched.calendar_resizes(), 1u);
+}
+
+// The 4-ary heap's shape changes at level boundaries: full levels end at
+// 1, 5, 21, 85 and 341 items, and the last parent's child group is partial
+// everywhere in between.  Hold the engine at pending sizes on both sides
+// of each boundary, going up and then down, while events fire and re-arm,
+// with cancels, sweeps and horizon-bounded runs in between, and compare
+// with the reference after every step.  A child or parent index that is
+// off by one misorders some pop at one of these sizes.
+TEST(QueuePropertyTest, MatchesReferenceAcrossHeapLevels) {
+  const std::vector<std::size_t> kSizes = {1, 4, 5, 20, 21, 84, 85, 341, 342};
+  Scheduler sched;
+  ReferenceScheduler ref;
+  Rng rng(0x4a7e1eafULL);
+  Transcript got, want;
+  std::vector<EventHandle> handles;
+  std::vector<ReferenceScheduler::Handle> ref_handles;
+  int next_tag = 0;
+
+  // Delays on a coarse grid, so timestamps collide and seq decides.
+  auto schedule_one = [&] {
+    const auto delay = SimTime::picoseconds(
+        static_cast<std::int64_t>(rng.next_u64() % 48) * 1'000);
+    const int tag = next_tag++;
+    handles.push_back(sched.schedule_after(delay, [&got, &sched, tag] {
+      got.emplace_back(sched.now().ps(), tag);
+    }));
+    ref_handles.push_back(ref.schedule_after(delay, [&want, &ref, tag] {
+      want.emplace_back(ref.now().ps(), tag);
+    }));
+  };
+  auto step_both = [&] {
+    ASSERT_EQ(sched.step(), ref.step(SimTime::max()));
+    ASSERT_EQ(got, want);
+  };
+  // Cancels random pending events until stop(cancels so far) holds or none
+  // is left; returns how many it cancelled.
+  auto cancel_until = [&](auto stop) {
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < handles.size(); ++i)
+      if (handles[i].pending()) pending.push_back(i);
+    std::size_t n = 0;
+    while (!pending.empty() && !stop(n)) {
+      const std::size_t k = rng.next_u64() % pending.size();
+      handles[pending[k]].cancel();
+      ref.cancel(ref_handles[pending[k]]);
+      pending[k] = pending.back();
+      pending.pop_back();
+      ++n;
+    }
+    return n;
+  };
+
+  std::size_t sweeps = 0;
+  std::vector<std::size_t> order = kSizes;
+  order.insert(order.end(), kSizes.rbegin(), kSizes.rend());
+  for (const std::size_t size : order) {
+    // No tombstones here (the last phase ended in a sweep), so every step
+    // removes exactly one item.
+    while (sched.queued_entries() > size) step_both();
+    while (sched.queued_entries() < size) schedule_one();
+    ASSERT_EQ(sched.queued_entries(), size);
+    // Fire one, re-arm one: every pop sifts down from `size`, every push
+    // sifts up into index size-1.
+    for (std::size_t i = 0; i < 2 * size + 8; ++i) {
+      step_both();
+      schedule_one();
+      ASSERT_EQ(sched.queued_entries(), size);
+    }
+    // A few tombstones, left for the pops to release, then a bounded run.
+    cancel_until([&](std::size_t n) { return n > size / 8; });
+    const SimTime horizon =
+        sched.now() + SimTime::picoseconds(
+                          static_cast<std::int64_t>(rng.next_u64() % 8'000));
+    EXPECT_EQ(sched.run(horizon), ref.run(horizon)) << "size " << size;
+    ASSERT_EQ(got, want) << "size " << size;
+    ASSERT_EQ(sched.now(), ref.now());
+    // Cancel until tombstones outnumber live events: the sweep drops them
+    // and re-heapifies the rest, leaving no tombstone behind.
+    if (cancel_until([&](std::size_t n) {
+          return n > 0 && sched.cancelled_entries() == 0;
+        }) > 0)
+      ++sweeps;
+    ASSERT_EQ(sched.cancelled_entries(), 0u);
+  }
+  sched.run();
+  ref.run();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(sched.stream_hash(), ref.stream_hash());
+  EXPECT_GE(sweeps, kSizes.size());  // most phases end in a sweep
+  EXPECT_EQ(sched.queued_entries(), 0u);
 }
 
 }  // namespace

@@ -207,9 +207,9 @@ TEST(SchedulerTest, UseAfterFireHandleCannotCancelRecycledSlot) {
 
 TEST(SchedulerTest, EarlierInsertAfterHorizonJumpStaysOrdered) {
   // Peeking past a far-future event (a horizon-bounded run that executes
-  // nothing) advances the calendar's internal day cursor.  A later insert
-  // that lands *before* that day — legal, since it is still >= now() — must
-  // rewind the calendar, and execution order must come out strictly sorted.
+  // nothing) must leave the queue able to take a later insert that lands
+  // *before* it — legal, since it is still >= now().  Execution order must
+  // come out strictly sorted.
   Scheduler sched;
   std::vector<int> order;
   sched.schedule_at(SimTime::seconds(1000.0), [&] { order.push_back(3); });
@@ -222,8 +222,7 @@ TEST(SchedulerTest, EarlierInsertAfterHorizonJumpStaysOrdered) {
 }
 
 TEST(SchedulerTest, SparseFarFutureDayJumpsExecuteInOrder) {
-  // Events many "days" apart (seconds vs the microsecond-scale default
-  // bucket width) must hop empty days without executing out of order.
+  // Events from microseconds to an hour apart execute in time order.
   Scheduler sched;
   std::vector<std::int64_t> fired_ps;
   const double times[] = {1e-6, 3600.0, 0.25, 7.0, 1e-3, 400.0, 2e-6};
@@ -268,17 +267,12 @@ TEST(SchedulerTest, PoolRecyclesSlotsAndTracksHighWater) {
   EXPECT_EQ(sched.pool_in_use(), 0u);
 }
 
-TEST(SchedulerTest, CalendarResizesWithPopulation) {
+TEST(SchedulerTest, MassCancelDrainsToEmpty) {
   Scheduler sched;
-  EXPECT_EQ(sched.calendar_buckets(), 64u);
   std::vector<EventHandle> handles;
   for (int i = 0; i < 5000; ++i)
     handles.push_back(sched.schedule_at(SimTime::nanoseconds(100 + i * 7), [] {}));
-  EXPECT_GT(sched.calendar_buckets(), 64u) << "table must grow under load";
-  EXPECT_GE(sched.calendar_resizes(), 1u);
   for (auto& h : handles) h.cancel();
-  // Draining the population (here: mass-cancel) shrinks the table again.
-  EXPECT_LT(sched.calendar_buckets(), 4096u);
   sched.run();
   EXPECT_TRUE(sched.empty());
   EXPECT_EQ(sched.queued_entries(), 0u);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "des/random.hpp"
@@ -51,8 +52,11 @@ std::vector<SimTime> run_pipeline(const RandomPipeline& p, int items,
   flow::StageGraph g(sched, cfg);
   for (std::size_t s = 0; s < p.durations.size(); ++s) {
     const SimTime d = p.durations[s];
-    g.add_stage(flow::compute_stage("s" + std::to_string(s),
-                                    [d](const flow::Item&) { return d; }, 1));
+    // Not "s" + std::to_string(s): GCC 12 at -O3 flags that with a false
+    // -Wrestrict.
+    g.add_stage(
+        flow::compute_stage(std::string(1, 's').append(std::to_string(s)),
+                            [d](const flow::Item&) { return d; }, 1));
   }
   std::vector<SimTime> completions;
   g.on_complete([&](const flow::Item&) { completions.push_back(sched.now()); });
@@ -132,9 +136,9 @@ TEST(FlowPropertyTest, PeriodicFeedAtBottleneckRateKeepsQueuesBounded) {
     flow::StageGraph g(sched);
     for (std::size_t s = 0; s < p.durations.size(); ++s) {
       const SimTime d = p.durations[s];
-      g.add_stage(flow::compute_stage("s" + std::to_string(s),
-                                      [d](const flow::Item&) { return d; },
-                                      1));
+      g.add_stage(
+          flow::compute_stage(std::string(1, 's').append(std::to_string(s)),
+                              [d](const flow::Item&) { return d; }, 1));
     }
     // Feed exactly at the bottleneck rate: the graph keeps up, so no stage
     // ever holds more than one waiting item.

@@ -5,7 +5,8 @@
 // reset, traces aborted when the Communicator declares a peer
 // unreachable, a zero-leak census at drain, the guarantee that
 // attaching the tracer does not perturb the simulation, and tracer and
-// scheduler dying in either order while spans are open.
+// scheduler dying in either order while spans are open (and the GTW-San
+// check hook and scheduler likewise).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -559,6 +560,58 @@ TEST(SpanLifecycleTest, SchedulerDestroyedFirstForgetsTracer) {
   EXPECT_EQ(s1.span_hook(), nullptr);
   EXPECT_EQ(s2.span_hook(), &tracer);
   EXPECT_EQ(tracer.installed_on(), &s2);
+}
+
+// The GTW-San check hook follows the same lifetime rules.  It only counts
+// its calls, which happen in GTW_CHECK builds only; the pointer bookkeeping
+// runs in every build.  Hook and scheduler live on the heap so that a
+// dangling link is a heap-use-after-free under ASan.
+struct CountingCheckHook final : des::SchedulerCheckHook {
+  void on_schedule(SimTime, SimTime, std::uint64_t) override { ++calls; }
+  void on_fire(SimTime, std::uint64_t) override { ++calls; }
+  void on_cancel(std::uint64_t, CancelOutcome) override { ++calls; }
+  std::uint64_t calls = 0;
+};
+
+TEST(CheckHookLifecycleTest, CheckHookDestroyedFirstDetachesFromScheduler) {
+  des::Scheduler sched;
+  auto hook = std::make_unique<CountingCheckHook>();
+  sched.set_check_hook(hook.get());
+  EXPECT_EQ(hook->installed_on(), &sched);
+  EXPECT_EQ(sched.check_hook(), hook.get());
+  des::EventHandle timer = sched.schedule_after(ms(2), [] {});
+  sched.schedule_after(ms(1), [] {});
+  sched.run(ms(1));
+  hook.reset();
+  // The dead hook uninstalled itself, so the rest of the run (a cancel, a
+  // schedule, a fire) and the scheduler's destructor reach no hook.
+  EXPECT_EQ(sched.check_hook(), nullptr);
+  timer.cancel();
+  sched.schedule_after(ms(1), [] {});
+  EXPECT_EQ(sched.run(), 1u);
+}
+
+TEST(CheckHookLifecycleTest, SchedulerDestroyedFirstForgetsCheckHook) {
+  CountingCheckHook hook;
+  auto sched = std::make_unique<des::Scheduler>();
+  sched->set_check_hook(&hook);
+  sched->schedule_after(ms(1), [] {});
+  sched->run();
+  sched.reset();
+  // The hook's own destructor will find no scheduler to detach from.
+  EXPECT_EQ(hook.installed_on(), nullptr);
+#if defined(GTW_CHECK)
+  EXPECT_EQ(hook.calls, 2u);  // one schedule, one fire
+#endif
+
+  // The hook outlives its scheduler and can serve another, one at a time.
+  des::Scheduler s1;
+  des::Scheduler s2;
+  s1.set_check_hook(&hook);
+  s2.set_check_hook(&hook);
+  EXPECT_EQ(s1.check_hook(), nullptr);
+  EXPECT_EQ(s2.check_hook(), &hook);
+  EXPECT_EQ(hook.installed_on(), &s2);
 }
 
 }  // namespace

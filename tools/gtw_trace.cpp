@@ -54,7 +54,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// Print the engine-core metrics (scheduler calendar, event pool) out of an
+// Print the engine-core metrics (scheduler and event pool) out of an
 // OBS_*.metrics.json snapshot.  The exporter writes one metric per line as
 // `    "name": value,` so a line scan suffices — no JSON parser needed for
 // our own format.
