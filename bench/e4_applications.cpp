@@ -4,7 +4,8 @@
 //     timestep, up to 30 MByte/s;
 //   * climate: 2-D surface exchange every timestep, ~1 MByte bursts;
 //   * MEG/pmusic: low volume but latency sensitive;
-//   * multimedia: 270 Mbit/s uncompressed D1 video.
+//   * multimedia: 270 Mbit/s uncompressed D1 video, alone on each era and,
+//     on OC-12, beside greedy TCP with and without per-VC CBR shaping.
 // Each row shows whether the era sustains the application's requirement.
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,8 @@
 #include "apps/meg.hpp"
 #include "apps/video.hpp"
 #include "meta/communicator.hpp"
+#include "net/tcp.hpp"
+#include "net/units.hpp"
 #include "testbed/testbed.hpp"
 
 namespace {
@@ -157,6 +160,38 @@ void print_e4() {
                 static_cast<unsigned long long>(rep.frames_lost),
                 static_cast<unsigned long long>(rep.frames_sent),
                 rep.jitter_ms, rep.feasible ? "feasible" : "NOT feasible");
+  }
+
+  // Per-VC CBR shaping: the video shares the GMD switch's WAN egress with a
+  // greedy TCP transfer.  Shaping the TCP sender's VC leaves the video its
+  // headroom (the scenario ShapingTest.ShapingProtectsVideoFromCrossTraffic
+  // asserts).
+  std::printf("  OC-12 1997, video onyx2_gmd->workbench_juelich (60 frames) "
+              "beside 64 MiB TCP e500->onyx2_juelich:\n");
+  for (const bool shaped : {false, true}) {
+    testbed::Testbed tb{testbed::TestbedOptions{testbed::WanEra::kOc12_1997}};
+    if (shaped)
+      tb.shape_host_vc("e500", "onyx2_juelich", units::BitRate::mbps(250.0));
+    apps::D1VideoSession video(
+        tb.onyx2_gmd(), tb.workbench_juelich(),
+        apps::D1VideoConfig{units::BitRate::mbps(270.0), 25.0, 60}, 7700);
+    video.start();
+    net::TcpConfig cfg;
+    cfg.mss = net::kMtuAtmFore - units::Bytes{40};
+    cfg.recv_buffer = units::Bytes{2u << 20};
+    net::TcpConnection bulk(tb.e500(), tb.onyx2_juelich(), 7800, 7801, cfg);
+    des::SimTime bulk_done;
+    bulk.send(0, units::Bytes{64u << 20}, {},
+              [&](const std::any&, des::SimTime t) { bulk_done = t; });
+    tb.scheduler().run();
+    const auto rep = video.report();
+    std::printf("    %-25s: %3llu/%llu frames lost, jitter %.2f ms, TCP "
+                "done at %.3f s  [%s]\n",
+                shaped ? "e500 VC shaped 250 Mbit/s" : "unshaped",
+                static_cast<unsigned long long>(rep.frames_lost),
+                static_cast<unsigned long long>(rep.frames_sent),
+                rep.jitter_ms, bulk_done.sec(),
+                rep.feasible ? "feasible" : "NOT feasible");
   }
   std::printf("\n");
 }

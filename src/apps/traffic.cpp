@@ -137,8 +137,7 @@ DistributedTrafficViz::DistributedTrafficViz(net::Host& sim_host,
       "publish", tx_, viz_id_, port_,
       [this](const flow::Item&) {
         return units::Bytes{result_.frame_bytes};
-      },
-      /*number_frames=*/false));
+      }));
 }
 
 void DistributedTrafficViz::start() {

@@ -12,8 +12,7 @@ D1VideoSession::D1VideoSession(net::Host& source, net::Host& sink,
               flow::PeriodicSource::Config{interval_, cfg.frames, false}) {
   graph_.add_stage(flow::datagram_transfer_stage(
       "uplink", socket_, sink.id(), port_base,
-      [this](const flow::Item&) { return cfg_.frame_bytes(); },
-      /*number_frames=*/true, /*concurrency=*/0));
+      [this](const flow::Item&) { return cfg_.frame_bytes(); }));
 }
 
 void D1VideoSession::start() {
@@ -25,9 +24,8 @@ D1VideoReport D1VideoSession::report() const {
   D1VideoReport rep;
   rep.frames_sent = static_cast<std::uint64_t>(source_.emitted());
   rep.frames_received = sink_.frames_received();
-  // Sequence-gap counting (CbrSink::frames_lost) underestimates here: a
-  // frame with any dropped fragment never completes reassembly, so its
-  // sequence number is never seen.  The session knows both ends.
+  // The session knows both ends.  A frame with any dropped fragment never
+  // completes reassembly, so the sink alone could not see its loss.
   rep.frames_lost = rep.frames_sent >= rep.frames_received
                         ? rep.frames_sent - rep.frames_received
                         : 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace gtw::des {
 
@@ -21,56 +20,6 @@ void RunningStats::add(double x) {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)),
-      bins_(bins, 0) {}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    ++bins_[static_cast<std::size_t>((x - lo_) / bin_width_)];
-  }
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target && underflow_ > 0) return lo_;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double next = cum + static_cast<double>(bins_[i]);
-    if (next >= target && bins_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(bins_[i]);
-      return lo_ + (static_cast<double>(i) + frac) * bin_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string(int width) const {
-  std::string out;
-  const std::uint64_t peak = *std::max_element(bins_.begin(), bins_.end());
-  if (peak == 0) return "(empty histogram)\n";
-  char line[160];
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (bins_[i] == 0) continue;
-    const int bar = static_cast<int>(
-        static_cast<double>(bins_[i]) / static_cast<double>(peak) * width);
-    std::snprintf(line, sizeof line, "%12.4g |%-*s %llu\n",
-                  lo_ + static_cast<double>(i) * bin_width_, width,
-                  std::string(static_cast<std::size_t>(bar), '#').c_str(),
-                  static_cast<unsigned long long>(bins_[i]));
-    out += line;
-  }
-  return out;
-}
 
 void TimeWeighted::update(SimTime now, double new_value) {
   if (!started_) {

@@ -1,11 +1,9 @@
 // Statistics collectors used throughout the simulator: streaming mean and
-// variance (Welford), fixed-bin histograms with quantile estimation, and
-// time-weighted averages for queue occupancy style metrics.
+// variance (Welford) and time-weighted averages for queue occupancy style
+// metrics.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "des/time.hpp"
 
@@ -30,24 +28,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-// Fixed-width histogram over [lo, hi) with out-of-range counters.  Quantiles
-// are estimated by linear interpolation within the containing bin.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::uint64_t count() const { return total_; }
-  double quantile(double q) const;
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::string to_string(int width = 40) const;
-
- private:
-  double lo_, hi_, bin_width_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 // Time-weighted average of a piecewise-constant signal (queue depth, link

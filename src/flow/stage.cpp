@@ -63,19 +63,16 @@ StageConfig tcp_transfer_stage(std::string name, net::TcpConnection& conn,
 StageConfig datagram_transfer_stage(
     std::string name, net::DatagramSocket& socket, net::HostId dst,
     std::uint16_t dst_port, std::function<units::Bytes(const Item&)> bytes,
-    bool number_frames, int concurrency) {
+    int concurrency) {
   StageConfig cfg;
   cfg.name = std::move(name);
   cfg.concurrency = concurrency;
-  cfg.body = [&socket, dst, dst_port, bytes = std::move(bytes),
-              number_frames](StageContext ctx, Item& it, Done done) {
+  cfg.body = [&socket, dst, dst_port, bytes = std::move(bytes)](
+                 StageContext ctx, Item& it, Done done) {
     const units::Bytes n = bytes ? bytes(it) : units::Bytes::zero();
     // Datagrams record only the send: loss shows up at the receiver.
     ctx.trace_send(ctx.stage + 1, n);
-    socket.send_to(dst, dst_port, n,
-                   number_frames
-                       ? std::any{static_cast<std::int64_t>(it.index)}
-                       : std::any{});
+    socket.send_to(dst, dst_port, n);
     done();
   };
   return cfg;

@@ -38,16 +38,15 @@ StageConfig tcp_transfer_stage(std::string name, net::TcpConnection& conn,
 
 // Fire-and-forget datagram send; completes immediately (loss shows up at
 // the receiving socket, not here), so it records only a message send.
-// With number_frames the item index rides along as the CBR sequence number.
 StageConfig datagram_transfer_stage(
     std::string name, net::DatagramSocket& socket, net::HostId dst,
     std::uint16_t dst_port, std::function<units::Bytes(const Item&)> bytes,
-    bool number_frames = true, int concurrency = 0);
+    int concurrency = 0);
 
 // Pushes `count` items into a graph at a fixed interval.  With
 // immediate_first the first item is emitted synchronously from start()
-// (DistributedTrafficViz-style); otherwise it is scheduled at +0 like
-// net::CbrSource, keeping either cadence bit-identical to the original.
+// (DistributedTrafficViz-style); otherwise it is scheduled at +0, the CBR
+// video cadence (apps::D1VideoSession).
 class PeriodicSource {
  public:
   struct Config {

@@ -8,15 +8,8 @@
 
 namespace gtw::meta {
 
-std::uint32_t datatype_size(Datatype t) {
-  switch (t) {
-    case Datatype::kByte: return 1;
-    case Datatype::kInt32: return 4;
-    case Datatype::kInt64: return 8;
-    case Datatype::kFloat32: return 4;
-    case Datatype::kFloat64: return 8;
-  }
-  return 1;
+CommCheckObserver::~CommCheckObserver() {
+  if (installed_on_ != nullptr) installed_on_->set_check_observer(nullptr);
 }
 
 Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
@@ -26,6 +19,7 @@ Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
 }
 
 Communicator::~Communicator() {
+  set_check_observer(nullptr);
   if (collectives_.empty()) return;
   des::SpanHook* h = mc_->scheduler().span_hook();
   if (h == nullptr) return;
@@ -34,6 +28,14 @@ Communicator::~Communicator() {
     for (const std::uint64_t span : c.spans) h->abort_span(span, now);
     if (c.owns_trace) h->abort_trace(c.ctx, "teardown", now);
   }
+}
+
+void Communicator::set_check_observer(CommCheckObserver* obs) {
+  if (check_observer_ != nullptr) check_observer_->installed_on_ = nullptr;
+  if (obs != nullptr && obs->installed_on_ != nullptr)
+    obs->installed_on_->check_observer_ = nullptr;
+  check_observer_ = obs;
+  if (obs != nullptr) obs->installed_on_ = this;
 }
 
 bool Communicator::matches(const PostedRecv& r, const Message& m) const {
@@ -45,11 +47,6 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
                         std::uint64_t bytes, std::any data, Callback on_sent) {
   const ProcLoc& src = location(src_rank);
   const ProcLoc& dst = location(dst_rank);
-  ++messages_sent_;
-  bytes_sent_ += bytes;
-  PeerStats& peer = peer_traffic_[{src_rank, dst_rank}];
-  ++peer.messages;
-  peer.bytes += bytes;
 
   // The message runs under the current trace, or under one minted here
   // and closed at delivery; either way it is a send on the source rank's
@@ -175,7 +172,6 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
       return;
     }
     ++reliability_.wan_retries;
-    ++peer_traffic_[{st->src_rank, st->dst_rank}].retries;
     if (des::SpanHook* h2 = mc_->scheduler().span_hook();
         h2 != nullptr && st->retry_span == 0 && st->ctx.valid()) {
       st->retry_span =
@@ -189,13 +185,6 @@ void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
     wan_attempt(st);
   });
   if (h != nullptr) h->adopt(prev);
-}
-
-void Communicator::send_typed(int src_rank, int dst_rank, int tag,
-                              std::uint64_t count, Datatype type,
-                              std::any data, Callback on_sent) {
-  send(src_rank, dst_rank, tag, count * datatype_size(type), std::move(data),
-       std::move(on_sent));
 }
 
 void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
@@ -450,13 +439,6 @@ void Communicator::alltoall(int rank, std::uint64_t bytes_per_pair,
                }
                cb(std::move(column));
              });
-}
-
-void Communicator::sendrecv(int rank, int dst, int send_tag,
-                            std::uint64_t send_bytes, std::any send_data,
-                            int src, int recv_tag, RecvCallback cb) {
-  recv(rank, src, recv_tag, std::move(cb));
-  send(rank, dst, send_tag, send_bytes, std::move(send_data));
 }
 
 void Communicator::spawn(

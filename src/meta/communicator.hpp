@@ -10,10 +10,10 @@
 //     bytes that must cross between machines over the WAN (each op's
 //     pattern, DESIGN.md section 3), then the intra tree again -- the
 //     hierarchical scheme a metacomputing-aware MPI uses;
-//   - MPI-2 features called out in the paper: dynamic process creation
-//     (spawn), and name-based connect/accept yielding intercommunicators
-//     (used by FIRE for realtime visualization attachment), plus typed
-//     datatypes for language interoperability;
+//   - the MPI-2 dynamic processes the paper says "can be used for
+//     realtime-visualization or computational steering": process creation
+//     (spawn) here, and name-based connect/accept yielding
+//     intercommunicators in meta/ports.hpp;
 //   - VAMPIR integration (the paper's Metacomputing Tools project: "the
 //     parallel tracing tool VAMPIR is extended for the use with this
 //     library"): while a span hook is installed on the scheduler, ranks are
@@ -36,6 +36,8 @@
 
 namespace gtw::meta {
 
+class Communicator;
+
 // GTW-San observer (check::attach_communicator): notified at the outcome
 // decision of every watchdog-guarded WAN delivery and at every unreachable
 // report, so the sanitizer can prove the retry policy's contract — a
@@ -43,9 +45,15 @@ namespace gtw::meta {
 // application.  Notification-only; must not call back into the
 // communicator.  The interface and registration slot exist in every build;
 // the notifying call sites are GTW_CHECK_HOOK-guarded and compile away
-// when checking is off.
+// when checking is off.  Lifetime as for des::SchedulerCheckHook: one
+// communicator at a time, and either may die first.
 struct CommCheckObserver {
-  virtual ~CommCheckObserver() = default;
+  CommCheckObserver() = default;
+  CommCheckObserver(const CommCheckObserver&) = delete;
+  CommCheckObserver& operator=(const CommCheckObserver&) = delete;
+  virtual ~CommCheckObserver();  // uninstalls; meta/communicator.cpp
+  Communicator* installed_on() const { return installed_on_; }  // or null
+
   // A WAN copy arrived.  Exactly one of the three describes its fate:
   // handed to the application, suppressed as a duplicate of an earlier
   // delivery, or dropped because the message was already abandoned.
@@ -53,6 +61,10 @@ struct CommCheckObserver {
                               bool delivered_to_app, bool after_abandon,
                               bool duplicate) = 0;
   virtual void on_unreachable(int src_rank, int dst_rank) = 0;
+
+ private:
+  friend class Communicator;
+  Communicator* installed_on_ = nullptr;  // maintained by Communicator only
 };
 
 // Process location: which machine, which processing element on it.
@@ -60,18 +72,6 @@ struct ProcLoc {
   int machine = 0;
   int pe = 0;
 };
-
-// Language-interoperability datatypes (MPI-2 brings bindings whose element
-// sizes must agree across languages; we carry them so message sizes are
-// computed identically on both sides).
-enum class Datatype : std::uint8_t {
-  kByte,
-  kInt32,
-  kInt64,
-  kFloat32,
-  kFloat64,
-};
-std::uint32_t datatype_size(Datatype t);
 
 struct Message {
   int source = -1;
@@ -110,7 +110,8 @@ class Communicator {
   // A communicator over explicit process locations.
   Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks);
   // Collectives still waiting for ranks retire their spans as aborted, so
-  // the tracer's leak census stays clean.
+  // the tracer's leak census stays clean; an installed check observer is
+  // uninstalled.
   ~Communicator();
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
@@ -129,8 +130,6 @@ class Communicator {
   // drives the matching recv's callback at the receiver's simulated time.
   void send(int src_rank, int dst_rank, int tag, std::uint64_t bytes,
             std::any data = {}, Callback on_sent = nullptr);
-  void send_typed(int src_rank, int dst_rank, int tag, std::uint64_t count,
-                  Datatype type, std::any data = {}, Callback on_sent = nullptr);
   void recv(int rank, int source, int tag, RecvCallback cb);
 
   // --- collectives ----------------------------------------------------------
@@ -157,9 +156,6 @@ class Communicator {
   void alltoall(int rank, std::uint64_t bytes_per_pair,
                 std::vector<std::any> contributions,
                 std::function<void(std::vector<std::any>)> cb);
-  // Combined send+recv, the classic halo-exchange primitive.
-  void sendrecv(int rank, int dst, int send_tag, std::uint64_t send_bytes,
-                std::any send_data, int src, int recv_tag, RecvCallback cb);
 
   // --- MPI-2 dynamic processes ---------------------------------------------
   // Spawn `n` new processes on `machine`; yields an intercommunicator whose
@@ -169,9 +165,6 @@ class Communicator {
              std::function<void(std::shared_ptr<Communicator> intercomm)> cb);
 
   Metacomputer& metacomputer() { return *mc_; }
-
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
   // --- failure handling ------------------------------------------------------
   // Enable watchdog/retry on WAN point-to-point sends.  Off by default:
@@ -196,18 +189,10 @@ class Communicator {
   };
   const ReliabilityStats& reliability() const { return reliability_; }
 
-  // Per-(src rank, dst rank) point-to-point accounting, for the per-peer
-  // breakdown the obs layer exports (collectives are not attributed here).
-  struct PeerStats {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t retries = 0;  // watchdog resends on this pair
-  };
-  const std::map<std::pair<int, int>, PeerStats>& peer_traffic() const {
-    return peer_traffic_;
-  }
-
-  void set_check_observer(CommCheckObserver* obs) { check_observer_ = obs; }
+  // Installs `obs` (nullptr uninstalls), moving it off any communicator it
+  // was installed on.
+  void set_check_observer(CommCheckObserver* obs);
+  CommCheckObserver* check_observer() const { return check_observer_; }
 
  private:
   struct PostedRecv {
@@ -281,9 +266,6 @@ class Communicator {
   std::vector<ProcLoc> ranks_;
   std::vector<RankState> states_;
   std::map<std::uint64_t, Collective> collectives_;  // by call index
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::map<std::pair<int, int>, PeerStats> peer_traffic_;
   RetryPolicy retry_;
   bool retry_enabled_ = false;
   UnreachableCallback unreachable_;

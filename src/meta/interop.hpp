@@ -7,14 +7,11 @@
 // field[z][y][x] and a Fortran code declaring FIELD(NZ,NY,NX) with the same
 // index meaning store the same logical field with *reversed* dimension
 // order (C: x fastest; that Fortran declaration: z fastest).  These helpers
-// perform the dimension-order reversal, and TypedEnvelope carries an
-// element-type tag so both sides compute identical byte counts.
+// perform the dimension-order reversal.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "meta/communicator.hpp"
 
 namespace gtw::meta {
 
@@ -72,16 +69,5 @@ std::vector<T> from_column_major(const std::vector<T>& src, int nx, int ny,
                          static_cast<std::size_t>(x))];
   return out;
 }
-
-// Self-describing payload: element type + count travel with the data, so a
-// receiver written in "another language" can validate the layout contract.
-struct TypedEnvelope {
-  Datatype type = Datatype::kByte;
-  std::uint64_t count = 0;
-  bool column_major = false;
-  std::any data;
-
-  std::uint64_t bytes() const { return count * datatype_size(type); }
-};
 
 }  // namespace gtw::meta

@@ -22,6 +22,7 @@ PathTransport::PathTransport(des::Scheduler& sched, net::Host& a, net::Host& b,
 }
 
 PathTransport::~PathTransport() {
+  set_check_observer(nullptr);
   des::SpanHook* h = sched_.span_hook();
   if (h == nullptr) return;
   // Messages still in flight at teardown retire their spans as aborted and
@@ -34,6 +35,18 @@ PathTransport::~PathTransport() {
       if (msg.owns_trace) h->abort_trace(msg.ctx, "teardown", sched_.now());
     }
   }
+}
+
+PathCheckObserver::~PathCheckObserver() {
+  if (installed_on_ != nullptr) installed_on_->set_check_observer(nullptr);
+}
+
+void PathTransport::set_check_observer(PathCheckObserver* obs) {
+  if (check_observer_ != nullptr) check_observer_->installed_on_ = nullptr;
+  if (obs != nullptr && obs->installed_on_ != nullptr)
+    obs->installed_on_->check_observer_ = nullptr;
+  check_observer_ = obs;
+  if (obs != nullptr) obs->installed_on_ = this;
 }
 
 void PathTransport::open_stream(Stream& s) {

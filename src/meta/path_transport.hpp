@@ -45,19 +45,31 @@
 
 namespace gtw::meta {
 
+class PathTransport;
+
 // GTW-San observer (check::attach_path_transport): notified at every chunk
 // arrival and every in-order message hand-off to the application, so the
 // sanitizer can prove the exactly-once / strict-send-order delivery
 // contract instead of trusting the reassembly bookkeeping it is checking.
 // Notification-only: implementations must not call back into the path.
 // Declared in every build; the notifying call sites are GTW_CHECK_HOOK-
-// guarded and compile away when checking is off.
+// guarded and compile away when checking is off.  Lifetime as for
+// des::SchedulerCheckHook: one path at a time, and either may die first.
 struct PathCheckObserver {
-  virtual ~PathCheckObserver() = default;
+  PathCheckObserver() = default;
+  PathCheckObserver(const PathCheckObserver&) = delete;
+  PathCheckObserver& operator=(const PathCheckObserver&) = delete;
+  virtual ~PathCheckObserver();  // uninstalls; meta/path_transport.cpp
+  PathTransport* installed_on() const { return installed_on_; }  // or null
+
   virtual void on_chunk(int side, std::uint64_t msg_seq, std::uint32_t idx,
                         bool duplicate) = 0;
   virtual void on_message(int side, std::uint64_t msg_seq,
                           std::uint64_t bytes) = 0;
+
+ private:
+  friend class PathTransport;
+  PathTransport* installed_on_ = nullptr;  // maintained by PathTransport only
 };
 
 // Per-path transport configuration.  `streams` is the connection pool size
@@ -153,7 +165,10 @@ class PathTransport {
     return messages_[side].size();
   }
 
-  void set_check_observer(PathCheckObserver* obs) { check_observer_ = obs; }
+  // Installs `obs` (nullptr uninstalls), moving it off any path it was
+  // installed on.
+  void set_check_observer(PathCheckObserver* obs);
+  PathCheckObserver* check_observer() const { return check_observer_; }
 
   int stream_count() const { return static_cast<int>(streams_.size()); }
   int active_streams() const { return active_streams_; }

@@ -1,9 +1,9 @@
 // MPI-2 name-based connection establishment (MPI_Open_port /
-// MPI_Comm_accept / MPI_Comm_connect).  The paper singles this feature out:
-// "dynamic process creation and attachment e.g. can be used for
-// realtime-visualization or computational steering".  FIRE uses it to let
-// the RT-client attach to the compute service on the T3E and to the
-// rendering service on the Onyx 2.
+// MPI_Comm_accept / MPI_Comm_connect), which the paper lists among
+// MetaMPI's features: "dynamic process creation and attachment e.g. can be
+// used for realtime-visualization or computational steering".
+// bench/m1_metampi_performance attaches a one-rank visualization client to
+// a spawned T3E+SP2 job through it.
 #pragma once
 
 #include <functional>

@@ -25,31 +25,6 @@ void DatagramSocket::send_to(HostId dst, std::uint16_t dst_port,
   host_.send_datagram(std::move(pkt));
 }
 
-CbrSource::CbrSource(Host& host, std::uint16_t src_port, HostId dst,
-                     std::uint16_t dst_port, Config cfg)
-    : socket_(host, src_port), dst_(dst), dst_port_(dst_port), cfg_(cfg) {}
-
-void CbrSource::start() {
-  timer_ = socket_.host().scheduler().schedule_after(des::SimTime::zero(),
-                                                     [this]() { tick(); });
-}
-
-void CbrSource::stop() { timer_.cancel(); }
-
-void CbrSource::tick() {
-  socket_.send_to(dst_, dst_port_, cfg_.frame_bytes,
-                  std::any{static_cast<std::int64_t>(sent_)});
-  ++sent_;
-  if (cfg_.frame_count != 0 && sent_ >= cfg_.frame_count) return;
-  timer_ = socket_.host().scheduler().schedule_after(cfg_.interval,
-                                                     [this]() { tick(); });
-}
-
-units::BitRate CbrSource::offered_rate() const {
-  if (cfg_.interval <= des::SimTime::zero()) return units::BitRate::bps(0.0);
-  return units::per(cfg_.frame_bytes.to_bits(), cfg_.interval);
-}
-
 CbrSink::CbrSink(Host& host, std::uint16_t port) : socket_(host, port) {
   socket_.on_receive([this](const IpPacket& pkt) {
     const des::SimTime now = socket_.host().scheduler().now();
@@ -59,17 +34,7 @@ CbrSink::CbrSink(Host& host, std::uint16_t port) : socket_(host, port) {
     last_arrival_ = now;
     ++received_;
     bytes_ += pkt.total_bytes - kIpHeaderBytes - kUdpHeaderBytes;
-    if (pkt.payload) {
-      if (const auto* seq = std::any_cast<std::int64_t>(pkt.payload.get()))
-        highest_seq_ = std::max(highest_seq_, *seq);
-    }
   });
-}
-
-std::uint64_t CbrSink::frames_lost() const {
-  if (highest_seq_ < 0) return 0;
-  const std::uint64_t expected = static_cast<std::uint64_t>(highest_seq_) + 1;
-  return expected > received_ ? expected - received_ : 0;
 }
 
 units::BitRate CbrSink::goodput(des::SimTime window) const {

@@ -1,7 +1,8 @@
-// Unreliable datagram service (UDP semantics) plus a constant-bit-rate
-// source/sink pair.  The CBR pair models the testbed's multimedia project:
+// Unreliable datagram service (UDP semantics) plus the receiving end of a
+// constant-bit-rate stream.  CBR models the testbed's multimedia project:
 // an uncompressed D1 studio video stream is 270 Mbit/s of fixed-cadence
-// frames over ATM (paper, section 3).
+// frames over ATM (paper, section 3).  The sending end is a
+// flow::PeriodicSource feeding a flow::datagram_transfer_stage.
 #pragma once
 
 #include <any>
@@ -41,41 +42,13 @@ class DatagramSocket {
   Handler handler_;
 };
 
-// Periodic fixed-size datagram source.
-class CbrSource {
- public:
-  struct Config {
-    units::Bytes frame_bytes;          // application bytes per frame
-    des::SimTime interval;             // frame cadence
-    std::uint64_t frame_count = 0;     // 0 = unbounded
-  };
-
-  CbrSource(Host& host, std::uint16_t src_port, HostId dst,
-            std::uint16_t dst_port, Config cfg);
-  void start();
-  void stop();
-  std::uint64_t frames_sent() const { return sent_; }
-  units::BitRate offered_rate() const;
-
- private:
-  void tick();
-
-  DatagramSocket socket_;
-  HostId dst_;
-  std::uint16_t dst_port_;
-  Config cfg_;
-  std::uint64_t sent_ = 0;
-  des::EventHandle timer_;
-};
-
-// Receiving side: counts frames, measures inter-arrival jitter and loss
-// (frames are numbered by the source via the datagram body).
+// Receiving side: counts frames and bytes and measures inter-arrival
+// jitter.  Loss is counted by the session, which knows what was sent.
 class CbrSink {
  public:
   CbrSink(Host& host, std::uint16_t port);
 
   std::uint64_t frames_received() const { return received_; }
-  std::uint64_t frames_lost() const;
   units::Bytes bytes_received() const { return units::Bytes{bytes_}; }
   units::BitRate goodput(des::SimTime window) const;
   const des::RunningStats& interarrival_ms() const { return interarrival_; }
@@ -84,7 +57,6 @@ class CbrSink {
   DatagramSocket socket_;
   std::uint64_t received_ = 0;
   std::uint64_t bytes_ = 0;
-  std::int64_t highest_seq_ = -1;
   des::SimTime first_arrival_;
   des::SimTime last_arrival_;
   bool any_ = false;

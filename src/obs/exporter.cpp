@@ -154,36 +154,18 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
 
 void write_metrics_json(std::ostream& os, const Registry& reg,
                         const std::string& label) {
-  const auto snap = reg.snapshot();
   os << "{\n  \"label\": \"" << json_escape(label) << "\",\n  \"metrics\": {";
   bool first = true;
-  for (const Registry::Sample& s : snap) {
-    if (s.kind == Registry::Kind::kHistogram) continue;
+  for (const Registry::Sample& s : reg.snapshot()) {
     os << (first ? "\n" : ",\n") << "    \"" << json_escape(s.name) << "\": ";
-    if (s.is_float)
+    if (s.kind == Registry::Kind::kGauge)
       os << fmt_double(s.d);
     else
       os << s.u;
     first = false;
   }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const Registry::Sample& s : snap) {
-    if (s.kind != Registry::Kind::kHistogram) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(s.name)
-       << "\": {\"count\": " << s.hist->count()
-       << ", \"sum\": " << fmt_double(s.hist->sum()) << ", \"bounds\": [";
-    for (std::size_t i = 0; i < s.hist->bounds().size(); ++i)
-      os << (i ? ", " : "") << fmt_double(s.hist->bounds()[i]);
-    os << "], \"buckets\": [";
-    for (std::size_t i = 0; i < s.hist->buckets().size(); ++i)
-      os << (i ? ", " : "") << s.hist->buckets()[i];
-    os << "], \"p50\": " << fmt_double(s.hist->quantile(0.50))
-       << ", \"p90\": " << fmt_double(s.hist->quantile(0.90))
-       << ", \"p99\": " << fmt_double(s.hist->quantile(0.99)) << "}";
-    first = false;
-  }
-  os << "\n  },\n  \"marks\": [";
+  // The registry keeps no histograms; the empty object keeps the schema.
+  os << "\n  },\n  \"histograms\": {\n  },\n  \"marks\": [";
   first = true;
   for (const Mark& m : reg.marks()) {
     os << (first ? "\n" : ",\n") << "    {\"t_ps\": " << m.t.ps()
@@ -192,29 +174,6 @@ void write_metrics_json(std::ostream& os, const Registry& reg,
     first = false;
   }
   os << "\n  ]\n}\n";
-}
-
-void write_metrics_csv(std::ostream& os, const Registry& reg) {
-  os << "name,kind,value\n";
-  for (const Registry::Sample& s : reg.snapshot()) {
-    switch (s.kind) {
-      case Registry::Kind::kCounter:
-        os << s.name << ",counter," << s.u << "\n";
-        break;
-      case Registry::Kind::kGauge:
-        os << s.name << ",gauge," << fmt_double(s.d) << "\n";
-        break;
-      case Registry::Kind::kHistogram:
-        os << s.name << ",histogram_count," << s.u << "\n";
-        os << s.name << ",histogram_p50," << fmt_double(s.hist->quantile(0.50))
-           << "\n";
-        os << s.name << ",histogram_p90," << fmt_double(s.hist->quantile(0.90))
-           << "\n";
-        os << s.name << ",histogram_p99," << fmt_double(s.hist->quantile(0.99))
-           << "\n";
-        break;
-    }
-  }
 }
 
 void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler) {
@@ -231,13 +190,6 @@ void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler) {
     first = false;
   }
   os << "\n  ]\n}\n";
-}
-
-void write_series_csv(std::ostream& os, const TimeSeriesSampler& sampler) {
-  os << "series,t_ps,value\n";
-  for (const TimeSeriesSampler::Series& s : sampler.series())
-    for (const auto& [t_ps, value] : s.points)
-      os << s.name << "," << t_ps << "," << fmt_double(value) << "\n";
 }
 
 }  // namespace gtw::obs

@@ -8,8 +8,8 @@
 //    with one track per VAMPIR lane, its states as complete events and a
 //    send->recv arrow per message; registry marks as instant events and
 //    sampled time series as counter tracks (ph C).
-//  - stable-ordered JSON / CSV snapshots of a Registry and the long-format
-//    time series a TimeSeriesSampler collected.
+//  - stable-ordered JSON snapshots of a Registry and the long-format time
+//    series a TimeSeriesSampler collected.
 //
 // All timestamps are simulated time.  Chrome `ts` is microseconds; we print
 // it as <us>.<6 digits> with the fraction computed in integer picoseconds,
@@ -42,14 +42,8 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
 void write_metrics_json(std::ostream& os, const Registry& reg,
                         const std::string& label = "");
 
-// name,kind,value rows in lexicographic name order.
-void write_metrics_csv(std::ostream& os, const Registry& reg);
-
 // {"series": [{"name": ..., "points": [[t_ps, value], ...]}, ...]} in watch
 // order.
 void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler);
-
-// series,t_ps,value rows, series in watch order, points in time order.
-void write_series_csv(std::ostream& os, const TimeSeriesSampler& sampler);
 
 }  // namespace gtw::obs

@@ -81,62 +81,6 @@ void instrument_atm_switch(Registry& reg, net::AtmSwitch& sw) {
                     p + "port" + std::to_string(port));
 }
 
-void instrument_tcp(Registry& reg, const net::TcpConnection& conn,
-                    const std::string& name) {
-  for (int side = 0; side < 2; ++side) {
-    const std::string p = "tcp." + name + "." + std::to_string(side) + ".";
-    // stats(side) re-reads the endpoint each evaluation, so gauges track the
-    // live cwnd/ssthresh/RTO trajectory when sampled.
-    reg.probe_gauge(p + "cwnd_bytes",
-                    [&conn, side] { return conn.stats(side).cwnd_bytes; });
-    reg.probe_gauge(p + "ssthresh_bytes",
-                    [&conn, side] { return conn.stats(side).ssthresh_bytes; });
-    reg.probe_gauge(p + "srtt_ms",
-                    [&conn, side] { return conn.stats(side).srtt_ms; });
-    reg.probe_gauge(p + "rto_ms",
-                    [&conn, side] { return conn.stats(side).rto_ms; });
-    reg.probe_counter(p + "segments_sent",
-                      [&conn, side] { return conn.stats(side).segments_sent; });
-    reg.probe_counter(p + "acks_sent",
-                      [&conn, side] { return conn.stats(side).acks_sent; });
-    reg.probe_counter(p + "bytes_acked",
-                      [&conn, side] { return conn.stats(side).bytes_acked; });
-    reg.probe_counter(p + "retransmits",
-                      [&conn, side] { return conn.stats(side).retransmits; });
-    reg.probe_counter(p + "fast_retransmits", [&conn, side] {
-      return conn.stats(side).fast_retransmits;
-    });
-    reg.probe_counter(p + "timeouts",
-                      [&conn, side] { return conn.stats(side).timeouts; });
-    reg.probe_counter(p + "dup_acks",
-                      [&conn, side] { return conn.stats(side).dup_acks; });
-    reg.probe_counter(p + "dup_segments_received", [&conn, side] {
-      return conn.stats(side).dup_segments_received;
-    });
-    reg.probe_counter(p + "max_ooo_bytes",
-                      [&conn, side] { return conn.stats(side).max_ooo_bytes; });
-  }
-}
-
-void instrument_communicator(Registry& reg, const meta::Communicator& comm,
-                             const std::string& name) {
-  const std::string p = "meta." + name + ".";
-  reg.probe_counter(p + "messages_sent",
-                    [&comm] { return comm.messages_sent(); });
-  reg.probe_counter(p + "bytes_sent", [&comm] { return comm.bytes_sent(); });
-  reg.probe_counter(p + "wan_retries",
-                    [&comm] { return comm.reliability().wan_retries; });
-  reg.probe_counter(p + "duplicates_suppressed", [&comm] {
-    return comm.reliability().duplicates_suppressed;
-  });
-  reg.probe_counter(p + "unreachable_reports", [&comm] {
-    return comm.reliability().unreachable_reports;
-  });
-  reg.probe_counter(p + "dropped_after_unreachable", [&comm] {
-    return comm.reliability().dropped_after_unreachable;
-  });
-}
-
 void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
                                const std::string& name) {
   const std::string p = "meta.path." + name + ".";
@@ -191,18 +135,6 @@ void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
   reg.probe_gauge(p + "stream_window_bytes", [&path] {
     return static_cast<double>(path.stream_window().count());
   });
-}
-
-void bridge_communicator_peers(Registry& reg, const meta::Communicator& comm,
-                               const std::string& name) {
-  for (const auto& [pair, stats] : comm.peer_traffic()) {
-    const std::string p = "meta." + name + ".peer." +
-                          std::to_string(pair.first) + "_to_" +
-                          std::to_string(pair.second) + ".";
-    reg.counter(p + "messages").set(stats.messages);
-    reg.counter(p + "bytes").set(stats.bytes);
-    reg.counter(p + "retries").set(stats.retries);
-  }
 }
 
 void bridge_flow_metrics(Registry& reg, const flow::MetricsRegistry& metrics,

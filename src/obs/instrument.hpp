@@ -1,15 +1,11 @@
 // Instrumentation bridges: wire the simulator's components into an
 // obs::Registry without those components depending on obs.
 //
-// Two attachment styles, both passive:
-//
-//  - instrument_* register read-only probes (evaluated at snapshot/sample
-//    time) over a live component's existing accessors — the component is
-//    observed, never modified, and nothing is scheduled, so attaching
-//    instrumentation cannot perturb the DES schedule or any result;
-//  - bridge_* copy values that only exist as aggregates (per-peer traffic,
-//    per-stage totals discovered during the run) into counters, and are
-//    called once before export.
+// instrument_* and bridge_flow_metrics are passive: they register read-only
+// probes (evaluated at snapshot/sample time) over a live component's
+// existing accessors — the component is observed, never modified, and
+// nothing is scheduled, so attaching instrumentation cannot perturb the DES
+// schedule or any result.
 //
 // attach_fault_plan is the one active hook: it registers a FaultPlan
 // observer that counts begin/end transitions and drops a Mark per
@@ -22,12 +18,11 @@
 #include <string>
 
 #include "flow/metrics.hpp"
-#include "meta/communicator.hpp"
+#include "meta/path_transport.hpp"
 #include "net/atm.hpp"
 #include "net/fault.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
-#include "net/tcp.hpp"
 #include "obs/registry.hpp"
 
 namespace gtw::obs {
@@ -57,17 +52,6 @@ void instrument_host(Registry& reg, const net::Host& host);
 // operators lacked when the shared ASX-4000 buffers were squeezed.
 void instrument_atm_switch(Registry& reg, net::AtmSwitch& sw);
 
-// tcp.<name>.<side>.{cwnd_bytes,ssthresh_bytes,srtt_ms,rto_ms,segments_sent,
-// acks_sent,bytes_acked,retransmits,fast_retransmits,timeouts,dup_acks,
-// dup_segments_received,max_ooo_bytes} for side 0 and 1.
-void instrument_tcp(Registry& reg, const net::TcpConnection& conn,
-                    const std::string& name);
-
-// meta.<name>.{messages_sent,bytes_sent,wan_retries,duplicates_suppressed,
-// unreachable_reports,dropped_after_unreachable}
-void instrument_communicator(Registry& reg, const meta::Communicator& comm,
-                             const std::string& name);
-
 // meta.path.<name>.side<s>.{messages,bytes,chunks,chunk_resends,
 // duplicate_chunks,stream_resets,paced_delays,delivered_messages,
 // delivered_bytes,reassembly_bytes,reassembly_peak_bytes,goodput_mbps}
@@ -76,12 +60,6 @@ void instrument_communicator(Registry& reg, const meta::Communicator& comm,
 // {active_streams,stream_window_bytes} gauges from the adaptive controller.
 // Probes are registered for the connection pool present at call time.
 void instrument_path_transport(Registry& reg, const meta::PathTransport& path,
-                               const std::string& name);
-
-// meta.<name>.peer.<src>_to_<dst>.{messages,bytes,retries} for every rank
-// pair that exchanged point-to-point traffic; call after (or late in) the
-// run, before exporting.
-void bridge_communicator_peers(Registry& reg, const meta::Communicator& comm,
                                const std::string& name);
 
 // <prefix>.stage.<stage>.{items_in,items_out,dropped,queue_depth,queue_peak,

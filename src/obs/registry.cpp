@@ -1,77 +1,16 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace gtw::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (bounds_.empty())
-    throw std::logic_error("obs: histogram needs at least one bucket bound");
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    throw std::logic_error("obs: histogram bounds must be sorted ascending");
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && x > bounds_[i]) ++i;
-  ++counts_[i];
-  ++count_;
-  sum_ += x;
-}
-
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      if (i >= bounds_.size()) return bounds_.back();  // overflow: clamp
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - cum) / static_cast<double>(counts_[i]);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum = next;
-  }
-  return bounds_.back();
-}
-
-Registry::Instrument& Registry::define(const std::string& name, Kind kind) {
+Counter& Registry::counter(const std::string& name) {
   if (name.empty()) throw std::logic_error("obs: empty instrument name");
   auto [it, inserted] = instruments_.try_emplace(name);
-  if (inserted) {
-    it->second.kind = kind;
-  } else if (it->second.kind != kind) {
+  if (!inserted && (it->second.kind != Kind::kCounter || it->second.counter_fn))
     throw std::logic_error("obs: instrument name collision on '" + name +
-                           "' (existing kind differs)");
-  }
-  return it->second;
-}
-
-Counter& Registry::counter(const std::string& name) {
-  Instrument& ins = define(name, Kind::kCounter);
-  if (ins.counter_fn)
-    throw std::logic_error("obs: '" + name + "' is a probe, not a counter");
-  return ins.counter;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  Instrument& ins = define(name, Kind::kGauge);
-  if (ins.gauge_fn)
-    throw std::logic_error("obs: '" + name + "' is a probe, not a gauge");
-  return ins.gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
-  Instrument& ins = define(name, Kind::kHistogram);
-  if (!ins.hist) ins.hist = std::make_unique<Histogram>(std::move(bounds));
-  return *ins.hist;
+                           "' (existing probe or gauge)");
+  return it->second.counter;
 }
 
 void Registry::probe_counter(const std::string& name,
@@ -112,9 +51,7 @@ double Registry::read(const std::string& name) const {
       return static_cast<double>(ins.counter_fn ? ins.counter_fn()
                                                 : ins.counter.value());
     case Kind::kGauge:
-      return ins.gauge_fn ? ins.gauge_fn() : ins.gauge.value();
-    case Kind::kHistogram:
-      return static_cast<double>(ins.hist->count());
+      return ins.gauge_fn();
   }
   return 0.0;
 }
@@ -131,13 +68,7 @@ std::vector<Registry::Sample> Registry::snapshot() const {
         s.u = ins.counter_fn ? ins.counter_fn() : ins.counter.value();
         break;
       case Kind::kGauge:
-        s.d = ins.gauge_fn ? ins.gauge_fn() : ins.gauge.value();
-        s.is_float = true;
-        break;
-      case Kind::kHistogram:
-        s.u = ins.hist->count();
-        s.d = ins.hist->sum();
-        s.hist = ins.hist.get();
+        s.d = ins.gauge_fn();
         break;
     }
     out.push_back(std::move(s));

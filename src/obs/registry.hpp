@@ -3,16 +3,15 @@
 // tuning of metacomputing applications").
 //
 // A Registry is a hierarchy-by-naming-convention of instruments with dotted
-// names ("net.link.fzj-gmd.tx_bytes", "tcp.conn0.retransmits",
-// "fire.stage.motion.busy_ps").  Four instrument kinds:
+// names ("net.link.fzj-gmd.tx_bytes", "des.sched.live_events",
+// "fire.stage.motion.busy_ps").  Two kinds of instrument:
 //
-//   Counter    monotone uint64 (events, bytes, drops); add() or set()
-//   Gauge      instantaneous double (utilization, cwnd); set()
-//   Histogram  explicit-bound distribution (delays); add()
+//   Counter    monotone uint64 (events, bytes, drops); add()
 //   probes     named read-only functions evaluated at snapshot/sample time,
-//              so components expose state (queue depth, cwnd) without the
-//              registry scheduling anything or the component storing one
-//              more counter.
+//              a counter (uint64) or a gauge (double), so components expose
+//              state (queue depth, cwnd, utilization) without the registry
+//              scheduling anything or the component storing one more
+//              counter.
 //
 // Determinism contract: the registry never touches the scheduler, never
 // reads wall-clock time, and iterates instruments in lexicographic name
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,46 +32,10 @@ namespace gtw::obs {
 class Counter {
  public:
   void add(std::uint64_t delta = 1) { value_ += delta; }
-  // Absolute assignment, for bridging totals accumulated elsewhere.
-  void set(std::uint64_t value) { value_ = value; }
   std::uint64_t value() const { return value_; }
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double value) { value_ = value; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-// Distribution over explicit upper bounds: counts_[i] holds samples with
-// value <= bounds_[i]; one extra overflow bucket collects the rest.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void add(double x);
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  // bounds().size() + 1 entries; the last is the overflow bucket.
-  const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  // Quantile estimate by linear interpolation inside the covering bucket
-  // (the first bucket interpolates from 0, the overflow bucket clamps to
-  // the top bound — an explicit-bound histogram knows nothing beyond it).
-  // q in [0, 1]; returns 0 while the histogram is empty.
-  double quantile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
 };
 
 // A begin/end event marker on the DES clock (fault begin/end, phase
@@ -90,13 +52,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  // Define-or-fetch by dotted name.  Re-requesting an existing name with
-  // the same kind returns the same instrument; requesting it with a
-  // different kind (or shadowing a probe) throws std::logic_error — a name
-  // collision is a wiring bug, not something to paper over.
+  // Define-or-fetch a counter by dotted name.  Re-requesting it returns the
+  // same counter; requesting a name a probe holds throws std::logic_error —
+  // a name collision is a wiring bug, not something to paper over.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   // Read-only probes: evaluated on every snapshot()/read(); must only read
   // simulation state (they run inside const snapshots and must not
@@ -110,19 +69,17 @@ class Registry {
   bool contains(const std::string& name) const;
   std::size_t size() const { return instruments_.size(); }
 
-  // Scalar read of one instrument (counters widen to double); histograms
-  // read as their sample count.  Throws std::out_of_range on unknown names.
+  // Scalar read of one instrument (counters widen to double).  Throws
+  // std::out_of_range on unknown names.
   double read(const std::string& name) const;
 
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge };
 
   struct Sample {
     std::string name;
     Kind kind = Kind::kCounter;
-    std::uint64_t u = 0;       // counters
-    double d = 0.0;            // gauges; histogram sum
-    const Histogram* hist = nullptr;  // histogram detail (buckets)
-    bool is_float = false;
+    std::uint64_t u = 0;  // counters
+    double d = 0.0;       // gauges
   };
 
   // Stable-ordered (lexicographic by name) flattened view; probes are
@@ -132,16 +89,12 @@ class Registry {
  private:
   struct Instrument {
     Kind kind = Kind::kCounter;
-    // Exactly one of these is live, matching `kind` (probe counters/gauges
-    // store fn instead of the value).
+    // A gauge is always a probe (gauge_fn); a counter holds its value
+    // unless it is a probe (counter_fn).
     Counter counter;
-    Gauge gauge;
-    std::unique_ptr<Histogram> hist;
     std::function<std::uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
   };
-
-  Instrument& define(const std::string& name, Kind kind);
 
   std::map<std::string, Instrument> instruments_;
   std::vector<Mark> marks_;

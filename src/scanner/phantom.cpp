@@ -1,7 +1,5 @@
 #include "scanner/phantom.hpp"
 
-#include "scanner/kspace.hpp"
-
 #include <algorithm>
 #include <cmath>
 
@@ -138,13 +136,7 @@ fire::VolumeF FmriSeriesGenerator::acquire(int t) {
   const fire::RigidTransform m = motion_at(t);
   if (m.max_abs() > 1e-9) img = fire::resample(img, m);
 
-  if (cfg_.kspace_acquisition) {
-    // Receiver noise enters in k-space; the reconstruction hands back a
-    // magnitude image, as the Siemens control workstation did.
-    return acquire_and_reconstruct(img, cfg_.noise_sigma, rng_);
-  }
-
-  // Image-domain shortcut: thermal noise added per voxel.
+  // Thermal noise added per voxel.
   for (std::size_t i = 0; i < n; ++i)
     img[i] += static_cast<float>(rng_.normal(0.0, cfg_.noise_sigma));
   return img;

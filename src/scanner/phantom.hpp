@@ -49,11 +49,6 @@ struct FmriConfig {
   int expected_scans = 128;
   MotionModel motion;
   std::uint64_t seed = 12345;
-  // When set, each scan is acquired through the EPI k-space chain
-  // (scanner/kspace.hpp): receiver noise enters in k-space and the image
-  // is reconstructed by inverse FFT, as on the real control workstation.
-  // Requires power-of-two in-plane dimensions.
-  bool kspace_acquisition = false;
 };
 
 class FmriSeriesGenerator {

@@ -362,23 +362,6 @@ TEST(StatsTest, RunningStatsBasics) {
   EXPECT_NEAR(st.variance(), 5.0 / 3.0, 1e-12);
 }
 
-TEST(StatsTest, HistogramQuantiles) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(StatsTest, HistogramOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(11.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
 TEST(StatsTest, TimeWeightedAverage) {
   TimeWeighted tw;
   tw.update(SimTime::seconds(0.0), 10.0);

@@ -2,49 +2,11 @@
 
 #include <map>
 
-#include "exec/decomposition.hpp"
 #include "exec/machine.hpp"
 #include "fire/workload.hpp"
 
 namespace gtw::exec {
 namespace {
-
-TEST(DecompositionTest, SlabsCoverExactly) {
-  for (int pes : {1, 2, 3, 5, 16, 20}) {
-    const auto slabs = slab_decomposition(16, pes);
-    ASSERT_EQ(slabs.size(), static_cast<std::size_t>(pes));
-    int covered = 0;
-    int prev_end = 0;
-    for (const Slab& s : slabs) {
-      EXPECT_EQ(s.z_begin, prev_end);
-      EXPECT_GE(s.z_end, s.z_begin);
-      covered += s.z_end - s.z_begin;
-      prev_end = s.z_end;
-    }
-    EXPECT_EQ(covered, 16);
-  }
-}
-
-TEST(DecompositionTest, SlabsBalancedWithinOne) {
-  const auto slabs = slab_decomposition(16, 5);
-  int lo = 1000, hi = 0;
-  for (const Slab& s : slabs) {
-    lo = std::min(lo, s.z_end - s.z_begin);
-    hi = std::max(hi, s.z_end - s.z_begin);
-  }
-  EXPECT_LE(hi - lo, 1);
-}
-
-TEST(DecompositionTest, VoxelRangesPartition) {
-  const auto ranges = voxel_decomposition(65536, 7);
-  std::size_t covered = 0, prev = 0;
-  for (const VoxelRange& r : ranges) {
-    EXPECT_EQ(r.begin, prev);
-    covered += r.end - r.begin;
-    prev = r.end;
-  }
-  EXPECT_EQ(covered, 65536u);
-}
 
 TEST(TimeOnTest, SerialWorkDoesNotScale) {
   MachineProfile m = MachineProfile::t3e600();

@@ -73,37 +73,6 @@ TEST(PearsonTest, ConstantSeriesIsZero) {
   EXPECT_DOUBLE_EQ(pearson(a, b), 0.0);
 }
 
-class LeastSquaresParam : public ::testing::TestWithParam<int> {};
-
-TEST_P(LeastSquaresParam, QrMatchesNormalEquationsOnRandomProblems) {
-  des::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  const std::size_t m = 20 + static_cast<std::size_t>(GetParam()) * 7;
-  const std::size_t n = 3 + static_cast<std::size_t>(GetParam()) % 5;
-  const Matrix a = random_matrix(rng, m, n);
-  const Vector b = random_vector(rng, m);
-  const Vector x_qr = solve_least_squares_qr(a, b);
-  const Vector x_ne = solve_least_squares_normal(a, b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x_qr[i], x_ne[i], 1e-8);
-  // Residual must be orthogonal to the column space: A^T (A x - b) = 0.
-  const Vector ax = a * x_qr;
-  Vector r(m);
-  for (std::size_t i = 0; i < m; ++i) r[i] = ax[i] - b[i];
-  const Vector atr = a.transposed() * r;
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(atr[i], 0.0, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomProblems, LeastSquaresParam,
-                         ::testing::Range(0, 8));
-
-TEST(SolveTest, QrRecoversExactSolution) {
-  des::Rng rng(5);
-  const Matrix a = random_matrix(rng, 30, 6);
-  const Vector x_true = random_vector(rng, 6);
-  const Vector b = a * x_true;
-  const Vector x = solve_least_squares_qr(a, b);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-}
-
 TEST(SolveTest, SpdCholesky) {
   des::Rng rng(6);
   const Matrix a = random_matrix(rng, 8, 8);
@@ -120,27 +89,6 @@ TEST(SolveTest, SpdRejectsIndefinite) {
   m(0, 0) = 1.0;
   m(1, 1) = -1.0;
   EXPECT_THROW(solve_spd(m, Vector{1.0, 1.0}), std::runtime_error);
-}
-
-TEST(SolveTest, LuWithPivoting) {
-  // Requires pivoting: zero on the leading diagonal.
-  Matrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 1.0;
-  a(1, 1) = 0.0;
-  const Vector x = solve_lu(a, Vector{2.0, 3.0});
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(SolveTest, LuRejectsSingular) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  EXPECT_THROW(solve_lu(a, Vector{1.0, 2.0}), std::runtime_error);
 }
 
 class EigenParam : public ::testing::TestWithParam<int> {};

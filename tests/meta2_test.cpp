@@ -1,5 +1,5 @@
-// Tests for the MPI-2-flavoured additions: scatter / alltoall / sendrecv,
-// and the language-interoperability helpers.
+// Tests for the MPI-2-flavoured additions: scatter / alltoall and the
+// language-interoperability layout helpers.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -190,20 +190,6 @@ TEST(CollectiveTrafficTest, MatchesPatternTableOnThreeMachines) {
   expect_pattern_table({2, 1, 1}, /*root=*/2);
 }
 
-TEST(SendrecvTest, ExchangesLikeAHaloSwap) {
-  LocalComm f(2);
-  int got0 = -1, got1 = -1;
-  f.comm->sendrecv(0, /*dst=*/1, /*send_tag=*/1, 100, std::any{111},
-                   /*src=*/1, /*recv_tag=*/2,
-                   [&](const Message& m) { got0 = std::any_cast<int>(m.data); });
-  f.comm->sendrecv(1, /*dst=*/0, /*send_tag=*/2, 100, std::any{222},
-                   /*src=*/0, /*recv_tag=*/1,
-                   [&](const Message& m) { got1 = std::any_cast<int>(m.data); });
-  f.sched.run();
-  EXPECT_EQ(got0, 222);
-  EXPECT_EQ(got1, 111);
-}
-
 TEST(InteropTest, ColumnMajorRoundTrip2D) {
   std::vector<int> src;
   for (int i = 0; i < 12; ++i) src.push_back(i);  // 4x3, x fastest
@@ -222,37 +208,6 @@ TEST(InteropTest, ColumnMajorRoundTrip3D) {
   // Spot check (x=1, y=2, z=1): src index (1*4+2)*3+1 = 19;
   // z-fastest index z + nz*(y + ny*x) = 1 + 2*(2 + 4*1) = 13.
   EXPECT_EQ(cm[13], src[19]);
-}
-
-TEST(InteropTest, TypedEnvelopeByteAccounting) {
-  TypedEnvelope env;
-  env.type = Datatype::kFloat64;
-  env.count = 1000;
-  EXPECT_EQ(env.bytes(), 8000u);
-  env.type = Datatype::kFloat32;
-  EXPECT_EQ(env.bytes(), 4000u);
-}
-
-TEST(InteropTest, EnvelopeTravelsThroughCommunicator) {
-  LocalComm f(2);
-  TypedEnvelope env;
-  env.type = Datatype::kFloat64;
-  env.count = 512;
-  env.column_major = true;
-  env.data = std::vector<double>(512, 1.5);
-
-  bool checked = false;
-  f.comm->recv(1, 0, 9, [&](const Message& m) {
-    const auto got = std::any_cast<TypedEnvelope>(m.data);
-    EXPECT_EQ(got.type, Datatype::kFloat64);
-    EXPECT_EQ(got.count, 512u);
-    EXPECT_TRUE(got.column_major);
-    EXPECT_EQ(m.bytes, got.bytes());
-    checked = true;
-  });
-  f.comm->send(0, 1, 9, env.bytes(), env);
-  f.sched.run();
-  EXPECT_TRUE(checked);
 }
 
 obs::SpanFile loaded(const obs::SpanTracer& t) {

@@ -71,14 +71,6 @@ struct MetaFixture {
   }
 };
 
-TEST(DatatypeTest, Sizes) {
-  EXPECT_EQ(datatype_size(Datatype::kByte), 1u);
-  EXPECT_EQ(datatype_size(Datatype::kInt32), 4u);
-  EXPECT_EQ(datatype_size(Datatype::kInt64), 8u);
-  EXPECT_EQ(datatype_size(Datatype::kFloat32), 4u);
-  EXPECT_EQ(datatype_size(Datatype::kFloat64), 8u);
-}
-
 TEST(CommunicatorTest, IntraMachineSendRecv) {
   MetaFixture f;
   auto comm = f.world(4, 0);

@@ -1,6 +1,6 @@
-// Coverage for smaller public surfaces: pipeline scan-skipping, typed
-// sends, routing MTU queries, link statistics, halo-exchange costs in the
-// execution model, and frame-streamer interval statistics.
+// Coverage for smaller public surfaces: pipeline scan-skipping, routing MTU
+// queries, link statistics, halo-exchange costs in the execution model, and
+// frame-streamer interval statistics.
 #include <gtest/gtest.h>
 
 #include "exec/machine.hpp"
@@ -44,22 +44,6 @@ TEST(PipelineSkipTest, FastPipelineSkipsNothing) {
   pipe.start();
   tb.scheduler().run();
   EXPECT_EQ(pipe.result().scans_skipped, 0);
-}
-
-TEST(TypedSendTest, ByteCountFollowsDatatype) {
-  des::Scheduler sched;
-  meta::Metacomputer mc(sched);
-  meta::MachineSpec m;
-  m.max_pes = 4;
-  const int id = mc.add_machine(m);
-  meta::Communicator comm(mc, {{id, 0}, {id, 1}});
-  std::uint64_t got_bytes = 0;
-  comm.recv(1, 0, 3, [&](const meta::Message& msg) { got_bytes = msg.bytes; });
-  comm.send_typed(0, 1, 3, /*count=*/250, meta::Datatype::kFloat64);
-  sched.run();
-  EXPECT_EQ(got_bytes, 2000u);
-  EXPECT_EQ(comm.bytes_sent(), 2000u);
-  EXPECT_EQ(comm.messages_sent(), 1u);
 }
 
 TEST(RouteMtuTest, ReportsEgressNicMtu) {

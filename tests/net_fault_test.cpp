@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "cbr_stream.hpp"
+
 #include "des/scheduler.hpp"
 #include "fire/pipeline.hpp"
 #include "meta/communicator.hpp"
@@ -126,8 +128,8 @@ TEST(FaultPlanTest, BerBurstRestoresPriorRate) {
 
   // Datagram CBR stream across the burst; at 1e-5 a 9 KByte frame is lost
   // with probability ~0.5, so corruption is certain over dozens of frames.
-  CbrSource src(f.a, 7000, 2, 7001,
-                {units::Bytes{9000}, SimTime::milliseconds(5), 120});
+  testutil::CbrStream src(f.a, 7000, 2, 7001, units::Bytes{9000},
+                         SimTime::milliseconds(5), 120);
   CbrSink sink(f.b, 7001);
   src.start();
   f.sched.run();
@@ -148,7 +150,8 @@ TEST(FaultPlanTest, BufferSqueezeCausesDropsAndRestoresLimit) {
   // frame — only a sub-frame limit drops deterministically here).
   plan.buffer_squeeze(f.toward_b(), ms(0), ms(200), units::Bytes{5'000});
 
-  CbrSource src(f.a, 7000, 2, 7001, {units::Bytes{9000}, SimTime::milliseconds(5), 60});
+  testutil::CbrStream src(f.a, 7000, 2, 7001, units::Bytes{9000},
+                         SimTime::milliseconds(5), 60);
   CbrSink sink(f.b, 7001);
   src.start();
   f.sched.run();
@@ -164,7 +167,8 @@ TEST(FaultPlanTest, HostOutageStopsForwardingThenResumes) {
   FaultPlan plan(f.sched);
   plan.host_outage(f.b, ms(100), ms(200));
 
-  CbrSource src(f.a, 7000, 2, 7001, {units::Bytes{9000}, SimTime::milliseconds(10), 60});
+  testutil::CbrStream src(f.a, 7000, 2, 7001, units::Bytes{9000},
+                         SimTime::milliseconds(10), 60);
   CbrSink sink(f.b, 7001);
   src.start();
   f.sched.run();

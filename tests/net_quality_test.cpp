@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "cbr_stream.hpp"
+
 #include "apps/video.hpp"
 #include "des/scheduler.hpp"
 #include "net/atm.hpp"
@@ -110,9 +112,8 @@ TEST(ShapingTest, ShapedVcStaysWithinContract) {
 
   // Offer a burst far above the shaping rate.
   CbrSink sink(b, 30);
-  CbrSource src(a, 31, 2, 30,
-                CbrSource::Config{units::Bytes{6000},
-                                  des::SimTime::microseconds(100), 400});
+  testutil::CbrStream src(a, 31, 2, 30, units::Bytes{6000},
+                          des::SimTime::microseconds(100), 400);
   src.start();  // offered ~480 Mbit/s
   sched.run();
   // Everything eventually arrives (shaping delays, does not drop)...

@@ -8,10 +8,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "des/scheduler.hpp"
+#include "flow/graph.hpp"
+#include "flow/stage.hpp"
+#include "meta/path_transport.hpp"
 #include "net/atm.hpp"
+#include "net/fault.hpp"
 #include "net/host.hpp"
 #include "net/tcp.hpp"
 #include "net/units.hpp"
@@ -40,45 +45,40 @@ std::string read_golden(const std::string& name) {
 
 // ---------------------------------------------------------------- registry
 
+// Counters and gauge probes; the registry keeps no histograms.
 TEST(ObsRegistryTest, CounterGaugeHistogramBasics) {
   obs::Registry reg;
   reg.counter("a.events").add();
   reg.counter("a.events").add(4);
-  reg.gauge("a.level").set(0.75);
-  obs::Histogram& h = reg.histogram("a.delay", {1.0, 10.0, 100.0});
-  h.add(0.5);
-  h.add(5.0);
-  h.add(5000.0);
+  reg.probe_gauge("a.level", [] { return 0.75; });
 
   EXPECT_EQ(reg.counter("a.events").value(), 5u);
-  EXPECT_DOUBLE_EQ(reg.gauge("a.level").value(), 0.75);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5005.5);
-  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 1, 0, 1}));
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
   EXPECT_DOUBLE_EQ(reg.read("a.events"), 5.0);
-  EXPECT_DOUBLE_EQ(reg.read("a.delay"), 3.0);  // histograms read as count
+  EXPECT_DOUBLE_EQ(reg.read("a.level"), 0.75);
 }
 
 TEST(ObsRegistryTest, NameCollisionAcrossKindsThrows) {
   obs::Registry reg;
   reg.counter("x");
   EXPECT_NO_THROW(reg.counter("x"));  // define-or-fetch, same kind
-  EXPECT_THROW(reg.gauge("x"), std::logic_error);
-  EXPECT_THROW(reg.histogram("x", {1.0}), std::logic_error);
+  EXPECT_THROW(reg.probe_gauge("x", [] { return 1.0; }), std::logic_error);
+  EXPECT_THROW(reg.probe_counter("x", [] { return std::uint64_t{0}; }),
+               std::logic_error);
 
   reg.probe_gauge("p", [] { return 1.0; });
   EXPECT_THROW(reg.probe_gauge("p", [] { return 2.0; }), std::logic_error);
-  EXPECT_THROW(reg.gauge("p"), std::logic_error);
-  EXPECT_THROW(reg.probe_counter("x", [] { return std::uint64_t{0}; }),
-               std::logic_error);
+  EXPECT_THROW(reg.counter("p"), std::logic_error);
+
+  reg.probe_counter("q", [] { return std::uint64_t{1}; });
+  EXPECT_THROW(reg.counter("q"), std::logic_error);  // a probe, not a counter
 }
 
 TEST(ObsRegistryTest, SnapshotIsLexicographicallyOrderedAndStable) {
   obs::Registry reg;
   // Deliberately defined out of order.
   reg.counter("net.link.z.tx");
-  reg.gauge("fire.stage.a.occupancy");
+  reg.probe_gauge("fire.stage.a.occupancy", [] { return 0.5; });
   reg.counter("net.link.a.tx");
   reg.probe_counter("meta.comm.messages", [] { return std::uint64_t{7}; });
 
@@ -197,7 +197,10 @@ TEST(ObsTcpInstrumentationTest, CwndSamplesMatchRenoTrace) {
   TcpFixture f;
   net::TcpConnection conn(f.a, f.b, 100, 200);
   obs::Registry reg;
-  obs::instrument_tcp(reg, conn, "c");
+  reg.probe_gauge("tcp.c.0.cwnd_bytes",
+                  [&conn] { return conn.stats(0).cwnd_bytes; });
+  reg.probe_gauge("tcp.c.0.ssthresh_bytes",
+                  [&conn] { return conn.stats(0).ssthresh_bytes; });
 
   obs::TimeSeriesSampler sampler(f.sched, reg);
   sampler.watch("tcp.c.0.cwnd_bytes");
@@ -208,10 +211,11 @@ TEST(ObsTcpInstrumentationTest, CwndSamplesMatchRenoTrace) {
 
   // Reference Reno trace, recorded independently of the registry at the
   // same instants (ties resolve in insertion order; both reads are pure).
-  auto reference = std::make_shared<std::vector<double>>();
+  auto reference = std::make_shared<std::vector<std::pair<double, double>>>();
   for (des::SimTime t = des::SimTime::zero(); t <= until; t += period)
     f.sched.schedule_at(t, [&conn, reference] {
-      reference->push_back(conn.stats(0).cwnd_bytes);
+      reference->emplace_back(conn.stats(0).cwnd_bytes,
+                              conn.stats(0).ssthresh_bytes);
     });
 
   f.drop_nth_data_frame(30);  // one loss -> 3 dup ACKs -> fast retransmit
@@ -222,9 +226,14 @@ TEST(ObsTcpInstrumentationTest, CwndSamplesMatchRenoTrace) {
   ASSERT_TRUE(delivered);
 
   const auto& cwnd = sampler.series()[0].points;
+  const auto& ssthresh = sampler.series()[1].points;
   ASSERT_EQ(cwnd.size(), reference->size());
-  for (std::size_t i = 0; i < cwnd.size(); ++i)
-    EXPECT_DOUBLE_EQ(cwnd[i].second, (*reference)[i]) << "sample " << i;
+  ASSERT_EQ(ssthresh.size(), reference->size());
+  for (std::size_t i = 0; i < cwnd.size(); ++i) {
+    EXPECT_DOUBLE_EQ(cwnd[i].second, (*reference)[i].first) << "sample " << i;
+    EXPECT_DOUBLE_EQ(ssthresh[i].second, (*reference)[i].second)
+        << "sample " << i;
+  }
 
   // The loss actually exercised Reno: duplicate ACKs counted, one fast
   // retransmit, and a visible multiplicative decrease in the trajectory.
@@ -237,37 +246,59 @@ TEST(ObsTcpInstrumentationTest, CwndSamplesMatchRenoTrace) {
     if (cwnd[i].second < cwnd[i - 1].second) decreased = true;
   EXPECT_TRUE(decreased);
   // Final probe reads agree with the connection's own accounting.
-  EXPECT_DOUBLE_EQ(reg.read("tcp.c.0.fast_retransmits"), 1.0);
-  EXPECT_DOUBLE_EQ(reg.read("tcp.c.0.dup_acks"),
-                   static_cast<double>(stats.dup_acks));
-  EXPECT_GT(reg.read("tcp.c.0.ssthresh_bytes"), 0.0);
-  EXPECT_GT(reg.read("tcp.c.0.rto_ms"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.read("tcp.c.0.cwnd_bytes"), stats.cwnd_bytes);
+  EXPECT_DOUBLE_EQ(reg.read("tcp.c.0.ssthresh_bytes"), stats.ssthresh_bytes);
+  EXPECT_GT(stats.ssthresh_bytes, 0.0);
 }
 
-// Attaching the full instrumentation + a periodic sampler must not change
-// a single simulation outcome (read-only probes; sampler events do not
-// shift other events).
+// Attaching every instrument_* and bridge_*, attach_fault_plan and a
+// periodic sampler of every instrument must not change a single simulation
+// outcome (read-only probes and a counting fault observer; sampler events
+// do not shift other events).  Both runs build the same world: a TCP
+// transfer with one lost frame, a two-stream PathTransport message, a
+// one-stage flow graph and a short outage of the bottleneck link.
 TEST(ObsTcpInstrumentationTest, InstrumentationDoesNotPerturbSimulation) {
   auto run = [](bool instrumented) {
     TcpFixture f;
     net::TcpConnection conn(f.a, f.b, 100, 200);
+    meta::PathConfig pcfg;
+    pcfg.streams = 2;
+    meta::PathTransport path(f.sched, f.a, f.b, 7000, pcfg);
+    flow::StageGraph graph(f.sched);
+    graph.add_stage(flow::delay_stage("hold", des::SimTime::milliseconds(3)));
+    net::FaultPlan plan(f.sched);
+    plan.link_down(f.sw.egress_link(f.pb), des::SimTime::milliseconds(40),
+                   des::SimTime::milliseconds(2));
     obs::Registry reg;
     obs::TimeSeriesSampler sampler(f.sched, reg);
     if (instrumented) {
-      obs::instrument_tcp(reg, conn, "c");
+      obs::instrument_scheduler(reg, f.sched);
+      obs::instrument_link(reg, f.nic_a.uplink(), "net.link.a_up");
       obs::instrument_host(reg, f.a);
       obs::instrument_host(reg, f.b);
       obs::instrument_atm_switch(reg, f.sw);
-      sampler.watch("tcp.c.0.cwnd_bytes");
+      obs::instrument_path_transport(reg, path, "ab");
+      obs::bridge_flow_metrics(reg, graph.metrics(), "flow");
+      obs::attach_fault_plan(reg, plan);
+      sampler.watch_prefix("");
       sampler.sample_every(des::SimTime::milliseconds(1),
                            des::SimTime::seconds(2));
     }
     f.drop_nth_data_frame(30);
-    des::SimTime done;
+    des::SimTime done, path_done;
     conn.send(0, units::Bytes{6u << 20}, {},
               [&](const std::any&, des::SimTime t) { done = t; });
+    path.send(0, units::Bytes{2u << 20},
+              [&path_done, &f] { path_done = f.sched.now(); });
+    graph.push(0);
     f.sched.run();
-    return std::make_pair(done, conn.stats(0).segments_sent);
+    EXPECT_EQ(graph.metrics().stage(0).items_out, 1u);
+    if (instrumented) {
+      EXPECT_GT(sampler.series().size(), 50u);
+      EXPECT_DOUBLE_EQ(reg.read("fault.begins"), 1.0);
+    }
+    return std::make_tuple(done, conn.stats(0).segments_sent, path_done,
+                           path.stats(0).chunks);
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -326,47 +357,14 @@ TEST(ObsChromeExportTest, SmallTraceMatchesGolden) {
 TEST(ObsChromeExportTest, MetricsJsonMatchesGolden) {
   obs::Registry reg;
   reg.counter("net.link.wan.tx_bytes").add(123456789);
-  reg.gauge("net.link.wan.utilization").set(0.640625);
-  obs::Histogram& h = reg.histogram("fire.delay_s", {1.0, 5.0});
-  // Exactly-representable doubles so the %.17g golden is portable.
-  h.add(0.5);
-  h.add(4.25);
-  h.add(4.25);
-  h.add(9.0);
+  // An exactly-representable double so the %.17g golden is portable.
+  reg.probe_gauge("net.link.wan.utilization", [] { return 0.640625; });
   reg.mark("fault.link_down.wan", des::SimTime::seconds(15), true);
   reg.mark("fault.link_down.wan", des::SimTime::seconds(17), false);
 
   std::ostringstream os;
   obs::write_metrics_json(os, reg, "golden");
   EXPECT_EQ(os.str(), read_golden("metrics_small.json")) << os.str();
-
-  std::ostringstream csv;
-  obs::write_metrics_csv(csv, reg);
-  EXPECT_EQ(csv.str(),
-            "name,kind,value\n"
-            "fire.delay_s,histogram_count,4\n"
-            "fire.delay_s,histogram_p50,3\n"
-            "fire.delay_s,histogram_p90,5\n"
-            "fire.delay_s,histogram_p99,5\n"
-            "net.link.wan.tx_bytes,counter,123456789\n"
-            "net.link.wan.utilization,gauge,0.640625\n");
-}
-
-// Quantile estimation over explicit buckets: interpolation inside the
-// covering bucket, 0-anchored first bucket, overflow clamped to the top
-// bound, and the empty-histogram degenerate case.
-TEST(ObsRegistryTest, HistogramQuantiles) {
-  obs::Histogram h({10.0, 20.0, 40.0});
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
-  for (int i = 0; i < 10; ++i) h.add(5.0);    // bucket [0,10]
-  for (int i = 0; i < 10; ++i) h.add(15.0);   // bucket (10,20]
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 5.0);    // midway through bucket 0
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);    // exactly the bucket edge
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 15.0);   // midway through bucket 1
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 20.0);
-  h.add(1000.0);                              // overflow bucket
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 40.0);    // clamped to the top bound
 }
 
 // Traces beyond 65k flow ids must export with unique ids and stay
@@ -424,17 +422,11 @@ TEST(ObsSeriesExportTest, SeriesJsonAndCsvAreStable) {
                        des::SimTime::milliseconds(4));
   sched.run();
 
-  std::ostringstream js, csv;
+  std::ostringstream js;
   obs::write_series_json(js, sampler);
-  obs::write_series_csv(csv, sampler);
   EXPECT_EQ(js.str(),
             "{\n  \"series\": [\n    {\"name\": \"n\", \"points\": "
             "[[0, 0], [2000000000, 3], [4000000000, 3]]}\n  ]\n}\n");
-  EXPECT_EQ(csv.str(),
-            "series,t_ps,value\n"
-            "n,0,0\n"
-            "n,2000000000,3\n"
-            "n,4000000000,3\n");
 }
 
 }  // namespace

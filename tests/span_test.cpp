@@ -6,12 +6,14 @@
 // unreachable, a zero-leak census at drain, the guarantee that
 // attaching the tracer does not perturb the simulation, and tracer and
 // scheduler dying in either order while spans are open (and the GTW-San
-// check hook and scheduler likewise).
+// check hook and scheduler, and the meta check observers and their
+// communicator or path, likewise).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
@@ -612,6 +614,117 @@ TEST(CheckHookLifecycleTest, SchedulerDestroyedFirstForgetsCheckHook) {
   EXPECT_EQ(s1.check_hook(), nullptr);
   EXPECT_EQ(s2.check_hook(), &hook);
   EXPECT_EQ(hook.installed_on(), &s2);
+}
+
+// The meta observers follow the same rule: either side may die first.
+struct CountingCommObserver final : meta::CommCheckObserver {
+  void on_wan_outcome(int, int, bool, bool, bool) override { ++calls; }
+  void on_unreachable(int, int) override { ++calls; }
+  std::uint64_t calls = 0;
+};
+
+struct CountingPathObserver final : meta::PathCheckObserver {
+  void on_chunk(int, std::uint64_t, std::uint32_t, bool) override { ++calls; }
+  void on_message(int, std::uint64_t, std::uint64_t) override { ++calls; }
+  std::uint64_t calls = 0;
+};
+
+// One watchdog-guarded WAN message from rank 0 (machine 0) to rank 1
+// (machine 1): the guarded path is where a communicator notifies its
+// observer.
+void guarded_wan_message(meta::Communicator& comm, des::Scheduler& sched) {
+  comm.set_retry_policy({});
+  int got = 0;
+  comm.recv(1, 0, 7, [&](const meta::Message&) { ++got; });
+  comm.send(0, 1, 7, 50'000);
+  sched.run();
+  EXPECT_EQ(got, 1);
+}
+
+// One two-chunk message over a striped path.
+void striped_message(meta::PathTransport& path, des::Scheduler& sched) {
+  int delivered = 0;
+  path.send(0, units::Bytes{128u << 10}, [&] { ++delivered; });
+  sched.run();
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST(CheckHookLifecycleTest, CommObserverDestroyedFirstDetachesFromComm) {
+  WanFixture f;
+  meta::Metacomputer mc(f.sched);
+  add_linked_machines(f, mc);
+  meta::Communicator comm(mc, {{0, 0}, {1, 0}});
+  auto obs = std::make_unique<CountingCommObserver>();
+  comm.set_check_observer(obs.get());
+  EXPECT_EQ(obs->installed_on(), &comm);
+  EXPECT_EQ(comm.check_observer(), obs.get());
+  obs.reset();
+  // The dead observer uninstalled itself, so the WAN delivery below and
+  // the communicator's destructor reach no observer.
+  EXPECT_EQ(comm.check_observer(), nullptr);
+  guarded_wan_message(comm, f.sched);
+}
+
+TEST(CheckHookLifecycleTest, CommDestroyedFirstForgetsObserver) {
+  WanFixture f;
+  meta::Metacomputer mc(f.sched);
+  add_linked_machines(f, mc);
+  CountingCommObserver obs;
+  auto comm = std::make_unique<meta::Communicator>(
+      mc, std::vector<meta::ProcLoc>{{0, 0}, {1, 0}});
+  comm->set_check_observer(&obs);
+  comm.reset();
+  // The observer's own destructor will find no communicator to detach from.
+  EXPECT_EQ(obs.installed_on(), nullptr);
+
+  // It outlives its communicator and can serve another, one at a time.
+  meta::Communicator c1(mc, {{0, 0}, {1, 0}});
+  meta::Communicator c2(mc, {{0, 0}, {1, 0}});
+  c1.set_check_observer(&obs);
+  c2.set_check_observer(&obs);
+  EXPECT_EQ(c1.check_observer(), nullptr);
+  EXPECT_EQ(c2.check_observer(), &obs);
+  EXPECT_EQ(obs.installed_on(), &c2);
+  guarded_wan_message(c2, f.sched);
+#if defined(GTW_CHECK)
+  EXPECT_EQ(obs.calls, 1u);  // one WAN outcome
+#endif
+}
+
+TEST(CheckHookLifecycleTest, PathObserverDestroyedFirstDetachesFromPath) {
+  WanFixture f;
+  meta::PathTransport path(f.sched, f.a, f.b, 7000, striped(2));
+  auto obs = std::make_unique<CountingPathObserver>();
+  path.set_check_observer(obs.get());
+  EXPECT_EQ(obs->installed_on(), &path);
+  EXPECT_EQ(path.check_observer(), obs.get());
+  obs.reset();
+  // The chunks and message below and the path's destructor reach no
+  // observer.
+  EXPECT_EQ(path.check_observer(), nullptr);
+  striped_message(path, f.sched);
+}
+
+TEST(CheckHookLifecycleTest, PathDestroyedFirstForgetsObserver) {
+  WanFixture f;
+  CountingPathObserver obs;
+  auto path =
+      std::make_unique<meta::PathTransport>(f.sched, f.a, f.b, 7000, striped(2));
+  path->set_check_observer(&obs);
+  path.reset();
+  EXPECT_EQ(obs.installed_on(), nullptr);
+
+  meta::PathTransport p1(f.sched, f.a, f.b, 7100, striped(2));
+  meta::PathTransport p2(f.sched, f.a, f.b, 7200, striped(2));
+  p1.set_check_observer(&obs);
+  p2.set_check_observer(&obs);
+  EXPECT_EQ(p1.check_observer(), nullptr);
+  EXPECT_EQ(p2.check_observer(), &obs);
+  EXPECT_EQ(obs.installed_on(), &p2);
+  striped_message(p2, f.sched);
+#if defined(GTW_CHECK)
+  EXPECT_EQ(obs.calls, 3u);  // two chunks, one message
+#endif
 }
 
 }  // namespace
