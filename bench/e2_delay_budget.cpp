@@ -163,6 +163,8 @@ void emit_e2_spans() {
 #if defined(GTW_CHECK)
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
+  check::attach_stage_graph(mon, graph, "e2");
+  check::attach_path_transport(mon, *mc.wan_path(ma, mb), "wan");
   check::attach_span_tracer(mon, spans);
 #endif
 

@@ -89,11 +89,12 @@ void print_fig2(bool with_trace) {
   }
 
 #if defined(GTW_CHECK)
-  // GTW-San: whole-testbed conservation sweep plus the pipeline's flow
-  // ledger; attaching schedules nothing, so traces stay comparable.
+  // GTW-San: whole-testbed conservation sweep plus the pipeline's stage
+  // graph (item conservation, drain census, per-stage ledgers); attaching
+  // schedules nothing, so traces stay comparable.
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
-  check::attach_flow_metrics(mon, pipe.metrics(), "fire");
+  check::attach_stage_graph(mon, pipe.graph(), "fire");
   check::attach_span_tracer(mon, spans);
 #endif
   pipe.start();

@@ -115,7 +115,7 @@ FireRow run_fire(double outage_s, bool emit_obs = false) {
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_fault_plan(mon, plan);
-  check::attach_flow_metrics(mon, pipe.metrics(), "fire");
+  check::attach_stage_graph(mon, pipe.graph(), "fire");
 #endif
   pipe.start();
   tb.scheduler().run();

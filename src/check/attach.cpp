@@ -195,46 +195,6 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
 
 // --- meta -------------------------------------------------------------------
 
-void CommChecker::on_wan_outcome(int src_rank, int dst_rank,
-                                 bool delivered_to_app, bool after_abandon,
-                                 bool duplicate) {
-  WanOutcome o;
-  o.delivered_to_app = delivered_to_app;
-  o.after_abandon = after_abandon;
-  o.duplicate = duplicate;
-  if (auto broke = wan_outcome_sane(o)) {
-    mon_.violation(id_ + ".wan-outcome",
-                   fmt("%d->%d: %s", src_rank, dst_rank, broke->c_str()));
-  }
-  mon_.note(fmt("wan copy %d->%d %s", src_rank, dst_rank,
-                delivered_to_app ? "delivered"
-                : duplicate      ? "duplicate"
-                                 : "post-abandon"));
-}
-
-void CommChecker::on_unreachable(int src_rank, int dst_rank) {
-  mon_.note(fmt("unreachable reported %d->%d", src_rank, dst_rank));
-}
-
-void attach_communicator(Monitor& mon, meta::Communicator& comm,
-                         const std::string& name) {
-  const std::string id = "meta." + name;
-  auto& checker = mon.make_checker<CommChecker>(mon, id);
-  comm.set_check_observer(&checker);
-  // Ledger subset laws that hold without per-copy visibility too.
-  mon.add_invariant(
-      id + ".reliability", [&comm]() -> std::optional<std::string> {
-        const auto& r = comm.reliability();
-        if (r.dropped_after_unreachable > 0 && r.unreachable_reports == 0) {
-          return fmt("%llu copie(s) dropped after an unreachable report, "
-                     "but no report was ever issued",
-                     static_cast<unsigned long long>(
-                         r.dropped_after_unreachable));
-        }
-        return std::nullopt;
-      });
-}
-
 void PathChecker::on_chunk(int side, std::uint64_t msg_seq, std::uint32_t idx,
                            bool duplicate) {
   auto& seen = seen_chunks_[side];

@@ -6,12 +6,12 @@
 // Each attach_* snapshots the component's existing accessors into the pure
 // ledger structs of invariants.hpp and registers the verdicts with the
 // Monitor; components are observed, never modified.  Where an invariant
-// needs per-event visibility (scheduler ordering, chunk exactly-once, WAN
-// retry outcomes), attach_* additionally installs a hook/observer object —
-// those notification call sites inside the components are GTW_CHECK_HOOK-
-// guarded, so in unchecked builds the hook objects are installed but
-// simply never called (and the per-event invariants go unevaluated, while
-// every counter-based invariant still works).
+// needs per-event visibility (scheduler ordering, chunk exactly-once),
+// attach_* additionally installs a hook/observer object — those
+// notification call sites inside the components are GTW_CHECK_HOOK-guarded,
+// so in unchecked builds the hook objects are installed but simply never
+// called (and the per-event invariants go unevaluated, while every
+// counter-based invariant still works).
 //
 // Lifetime: attached components must outlive the Monitor.
 #pragma once
@@ -28,7 +28,6 @@
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
 #include "flow/metrics.hpp"
-#include "meta/communicator.hpp"
 #include "meta/path_transport.hpp"
 #include "net/atm.hpp"
 #include "net/fault.hpp"
@@ -118,26 +117,10 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
                 const std::string& name, bool expect_complete = false);
 
 // --- meta -------------------------------------------------------------------
-// Per-copy outcome sanity for watchdog-guarded WAN sends, via
-// meta::CommCheckObserver.  Public (like SchedulerChecker) so the
-// violation-fixture harness can feed it outcomes directly in builds where
-// the communicator's notification sites are compiled out.
-class CommChecker : public meta::CommCheckObserver {
- public:
-  CommChecker(Monitor& mon, std::string id)
-      : mon_(mon), id_(std::move(id)) {}
-
-  void on_wan_outcome(int src_rank, int dst_rank, bool delivered_to_app,
-                      bool after_abandon, bool duplicate) override;
-  void on_unreachable(int src_rank, int dst_rank) override;
-
- private:
-  Monitor& mon_;
-  std::string id_;
-};
-
 // Exactly-once, strictly-in-order delivery ledger for one PathTransport
-// side pair; same public-for-fixtures rationale as CommChecker.
+// side pair, via meta::PathCheckObserver.  Public (like SchedulerChecker)
+// so the violation-fixture harness can feed it chunks directly in builds
+// where the transport's notification sites are compiled out.
 class PathChecker : public meta::PathCheckObserver {
  public:
   PathChecker(Monitor& mon, std::string id) : mon_(mon), id_(std::move(id)) {}
@@ -153,12 +136,6 @@ class PathChecker : public meta::PathCheckObserver {
   std::set<std::pair<std::uint64_t, std::uint32_t>> seen_chunks_[2];
   std::uint64_t next_msg_[2] = {0, 0};
 };
-
-// WAN retry contract via meta::CommCheckObserver: every arriving copy is
-// exactly one of delivered / duplicate-suppressed / dropped-after-abandon,
-// and nothing is handed to the application after an unreachable report.
-void attach_communicator(Monitor& mon, meta::Communicator& comm,
-                         const std::string& name);
 
 // Exactly-once, in-order chunk and message delivery via
 // meta::PathCheckObserver, plus the stranded-chunk / reassembly-leak drain

@@ -197,19 +197,4 @@ std::optional<std::string> flow_stage_sanity(const FlowStageAccounts& a) {
   return std::nullopt;
 }
 
-std::optional<std::string> wan_outcome_sane(const WanOutcome& o) {
-  const int set = (o.delivered_to_app ? 1 : 0) + (o.after_abandon ? 1 : 0) +
-                  (o.duplicate ? 1 : 0);
-  if (set != 1) {
-    char buf[120];
-    std::snprintf(buf, sizeof(buf),
-                  "WAN copy fate not exactly-one-of: delivered=%d "
-                  "after_abandon=%d duplicate=%d",
-                  o.delivered_to_app ? 1 : 0, o.after_abandon ? 1 : 0,
-                  o.duplicate ? 1 : 0);
-    return std::string(buf);
-  }
-  return std::nullopt;
-}
-
 }  // namespace gtw::check

@@ -138,15 +138,4 @@ struct FlowStageAccounts {
 };
 std::optional<std::string> flow_stage_sanity(const FlowStageAccounts& a);
 
-// --- meta::Communicator WAN retry contract ----------------------------------
-// Verdict on a single WAN copy arrival, as reported by CommCheckObserver.
-// Exactly one of the three flags may be set; `delivered_to_app` after an
-// abandon is the contract violation the watchdog exists to prevent.
-struct WanOutcome {
-  bool delivered_to_app = false;
-  bool after_abandon = false;
-  bool duplicate = false;
-};
-std::optional<std::string> wan_outcome_sane(const WanOutcome& o);
-
 }  // namespace gtw::check

@@ -64,7 +64,8 @@ enum class SpanPhase : std::uint8_t {
   kHostCpu,          // host protocol/CPU cost, incl. gateway forwarding
   kRetransmitStall,  // TCP loss detected until recovery completes
   kReassemblyWait,   // bytes arrived, waiting for in-order completion
-  kRetryBackoff,     // WAN watchdog elapsed, waiting to re-attempt
+  kRetryBackoff,     // opened by nothing; kept for gtw-bench's per-phase
+                     // budget shares (DESIGN.md section 13)
   kCompute,          // application/stage body work
   kTransfer,         // container: a message/chunk in flight end to end
   kAborted,          // terminal marker: the traced unit was dropped

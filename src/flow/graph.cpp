@@ -35,7 +35,7 @@ StageGraph::~StageGraph() {
 int StageGraph::add_stage(StageConfig cfg) {
   const int idx = static_cast<int>(stages_.size());
   metrics_.add_stage(cfg.name, cfg.concurrency);
-  stages_.push_back(Stage{std::move(cfg), {}, {}, 0, false});
+  stages_.push_back(Stage{std::move(cfg), {}, 0, false});
   return idx;
 }
 
@@ -87,13 +87,6 @@ void StageGraph::set_degraded(bool on) {
   }
 }
 
-bool StageGraph::accepts(int s) const {
-  const Stage& st = stages_[static_cast<std::size_t>(s)];
-  if (st.cfg.policy != QueuePolicy::kBlock || st.cfg.capacity == 0)
-    return true;
-  return st.queue.size() < st.cfg.capacity;
-}
-
 void StageGraph::supersede_waiting() {
   // A newer item supersedes everything still waiting (the RT-client asks
   // for "the next image" and gets the newest one).
@@ -108,7 +101,6 @@ void StageGraph::supersede_waiting() {
       if (it->second.owns_trace)
         h->abort_trace(it->second.ctx, "superseded", sched_.now());
     }
-    if (drop_) drop_(it->second.item, -1);
     live_.erase(it);
   }
 }
@@ -122,7 +114,6 @@ void StageGraph::admit_pending() {
   if (degraded_) supersede_waiting();
   while (!admission_.empty()) {
     if (cfg_.max_in_flight > 0 && in_flight_ >= cfg_.max_in_flight) break;
-    if (!accepts(0)) break;
     if (cfg_.admission == QueuePolicy::kDropStale || degraded_)
       supersede_waiting();
     const std::uint64_t id = admission_.front();
@@ -136,14 +127,9 @@ void StageGraph::admit_pending() {
 
 void StageGraph::enqueue(int s, std::uint64_t id) {
   Stage& st = stages_[static_cast<std::size_t>(s)];
-  if (st.cfg.policy == QueuePolicy::kDropNewest && st.cfg.capacity > 0 &&
-      st.queue.size() >= st.cfg.capacity) {
-    drop_queued(s, id);
-    return;
-  }
   if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     // An item arriving from the previous stage starts waiting here; one
-    // released from a kBlock hold keeps its already-open wait span.
+    // just admitted keeps its open admission span until it starts.
     ItemState& is = live_.find(id)->second;
     if (is.ctx.valid() && is.wait_span == 0)
       is.wait_span = h->begin_span(is.ctx, des::SpanPhase::kQueueWait, "flow",
@@ -160,17 +146,9 @@ void StageGraph::pump(int s) {
   st.pumping = true;
   while (!st.queue.empty() &&
          (st.cfg.concurrency == 0 || st.running < st.cfg.concurrency)) {
-    if (st.cfg.policy == QueuePolicy::kDropStale) {
-      while (st.queue.size() > 1) {
-        const std::uint64_t stale = st.queue.front();
-        st.queue.pop_front();
-        drop_queued(s, stale);
-      }
-    }
     const std::uint64_t id = st.queue.front();
     st.queue.pop_front();
     note_queue(s);
-    drain_blocked(s);
     start(s, id);
   }
   st.pumping = false;
@@ -221,24 +199,9 @@ void StageGraph::finish(int s, std::uint64_t id) {
   ++m.items_out;
   m.busy += now - is.started;
   m.last_finish = now;
-  des::SpanHook* h = sched_.span_hook();
-  if (h != nullptr) {
+  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     h->end_span(is.body_span, now);
     is.body_span = 0;
-  }
-
-  const int next = s + 1;
-  if (next < stage_count()) {
-    Stage& nx = stages_[static_cast<std::size_t>(next)];
-    if (nx.cfg.policy == QueuePolicy::kBlock && nx.cfg.capacity > 0 &&
-        nx.queue.size() >= nx.cfg.capacity) {
-      // Backpressure: keep holding this stage's slot until there is room.
-      if (h != nullptr && is.ctx.valid())
-        is.wait_span = h->begin_span(is.ctx, des::SpanPhase::kQueueWait,
-                                     "flow", st.cfg.name.c_str(), now);
-      st.blocked.push_back(id);
-      return;
-    }
   }
   // Release the slot and refill this stage before handing the item on, so
   // an upstream waiter dispatches ahead of the downstream continuation —
@@ -254,23 +217,6 @@ void StageGraph::advance(int s, std::uint64_t id) {
     enqueue(next, id);
   else
     leave_graph(id);
-}
-
-void StageGraph::drain_blocked(int s) {
-  Stage& st = stages_[static_cast<std::size_t>(s)];
-  if (st.cfg.policy != QueuePolicy::kBlock || st.cfg.capacity == 0) return;
-  if (s == 0) {
-    admit_pending();
-    return;
-  }
-  Stage& up = stages_[static_cast<std::size_t>(s - 1)];
-  while (!up.blocked.empty() && st.queue.size() < st.cfg.capacity) {
-    const std::uint64_t id = up.blocked.front();
-    up.blocked.pop_front();
-    --up.running;
-    pump(s - 1);
-    enqueue(s, id);
-  }
 }
 
 void StageGraph::leave_graph(std::uint64_t id) {
@@ -292,21 +238,6 @@ void StageGraph::leave_graph(std::uint64_t id) {
     if (it->second.owns_trace)
       h->close_trace(it->second.ctx, sched_.now());
   }
-  live_.erase(it);
-  --in_flight_;
-  admit_pending();
-}
-
-void StageGraph::drop_queued(int s, std::uint64_t id) {
-  ++metrics_.stage(s).dropped;
-  auto it = live_.find(id);
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    h->abort_span(it->second.wait_span, sched_.now());
-    h->abort_span(it->second.body_span, sched_.now());
-    if (it->second.owns_trace)
-      h->abort_trace(it->second.ctx, "dropped", sched_.now());
-  }
-  if (drop_) drop_(it->second.item, s);
   live_.erase(it);
   --in_flight_;
   admit_pending();

@@ -2,19 +2,13 @@
 //
 // A StageGraph is a linear pipeline of Stage nodes.  Each stage has a body
 // (continuation-passing: it receives the item and a Done callback, since the
-// DES cannot block), a concurrency limit, and an input queue with a
-// pluggable discipline:
-//
-//   kFifo       unbounded in-order queue;
-//   kDropStale  when a slot frees, run only the newest waiting item and
-//               discard the older ones (FIRE's "display the current brain
-//               state" semantics);
-//   kDropNewest bounded queue that discards arrivals while full;
-//   kBlock      bounded queue with backpressure — a finished upstream item
-//               keeps its upstream slot until there is room downstream.
+// DES cannot block), a concurrency limit, and an unbounded in-order input
+// queue.
 //
 // Graph admission generalizes fire::PipelineMode: max_in_flight == 1 with a
-// kDropStale admission queue is the paper's sequential request/reply loop,
+// kDropStale admission queue (when a slot frees, admit only the newest
+// waiting item and discard the older ones: FIRE's "display the current
+// brain state" semantics) is the paper's sequential request/reply loop,
 // max_in_flight == 0 is the fully pipelined mode where only per-stage
 // concurrency limits throttle the flow.
 //
@@ -66,19 +60,17 @@ struct StageContext {
 
 using StageFn = std::function<void(StageContext, Item&, Done)>;
 
-enum class QueuePolicy { kFifo, kDropStale, kDropNewest, kBlock };
+enum class QueuePolicy { kFifo, kDropStale };
 
 struct StageConfig {
   std::string name;
   int concurrency = 1;   // simultaneous bodies; 0 = unlimited
-  QueuePolicy policy = QueuePolicy::kFifo;
-  std::size_t capacity = 0;  // queue bound for kDropNewest/kBlock; 0 = none
   StageFn body;
 };
 
 struct GraphConfig {
   int max_in_flight = 0;  // 0 = unlimited (pipelined); 1 = request/reply
-  QueuePolicy admission = QueuePolicy::kFifo;  // kFifo or kDropStale
+  QueuePolicy admission = QueuePolicy::kFifo;
 };
 
 class StageGraph {
@@ -94,11 +86,6 @@ class StageGraph {
   // Called when an item leaves the last stage.
   void on_complete(std::function<void(const Item&)> cb) {
     complete_ = std::move(cb);
-  }
-  // Called when an item is discarded; stage == -1 means it was superseded
-  // while still awaiting admission.
-  void on_drop(std::function<void(const Item&, int stage)> cb) {
-    drop_ = std::move(cb);
   }
 
   // Offer an item to the graph.  Admission control may queue or (under
@@ -137,28 +124,24 @@ class StageGraph {
     // the item is inside the graph.
     des::TraceContext ctx;
     bool owns_trace = false;
-    std::uint64_t wait_span = 0;  // queue-wait: admission, stage queue, block
+    std::uint64_t wait_span = 0;  // queue-wait: admission or stage queue
     std::uint64_t body_span = 0;  // compute: stage body running
   };
   struct Stage {
     StageConfig cfg;
-    std::deque<std::uint64_t> queue;    // waiting item ids, arrival order
-    std::deque<std::uint64_t> blocked;  // finished, held by kBlock downstream
+    std::deque<std::uint64_t> queue;  // waiting item ids, arrival order
     int running = 0;
     bool pumping = false;  // re-entrancy guard for pump()
   };
 
   void admit_pending();
-  void supersede_waiting();   // newest-wins trim of the admission queue
-  bool accepts(int s) const;  // false when stage s's kBlock queue is full
+  void supersede_waiting();  // newest-wins trim of the admission queue
   void enqueue(int s, std::uint64_t id);
   void pump(int s);
   void start(int s, std::uint64_t id);
   void finish(int s, std::uint64_t id);
   void advance(int s, std::uint64_t id);  // hand off past stage s
-  void drain_blocked(int s);  // stage s's queue freed: unblock stage s-1
   void leave_graph(std::uint64_t id);
-  void drop_queued(int s, std::uint64_t id);
   void note_queue(int s);
 
   des::Scheduler& sched_;
@@ -176,7 +159,6 @@ class StageGraph {
   des::SimTime recovery_started_;
   MetricsRegistry metrics_;
   std::function<void(const Item&)> complete_;
-  std::function<void(const Item&, int)> drop_;
 };
 
 }  // namespace gtw::flow

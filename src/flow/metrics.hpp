@@ -18,7 +18,9 @@ struct StageMetrics {
 
   std::uint64_t items_in = 0;     // bodies started
   std::uint64_t items_out = 0;    // bodies completed
-  std::uint64_t dropped = 0;      // discarded at this stage's input queue
+  // Stage queues never drop, so this reads 0; it stays because the OBS
+  // metrics artifacts print <prefix>.stage.<stage>.dropped.
+  std::uint64_t dropped = 0;
   std::size_t queue_depth = 0;    // current backlog
   std::size_t queue_peak = 0;     // high-water backlog
   des::SimTime busy;              // integrated body time over all slots

@@ -8,10 +8,6 @@
 
 namespace gtw::meta {
 
-CommCheckObserver::~CommCheckObserver() {
-  if (installed_on_ != nullptr) installed_on_->set_check_observer(nullptr);
-}
-
 Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
     : mc_(&mc), ranks_(std::move(ranks)), states_(ranks_.size()) {
   if (ranks_.empty())
@@ -19,7 +15,6 @@ Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
 }
 
 Communicator::~Communicator() {
-  set_check_observer(nullptr);
   if (collectives_.empty()) return;
   des::SpanHook* h = mc_->scheduler().span_hook();
   if (h == nullptr) return;
@@ -30,21 +25,13 @@ Communicator::~Communicator() {
   }
 }
 
-void Communicator::set_check_observer(CommCheckObserver* obs) {
-  if (check_observer_ != nullptr) check_observer_->installed_on_ = nullptr;
-  if (obs != nullptr && obs->installed_on_ != nullptr)
-    obs->installed_on_->check_observer_ = nullptr;
-  check_observer_ = obs;
-  if (obs != nullptr) obs->installed_on_ = this;
-}
-
 bool Communicator::matches(const PostedRecv& r, const Message& m) const {
   return (r.source == kAnySource || r.source == m.source) &&
          (r.tag == kAnyTag || r.tag == m.tag);
 }
 
 void Communicator::send(int src_rank, int dst_rank, int tag,
-                        std::uint64_t bytes, std::any data, Callback on_sent) {
+                        std::uint64_t bytes, std::any data) {
   const ProcLoc& src = location(src_rank);
   const ProcLoc& dst = location(dst_rank);
 
@@ -79,111 +66,12 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
         cost, [delivered, msg = std::move(msg)]() mutable {
           delivered(std::move(msg));
         });
-  } else if (retry_enabled_) {
-    auto st = std::make_shared<WanSendState>();
-    st->src_rank = src_rank;
-    st->dst_rank = dst_rank;
-    st->src_machine = src.machine;
-    st->dst_machine = dst.machine;
-    st->bytes = bytes;
-    st->msg = std::move(msg);
-    st->next_timeout = retry_.timeout;
-    // The library may retransmit this message, so the application buffer
-    // stays pinned: on_sent is deferred to the first successful delivery
-    // (and never fires if the message is reported unreachable).
-    st->on_sent = std::exchange(on_sent, nullptr);
-    st->ctx = ctx;
-    st->owns_trace = minted;
-    st->sent = sent;
-    wan_attempt(std::move(st));
   } else {
     mc_->wan_send(src.machine, dst.machine, units::Bytes{bytes},
                   [delivered, msg = std::move(msg)]() mutable {
                     delivered(std::move(msg));
                   });
   }
-  if (h != nullptr) h->adopt(prev);
-  if (on_sent) on_sent();
-}
-
-void Communicator::wan_attempt(std::shared_ptr<WanSendState> st) {
-  ++st->attempts;
-  // Run the attempt under the message's trace: the transport spans of this
-  // attempt — and the watchdog armed below — nest under st->ctx (or under
-  // the retry-backoff span once one is open, so resent copies read as
-  // children of the stall that caused them).
-  des::SpanHook* h = mc_->scheduler().span_hook();
-  des::TraceContext prev;
-  if (h != nullptr) prev = h->adopt(des::under(st->ctx, st->retry_span));
-  mc_->wan_send(st->src_machine, st->dst_machine, units::Bytes{st->bytes},
-                [this, st]() {
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                       check_observer_->on_wan_outcome(
-                           st->src_rank, st->dst_rank,
-                           !st->abandoned && !st->delivered, st->abandoned,
-                           st->delivered));
-    if (st->abandoned) {
-      // The unreachable report already fired; the application has been told
-      // this message failed, so a tardy copy must not resurrect it.
-      ++reliability_.dropped_after_unreachable;
-      return;
-    }
-    if (st->delivered) {
-      // An earlier attempt's bytes finally made it through after a retry
-      // was already issued (the simulated TCP is reliable, just late).
-      ++reliability_.duplicates_suppressed;
-      return;
-    }
-    st->delivered = true;
-    st->watchdog.cancel();
-    if (des::SpanHook* h2 = mc_->scheduler().span_hook(); h2 != nullptr) {
-      h2->end_span(st->retry_span, mc_->scheduler().now());
-      st->retry_span = 0;
-    }
-    if (st->on_sent) {
-      Callback sent = std::move(st->on_sent);
-      st->on_sent = nullptr;
-      sent();
-    }
-    deliver(st->dst_rank, std::move(st->msg), st->sent);
-    if (des::SpanHook* h2 = mc_->scheduler().span_hook();
-        h2 != nullptr && st->owns_trace)
-      h2->close_trace(st->ctx, mc_->scheduler().now());
-  });
-  st->watchdog = mc_->scheduler().schedule_after(st->next_timeout, [this, st]() {
-    if (st->delivered) return;
-    if (st->attempts > retry_.max_retries) {
-      st->abandoned = true;
-      ++reliability_.unreachable_reports;
-      GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                         check_observer_->on_unreachable(st->src_rank,
-                                                         st->dst_rank));
-      if (des::SpanHook* h2 = mc_->scheduler().span_hook(); h2 != nullptr) {
-        // The message is dead: retire the retry span and the whole trace
-        // as aborted so the tracer's leak census stays clean even though
-        // no delivery will ever close them.
-        h2->abort_span(st->retry_span, mc_->scheduler().now());
-        st->retry_span = 0;
-        if (st->owns_trace)
-          h2->abort_trace(st->ctx, "unreachable", mc_->scheduler().now());
-      }
-      if (unreachable_)
-        unreachable_(st->src_rank, st->dst_rank, st->attempts);
-      return;
-    }
-    ++reliability_.wan_retries;
-    if (des::SpanHook* h2 = mc_->scheduler().span_hook();
-        h2 != nullptr && st->retry_span == 0 && st->ctx.valid()) {
-      st->retry_span =
-          h2->begin_span(st->ctx, des::SpanPhase::kRetryBackoff, "comm",
-                         "retry", mc_->scheduler().now());
-    }
-    st->next_timeout =
-        des::SimTime::seconds(st->next_timeout.sec() * retry_.backoff);
-    if (st->next_timeout > retry_.max_timeout)
-      st->next_timeout = retry_.max_timeout;
-    wan_attempt(st);
-  });
   if (h != nullptr) h->adopt(prev);
 }
 

@@ -31,41 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "des/check_hook.hpp"
 #include "meta/metacomputer.hpp"
 
 namespace gtw::meta {
-
-class Communicator;
-
-// GTW-San observer (check::attach_communicator): notified at the outcome
-// decision of every watchdog-guarded WAN delivery and at every unreachable
-// report, so the sanitizer can prove the retry policy's contract — a
-// message reported unreachable is never afterwards handed to the
-// application.  Notification-only; must not call back into the
-// communicator.  The interface and registration slot exist in every build;
-// the notifying call sites are GTW_CHECK_HOOK-guarded and compile away
-// when checking is off.  Lifetime as for des::SchedulerCheckHook: one
-// communicator at a time, and either may die first.
-struct CommCheckObserver {
-  CommCheckObserver() = default;
-  CommCheckObserver(const CommCheckObserver&) = delete;
-  CommCheckObserver& operator=(const CommCheckObserver&) = delete;
-  virtual ~CommCheckObserver();  // uninstalls; meta/communicator.cpp
-  Communicator* installed_on() const { return installed_on_; }  // or null
-
-  // A WAN copy arrived.  Exactly one of the three describes its fate:
-  // handed to the application, suppressed as a duplicate of an earlier
-  // delivery, or dropped because the message was already abandoned.
-  virtual void on_wan_outcome(int src_rank, int dst_rank,
-                              bool delivered_to_app, bool after_abandon,
-                              bool duplicate) = 0;
-  virtual void on_unreachable(int src_rank, int dst_rank) = 0;
-
- private:
-  friend class Communicator;
-  Communicator* installed_on_ = nullptr;  // maintained by Communicator only
-};
 
 // Process location: which machine, which processing element on it.
 struct ProcLoc {
@@ -85,23 +53,6 @@ constexpr int kAnyTag = -1;
 
 enum class ReduceOp { kSum, kMax, kMin };
 
-// Failure handling for WAN point-to-point traffic (MPWide-style: WAN
-// messaging libraries treat path degradation and reconnection as their
-// problem, not the application's).  A watchdog per WAN send retransmits
-// with exponential backoff; a delivery seen after a retransmission was
-// issued is suppressed as a duplicate, and a message whose retries are
-// exhausted is reported through the unreachable callback instead of
-// hanging the application forever.
-struct RetryPolicy {
-  des::SimTime timeout = des::SimTime::seconds(2);  // first-attempt watchdog
-  int max_retries = 3;                              // beyond the first send
-  double backoff = 2.0;                             // timeout multiplier
-  // Ceiling on the backed-off watchdog timeout.  Without it the doubling
-  // grows without bound and a high-retry policy ends up waiting simulated
-  // hours between attempts long after the path has recovered.
-  des::SimTime max_timeout = des::SimTime::seconds(30);
-};
-
 class Communicator {
  public:
   using RecvCallback = std::function<void(const Message&)>;
@@ -110,8 +61,7 @@ class Communicator {
   // A communicator over explicit process locations.
   Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks);
   // Collectives still waiting for ranks retire their spans as aborted, so
-  // the tracer's leak census stays clean; an installed check observer is
-  // uninstalled.
+  // the tracer's leak census stays clean.
   ~Communicator();
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
@@ -122,14 +72,13 @@ class Communicator {
   }
 
   // --- point to point -----------------------------------------------------
-  // `on_sent` fires at local completion (buffer reusable).  For sends not
-  // guarded by a retry watchdog that is immediate — the transport owns the
-  // bytes from here on.  Under a retry policy the library may retransmit, so
-  // the buffer stays pinned: `on_sent` is deferred to the first successful
-  // delivery and never fires for a message reported unreachable.  Delivery
-  // drives the matching recv's callback at the receiver's simulated time.
+  // The transport owns the bytes from here on.  A WAN message rides the
+  // machines' PathTransport, whose TCP (and, on a multi-stream path, its
+  // stall reset) recovers from an outage: the message arrives late, once.
+  // Delivery drives the matching recv's callback at the receiver's
+  // simulated time.
   void send(int src_rank, int dst_rank, int tag, std::uint64_t bytes,
-            std::any data = {}, Callback on_sent = nullptr);
+            std::any data = {});
   void recv(int rank, int source, int tag, RecvCallback cb);
 
   // --- collectives ----------------------------------------------------------
@@ -166,34 +115,6 @@ class Communicator {
 
   Metacomputer& metacomputer() { return *mc_; }
 
-  // --- failure handling ------------------------------------------------------
-  // Enable watchdog/retry on WAN point-to-point sends.  Off by default:
-  // the simulated TCP transport is reliable, so retries only matter when a
-  // FaultPlan (or manual Link::set_up) breaks the path mid-run.
-  void set_retry_policy(RetryPolicy policy) {
-    retry_ = policy;
-    retry_enabled_ = true;
-  }
-  // `attempts` counts every transmission of the abandoned message.
-  using UnreachableCallback =
-      std::function<void(int src_rank, int dst_rank, int attempts)>;
-  void on_unreachable(UnreachableCallback cb) { unreachable_ = std::move(cb); }
-
-  struct ReliabilityStats {
-    std::uint64_t wan_retries = 0;           // watchdog-triggered resends
-    std::uint64_t duplicates_suppressed = 0; // late originals after a retry
-    std::uint64_t unreachable_reports = 0;   // messages given up on
-    // Late deliveries of a message already reported unreachable: dropped, so
-    // the application never sees a recv for a message it was told failed.
-    std::uint64_t dropped_after_unreachable = 0;
-  };
-  const ReliabilityStats& reliability() const { return reliability_; }
-
-  // Installs `obs` (nullptr uninstalls), moving it off any communicator it
-  // was installed on.
-  void set_check_observer(CommCheckObserver* obs);
-  CommCheckObserver* check_observer() const { return check_observer_; }
-
  private:
   struct PostedRecv {
     int source;
@@ -226,30 +147,7 @@ class Communicator {
     std::vector<std::uint64_t> spans;  // each rank's call, on its lane
   };
 
-  // In-flight state of one watchdog-guarded WAN message.
-  struct WanSendState {
-    int src_rank = 0, dst_rank = 0;
-    int src_machine = 0, dst_machine = 0;
-    std::uint64_t bytes = 0;
-    Message msg;
-    int attempts = 0;
-    bool delivered = false;
-    bool abandoned = false;  // unreachable reported; late copies are dropped
-    des::SimTime next_timeout;
-    des::EventHandle watchdog;
-    Callback on_sent;  // deferred until the first successful delivery
-    // Causal trace of the guarded message (obs): minted here when the send
-    // is a workload origin; every attempt's transport spans nest under it.
-    des::TraceContext ctx;
-    bool owns_trace = false;
-    des::TraceContext sent;  // the send, which the delivery's recv names
-    // Open retry-backoff span: begun when the first watchdog-triggered
-    // resend is issued, ended at delivery, aborted on unreachable.
-    std::uint64_t retry_span = 0;
-  };
-
   void deliver(int dst_rank, Message msg, des::TraceContext sent);
-  void wan_attempt(std::shared_ptr<WanSendState> st);
   bool matches(const PostedRecv& r, const Message& m) const;
   // The collective engine.  Records `rank`'s next collective call; the
   // first rank in fixes the instance's trace, and the last starts the
@@ -266,11 +164,6 @@ class Communicator {
   std::vector<ProcLoc> ranks_;
   std::vector<RankState> states_;
   std::map<std::uint64_t, Collective> collectives_;  // by call index
-  RetryPolicy retry_;
-  bool retry_enabled_ = false;
-  UnreachableCallback unreachable_;
-  ReliabilityStats reliability_;
-  CommCheckObserver* check_observer_ = nullptr;
 };
 
 }  // namespace gtw::meta

@@ -7,8 +7,6 @@
 
 namespace gtw::net {
 
-std::uint64_t Host::next_packet_id_ = 0;
-
 Host::Host(des::Scheduler& sched, std::string name, HostId id, HostCosts costs)
     : sched_(sched), name_(std::move(name)), id_(id), costs_(costs),
       cpu_(sched, name_ + ".cpu") {}
@@ -67,7 +65,6 @@ void Host::send_datagram(IpPacket pkt) {
   const std::uint32_t mtu =
       static_cast<std::uint32_t>(route->nic->mtu().count());
   if (pkt.total_bytes <= mtu) {
-    pkt.id = ++next_packet_id_;
     emit(std::move(pkt), *route);
     return;
   }
@@ -81,7 +78,6 @@ void Host::send_datagram(IpPacket pkt) {
   while (offset < payload) {
     const std::uint32_t chunk = std::min(per_frag, payload - offset);
     IpPacket frag = pkt;
-    frag.id = ++next_packet_id_;
     frag.total_bytes = chunk + kIpHeaderBytes;
     frag.frag_offset = offset;
     frag.more_fragments = (offset + chunk) < payload;

@@ -156,7 +156,6 @@ class Host {
   std::uint64_t recv_unroutable_ = 0;
   std::uint64_t recv_outage_drops_ = 0;
   std::uint64_t datagram_seq_ = 0;
-  static std::uint64_t next_packet_id_;
 };
 
 }  // namespace gtw::net

@@ -30,7 +30,6 @@ struct TcpSegHeader {
 };
 
 struct IpPacket {
-  std::uint64_t id = 0;            // unique per simulation, for tracing
   HostId src = kNoHost;
   HostId dst = kNoHost;
   IpProto proto = IpProto::kUdp;

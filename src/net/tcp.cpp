@@ -49,7 +49,6 @@ TcpConnection::~TcpConnection() {
   for (auto& e : ep_) {
     if (e.host != nullptr) e.host->unbind(IpProto::kTcp, e.local_port);
     e.rto_timer.cancel();
-    e.ack_timer.cancel();
     if (h != nullptr) {
       // A torn-down connection (PathTransport stall reset, test teardown)
       // retires its in-flight spans as aborted rather than leaking them.
@@ -198,15 +197,12 @@ void TcpConnection::process_data(int side, const TcpSegHeader& m) {
   Endpoint& e = ep_[side];
   const std::uint64_t seg_end = m.seq + m.len;
   if (seg_end <= e.rcv_nxt) {
-    // Old duplicate; re-ACK immediately (RFC 5681 section 4.2) so the
-    // sender's duplicate-ACK machinery is never throttled by the
-    // delayed-ACK timer.
+    // Old duplicate; re-ACK (RFC 5681 section 4.2).
     ++e.stats.dup_segments_received;
-    send_ack(side, /*immediate=*/true);
+    send_ack(side);
     return;
   }
   if (m.seq <= e.rcv_nxt) {
-    const bool filled_hole = !e.ooo.empty();
     e.rcv_nxt = seg_end;
     // Pull in any out-of-order data now contiguous.
     auto it = e.ooo.begin();
@@ -215,9 +211,7 @@ void TcpConnection::process_data(int side, const TcpSegHeader& m) {
       it = e.ooo.erase(it);
     }
     deliver_messages(1 - side);
-    // A segment that fills (part of) a hole is ACKed immediately; plain
-    // in-order arrivals may take the delayed path.
-    send_ack(side, filled_hole);
+    send_ack(side);
     return;
   }
   {
@@ -246,31 +240,12 @@ void TcpConnection::process_data(int side, const TcpSegHeader& m) {
       e.stats.max_ooo_bytes = std::max(e.stats.max_ooo_bytes, ooo_bytes(e));
     }
   }
-  // Out-of-order arrival: immediate duplicate ACK (RFC 5681), never delayed.
-  send_ack(side, /*immediate=*/true);
+  // Out-of-order arrival: duplicate ACK (RFC 5681).
+  send_ack(side);
 }
 
-void TcpConnection::send_ack(int side, bool immediate) {
+void TcpConnection::send_ack(int side) {
   Endpoint& e = ep_[side];
-  if (cfg_.delayed_ack && !immediate) {
-    if (e.ack_pending) {
-      // Second segment since the last ACK: flush immediately (RFC 1122).
-      e.ack_timer.cancel();
-      flush_ack(side);
-      return;
-    }
-    e.ack_pending = true;
-    e.ack_timer = sched_.schedule_after(cfg_.delayed_ack_timeout,
-                                        [this, side]() { flush_ack(side); });
-    return;
-  }
-  e.ack_timer.cancel();
-  flush_ack(side);
-}
-
-void TcpConnection::flush_ack(int side) {
-  Endpoint& e = ep_[side];
-  e.ack_pending = false;
   IpPacket pkt;
   pkt.dst = ep_[1 - side].host->id();
   pkt.proto = IpProto::kTcp;

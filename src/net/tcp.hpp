@@ -29,8 +29,6 @@ struct TcpConfig {
   std::uint32_t initial_cwnd_segments = 2;
   des::SimTime min_rto = des::SimTime::milliseconds(200);
   des::SimTime initial_rto = des::SimTime::milliseconds(1000);
-  bool delayed_ack = false;
-  des::SimTime delayed_ack_timeout = des::SimTime::milliseconds(100);
 };
 
 // A full-duplex connection between two simulated hosts.  Side 0 is the host
@@ -129,8 +127,6 @@ class TcpConnection {
     // --- receive state ---
     std::uint64_t rcv_nxt = 0;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ooo;  // sorted [a,b)
-    bool ack_pending = false;
-    des::EventHandle ack_timer;
 
     // Open retransmit-stall span (obs): begun at the first loss signal
     // (3rd dupack or RTO), closed once the cumulative ACK passes the
@@ -147,8 +143,7 @@ class TcpConnection {
   void try_send(int side);
   void send_segment(int side, std::uint64_t seq, std::uint32_t len,
                     bool retransmit);
-  void send_ack(int side, bool immediate = false);
-  void flush_ack(int side);
+  void send_ack(int side);
   void arm_rto(int side);
   void on_rto(int side);
   void deliver_messages(int sender_side);

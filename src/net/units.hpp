@@ -74,41 +74,4 @@ constexpr units::Bytes aal5_wire_bytes(units::Bytes pdu) {
   return units::Bytes{aal5_wire_bytes(static_cast<std::uint32_t>(pdu.count()))};
 }
 
-// ---------------------------------------------------------------------------
-// Deprecation shim — ONE PR ONLY.
-//
-// The constants above used to be plain doubles / uint32_t; out-of-tree code
-// following older DESIGN.md snippets can qualify with net::legacy:: to keep
-// compiling while it migrates to the typed constants.  This namespace is
-// removed in the next PR.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-[[deprecated("multiply via units::BitRate::kbps() instead")]]  //
-constexpr double kKbit = 1e3;
-[[deprecated("multiply via units::BitRate::mbps() instead")]]  //
-constexpr double kMbit = 1e6;
-[[deprecated("multiply via units::BitRate::gbps() instead")]]  //
-constexpr double kGbit = 1e9;
-
-[[deprecated("use net::kOc3Line (units::BitRate)")]]  //
-constexpr double kOc3Line = 155.52 * 1e6;  // gtw-lint: allow(raw-rate-double)
-[[deprecated("use net::kOc12Line (units::BitRate)")]]  //
-constexpr double kOc12Line = 622.08 * 1e6;  // gtw-lint: allow(raw-rate-double)
-[[deprecated("use net::kOc48Line (units::BitRate)")]]  //
-constexpr double kOc48Line = 2488.32 * 1e6;  // gtw-lint: allow(raw-rate-double)
-[[deprecated("use net::kHippiRate (units::BitRate)")]]  //
-constexpr double kHippiRate = 800.0 * 1e6;  // gtw-lint: allow(raw-rate-double)
-
-[[deprecated("use net::kMtuEthernet (units::Bytes)")]]  //
-constexpr std::uint32_t kMtuEthernet = 1500;
-[[deprecated("use net::kMtuAtmDefault (units::Bytes)")]]  //
-constexpr std::uint32_t kMtuAtmDefault = 9180;
-[[deprecated("use net::kMtuAtmFore (units::Bytes)")]]  //
-constexpr std::uint32_t kMtuAtmFore = 65535;
-[[deprecated("use net::kMtuHippi (units::Bytes)")]]  //
-constexpr std::uint32_t kMtuHippi = 65280;
-
-}  // namespace legacy
-
 }  // namespace gtw::net

@@ -152,6 +152,9 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
         return reject("malformed span line: " + fields.error());
       if (s.id != out.spans.size() + 1)
         return reject("non-sequential span id " + std::to_string(s.id));
+      if (s.begin_ps < 0 || s.end_ps < 0)
+        return reject("span " + std::to_string(s.id) +
+                      " has a negative timestamp");
       if (s.status != "open" && s.end_ps < s.begin_ps)
         return reject("span " + std::to_string(s.id) + " ends before it begins");
       out.spans.push_back(std::move(s));

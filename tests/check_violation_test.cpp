@@ -6,8 +6,8 @@
 //   - Monitor mechanics (ring buffer, cap, report, drain-vs-quiescent);
 //   - the pure invariant verdicts of invariants.hpp on hand-built broken
 //     ledgers (build-mode independent);
-//   - the hook-driven checkers (SchedulerChecker, CommChecker, PathChecker)
-//     driven directly through their observer interfaces, plus end-to-end
+//   - the hook-driven checkers (SchedulerChecker, PathChecker) driven
+//     directly through their observer interfaces, plus end-to-end
 //     scenarios against the real scheduler/pool where the notification
 //     call sites exist (GTW_CHECK builds).
 #include <gtest/gtest.h>
@@ -225,15 +225,6 @@ TEST(InvariantTest, FlowStageSanityFlagsImpossibleLedger) {
   EXPECT_FALSE(flow_stage_sanity(a).has_value());
 }
 
-TEST(InvariantTest, WanOutcomeMustBeExactlyOne) {
-  WanOutcome o;
-  EXPECT_TRUE(wan_outcome_sane(o).has_value());  // none set
-  o.delivered_to_app = true;
-  EXPECT_FALSE(wan_outcome_sane(o).has_value());
-  o.after_abandon = true;  // delivered after the watchdog gave up
-  EXPECT_TRUE(wan_outcome_sane(o).has_value());
-}
-
 // --- SchedulerChecker, driven through the hook interface --------------------
 
 TEST(SchedulerCheckerTest, PastScheduleFires) {
@@ -273,19 +264,7 @@ TEST(SchedulerCheckerTest, CancelOutcomesClassified) {
   EXPECT_EQ(mon.violations()[0].checker, "des.sched.double-cancel");
 }
 
-// --- CommChecker / PathChecker, driven through the observer interfaces ------
-
-TEST(CommCheckerTest, ContradictoryOutcomeFlagged) {
-  des::Scheduler sched;
-  Monitor mon(sched);
-  CommChecker checker(mon, "meta.fixture");
-  checker.on_wan_outcome(0, 1, true, false, false);  // clean delivery
-  checker.on_wan_outcome(1, 0, false, true, false);  // clean abandon-drop
-  EXPECT_TRUE(mon.clean());
-  checker.on_wan_outcome(0, 1, true, true, false);  // delivered after abandon
-  ASSERT_EQ(mon.total_violations(), 1u);
-  EXPECT_EQ(mon.violations()[0].checker, "meta.fixture.wan-outcome");
-}
+// --- PathChecker, driven through the observer interface ---------------------
 
 TEST(PathCheckerTest, ChunkDeliveredTwiceFlagged) {
   des::Scheduler sched;

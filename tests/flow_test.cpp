@@ -1,6 +1,6 @@
-// Unit tests for the staged-dataflow engine: queue policies, concurrency
-// limits, admission control, backpressure, drop accounting, metrics and the
-// stage spans on VAMPIR lanes.
+// Unit tests for the staged-dataflow engine: FIFO stage queues, concurrency
+// limits, admission control and superseding, degraded mode, metrics and
+// the stage spans on VAMPIR lanes.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -89,11 +89,6 @@ TEST(FlowGraphTest, SequentialAdmissionDropStaleSupersedes) {
   g.add_stage(flow::compute_stage("busy", [](const flow::Item&) {
     return sec(10.0);
   }));
-  std::vector<int> dropped;
-  g.on_drop([&](const flow::Item& it, int stage) {
-    EXPECT_EQ(stage, -1);  // superseded while awaiting admission
-    dropped.push_back(it.index);
-  });
   for (int i = 0; i < 5; ++i) g.push(i);
   // Pushes queue up behind the busy graph; superseding happens when the
   // in-flight slot frees and only the newest is admitted.
@@ -101,77 +96,9 @@ TEST(FlowGraphTest, SequentialAdmissionDropStaleSupersedes) {
   const auto done = collect(sched, g);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0].index, 0);
-  EXPECT_EQ(done[1].index, 4);
-  EXPECT_EQ(dropped, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(done[1].index, 4);  // 1, 2 and 3 were superseded
   EXPECT_EQ(g.metrics().admission_dropped, 3u);
   EXPECT_EQ(g.metrics().completed, 2u);
-}
-
-TEST(FlowGraphTest, DropStaleStageQueueRunsOnlyNewest) {
-  Scheduler sched;
-  flow::StageGraph g(sched);
-  g.add_stage(flow::delay_stage("fan", SimTime::zero()));
-  flow::StageConfig slow = flow::compute_stage(
-      "slow", [](const flow::Item&) { return sec(1.0); }, 1);
-  slow.policy = flow::QueuePolicy::kDropStale;
-  const int s = g.add_stage(std::move(slow));
-  std::vector<std::pair<int, int>> drops;  // (index, stage)
-  g.on_drop([&](const flow::Item& it, int stage) {
-    drops.push_back({it.index, stage});
-  });
-  for (int i = 0; i < 4; ++i) g.push(i);
-  const auto done = collect(sched, g);
-  // Item 0 occupies the slot; when it frees, only the newest (3) runs.
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0].index, 0);
-  EXPECT_EQ(done[1].index, 3);
-  EXPECT_EQ(drops, (std::vector<std::pair<int, int>>{{1, s}, {2, s}}));
-  EXPECT_EQ(g.metrics().stage(s).dropped, 2u);
-}
-
-TEST(FlowGraphTest, DropNewestBoundedQueueRefusesArrivals) {
-  Scheduler sched;
-  flow::StageGraph g(sched);
-  g.add_stage(flow::delay_stage("fan", SimTime::zero()));
-  flow::StageConfig slow = flow::compute_stage(
-      "slow", [](const flow::Item&) { return sec(1.0); }, 1);
-  slow.policy = flow::QueuePolicy::kDropNewest;
-  slow.capacity = 1;
-  const int s = g.add_stage(std::move(slow));
-  for (int i = 0; i < 4; ++i) g.push(i);
-  const auto done = collect(sched, g);
-  // 0 runs, 1 queues, 2 and 3 find the queue full and are discarded.
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0].index, 0);
-  EXPECT_EQ(done[1].index, 1);
-  EXPECT_EQ(g.metrics().stage(s).dropped, 2u);
-  EXPECT_EQ(g.metrics().completed, 2u);
-}
-
-TEST(FlowGraphTest, BlockPolicyBackpressuresUpstream) {
-  Scheduler sched;
-  flow::StageGraph g(sched);
-  g.add_stage(flow::compute_stage("fast", [](const flow::Item&) {
-    return sec(1.0);
-  }, 1));
-  flow::StageConfig slow = flow::compute_stage(
-      "slow", [](const flow::Item&) { return sec(10.0); }, 1);
-  slow.policy = flow::QueuePolicy::kBlock;
-  slow.capacity = 1;
-  g.add_stage(std::move(slow));
-  for (int i = 0; i < 4; ++i) g.push(i);
-  const auto done = collect(sched, g);
-  ASSERT_EQ(done.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(done[static_cast<size_t>(i)].index, i);
-  // Item 0: 1 s fast + 10 s slow.  Each successor waits on the single slow
-  // slot; nothing is dropped, the fast stage just stalls (item 2 finishes
-  // "fast" at t=3 but holds its slot until t=11 frees the slow queue).
-  EXPECT_EQ(done[0].at, sec(11.0));
-  EXPECT_EQ(done[1].at, sec(21.0));
-  EXPECT_EQ(done[2].at, sec(31.0));
-  EXPECT_EQ(done[3].at, sec(41.0));
-  EXPECT_EQ(g.metrics().stage(1).dropped, 0u);
-  EXPECT_EQ(g.metrics().completed, 4u);
 }
 
 TEST(FlowGraphTest, MetricsIntegrateBusyTimeAndQueues) {

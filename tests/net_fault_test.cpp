@@ -1,7 +1,7 @@
 // Fault-injection and recovery tests: net::FaultPlan scripting link flaps,
 // BER bursts, host outages and buffer squeezes against the DES clock;
-// TCP recovery through an outage; Communicator watchdog/retry semantics;
-// and the FIRE pipeline degrading gracefully through a scripted WAN cut.
+// TCP recovery through an outage, also under a Communicator WAN send; and
+// the FIRE pipeline degrading gracefully through a scripted WAN cut.
 #include <gtest/gtest.h>
 
 #include <any>
@@ -254,7 +254,7 @@ SimTime ms(int m) { return SimTime::milliseconds(m); }
 
 // Two machines whose front-ends are joined by one ATM switch; the switch
 // egress links are the WAN path the FaultPlan cuts.
-struct RetryFixture {
+struct OutageFixture {
   des::Scheduler sched;
   net::Host fe_a{sched, "fe_a", 1};
   net::Host fe_b{sched, "fe_b", 2};
@@ -274,7 +274,7 @@ struct RetryFixture {
   int ma = -1, mb = -1;
   int pa = -1, pb = -1;
 
-  RetryFixture() {
+  OutageFixture() {
     auto cfg = net::Link::Config{units::BitRate::mbps(622.0),
                                  des::SimTime::microseconds(250),
                                  units::Bytes{16u << 20},
@@ -305,155 +305,29 @@ struct RetryFixture {
   net::Link& wan_toward_b() { return sw.egress_link(pb); }
 };
 
-TEST(CommunicatorRetryTest, RetriesThroughOutageAndSuppressesDuplicate) {
-  RetryFixture f;
+// The machines' path is reliable TCP, which recovers from the outage by
+// itself: the message arrives once the link heals, and exactly once — a
+// second posted recv would catch any duplicate copy.
+TEST(CommunicatorOutageTest, WanSendThroughOutageDeliversOnceAfterHeal) {
+  OutageFixture f;
   net::FaultPlan plan(f.sched);
-  // The outage swallows the first attempt; the watchdog fires inside it.
   plan.link_down(f.wan_toward_b(), ms(1), ms(400));
 
   Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  comm.set_retry_policy({ms(150), /*max_retries=*/3, /*backoff=*/2.0});
-
   int received = 0;
-  comm.recv(1, 0, 7, [&](const Message& m) {
-    ++received;
-    EXPECT_EQ(m.bytes, 100'000u);
-  });
+  SimTime received_at = SimTime::zero();
+  for (int i = 0; i < 2; ++i) {
+    comm.recv(1, 0, 7, [&](const Message& m) {
+      ++received;
+      received_at = f.sched.now();
+      EXPECT_EQ(m.bytes, 100'000u);
+    });
+  }
   comm.send(0, 1, 7, 100'000);
   f.sched.run();
 
   EXPECT_EQ(received, 1);
-  EXPECT_GE(comm.reliability().wan_retries, 1u);
-  // The simulated TCP is reliable, so the delayed original arrives after
-  // the link heals and must be recognised as a duplicate.
-  EXPECT_GE(comm.reliability().duplicates_suppressed, 1u);
-  EXPECT_EQ(comm.reliability().unreachable_reports, 0u);
-}
-
-TEST(CommunicatorRetryTest, ReportsUnreachableWhenOutageOutlastsRetries) {
-  RetryFixture f;
-  net::FaultPlan plan(f.sched);
-  // Watchdogs at 50, 150, 350, 750 ms (backoff 2): all inside the outage.
-  plan.link_down(f.wan_toward_b(), ms(1), ms(1000));
-
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  comm.set_retry_policy({ms(50), /*max_retries=*/2, /*backoff=*/2.0});
-
-  int received = 0;
-  comm.recv(1, 0, 7, [&](const Message&) { ++received; });
-  int reported_src = -1, reported_dst = -1, reported_attempts = 0;
-  comm.on_unreachable([&](int src, int dst, int attempts) {
-    reported_src = src;
-    reported_dst = dst;
-    reported_attempts = attempts;
-  });
-  comm.send(0, 1, 7, 50'000);
-  f.sched.run();
-
-  EXPECT_EQ(comm.reliability().unreachable_reports, 1u);
-  EXPECT_EQ(comm.reliability().wan_retries, 2u);
-  EXPECT_EQ(reported_src, 0);
-  EXPECT_EQ(reported_dst, 1);
-  EXPECT_EQ(reported_attempts, 3);  // original + two retries
-  // The transport is still reliable underneath, so once the link heals the
-  // backlog drains — but the application was already told this message
-  // failed, so every late copy is dropped, none delivered.
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(comm.reliability().duplicates_suppressed, 0u);
-  EXPECT_EQ(comm.reliability().dropped_after_unreachable, 3u);
-}
-
-TEST(CommunicatorRetryTest, BackoffClampedByMaxTimeout) {
-  RetryFixture f;
-  net::FaultPlan plan(f.sched);
-  plan.link_down(f.wan_toward_b(), ms(1), ms(2000));
-
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  // Aggressive backoff against a tight ceiling: watchdog intervals are
-  // 50, then 200->clamped to 100, and 100 thereafter.
-  comm.set_retry_policy(
-      {ms(50), /*max_retries=*/4, /*backoff=*/4.0, /*max_timeout=*/ms(100)});
-
-  SimTime reported_at = SimTime::zero();
-  comm.on_unreachable(
-      [&](int, int, int) { reported_at = f.sched.now(); });
-  comm.send(0, 1, 7, 50'000);
-  f.sched.run();
-
-  EXPECT_EQ(comm.reliability().unreachable_reports, 1u);
-  EXPECT_EQ(comm.reliability().wan_retries, 4u);
-  // 50 + 100 + 100 + 100 + 100 ms of clamped watchdogs; the unclamped
-  // series (50 + 200 + 800 + 3200 + 12800) would report at 17.05 s.
-  EXPECT_EQ(reported_at, ms(450));
-}
-
-TEST(CommunicatorRetryTest, OnSentImmediateWithoutRetryPolicy) {
-  RetryFixture f;
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  bool sent = false;
-  comm.send(0, 1, 3, 10'000, {}, [&] { sent = true; });
-  // No watchdog guards this send: the transport owns the bytes as soon as
-  // send() returns, so local completion is immediate.
-  EXPECT_TRUE(sent);
-}
-
-TEST(CommunicatorRetryTest, OnSentDeferredToFirstDeliveryUnderRetry) {
-  RetryFixture f;
-  net::FaultPlan plan(f.sched);
-  plan.link_down(f.wan_toward_b(), ms(1), ms(400));
-
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  comm.set_retry_policy({ms(150), /*max_retries=*/3, /*backoff=*/2.0});
-
-  int sent_count = 0;
-  SimTime sent_at = SimTime::zero();
-  SimTime received_at = SimTime::zero();
-  comm.recv(1, 0, 7, [&](const Message&) { received_at = f.sched.now(); });
-  comm.send(0, 1, 7, 100'000, {}, [&] {
-    ++sent_count;
-    sent_at = f.sched.now();
-  });
-  // The message may be retransmitted, so the buffer is still pinned.
-  EXPECT_EQ(sent_count, 0);
-  f.sched.run();
-
-  // Fires exactly once, at first successful delivery — a late duplicate
-  // after the retry must not re-fire it.
-  EXPECT_EQ(sent_count, 1);
-  EXPECT_GE(comm.reliability().duplicates_suppressed, 1u);
-  EXPECT_EQ(sent_at, received_at);
-  EXPECT_GT(sent_at, ms(400));
-}
-
-TEST(CommunicatorRetryTest, OnSentNeverFiresForUnreachableMessage) {
-  RetryFixture f;
-  net::FaultPlan plan(f.sched);
-  plan.link_down(f.wan_toward_b(), ms(1), ms(1000));
-
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  comm.set_retry_policy({ms(50), /*max_retries=*/2, /*backoff=*/2.0});
-
-  bool sent = false;
-  comm.send(0, 1, 7, 50'000, {}, [&] { sent = true; });
-  f.sched.run();
-
-  EXPECT_EQ(comm.reliability().unreachable_reports, 1u);
-  // The message was reported failed; claiming local completion afterwards
-  // would tell the application its data went out when it never will.
-  EXPECT_FALSE(sent);
-}
-
-TEST(CommunicatorRetryTest, CleanPathNeverRetries) {
-  RetryFixture f;
-  Communicator comm(f.mc, {{f.ma, 0}, {f.mb, 0}});
-  comm.set_retry_policy({ms(2000), 3, 2.0});
-  int received = 0;
-  comm.recv(1, 0, 3, [&](const Message&) { ++received; });
-  comm.send(0, 1, 3, 1u << 20);
-  f.sched.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(comm.reliability().wan_retries, 0u);
-  EXPECT_EQ(comm.reliability().duplicates_suppressed, 0u);
+  EXPECT_GT(received_at, ms(401));  // the link is down over [1, 401) ms
 }
 
 }  // namespace

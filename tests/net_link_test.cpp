@@ -107,15 +107,15 @@ TEST(LinkTest, CutDuringTransmissionLosesOnlyTheWireAndQueue) {
   Link link(sched, "l",
             {units::BitRate::mbps(100.0), des::SimTime::milliseconds(5),
              units::Bytes{1 << 20}, des::SimTime::zero()});
-  std::vector<std::uint64_t> arrived;
-  link.set_sink([&](Frame f) { arrived.push_back(f.pkt.id); });
-  auto submit = [&](std::uint64_t id) {
+  std::vector<std::uint32_t> arrived;
+  link.set_sink([&](Frame f) { arrived.push_back(f.pkt.datagram_id); });
+  auto submit = [&](std::uint32_t id) {
     Frame f;
-    f.pkt.id = id;
+    f.pkt.datagram_id = id;
     f.wire_bytes = 12500;
     return link.submit(std::move(f));
   };
-  for (std::uint64_t id = 1; id <= 3; ++id) ASSERT_TRUE(submit(id));
+  for (std::uint32_t id = 1; id <= 3; ++id) ASSERT_TRUE(submit(id));
   auto conserved = [&] {
     EXPECT_EQ(link.submitted_frames(), link.frames_sent() + link.drops() +
                                            link.outage_drops() +
@@ -136,7 +136,7 @@ TEST(LinkTest, CutDuringTransmissionLosesOnlyTheWireAndQueue) {
   });
   sched.run();
 
-  EXPECT_EQ(arrived, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(arrived, std::vector<std::uint32_t>{1});
   EXPECT_EQ(sched.now().ps(), des::SimTime::milliseconds(6).ps());
   EXPECT_EQ(link.frames_sent(), 1u);
   EXPECT_EQ(link.outage_drops(), 2u);  // + frame 2, lost at its transmit end
@@ -148,7 +148,7 @@ TEST(LinkTest, CutDuringTransmissionLosesOnlyTheWireAndQueue) {
   link.set_up(true);
   ASSERT_TRUE(submit(4));
   sched.run();
-  EXPECT_EQ(arrived, (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_EQ(arrived, (std::vector<std::uint32_t>{1, 4}));
   EXPECT_EQ(link.submitted_frames(), 4u);
   conserved();
 }

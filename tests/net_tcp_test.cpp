@@ -196,31 +196,13 @@ TEST(TcpTest, LargerMssGivesHigherGoodputWithPerPacketCosts) {
   EXPECT_GT(large, 1.5 * small);
 }
 
-TEST(TcpTest, DelayedAckStillCompletes) {
+TEST(TcpTest, FastRetransmitsWhenOnlyThreeSegmentsFollowTheLoss) {
+  // RFC 5681: every out-of-order segment is ACKed at once, and the third
+  // duplicate ACK triggers fast retransmit instead of a (much slower) RTO.
+  // Drop the 17th of 20 segments so only three follow the hole: exactly
+  // the three dup-ACKs fast retransmit needs.
   TcpFixture f;
   TcpConfig cfg;
-  cfg.delayed_ack = true;
-  TcpConnection conn(f.a, f.b, 100, 200, cfg);
-  bool delivered = false;
-  conn.send(0, units::Bytes{500'000}, {}, [&](const std::any&, des::SimTime) {
-    delivered = true;
-  });
-  f.sched.run();
-  EXPECT_TRUE(delivered);
-  // Delayed ACKs halve (roughly) the ACK count.
-  EXPECT_LT(conn.stats(1).acks_sent, conn.stats(0).segments_sent);
-}
-
-TEST(TcpTest, DelayedAckStillFastRetransmitsOnLoss) {
-  // RFC 5681: out-of-order segments must be ACKed immediately even with
-  // delayed ACKs enabled, otherwise the duplicate-ACK stream that drives
-  // fast retransmit is throttled by the delayed-ACK timer and the sender
-  // falls back to a (much slower) RTO.  Drop the 17th of 20 segments so
-  // only three follow the hole: exactly the three immediate dup-ACKs fast
-  // retransmit needs, and too few for the delayed path to produce in time.
-  TcpFixture f;
-  TcpConfig cfg;
-  cfg.delayed_ack = true;
   f.drop_nth_data_frame(17);
   TcpConnection conn(f.a, f.b, 100, 200, cfg);
   bool delivered = false;

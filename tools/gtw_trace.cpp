@@ -44,6 +44,14 @@
 
 namespace {
 
+// (a * b + c) / d with the product formed in 128 bits: a loader-accepted
+// duration is any non-negative int64, so `a * b` alone can overflow.
+__extension__ typedef __int128 Wide;
+std::int64_t mul_div(std::int64_t a, std::int64_t b, std::int64_t c,
+                     std::int64_t d) {
+  return static_cast<std::int64_t>((static_cast<Wide>(a) * b + c) / d);
+}
+
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <spans.json> [--budget] [--critical-path <id|worst|p99>]"
@@ -142,7 +150,7 @@ int print_budget(const SpanFile& f) {
     sum += ps;
     // Integer per-mille, rounded half up: exact and deterministic.
     const std::int64_t permille =
-        b.total_ps == 0 ? 0 : (ps * 1000 + b.total_ps / 2) / b.total_ps;
+        b.total_ps == 0 ? 0 : mul_div(ps, 1000, b.total_ps / 2, b.total_ps);
     std::printf("  %-18s %20lld %5lld.%lld%%\n", phase.c_str(),
                 static_cast<long long>(ps),
                 static_cast<long long>(permille / 10),
@@ -182,8 +190,9 @@ void print_critical_path(const SpanFile& f, const TraceRec& t) {
               "layers/span", "waterfall");
   for (const BudgetSegment& seg : segs) {
     const std::int64_t dur = seg.end_ps - seg.begin_ps;
-    const int lo = static_cast<int>((seg.begin_ps - t0) * kBar / total);
-    int hi = static_cast<int>((seg.end_ps - t0) * kBar / total);
+    const int lo =
+        static_cast<int>(mul_div(seg.begin_ps - t0, kBar, 0, total));
+    int hi = static_cast<int>(mul_div(seg.end_ps - t0, kBar, 0, total));
     if (hi <= lo) hi = lo + 1;  // every segment gets at least one cell
     std::string bar(kBar, '.');
     for (int i = lo; i < hi && i < kBar; ++i) bar[i] = '#';
