@@ -42,12 +42,6 @@ VolumeF AnalysisEngine::process_scan(const VolumeF& raw) {
   return img;
 }
 
-VolumeF AnalysisEngine::correlation_map() const {
-  VolumeF map = corr_.correlation_map();
-  if (cfg_.smooth_output) map = average_filter_3x3x3(map);
-  return map;
-}
-
 RvoResult AnalysisEngine::run_rvo(const RvoConfig& cfg) const {
   RvoAnalyzer rvo(dims_, cfg_.stimulus, cfg_.tr_s, cfg);
   return rvo.analyze(processed_series_);

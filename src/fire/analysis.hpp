@@ -24,7 +24,6 @@ struct AnalysisConfig {
   bool median_filter = true;
   bool motion_correction = true;
   bool detrend = true;
-  bool smooth_output = false;  // averaging filter on the correlation map
   StimulusDesign stimulus;
   HrfParams hrf;
   double tr_s = 2.0;
@@ -41,7 +40,7 @@ class AnalysisEngine {
   VolumeF process_scan(const VolumeF& raw);
 
   int scans() const { return corr_.scans(); }
-  VolumeF correlation_map() const;
+  VolumeF correlation_map() const { return corr_.correlation_map(); }
   double correlation_at(std::size_t voxel) const {
     return corr_.correlation_at(voxel);
   }

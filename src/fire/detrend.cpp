@@ -8,7 +8,7 @@ namespace gtw::fire {
 
 IncrementalDetrend::IncrementalDetrend(Dims dims, DetrendConfig cfg)
     : dims_(dims), cfg_(cfg),
-      k_(cfg.poly_order + 1 + (cfg.slow_cosine ? 1 : 0)),
+      k_(cfg.poly_order + 2),  // polynomial terms and the half-cosine
       gram_(static_cast<std::size_t>(k_), static_cast<std::size_t>(k_)),
       bt_(static_cast<std::size_t>(k_),
           std::vector<double>(dims.voxels(), 0.0)) {}

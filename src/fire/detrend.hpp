@@ -2,10 +2,10 @@
 // drifts.  A compensation using a few detrending-vectors can compensate for
 // that" (paper section 4).
 //
-// The basis holds a constant, polynomial drift terms and optionally a slow
-// cosine.  Per voxel we keep b = B^T x updated incrementally; the detrended
-// value of the newest scan is x_t - B_t (G_t^{-1} b) where G_t = B^T B over
-// the scans so far depends only on t and is shared by all voxels.
+// The basis holds a constant, polynomial drift terms and a slow half-cosine.
+// Per voxel we keep b = B^T x updated incrementally; the detrended value of
+// the newest scan is x_t - B_t (G_t^{-1} b) where G_t = B^T B over the scans
+// so far depends only on t and is shared by all voxels.
 #pragma once
 
 #include <vector>
@@ -17,7 +17,6 @@ namespace gtw::fire {
 
 struct DetrendConfig {
   int poly_order = 1;       // 0 = constant only, 1 = +linear, 2 = +quadratic
-  bool slow_cosine = true;  // half-cosine over the measurement window
   int expected_scans = 128; // horizon used to scale the basis functions
 };
 

@@ -10,13 +10,46 @@
 
 namespace gtw::fire {
 
+namespace {
+
+// The voxels correct()'s loop reads from the warped image: the interior
+// voxels whose reference value is not below `threshold` (the loop's own
+// test, so a NaN counts) and their six face neighbours.  A voxel is read
+// if it or one of its neighbours is such a voxel.
+std::vector<RowSpan> read_set(const VolumeF& ref, float threshold) {
+  const Dims d = ref.dims();
+  const auto foreground = [&](int x, int y, int z) {
+    return x >= 1 && x < d.nx - 1 && y >= 1 && y < d.ny - 1 && z >= 1 &&
+           z < d.nz - 1 && !(ref.at(x, y, z) < threshold);
+  };
+  std::vector<RowSpan> spans;
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        if (!foreground(x, y, z) && !foreground(x - 1, y, z) &&
+            !foreground(x + 1, y, z) && !foreground(x, y - 1, z) &&
+            !foreground(x, y + 1, z) && !foreground(x, y, z - 1) &&
+            !foreground(x, y, z + 1))
+          continue;
+        RowSpan* last = spans.empty() ? nullptr : &spans.back();
+        if (last != nullptr && last->y == y && last->z == z && last->x1 == x)
+          ++last->x1;
+        else
+          spans.push_back({y, z, x, x + 1});
+      }
+    }
+  }
+  return spans;
+}
+
+}  // namespace
+
 MotionCorrector::MotionCorrector(VolumeF reference, MotionConfig cfg)
-    : ref_(cfg.presmooth ? average_filter_3x3x3(reference)
-                         : std::move(reference)),
-      cfg_(cfg) {
+    : ref_(average_filter_3x3x3(reference)), cfg_(cfg) {
   float peak = 0.0f;
   for (std::size_t i = 0; i < ref_.size(); ++i) peak = std::max(peak, ref_[i]);
   mask_threshold_ = peak * static_cast<float>(cfg_.foreground_fraction);
+  read_set_ = read_set(ref_, mask_threshold_);
 }
 
 MotionResult MotionCorrector::correct(const VolumeF& scan) const {
@@ -27,9 +60,11 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
   MotionResult result;
   RigidTransform theta;
 
-  const VolumeF smooth_scan =
-      cfg_.presmooth ? average_filter_3x3x3(scan) : scan;
-  VolumeF warped = smooth_scan;
+  const VolumeF smooth_scan = average_filter_3x3x3(scan);
+  // Iteration 0 reads the smoothed scan itself; each later one reads its
+  // warp by the current estimate, made at the read set only.
+  VolumeF warped(d);
+  const VolumeF* image = &smooth_scan;
   const std::ptrdiff_t sy = d.nx, sz = sy * d.ny;  // voxel strides
   for (int iter = 0; iter < cfg_.max_iterations; ++iter) {
     // J^T J (upper triangle) and J^T r accumulated over foreground voxels.
@@ -42,7 +77,7 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       for (int y = 1; y < d.ny - 1; ++y) {
         const std::ptrdiff_t row = z * sz + y * sy;
         const float* ref_row = ref_.data().data() + row;
-        const float* warped_row = warped.data().data() + row;
+        const float* warped_row = image->data().data() + row;
         for (int x = 1; x < d.nx - 1; ++x) {
           const float rv = ref_row[x];
           if (rv < mask_threshold_) continue;
@@ -104,17 +139,16 @@ MotionResult MotionCorrector::correct(const VolumeF& scan) const {
       step_max = std::max(step_max, std::abs(delta[static_cast<std::size_t>(a)]));
     }
     theta = RigidTransform::from_array(arr);
-    warped = resample(smooth_scan, theta);
     result.iterations = iter + 1;
-    if (step_max < cfg_.tolerance) break;
+    // The loop ends here, so nothing would read this iteration's warp.
+    if (step_max < cfg_.tolerance || iter + 1 == cfg_.max_iterations) break;
+    resample_spans(smooth_scan, theta, read_set_, warped);
+    image = &warped;
   }
 
   result.estimate = theta;
   // Apply the estimated transform to the *original* scan.
-  result.corrected =
-      cfg_.presmooth && theta.max_abs() > 0.0 ? resample(scan, theta)
-      : cfg_.presmooth                        ? scan
-                                              : std::move(warped);
+  result.corrected = theta.max_abs() > 0.0 ? resample(scan, theta) : scan;
   return result;
 }
 

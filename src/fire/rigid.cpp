@@ -1,6 +1,7 @@
 #include "fire/rigid.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace gtw::fire {
@@ -54,6 +55,20 @@ class RigidMap {
   double tx_, ty_, tz_;
 };
 
+// Warps voxels [x0, x1) of row (y, z): out_row[x] = src.sample(T(x, y, z)).
+void warp_row(const VolumeF& src, const RigidMap& map, int y, int z, int x0,
+              int x1, float* out_row) {
+  const Dims d = src.dims();
+  const double cx = (d.nx - 1) / 2.0;
+  const double cy = (d.ny - 1) / 2.0;
+  const double cz = (d.nz - 1) / 2.0;
+  for (int x = x0; x < x1; ++x) {
+    double sx, sy, sz;
+    map.apply(cx, cy, cz, x, y, z, sx, sy, sz);
+    out_row[x] = static_cast<float>(src.sample(sx, sy, sz));
+  }
+}
+
 }  // namespace
 
 void RigidTransform::apply(double cx, double cy, double cz, double x,
@@ -71,20 +86,18 @@ VolumeF resample(const VolumeF& src, const RigidTransform& t) {
   const Dims d = src.dims();
   VolumeF out(d);
   const RigidMap map(t);
-  const double cx = (d.nx - 1) / 2.0;
-  const double cy = (d.ny - 1) / 2.0;
-  const double cz = (d.nz - 1) / 2.0;
-  float* dst = out.data().data();
-  for (int z = 0; z < d.nz; ++z) {
-    for (int y = 0; y < d.ny; ++y) {
-      for (int x = 0; x < d.nx; ++x) {
-        double sx, sy, sz;
-        map.apply(cx, cy, cz, x, y, z, sx, sy, sz);
-        *dst++ = static_cast<float>(src.sample(sx, sy, sz));
-      }
-    }
-  }
+  for (int z = 0; z < d.nz; ++z)
+    for (int y = 0; y < d.ny; ++y)
+      warp_row(src, map, y, z, 0, d.nx, &out.at(0, y, z));
   return out;
+}
+
+void resample_spans(const VolumeF& src, const RigidTransform& t,
+                    const std::vector<RowSpan>& spans, VolumeF& out) {
+  assert(out.dims() == src.dims());
+  const RigidMap map(t);
+  for (const RowSpan& s : spans)
+    warp_row(src, map, s.y, s.z, s.x0, s.x1, &out.at(0, s.y, s.z));
 }
 
 }  // namespace gtw::fire

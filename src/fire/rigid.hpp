@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "fire/volume.hpp"
 
@@ -38,5 +39,18 @@ struct RigidTransform {
 // Resample `src` through the transform: output voxel v reads
 // src.sample(T(v)).  Border voxels clamp.
 VolumeF resample(const VolumeF& src, const RigidTransform& t);
+
+// Voxels [x0, x1) of the row at (y, z).
+struct RowSpan {
+  int y = 0, z = 0;
+  int x0 = 0, x1 = 0;
+};
+
+// resample() restricted to the voxels of `spans`: each is written into
+// `out` (dims as `src`) with the bits resample(src, t) gives it, and every
+// other voxel of `out` keeps its value.  The two share one row kernel.
+// MotionCorrector warps only the voxels its Gauss-Newton loop reads.
+void resample_spans(const VolumeF& src, const RigidTransform& t,
+                    const std::vector<RowSpan>& spans, VolumeF& out);
 
 }  // namespace gtw::fire

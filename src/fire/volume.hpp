@@ -5,7 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -78,40 +77,60 @@ class Volume {
     // border sample clamps them; nothing else sets it apart.
     const std::size_t sy = static_cast<std::size_t>(dims_.nx);
     const std::size_t sz = sy * static_cast<std::size_t>(dims_.ny);
-    std::array<std::size_t, 2> xs{}, ys{}, zs{};
+    std::size_t x_lo, x_hi, y_lo, y_hi, z_lo, z_hi;
     if (x0 >= 0 && x0 < dims_.nx - 1 && y0 >= 0 && y0 < dims_.ny - 1 &&
         z0 >= 0 && z0 < dims_.nz - 1) {
-      const auto ux = static_cast<std::size_t>(x0);
-      const auto uy = static_cast<std::size_t>(y0);
-      const auto uz = static_cast<std::size_t>(z0);
-      xs = {ux, ux + 1};
-      ys = {uy * sy, (uy + 1) * sy};
-      zs = {uz * sz, (uz + 1) * sz};
+      x_lo = static_cast<std::size_t>(x0);
+      y_lo = static_cast<std::size_t>(y0) * sy;
+      z_lo = static_cast<std::size_t>(z0) * sz;
+      x_hi = x_lo + 1;
+      y_hi = y_lo + sy;
+      z_hi = z_lo + sz;
     } else {
-      const auto clamp_pair = [](int i, int n, std::size_t stride) {
-        return std::array<std::size_t, 2>{
-            stride * static_cast<std::size_t>(std::clamp(i, 0, n - 1)),
-            stride * static_cast<std::size_t>(std::clamp(i + 1, 0, n - 1))};
+      const auto clamped_offset = [](int i, int n, std::size_t stride) {
+        return stride * static_cast<std::size_t>(std::clamp(i, 0, n - 1));
       };
-      xs = clamp_pair(x0, dims_.nx, 1);
-      ys = clamp_pair(y0, dims_.ny, sy);
-      zs = clamp_pair(z0, dims_.nz, sz);
+      x_lo = clamped_offset(x0, dims_.nx, 1);
+      x_hi = clamped_offset(x0 + 1, dims_.nx, 1);
+      y_lo = clamped_offset(y0, dims_.ny, sy);
+      y_hi = clamped_offset(y0 + 1, dims_.ny, sy);
+      z_lo = clamped_offset(z0, dims_.nz, sz);
+      z_hi = clamped_offset(z0 + 1, dims_.nz, sz);
     }
+    // The eight corners in z, y, x order, each weighted ((wx * wy) * wz),
+    // with no test on the weights.  A corner of zero weight adds a zero
+    // product where the plain trilinear sum skips it, and that leaves the
+    // sum bit for bit as it was: the sum starts at +0.0, round-to-nearest
+    // addition gives -0.0 only from two -0.0 operands, so the sum is never
+    // -0.0, and adding a zero keeps whatever it holds.  Only a zero weight
+    // on an infinite or NaN voxel differs: its product is NaN.  So a NaN
+    // sum is summed again, skipping zero weights.  That sum is a loop, as
+    // the plain formulation's is, so that the running sum stays the left
+    // operand of every addition: of two NaN operands, x86 returns the left.
     const T* p = data_.data();
+    const double lx = 1.0 - fx, ly = 1.0 - fy, lz = 1.0 - fz;  // low side
+    const auto corner = [p](double wx, double wy, double wz,
+                            std::size_t offset) {
+      return wx * wy * wz * static_cast<double>(p[offset]);
+    };
     double acc = 0.0;
-    for (std::size_t dz = 0; dz < 2; ++dz) {
-      const double wz = dz != 0 ? fz : 1.0 - fz;
-      if (wz == 0.0) continue;
-      for (std::size_t dy = 0; dy < 2; ++dy) {
-        const double wy = dy != 0 ? fy : 1.0 - fy;
-        if (wy == 0.0) continue;
-        const T* row = p + zs[dz] + ys[dy];
-        for (std::size_t dx = 0; dx < 2; ++dx) {
-          const double wx = dx != 0 ? fx : 1.0 - fx;
-          if (wx == 0.0) continue;
-          acc += wx * wy * wz * static_cast<double>(row[xs[dx]]);
-        }
-      }
+    acc += corner(lx, ly, lz, z_lo + y_lo + x_lo);
+    acc += corner(fx, ly, lz, z_lo + y_lo + x_hi);
+    acc += corner(lx, fy, lz, z_lo + y_hi + x_lo);
+    acc += corner(fx, fy, lz, z_lo + y_hi + x_hi);
+    acc += corner(lx, ly, fz, z_hi + y_lo + x_lo);
+    acc += corner(fx, ly, fz, z_hi + y_lo + x_hi);
+    acc += corner(lx, fy, fz, z_hi + y_hi + x_lo);
+    acc += corner(fx, fy, fz, z_hi + y_hi + x_hi);
+    if (!std::isnan(acc)) return acc;
+    acc = 0.0;
+    for (unsigned c = 0; c < 8; ++c) {  // bits: z, y, x high side
+      const bool hx = (c & 1u) != 0, hy = (c & 2u) != 0, hz = (c & 4u) != 0;
+      const double wx = hx ? fx : lx, wy = hy ? fy : ly, wz = hz ? fz : lz;
+      if (wx == 0.0 || wy == 0.0 || wz == 0.0) continue;
+      const std::size_t offset =
+          (hz ? z_hi : z_lo) + (hy ? y_hi : y_lo) + (hx ? x_hi : x_lo);
+      acc += corner(wx, wy, wz, offset);
     }
     return acc;
   }

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "des/time.hpp"
@@ -291,6 +292,13 @@ std::vector<BudgetSegment> sweep_trace(const SpanFile& f,
 }
 
 PhaseBudget budget(const SpanFile& f) {
+  // Each root duration fits in int64, but their sum need not.
+  const auto add = [](std::int64_t& sum, std::int64_t ps) {
+    if (__builtin_add_overflow(sum, ps, &sum))
+      throw std::overflow_error(
+          "latency budget: closed traces sum to more than 2^63-1 ps "
+          "(~106 simulated days)");
+  };
   PhaseBudget b;
   for (const TraceRec& t : f.traces) {
     if (t.status == "aborted") {
@@ -302,9 +310,9 @@ PhaseBudget budget(const SpanFile& f) {
       continue;
     }
     ++b.closed_traces;
-    b.total_ps += root_duration(f, t);
+    add(b.total_ps, root_duration(f, t));
     for (const BudgetSegment& seg : sweep_trace(f, t.id))
-      b.phase_ps[seg.span->phase] += seg.end_ps - seg.begin_ps;
+      add(b.phase_ps[seg.span->phase], seg.end_ps - seg.begin_ps);
   }
   return b;
 }

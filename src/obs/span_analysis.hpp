@@ -108,6 +108,8 @@ struct PhaseBudget {
   std::size_t aborted_traces = 0;
   std::size_t open_traces = 0;
 };
+// Throws std::overflow_error when the closed traces' total, or one
+// phase's, passes INT64_MAX picoseconds.
 PhaseBudget budget(const SpanFile& f);
 
 // Resolves a --critical-path selector: a numeric trace id (any status),

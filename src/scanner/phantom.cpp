@@ -7,36 +7,83 @@ namespace gtw::scanner {
 
 namespace {
 
-// Normalised ellipsoid radius of (x,y,z) w.r.t. semi-axes (ax,ay,az) around
-// the volume centre.
-double ellipse_r(const fire::Dims& d, double x, double y, double z, double ax,
-                 double ay, double az) {
-  const double cx = (d.nx - 1) / 2.0, cy = (d.ny - 1) / 2.0,
-               cz = (d.nz - 1) / 2.0;
-  const double ux = (x - cx) / (ax * d.nx / 2.0);
-  const double uy = (y - cy) / (ay * d.ny / 2.0);
-  const double uz = (z - cz) / (az * d.nz / 2.0);
-  return std::sqrt(ux * ux + uy * uy + uz * uz);
+// Normalised radius of an ellipsoid about the volume centre, with semi-axes
+// (ax, ay, az) as fractions of the half-extents.  Each axis's term depends
+// on that axis alone, so it is computed once per coordinate; a voxel's
+// radius is then sqrt((ux^2 + uy^2) + uz^2), the same operations in the
+// same order as evaluating it per voxel.
+class Ellipsoid {
+ public:
+  // `y_shift` moves the centre along y (the ventricles sit off-centre).
+  Ellipsoid(const fire::Dims& d, double ax, double ay, double az,
+            double y_shift = 0.0)
+      : ux2_(squares(d.nx, ax, 0.0)),
+        uy2_(squares(d.ny, ay, y_shift)),
+        uz2_(squares(d.nz, az, 0.0)) {}
+
+  double r(int x, int y, int z) const {
+    const auto at = [](const std::vector<double>& v, int i) {
+      return v[static_cast<std::size_t>(i)];
+    };
+    return std::sqrt(at(ux2_, x) + at(uy2_, y) + at(uz2_, z));
+  }
+
+ private:
+  static std::vector<double> squares(int n, double a, double shift) {
+    const double c = (n - 1) / 2.0;
+    std::vector<double> out;
+    out.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double u = ((i - shift) - c) / (a * n / 2.0);
+      out.push_back(u * u);
+    }
+    return out;
+  }
+
+  std::vector<double> ux2_, uy2_, uz2_;
+};
+
+// f(k * i) for i in [0, n).
+template <typename F>
+std::vector<double> axis_table(int n, double k, F f) {
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out.push_back(f(k * i));
+  return out;
 }
 
 }  // namespace
 
 fire::VolumeF make_head_phantom(fire::Dims dims) {
   fire::VolumeF v(dims);
+  const Ellipsoid head(dims, 0.90, 0.95, 0.90);
+  const Ellipsoid brain(dims, 0.75, 0.80, 0.75);
+  const Ellipsoid vent(dims, 0.18, 0.25, 0.30, dims.ny * 0.05);
+  // The brain's intensity pattern 120 sin(0.35x) cos(0.3y) cos(0.5z),
+  // multiplied left to right.
+  const auto sin_x = axis_table(dims.nx, 0.35, [](double u) {
+    return 120.0 * std::sin(u);
+  });
+  const auto cos_y = axis_table(dims.ny, 0.3, [](double u) {
+    return std::cos(u);
+  });
+  const auto cos_z = axis_table(dims.nz, 0.5, [](double u) {
+    return std::cos(u);
+  });
   for (int z = 0; z < dims.nz; ++z) {
     for (int y = 0; y < dims.ny; ++y) {
       for (int x = 0; x < dims.nx; ++x) {
-        const double r_head = ellipse_r(dims, x, y, z, 0.90, 0.95, 0.90);
-        const double r_brain = ellipse_r(dims, x, y, z, 0.75, 0.80, 0.75);
-        const double r_vent =
-            ellipse_r(dims, x, y - dims.ny * 0.05, z, 0.18, 0.25, 0.30);
+        const double r_head = head.r(x, y, z);
+        const double r_brain = brain.r(x, y, z);
+        const double r_vent = vent.r(x, y, z);
         double val = 0.0;  // air
         if (r_head < 1.0) val = 350.0;                      // scalp/skull
         if (r_brain < 1.0) {
           // Brain tissue with smooth intensity variation (grey/white-ish).
           val = 700.0 +
-                120.0 * std::sin(0.35 * x) * std::cos(0.3 * y) *
-                    std::cos(0.5 * z) +
+                sin_x[static_cast<std::size_t>(x)] *
+                    cos_y[static_cast<std::size_t>(y)] *
+                    cos_z[static_cast<std::size_t>(z)] +
                 80.0 * (1.0 - r_brain);
         }
         if (r_vent < 1.0) val = 180.0;                      // CSF, dark on EPI
@@ -50,13 +97,15 @@ fire::VolumeF make_head_phantom(fire::Dims dims) {
 fire::VolumeF make_anatomical(fire::Dims dims) {
   // Same geometry, T1-like contrast (bright white matter, mid grey matter).
   fire::VolumeF v(dims);
+  const Ellipsoid head(dims, 0.90, 0.95, 0.90);
+  const Ellipsoid brain(dims, 0.75, 0.80, 0.75);
+  const Ellipsoid vent(dims, 0.18, 0.25, 0.30, dims.ny * 0.05);
   for (int z = 0; z < dims.nz; ++z) {
     for (int y = 0; y < dims.ny; ++y) {
       for (int x = 0; x < dims.nx; ++x) {
-        const double r_head = ellipse_r(dims, x, y, z, 0.90, 0.95, 0.90);
-        const double r_brain = ellipse_r(dims, x, y, z, 0.75, 0.80, 0.75);
-        const double r_vent =
-            ellipse_r(dims, x, y - dims.ny * 0.05, z, 0.18, 0.25, 0.30);
+        const double r_head = head.r(x, y, z);
+        const double r_brain = brain.r(x, y, z);
+        const double r_vent = vent.r(x, y, z);
         double val = 0.0;
         if (r_head < 1.0) val = 600.0;  // skull bright on T1
         if (r_brain < 1.0)

@@ -185,7 +185,7 @@ TEST(IncrementalCorrelationTest, AffineInvariance) {
 
 TEST(DetrendTest, RemovesLinearDrift) {
   const Dims d{3, 3, 1};
-  IncrementalDetrend det(d, DetrendConfig{1, false, 50});
+  IncrementalDetrend det(d, DetrendConfig{1, 50});
   double last_residual = 1e9;
   for (int t = 0; t < 50; ++t) {
     VolumeF img(d);
@@ -199,7 +199,7 @@ TEST(DetrendTest, RemovesLinearDrift) {
 
 TEST(DetrendTest, RemovesCosineDrift) {
   const Dims d{2, 2, 1};
-  IncrementalDetrend det(d, DetrendConfig{1, true, 64});
+  IncrementalDetrend det(d, DetrendConfig{1, 64});
   double residual_sum = 0.0;
   for (int t = 0; t < 64; ++t) {
     VolumeF img(d);
@@ -220,7 +220,7 @@ TEST(DetrendTest, PreservesStimulusLockedSignalUnderDrift) {
   const Dims d{1, 1, 1};
   StimulusDesign stim{8, 8};
   const auto ref = make_reference(stim, 96, 2.0, HrfParams{});
-  IncrementalDetrend det(d, DetrendConfig{1, true, 96});
+  IncrementalDetrend det(d, DetrendConfig{1, 96});
   IncrementalCorrelation corr_det(d), corr_raw(d);
   for (int t = 0; t < 96; ++t) {
     VolumeF img(d);
@@ -524,8 +524,7 @@ VolumeF average_filter_3x3x3(const VolumeF& in) {
 // MotionCorrector(reference, cfg).correct(scan), Gauss-Newton loop included.
 MotionResult correct(const VolumeF& reference, const VolumeF& scan,
                      const MotionConfig& cfg) {
-  const VolumeF ref =
-      cfg.presmooth ? plain::average_filter_3x3x3(reference) : reference;
+  const VolumeF ref = plain::average_filter_3x3x3(reference);
   float peak = 0.0f;
   for (std::size_t i = 0; i < ref.size(); ++i) peak = std::max(peak, ref[i]);
   const float mask_threshold = peak * static_cast<float>(cfg.foreground_fraction);
@@ -535,7 +534,7 @@ MotionResult correct(const VolumeF& reference, const VolumeF& scan,
                cz = (d.nz - 1) / 2.0;
   MotionResult result;
   RigidTransform theta;
-  const VolumeF smooth_scan = cfg.presmooth ? plain::average_filter_3x3x3(scan) : scan;
+  const VolumeF smooth_scan = plain::average_filter_3x3x3(scan);
   VolumeF warped = smooth_scan;
   for (int iter = 0; iter < cfg.max_iterations; ++iter) {
     linalg::Matrix jtj(6, 6);
@@ -597,9 +596,7 @@ MotionResult correct(const VolumeF& reference, const VolumeF& scan,
   }
   result.estimate = theta;
   result.corrected =
-      cfg.presmooth && theta.max_abs() > 0.0 ? plain::resample(scan, theta)
-      : cfg.presmooth                        ? scan
-                                             : std::move(warped);
+      theta.max_abs() > 0.0 ? plain::resample(scan, theta) : scan;
   return result;
 }
 
@@ -651,25 +648,41 @@ std::vector<RigidTransform> exactness_transforms(std::uint64_t seed) {
   return ts;
 }
 
+// Seeded infinite, NaN, signed-zero and finite voxels.  sample() sums the
+// corners of zero weight that the plain sum skips, and must still give its
+// bits on these voxels.
+VolumeF non_finite_volume(Dims d, std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {inf,  -inf, std::numeric_limits<float>::quiet_NaN(),
+                          0.0f, -0.0f, 3.5f, -250.0f};
+  des::Rng rng(seed);
+  VolumeF v(d);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = values[rng.uniform_int(std::size(values))];
+  return v;
+}
+
 TEST(KernelExactnessTest, SampleMatchesPlainFormulation) {
   des::Rng rng(41);
   for (const Dims& d : kExactnessDims) {
-    const VolumeF v = random_volume(d, 100 + d.voxels());
     SCOPED_TRACE(::testing::Message() << d.nx << "x" << d.ny << "x" << d.nz);
-    for (int i = 0; i < 2000; ++i) {
-      // Half the points within three voxels of the volume, a quarter on
-      // lattice planes, a quarter far out (but below 2^30).
-      double p[3] = {};
-      const int n[3] = {d.nx, d.ny, d.nz};
-      for (int k = 0; k < 3; ++k) {
-        const double u = rng.uniform(-3.0, n[k] + 2.0);
-        p[k] = i % 4 == 1 ? std::floor(u)
-               : i % 4 == 3 ? rng.uniform(-1e9, 1e9)
-                            : u;
+    for (const VolumeF& v : {random_volume(d, 100 + d.voxels()),
+                             non_finite_volume(d, 150 + d.voxels())}) {
+      for (int i = 0; i < 2000; ++i) {
+        // Half the points within three voxels of the volume, a quarter on
+        // lattice planes, a quarter far out (but below 2^30).
+        double p[3] = {};
+        const int n[3] = {d.nx, d.ny, d.nz};
+        for (int k = 0; k < 3; ++k) {
+          const double u = rng.uniform(-3.0, n[k] + 2.0);
+          p[k] = i % 4 == 1 ? std::floor(u)
+                 : i % 4 == 3 ? rng.uniform(-1e9, 1e9)
+                              : u;
+        }
+        EXPECT_EQ(bits(v.sample(p[0], p[1], p[2])),
+                  bits(plain::sample(v, p[0], p[1], p[2])))
+            << "at (" << p[0] << ", " << p[1] << ", " << p[2] << ")";
       }
-      EXPECT_EQ(bits(v.sample(p[0], p[1], p[2])),
-                bits(plain::sample(v, p[0], p[1], p[2])))
-          << "at (" << p[0] << ", " << p[1] << ", " << p[2] << ")";
     }
   }
 }
@@ -693,12 +706,31 @@ TEST(KernelExactnessTest, ApplyMatchesPlainFormulation) {
 TEST(KernelExactnessTest, ResampleMatchesPlainFormulation) {
   for (const Dims& d : kExactnessDims) {
     const VolumeF v = random_volume(d, 200 + d.voxels());
+    // Seeded spans for resample_spans: rows whole, in pieces, or left out.
+    des::Rng rng(d.voxels());
+    std::vector<RowSpan> spans;
+    for (int z = 0; z < d.nz; ++z)
+      for (int y = 0; y < d.ny; ++y)
+        for (int x = 0; x < d.nx;) {
+          const int len = 1 + static_cast<int>(rng.uniform_int(
+                                  static_cast<std::uint64_t>(d.nx - x)));
+          if (rng.bernoulli(0.6)) spans.push_back({y, z, x, x + len});
+          x += len;
+        }
     for (const RigidTransform& t : exactness_transforms(d.voxels())) {
       SCOPED_TRACE(::testing::Message()
                    << d.nx << "x" << d.ny << "x" << d.nz << " t=(" << t.tx
                    << ", " << t.ty << ", " << t.tz << ", " << t.rx << ", "
                    << t.ry << ", " << t.rz << ")");
-      expect_same_voxels(resample(v, t), plain::resample(v, t));
+      const VolumeF want = plain::resample(v, t);
+      expect_same_voxels(resample(v, t), want);
+      // The span voxels get resample's bits; every other keeps its value.
+      VolumeF got(d, 12345.0f), expect(d, 12345.0f);
+      resample_spans(v, t, spans, got);
+      for (const RowSpan& s : spans)
+        for (int x = s.x0; x < s.x1; ++x)
+          expect.at(x, s.y, s.z) = want.at(x, s.y, s.z);
+      expect_same_voxels(got, expect);
     }
   }
 }
@@ -729,6 +761,15 @@ TEST(KernelExactnessTest, MedianNetworkSelectsTheMedianOfEveryZeroOneWindow) {
   }
 }
 
+void expect_same_correction(const MotionResult& got, const MotionResult& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  const auto ge = got.estimate.as_array(), we = want.estimate.as_array();
+  for (std::size_t k = 0; k < 6; ++k) EXPECT_EQ(bits(ge[k]), bits(we[k]));
+  EXPECT_EQ(bits(got.initial_rmse), bits(want.initial_rmse));
+  EXPECT_EQ(bits(got.final_rmse), bits(want.final_rmse));
+  expect_same_voxels(got.corrected, want.corrected);
+}
+
 TEST(KernelExactnessTest, MotionCorrectorMatchesPlainGaussNewton) {
   // A seeded 64x64x16 phantom session with head motion, median filtered as
   // in the pipeline; the first scan is the alignment reference.
@@ -743,22 +784,62 @@ TEST(KernelExactnessTest, MotionCorrectorMatchesPlainGaussNewton) {
   std::vector<VolumeF> scans;
   for (int t = 0; t < 4; ++t) scans.push_back(median_filter_3x3(gen.acquire(t)));
 
-  for (const bool presmooth : {true, false}) {
-    MotionConfig cfg;
-    cfg.presmooth = presmooth;
+  {
+    const MotionConfig cfg;
     const MotionCorrector mc(scans[0], cfg);
     for (std::size_t t = 1; t < scans.size(); ++t) {
-      SCOPED_TRACE(::testing::Message()
-                   << "presmooth=" << presmooth << " scan " << t);
-      const MotionResult got = mc.correct(scans[t]);
+      SCOPED_TRACE(::testing::Message() << "scan " << t);
       const MotionResult want = plain::correct(scans[0], scans[t], cfg);
       EXPECT_GT(want.iterations, 1);
-      EXPECT_EQ(got.iterations, want.iterations);
-      const auto ge = got.estimate.as_array(), we = want.estimate.as_array();
-      for (std::size_t k = 0; k < 6; ++k) EXPECT_EQ(bits(ge[k]), bits(we[k]));
-      EXPECT_EQ(bits(got.initial_rmse), bits(want.initial_rmse));
-      EXPECT_EQ(bits(got.final_rmse), bits(want.final_rmse));
-      expect_same_voxels(got.corrected, want.corrected);
+      expect_same_correction(mc.correct(scans[t]), want);
+    }
+  }
+
+  // The iteration cap, not the tolerance, ends the loop.
+  {
+    MotionConfig cfg;
+    cfg.max_iterations = 2;
+    const MotionCorrector mc(scans[0], cfg);
+    for (std::size_t t = 1; t < scans.size(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "max_iterations=2, scan " << t);
+      const MotionResult want = plain::correct(scans[0], scans[t], cfg);
+      EXPECT_EQ(want.iterations, 2);
+      expect_same_correction(mc.correct(scans[t]), want);
+    }
+  }
+
+  // No reference voxel reaches the threshold (the peak of an all-negative
+  // volume is 0): no iteration runs and the scan comes back as it is.
+  {
+    const MotionConfig cfg;
+    const MotionCorrector mc(VolumeF(scans[0].dims(), -1.0f), cfg);
+    const MotionResult got = mc.correct(scans[1]);
+    EXPECT_EQ(got.iterations, 0);
+    expect_same_correction(
+        got, plain::correct(VolumeF(scans[0].dims(), -1.0f), scans[1], cfg));
+    expect_same_voxels(got.corrected, scans[1]);
+  }
+
+  // On 5x4x3 every interior voxel is foreground, and the voxels the loop
+  // reads reach all six faces of the volume.
+  {
+    const Dims d{5, 4, 3};
+    VolumeF ref(d);
+    for (int z = 0; z < d.nz; ++z)
+      for (int y = 0; y < d.ny; ++y)
+        for (int x = 0; x < d.nx; ++x)
+          ref.at(x, y, z) = static_cast<float>(
+              500.0 + 90.0 * std::sin(1.3 * x) + 60.0 * std::cos(0.9 * y) +
+              40.0 * z * z);
+    const MotionConfig cfg;
+    const MotionCorrector mc(ref, cfg);
+    for (const RigidTransform& t : exactness_transforms(7)) {
+      if (t.max_abs() > 1.5) continue;  // keep the tiny fit in range
+      SCOPED_TRACE(::testing::Message()
+                   << "5x4x3, t=(" << t.tx << ", " << t.ty << ", " << t.tz
+                   << ", " << t.rx << ", " << t.ry << ", " << t.rz << ")");
+      const VolumeF scan = resample(ref, t);
+      expect_same_correction(mc.correct(scan), plain::correct(ref, scan, cfg));
     }
   }
 }

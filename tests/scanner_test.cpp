@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "fire/analysis.hpp"
 #include "scanner/phantom.hpp"
@@ -25,6 +27,89 @@ TEST(PhantomTest, AnatomicalSharesGeometry) {
     if ((epi[i] > 0) == (anat[i] > 0)) ++agree;
   }
   EXPECT_GT(static_cast<double>(agree) / total, 0.99);
+}
+
+// The phantoms with every term evaluated per voxel.  make_head_phantom and
+// make_anatomical compute each per-axis term once and must give the same
+// bits.
+namespace per_voxel {
+
+double ellipse_r(const fire::Dims& d, double x, double y, double z, double ax,
+                 double ay, double az) {
+  const double cx = (d.nx - 1) / 2.0, cy = (d.ny - 1) / 2.0,
+               cz = (d.nz - 1) / 2.0;
+  const double ux = (x - cx) / (ax * d.nx / 2.0);
+  const double uy = (y - cy) / (ay * d.ny / 2.0);
+  const double uz = (z - cz) / (az * d.nz / 2.0);
+  return std::sqrt(ux * ux + uy * uy + uz * uz);
+}
+
+fire::VolumeF head_phantom(fire::Dims dims) {
+  fire::VolumeF v(dims);
+  for (int z = 0; z < dims.nz; ++z) {
+    for (int y = 0; y < dims.ny; ++y) {
+      for (int x = 0; x < dims.nx; ++x) {
+        const double r_head = ellipse_r(dims, x, y, z, 0.90, 0.95, 0.90);
+        const double r_brain = ellipse_r(dims, x, y, z, 0.75, 0.80, 0.75);
+        const double r_vent =
+            ellipse_r(dims, x, y - dims.ny * 0.05, z, 0.18, 0.25, 0.30);
+        double val = 0.0;
+        if (r_head < 1.0) val = 350.0;
+        if (r_brain < 1.0) {
+          val = 700.0 +
+                120.0 * std::sin(0.35 * x) * std::cos(0.3 * y) *
+                    std::cos(0.5 * z) +
+                80.0 * (1.0 - r_brain);
+        }
+        if (r_vent < 1.0) val = 180.0;
+        v.at(x, y, z) = static_cast<float>(val);
+      }
+    }
+  }
+  return v;
+}
+
+fire::VolumeF anatomical(fire::Dims dims) {
+  fire::VolumeF v(dims);
+  for (int z = 0; z < dims.nz; ++z) {
+    for (int y = 0; y < dims.ny; ++y) {
+      for (int x = 0; x < dims.nx; ++x) {
+        const double r_head = ellipse_r(dims, x, y, z, 0.90, 0.95, 0.90);
+        const double r_brain = ellipse_r(dims, x, y, z, 0.75, 0.80, 0.75);
+        const double r_vent =
+            ellipse_r(dims, x, y - dims.ny * 0.05, z, 0.18, 0.25, 0.30);
+        double val = 0.0;
+        if (r_head < 1.0) val = 600.0;
+        if (r_brain < 1.0)
+          val = 450.0 + 250.0 * std::exp(-3.0 * r_brain * r_brain);
+        if (r_vent < 1.0) val = 100.0;
+        v.at(x, y, z) = static_cast<float>(val);
+      }
+    }
+  }
+  return v;
+}
+
+}  // namespace per_voxel
+
+// Index of the first voxel whose bit pattern differs, or size() if none.
+std::size_t first_difference(const fire::VolumeF& a, const fire::VolumeF& b) {
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
+      return i;
+  return a.size();
+}
+
+TEST(PhantomTest, SynthesisMatchesPerVoxelFormulation) {
+  for (const fire::Dims d : {fire::Dims{1, 1, 1}, fire::Dims{5, 4, 3},
+                             fire::Dims{63, 17, 9}, fire::Dims{64, 64, 16},
+                             fire::Dims{128, 128, 64}}) {
+    SCOPED_TRACE(::testing::Message() << d.nx << "x" << d.ny << "x" << d.nz);
+    const fire::VolumeF head = make_head_phantom(d);
+    EXPECT_EQ(first_difference(head, per_voxel::head_phantom(d)), head.size());
+    const fire::VolumeF anat = make_anatomical(d);
+    EXPECT_EQ(first_difference(anat, per_voxel::anatomical(d)), anat.size());
+  }
 }
 
 FmriConfig small_config() {

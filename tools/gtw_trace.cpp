@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -127,7 +128,13 @@ void print_spans_summary(const SpanFile& f) {
 // sums to the end-to-end column *exactly* in integer picoseconds — a
 // mismatch means a corrupt artifact and is a non-zero exit.
 int print_budget(const SpanFile& f) {
-  const PhaseBudget b = gtw::obs::budget(f);
+  PhaseBudget b;
+  try {
+    b = gtw::obs::budget(f);
+  } catch (const std::overflow_error& e) {
+    std::cerr << "gtw-trace: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "latency budget (label \"" << f.label << "\", "
             << b.closed_traces << " closed trace(s); " << b.aborted_traces
             << " aborted, " << b.open_traces << " open excluded)\n";
