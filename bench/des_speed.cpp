@@ -5,7 +5,8 @@
 //     workload and a TCP-timer churn workload.  Each row's event count and
 //     event-stream hash are deterministic.
 //  2. a national-scale topology (32 sites, >2000 hosts, 100 000 flows)
-//     far beyond the two-site testbed, run to completion.
+//     far beyond the two-site testbed, run to completion with GTW-San
+//     attached (require_clean gates the run; its wall time includes it).
 //
 // Writes BENCH_des_speed.json and OBS_des_speed.metrics.json.  With
 // --replay every wall-clock-derived field is omitted so the double-run
@@ -309,15 +310,13 @@ NationalStats run_national(const NationalConfig& nc) {
         });
   }
 
-#if defined(GTW_CHECK)
   // GTW-San: full conservation sweep over the national topology.  Attaching
   // schedules nothing, so the event stream (and its hash checkpoints) is
-  // identical to an unmonitored checked run.
+  // identical to an unmonitored run; the wall time below includes it.
   check::Monitor mon(sched);
   check::attach_scheduler(mon, sched);
   for (const auto& h : hosts) check::attach_host(mon, *h);
   for (const auto& l : links) check::attach_link(mon, *l);
-#endif
 
   const WallTimer timer;
   // Drive the run step-by-step so the stream hash can be sampled at fixed
@@ -334,10 +333,8 @@ NationalStats run_national(const NationalConfig& nc) {
   }
   const double wall_s = timer.elapsed_s();
 
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("des_speed national");
-#endif
 
   {
     // Snapshot the engine-core dashboard after the run (probes read current
@@ -372,9 +369,8 @@ NationalStats run_national(const NationalConfig& nc) {
 
 // ---------------------------------------------------------------------------
 
-void print_des_speed(bool replay, bool quick) {
-  std::printf("== DES engine: event queue sweeps ==%s\n",
-              quick ? " (quick)" : "");
+void print_des_speed(bool replay) {
+  std::printf("== DES engine: event queue sweeps ==\n");
 
   struct SweepCase {
     const char* workload;
@@ -382,12 +378,9 @@ void print_des_speed(bool replay, bool quick) {
     std::uint64_t budget;
     std::uint64_t far_one_in;
   };
-  // --quick: the CI check-build job wants every code path (all workloads
-  // and the national star) under GTW_CHECK without the full event budgets;
-  // artifacts from quick and full runs are never cross-compared.  The
-  // population-64 row is the small pending set of a WAN bulk transfer
+  // The population-64 row is the small pending set of a WAN bulk transfer
   // (gtw-bench's wan_bulk peaks at 97 pending events).
-  const SweepCase full_cases[] = {
+  const SweepCase cases[] = {
       {"hold", 64, 300'000, 16},
       {"hold", 1'000, 300'000, 16},
       {"hold", 10'000, 500'000, 16},
@@ -395,23 +388,12 @@ void print_des_speed(bool replay, bool quick) {
       {"hold_near", 1'000'000, 1'500'000, 0},
       {"churn", 20'000, 400'000, 0},
   };
-  const SweepCase quick_cases[] = {
-      {"hold", 64, 60'000, 16},
-      {"hold", 1'000, 60'000, 16},
-      {"hold", 10'000, 80'000, 16},
-      {"hold", 100'000, 150'000, 16},
-      {"hold_near", 100'000, 200'000, 0},
-      {"churn", 5'000, 80'000, 0},
-  };
-  const SweepCase* cases = quick ? quick_cases : full_cases;
-  const std::size_t n_cases = 6;
   // Best of two timed runs: the schedule (and hash) is identical both
   // times, only the wall clock varies, so min-of-N is the standard way to
   // strip scheduler/turbo noise from the rate estimate.  --replay reports no
   // rate, so one run is enough there.
   std::vector<SweepRow> rows;
-  for (std::size_t ci = 0; ci < n_cases; ++ci) {
-    const SweepCase& c = cases[ci];
+  for (const SweepCase& c : cases) {
     const auto run = [&c] {
       return std::string_view(c.workload) == "churn"
                  ? run_churn(c.population, c.budget)
@@ -437,15 +419,8 @@ void print_des_speed(bool replay, bool quick) {
                   r.population, events, r.events_per_s());
   }
 
-  std::printf("\n== national scale: %s ==\n",
-              quick ? "8 sites, 137 hosts, 10000 flows (quick)"
-                    : "32 sites, 2081 hosts, 100000 flows");
-  NationalConfig nat_cfg;
-  if (quick) {
-    nat_cfg.sites = 8;
-    nat_cfg.leaves_per_site = 16;
-    nat_cfg.flows = 10'000;
-  }
+  std::printf("\n== national scale: 32 sites, 2081 hosts, 100000 flows ==\n");
+  const NationalConfig nat_cfg;
   const NationalStats nat = run_national(nat_cfg);
   std::printf("exact: %zu hosts, %zu links, delivered %llu, drops %llu, "
               "%llu events, makespan %.4f s%s\n",
@@ -460,9 +435,11 @@ void print_des_speed(bool replay, bool quick) {
 
   // ---- BENCH_des_speed.json ----
   std::ofstream json("BENCH_des_speed.json", std::ios::binary);
+  // "quick" is always false: the reduced sweep is gone, and the field
+  // stays so the artifact keeps its bytes.
   json << "{\n  \"bench\": \"des_speed\",\n  \"replay\": "
-       << (replay ? "true" : "false") << ",\n  \"quick\": "
-       << (quick ? "true" : "false") << ",\n  \"sweeps\": [\n";
+       << (replay ? "true" : "false")
+       << ",\n  \"quick\": false,\n  \"sweeps\": [\n";
   char buf[640];
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
@@ -530,21 +507,16 @@ BENCHMARK(BM_QueueHold)->Arg(1'000)->Arg(100'000)
 
 int main(int argc, char** argv) {
   bool replay = false;
-  bool quick = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--replay") {
       replay = true;
       continue;
     }
-    if (std::string_view(argv[i]) == "--quick") {
-      quick = true;
-      continue;
-    }
     argv[out++] = argv[i];
   }
   argc = out;
-  print_des_speed(replay, quick);
+  print_des_speed(replay);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

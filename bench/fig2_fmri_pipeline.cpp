@@ -88,7 +88,6 @@ void print_fig2(bool with_trace) {
                          des::SimTime::seconds(50));
   }
 
-#if defined(GTW_CHECK)
   // GTW-San: whole-testbed conservation sweep plus the pipeline's stage
   // graph (item conservation, drain census, per-stage ledgers); attaching
   // schedules nothing, so traces stay comparable.
@@ -96,13 +95,10 @@ void print_fig2(bool with_trace) {
   check::attach_testbed(mon, tb);
   check::attach_stage_graph(mon, pipe.graph(), "fire");
   check::attach_span_tracer(mon, spans);
-#endif
   pipe.start();
   tb.scheduler().run();
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("fig2_fmri_pipeline");
-#endif
 
   const fire::PipelineResult res = pipe.result();
   std::printf("\nscan |  acquired  at_server at_compute  processed  "

@@ -147,7 +147,6 @@ Row run_case(double distance_km, std::string_view schedule,
     tb.scheduler().set_span_hook(&spans);
   }
 
-#if defined(GTW_CHECK)
   // GTW-San: the exactly-once / in-order delivery contract must hold even
   // through loss-driven chunk resends and outage-driven stream resets.
   check::Monitor mon(tb.scheduler());
@@ -155,16 +154,13 @@ Row run_case(double distance_km, std::string_view schedule,
   check::attach_path_transport(mon, path, "wan");
   check::attach_fault_plan(mon, plan);
   check::attach_span_tracer(mon, spans);
-#endif
 
   des::SimTime done = des::SimTime::zero();
   mc.wan_send(ma, mb, units::Bytes{kTransferBytes},
               [&] { done = tb.scheduler().now(); });
   tb.scheduler().run();
-#if defined(GTW_CHECK)
   mon.finish();
   mon.require_clean("m3_wan_transport");
-#endif
 
   if (emit_obs) {
     {

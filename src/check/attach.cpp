@@ -78,7 +78,6 @@ SchedulerChecker& attach_scheduler(Monitor& mon, des::Scheduler& sched) {
                    sched.pool_in_use(), sched.live_events(),
                    sched.cancelled_entries());
       });
-#if defined(GTW_CHECK)
   mon.add_invariant(
       "des.pool.double-free", [&sched]() -> std::optional<std::string> {
         if (sched.pool_double_frees() == 0) return std::nullopt;
@@ -86,7 +85,6 @@ SchedulerChecker& attach_scheduler(Monitor& mon, des::Scheduler& sched) {
                    static_cast<unsigned long long>(
                        sched.pool_double_frees()));
       });
-#endif
   return checker;
 }
 

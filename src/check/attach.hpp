@@ -7,11 +7,8 @@
 // ledger structs of invariants.hpp and registers the verdicts with the
 // Monitor; components are observed, never modified.  Where an invariant
 // needs per-event visibility (scheduler ordering, chunk exactly-once),
-// attach_* additionally installs a hook/observer object — those
-// notification call sites inside the components are GTW_CHECK_HOOK-guarded,
-// so in unchecked builds the hook objects are installed but simply never
-// called (and the per-event invariants go unevaluated, while every
-// counter-based invariant still works).
+// attach_* additionally installs a hook/observer object, which the
+// component calls through a null-checked pointer in every build.
 //
 // Lifetime: attached components must outlive the Monitor.
 #pragma once
@@ -45,8 +42,7 @@ namespace gtw::check {
 //   des.sched.past-schedule    no event scheduled before now()
 //   des.sched.double-cancel    the same tombstone cancelled twice
 // The class is public (rather than an attach-internal detail) so the
-// violation-fixture harness can drive its on_* methods directly in builds
-// where the scheduler's call sites are compiled out.
+// violation-fixture harness can drive its on_* methods directly.
 class SchedulerChecker : public des::SchedulerCheckHook {
  public:
   explicit SchedulerChecker(Monitor& mon) : mon_(mon) {}
@@ -70,11 +66,11 @@ class SchedulerChecker : public des::SchedulerCheckHook {
 // Installs a SchedulerChecker as the scheduler's check hook and registers
 // the event-pool census: pool_in_use == live_events + cancelled tombstones
 // at every quiescent point (which at drain degenerates to the leak check),
-// plus the SlabPool double-free count in checked builds.
+// plus the SlabPool double-free count.
 SchedulerChecker& attach_scheduler(Monitor& mon, des::Scheduler& sched);
 
-// Leak census over any SlabPool-shaped object (in_use(); in checked builds
-// also check_double_frees()).  For a pool reachable only through accessors —
+// Leak census over any SlabPool-shaped object (in_use() and
+// double_frees()).  For a pool reachable only through accessors —
 // the scheduler's event pool — the owning attach_* registers the equivalent
 // checks itself.
 template <typename Pool>
@@ -85,15 +81,12 @@ void attach_pool(Monitor& mon, const Pool& pool, const std::string& name) {
                         return std::to_string(pool.in_use()) +
                                " slot(s) still live at drain";
                       });
-#if defined(GTW_CHECK)
   mon.add_drain_check(name + ".double-free",
                       [&pool]() -> std::optional<std::string> {
-                        if (pool.check_double_frees() == 0)
-                          return std::nullopt;
-                        return std::to_string(pool.check_double_frees()) +
+                        if (pool.double_frees() == 0) return std::nullopt;
+                        return std::to_string(pool.double_frees()) +
                                " double-free(s) detected";
                       });
-#endif
 }
 
 // --- net --------------------------------------------------------------------
@@ -119,8 +112,7 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
 // --- meta -------------------------------------------------------------------
 // Exactly-once, strictly-in-order delivery ledger for one PathTransport
 // side pair, via meta::PathCheckObserver.  Public (like SchedulerChecker)
-// so the violation-fixture harness can feed it chunks directly in builds
-// where the transport's notification sites are compiled out.
+// so the violation-fixture harness can feed it chunks directly.
 class PathChecker : public meta::PathCheckObserver {
  public:
   PathChecker(Monitor& mon, std::string id) : mon_(mon), id_(std::move(id)) {}

@@ -11,12 +11,10 @@
 //   - the violation list itself, capped so a systemic failure produces a
 //     readable report instead of a million-line flood.
 //
-// The Monitor is deliberately build-mode independent: it compiles and runs
-// identically whether or not GTW_CHECK is defined.  What changes with the
-// build mode is *wiring density* — under GTW_CHECK the attach catalog
-// (attach.hpp) additionally installs the scheduler hook and the per-chunk /
-// per-delivery observers whose call sites are compiled out otherwise.  That
-// split keeps the checker logic itself unit-testable in every build.
+// There is one build: a run is checked when it constructs a Monitor and
+// attaches components to it (attach.hpp), the way a run is traced when it
+// attaches an obs::SpanTracer.  Attaching schedules nothing, so a checked
+// run simulates exactly what the bare run does.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +43,7 @@ class Monitor {
  public:
   // An invariant returns std::nullopt while it holds, or a description of
   // what broke.  Invariants must be pure observations: gtw-lint's
-  // check-side-effect rule polices the GTW_CHECK_HOOK call sites, and the
+  // check-side-effect rule polices the check-hook call sites, and the
   // same discipline applies here by convention.
   using InvariantFn = std::function<std::optional<std::string>()>;
 
@@ -57,7 +55,7 @@ class Monitor {
 
   // --- breadcrumbs ----------------------------------------------------------
   // Record a short tag ("fire seq=42 t=1.2ms") into the history ring.  Cheap
-  // enough for per-event use in checked builds; the last kHistoryCapacity
+  // enough for per-event use in checked runs; the last kHistoryCapacity
   // survive into any subsequent violation report.
   void note(std::string tag);
 

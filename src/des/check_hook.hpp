@@ -7,29 +7,15 @@
 // declared here, inside des, and src/check/ provides the implementation:
 // the same inversion net::FrameSink uses to keep links ignorant of hosts.
 //
-// The interface below is declared unconditionally (it is only a vtable
-// shape, and keeping it visible in every build means src/check/ and its
-// self-tests compile everywhere), but hook *invocations* are wrapped in
-// GTW_CHECK_HOOK(...), which expands to nothing unless the GTW_CHECK build
-// option is on (cmake --preset check).  An unchecked build therefore
-// executes not one extra instruction on the schedule/fire/cancel hot path —
-// zero overhead when off, like GTW_SANITIZE.
+// Hook calls are plain null-checked virtual calls present in every build,
+// as SpanHook's are: a run is checked when it attaches a check::Monitor
+// (check::attach_scheduler installs the hook), and unchecked when it does
+// not.  With no hook installed a site costs one pointer load and branch.
 //
-// Rule check-side-effect (gtw-lint) bans mutating expressions inside
-// GTW_CHECK_HOOK arguments: a hook must observe, never steer, or the
-// checked and unchecked builds simulate different worlds.
+// Rule check-side-effect (gtw-lint) bans mutating expressions inside the
+// arguments of a check-hook notification: a hook must observe, never
+// steer, or attached and bare runs simulate different worlds.
 #pragma once
-
-#if defined(GTW_CHECK)
-#define GTW_CHECK_HOOK(expr) \
-  do {                       \
-    expr;                    \
-  } while (false)
-#else
-#define GTW_CHECK_HOOK(expr) \
-  do {                       \
-  } while (false)
-#endif
 
 #include <cstdint>
 

@@ -22,8 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "des/check_hook.hpp"
-
 namespace gtw::des {
 
 template <typename T, std::size_t kSlabSlots = 1024>
@@ -42,35 +40,30 @@ class SlabPool {
       const Index idx = free_.back();
       free_.pop_back();
       ++in_use_;
-#if defined(GTW_CHECK)
-      check_live_[idx] = true;
-#endif
+      live_[idx] = true;
       return idx;
     }
-    if (next_slot_ == slabs_.size() * kSlabSlots)
+    if (next_slot_ == slabs_.size() * kSlabSlots) {
       slabs_.push_back(std::make_unique<T[]>(kSlabSlots));
+      live_.resize(slabs_.size() * kSlabSlots);  // grows with the slabs only
+    }
     const Index idx = static_cast<Index>(next_slot_++);
     ++in_use_;
     if (in_use_ > high_water_) high_water_ = in_use_;
-#if defined(GTW_CHECK)
-    check_live_.resize(next_slot_);
-    check_live_[idx] = true;
-#endif
+    live_[idx] = true;
     return idx;
   }
 
   void release(Index idx) {
-#if defined(GTW_CHECK)
     // Double (or wild) release would push a duplicate onto the free list
     // and hand the same slot to two owners — the slab-pool analogue of
     // heap double-free.  Count it and refuse the corrupting push so the
     // run can finish and report.
-    if (idx >= next_slot_ || !check_live_[idx]) {
-      ++check_double_frees_;
+    if (idx >= next_slot_ || !live_[idx]) {
+      ++double_frees_;
       return;
     }
-    check_live_[idx] = false;
-#endif
+    live_[idx] = false;
     --in_use_;
     free_.push_back(idx);
   }
@@ -87,12 +80,10 @@ class SlabPool {
   std::size_t slots() const { return slabs_.size() * kSlabSlots; }
   std::size_t slabs() const { return slabs_.size(); }
 
-#if defined(GTW_CHECK)
   // GTW-San accounting (check::attach_pool): releases refused because the
   // slot was already free.  in_use() != 0 at end of run is the matching
   // leak census — every acquire must meet its release before teardown.
-  std::uint64_t check_double_frees() const { return check_double_frees_; }
-#endif
+  std::uint64_t double_frees() const { return double_frees_; }
 
  private:
   std::vector<std::unique_ptr<T[]>> slabs_;
@@ -100,10 +91,8 @@ class SlabPool {
   std::size_t next_slot_ = 0;
   std::size_t in_use_ = 0;
   std::size_t high_water_ = 0;
-#if defined(GTW_CHECK)
-  std::vector<bool> check_live_;  // per carved slot: currently acquired?
-  std::uint64_t check_double_frees_ = 0;
-#endif
+  std::vector<bool> live_;  // per carved slot: currently acquired?
+  std::uint64_t double_frees_ = 0;
 };
 
 }  // namespace gtw::des

@@ -62,8 +62,7 @@ EventHandle Scheduler::schedule_at(SimTime when, Action action) {
   e.action = std::move(action);
   e.cancelled = false;
   const std::uint64_t seq = e.seq;
-  GTW_CHECK_HOOK(if (check_hook_ != nullptr)
-                     check_hook_->on_schedule(when, now_, seq));
+  if (check_hook_ != nullptr) check_hook_->on_schedule(when, now_, seq);
   if (span_hook_ != nullptr) span_hook_->on_event_scheduled(seq);
   ++live_events_;
   heap_.emplace_back();
@@ -119,14 +118,15 @@ void Scheduler::cancel(std::uint64_t seq, EventId slot) {
     // documented no-op; a matching-but-tombstoned entry means a *copied*
     // handle cancelled the same live event twice — the seq-as-generation
     // defence caught an aliasing bug.
-    GTW_CHECK_HOOK(if (check_hook_ != nullptr) check_hook_->on_cancel(
-        seq, e.seq == seq && e.cancelled
-                 ? SchedulerCheckHook::CancelOutcome::kDouble
-                 : SchedulerCheckHook::CancelOutcome::kStale));
+    if (check_hook_ != nullptr)
+      check_hook_->on_cancel(seq,
+                             e.seq == seq && e.cancelled
+                                 ? SchedulerCheckHook::CancelOutcome::kDouble
+                                 : SchedulerCheckHook::CancelOutcome::kStale);
     return;
   }
-  GTW_CHECK_HOOK(if (check_hook_ != nullptr) check_hook_->on_cancel(
-      seq, SchedulerCheckHook::CancelOutcome::kCancelled));
+  if (check_hook_ != nullptr)
+    check_hook_->on_cancel(seq, SchedulerCheckHook::CancelOutcome::kCancelled);
   if (span_hook_ != nullptr) span_hook_->on_event_cancel(seq);
   e.cancelled = true;
   // Drop the capture now rather than at sweep/pop time — cancelled events
@@ -186,8 +186,7 @@ bool Scheduler::step(SimTime horizon) {
   const QItem it = heap_.front();
   if (it.when > horizon) return false;
   pop_top();
-  GTW_CHECK_HOOK(if (check_hook_ != nullptr)
-                     check_hook_->on_fire(it.when, it.seq));
+  if (check_hook_ != nullptr) check_hook_->on_fire(it.when, it.seq);
   --live_events_;
   now_ = it.when;
   ++executed_;

@@ -97,11 +97,10 @@ class Scheduler {
 
   // GTW-San (check::attach_scheduler): observe schedule/fire/cancel in
   // event order.  The hook is notification-only and never steers the
-  // schedule.  The slot exists in every build; the notifying call sites are
-  // GTW_CHECK_HOOK-guarded and compile away when checking is off.  Same
-  // lifetime rules as set_span_hook: installing moves the hook off any
-  // scheduler it served before, nullptr uninstalls, and either side may be
-  // destroyed first.
+  // schedule.  As with the span hook, a null hook costs one branch per
+  // site.  Same lifetime rules as set_span_hook: installing moves the hook
+  // off any scheduler it served before, nullptr uninstalls, and either
+  // side may be destroyed first.
   void set_check_hook(SchedulerCheckHook* hook);
   SchedulerCheckHook* check_hook() const { return check_hook_; }
 
@@ -115,11 +114,8 @@ class Scheduler {
   // returns a destroyed hook.
   void set_span_hook(SpanHook* hook);
   SpanHook* span_hook() const { return span_hook_; }
-#if defined(GTW_CHECK)
-  std::uint64_t pool_double_frees() const {
-    return pool_.check_double_frees();
-  }
-#endif
+  // Releases the event pool refused as double frees (check::attach_scheduler).
+  std::uint64_t pool_double_frees() const { return pool_.double_frees(); }
 
  private:
   friend class EventHandle;

@@ -4,7 +4,7 @@
 // Same inversion as des/check_hook.hpp: the layering DAG forbids des, net,
 // meta and flow from including obs, so the interface the tracer implements
 // is declared here at the bottom of the DAG and src/obs/ provides the
-// implementation.  Unlike GTW_CHECK_HOOK, span call sites are plain
+// implementation.  Span call sites, like the check hook's, are plain
 // null-checked virtual calls present in every build — tracing is a runtime
 // choice (attach a tracer to the scheduler, run, detach), not a build
 // flavour.  When no hook is installed the cost per site is one pointer

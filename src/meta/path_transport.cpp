@@ -105,10 +105,9 @@ void PathTransport::send(int side, units::Bytes amount,
           sst.delivered_bytes += amount.count();
           // Passthrough has no striping sequence; deliveries are TCP-ordered
           // by construction, so the delivery count doubles as the msg seq.
-          GTW_CHECK_HOOK(if (check_observer_ != nullptr)
-                             check_observer_->on_message(
-                                 side, sst.delivered_messages - 1,
-                                 amount.count()));
+          if (check_observer_ != nullptr)
+            check_observer_->on_message(side, sst.delivered_messages - 1,
+                                        amount.count());
           if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
             h2->end_span(span, sched_.now());
             if (cb) cb();
@@ -243,15 +242,16 @@ void PathTransport::on_chunk_delivered(int stream, int side, ChunkRef ref) {
   if (mit == messages_[side].end() ||
       mit->second.chunks[ref.idx].delivered) {
     ++st.duplicate_chunks;
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_chunk(
-        side, ref.msg_seq, ref.idx, /*duplicate=*/true));
+    if (check_observer_ != nullptr)
+      check_observer_->on_chunk(side, ref.msg_seq, ref.idx,
+                                /*duplicate=*/true);
     return;
   }
   Chunk& chunk = mit->second.chunks[ref.idx];
   chunk.delivered = true;
   ++mit->second.chunks_done;
-  GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_chunk(
-      side, ref.msg_seq, ref.idx, /*duplicate=*/false));
+  if (check_observer_ != nullptr)
+    check_observer_->on_chunk(side, ref.msg_seq, ref.idx, /*duplicate=*/false);
   if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
     h->end_span(chunk.span, sched_.now());
     chunk.span = 0;
@@ -293,8 +293,9 @@ void PathTransport::deliver_ready(int side) {
     st.reassembly_bytes -= msg.bytes.count();
     ++st.delivered_messages;
     st.delivered_bytes += msg.bytes.count();
-    GTW_CHECK_HOOK(if (check_observer_ != nullptr) check_observer_->on_message(
-        side, next_deliver_seq_[side] - 1, msg.bytes.count()));
+    if (check_observer_ != nullptr)
+      check_observer_->on_message(side, next_deliver_seq_[side] - 1,
+                                  msg.bytes.count());
     des::SpanHook* h = sched_.span_hook();
     des::TraceContext prev;
     if (h != nullptr) {

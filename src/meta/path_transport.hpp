@@ -37,7 +37,6 @@
 #include <memory>
 #include <vector>
 
-#include "des/check_hook.hpp"
 #include "des/scheduler.hpp"
 #include "net/host.hpp"
 #include "net/tcp.hpp"
@@ -52,8 +51,7 @@ class PathTransport;
 // sanitizer can prove the exactly-once / strict-send-order delivery
 // contract instead of trusting the reassembly bookkeeping it is checking.
 // Notification-only: implementations must not call back into the path.
-// Declared in every build; the notifying call sites are GTW_CHECK_HOOK-
-// guarded and compile away when checking is off.  Lifetime as for
+// Call sites are null-checked, as the span hook's are.  Lifetime as for
 // des::SchedulerCheckHook: one path at a time, and either may die first.
 struct PathCheckObserver {
   PathCheckObserver() = default;

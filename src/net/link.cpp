@@ -16,6 +16,9 @@ void Link::set_up(bool up) {
   if (up == up_) return;
   up_ = up;
   if (!up_) {
+    // The frame being clocked out is lost even if the line is restored
+    // before its wire time ends; transmit-complete drops it.
+    if (transmitting_) cut_mid_frame_ = true;
     // Flush the queue: anything waiting for the wire is lost with it.
     des::SpanHook* h = sched_.span_hook();
     for (const Frame& f : queue_) {
@@ -84,11 +87,14 @@ void Link::maybe_start() {
     queued_bytes_ -= f.wire_bytes;
     queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
     des::SpanHook* h2 = sched_.span_hook();
-    if (!up_) {
-      // The line was cut while this frame was being clocked out.
+    if (cut_mid_frame_) {
+      // The line was cut while this frame was being clocked out.  Serve
+      // whatever was queued since a restore.
+      cut_mid_frame_ = false;
       ++outage_drops_;
       outage_dropped_bytes_ += f.wire_bytes;
       if (h2 != nullptr) h2->abort_span(f.span, sched_.now());
+      maybe_start();
       return;
     }
     ++frames_sent_;

@@ -109,6 +109,7 @@ class Link {
   std::uint64_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;
+  bool cut_mid_frame_ = false;  // the line went down during this transmit
 
   std::uint64_t submitted_frames_ = 0;
   std::uint64_t submitted_bytes_ = 0;

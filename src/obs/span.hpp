@@ -95,8 +95,8 @@ class SpanTracer : public des::SpanHook {
 
   // Leak census: spans begun but neither ended nor aborted, and traces
   // still open.  Both must be zero once a run drains and every component
-  // has retired its in-flight work (tests/span_test.cpp; under GTW_CHECK
-  // the census is registered as a drain check via check::attach).
+  // has retired its in-flight work (tests/span_test.cpp; a checked run
+  // registers the census as a drain check via check::attach_span_tracer).
   std::size_t open_spans() const { return open_spans_; }
   std::size_t open_traces() const { return open_traces_; }
 

@@ -97,6 +97,12 @@ void read_lane(LineFields& in, SpanRec& s) {
   }
 }
 
+// Trace by id; the loader enforces id == index + 1.
+const TraceRec* find_trace(const SpanFile& f, std::uint64_t trace_id) {
+  if (trace_id == 0 || trace_id > f.traces.size()) return nullptr;
+  return &f.traces[trace_id - 1];
+}
+
 }  // namespace
 
 bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
@@ -136,6 +142,8 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
       fields.string("reason", t.reason, /*optional=*/true);
       if (!fields.error().empty())
         return reject("malformed trace line: " + fields.error());
+      if (t.id != out.traces.size() + 1)
+        return reject("non-sequential trace id " + std::to_string(t.id));
       out.traces.push_back(std::move(t));
     } else if (starts_with(line, "{\"span\"")) {
       SpanRec s;
@@ -190,10 +198,15 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
     return false;
   }
   for (const SpanRec& s : out.spans) {
-    if (s.parent == 0 || in_trace(s.parent, s.trace)) continue;
-    error = what + ": span " + std::to_string(s.id) + " names parent " +
-            std::to_string(s.parent) + ", which is not a span of trace " +
-            std::to_string(s.trace);
+    if (s.parent != 0 && !in_trace(s.parent, s.trace)) {
+      error = what + ": span " + std::to_string(s.id) + " names parent " +
+              std::to_string(s.parent) + ", which is not a span of trace " +
+              std::to_string(s.trace);
+      return false;
+    }
+    if (find_trace(out, s.trace) != nullptr) continue;
+    error = what + ": span " + std::to_string(s.id) + " names trace " +
+            std::to_string(s.trace) + ", which has no trace line";
     return false;
   }
   return true;
@@ -225,15 +238,62 @@ std::string layer_chain(const SpanFile& f, const SpanRec& s) {
 
 namespace {
 
-const TraceRec* find_trace(const SpanFile& f, std::uint64_t trace_id) {
-  for (const TraceRec& t : f.traces)
-    if (t.id == trace_id) return &t;
-  return nullptr;
-}
-
 std::int64_t root_duration(const SpanFile& f, const TraceRec& t) {
   const SpanRec* root = span_by_id(f, t.root);
   return root == nullptr ? 0 : root->end_ps - root->begin_ps;
+}
+
+// The innermost-span sweep behind the budget and the lane views, over
+// `spans` clamped to [lo, hi]; a span that owns no time there (zero width:
+// open at write time, or instant) is left out.  Every instant belongs to
+// the innermost active span: the one begun last (its own begin_ps, even
+// where clamped), higher id on ties.  Returns, in time order, the stretches
+// between adjacent edges that some span covers, each with its owner;
+// adjacent stretches of one owner are merged.
+std::vector<BudgetSegment> sweep_innermost(
+    const SpanFile& f, const std::vector<const SpanRec*>& spans,
+    std::int64_t lo, std::int64_t hi) {
+  using Edge = std::tuple<std::int64_t, bool, const SpanRec*>;  // opens?
+  std::vector<Edge> edges;
+  for (const SpanRec* s : spans) {
+    const std::int64_t b = std::max(s->begin_ps, lo);
+    const std::int64_t e = std::min(s->end_ps, hi);
+    if (e <= b) continue;
+    edges.emplace_back(b, true, s);
+    edges.emplace_back(e, false, s);
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+    return std::get<0>(x) != std::get<0>(y) ? std::get<0>(x) < std::get<0>(y)
+                                            : std::get<1>(x) < std::get<1>(y);
+  });
+  std::set<std::pair<std::int64_t, std::uint64_t>> active;  // (begin, id)
+  std::vector<BudgetSegment> segs;
+  std::int64_t t = 0;
+  for (const auto& [at, opens, s] : edges) {
+    if (!active.empty() && at > t) {
+      const SpanRec* owner = span_by_id(f, active.rbegin()->second);
+      if (!segs.empty() && segs.back().span == owner && segs.back().end_ps == t)
+        segs.back().end_ps = at;
+      else
+        segs.push_back({t, at, owner});
+    }
+    t = at;
+    if (opens)
+      active.insert({s->begin_ps, s->id});
+    else
+      active.erase({s->begin_ps, s->id});
+  }
+  return segs;
+}
+
+// One trace's spans clamped to its root's interval.  The root is always
+// active, so the segments partition that interval.
+std::vector<BudgetSegment> sweep_root(
+    const SpanFile& f, const TraceRec& tr,
+    const std::vector<const SpanRec*>& spans) {
+  const SpanRec* root = span_by_id(f, tr.root);
+  if (root == nullptr || root->end_ps <= root->begin_ps) return {};
+  return sweep_innermost(f, spans, root->begin_ps, root->end_ps);
 }
 
 }  // namespace
@@ -242,53 +302,10 @@ std::vector<BudgetSegment> sweep_trace(const SpanFile& f,
                                        std::uint64_t trace_id) {
   const TraceRec* tr = find_trace(f, trace_id);
   if (tr == nullptr) return {};
-  const SpanRec* root = span_by_id(f, tr->root);
-  if (root == nullptr || root->end_ps <= root->begin_ps) return {};
-
-  // Candidate spans with their intervals clamped to the root's; zero-width
-  // spans (open at write time, or instant) own no time and are dropped.
-  struct Clamped {
-    const SpanRec* span;
-    std::int64_t begin, end;
-  };
-  std::vector<Clamped> active;
-  std::vector<std::int64_t> bounds;
-  for (const SpanRec& s : f.spans) {
-    if (s.trace != trace_id) continue;
-    const std::int64_t b = std::max(s.begin_ps, root->begin_ps);
-    const std::int64_t e = std::min(s.end_ps, root->end_ps);
-    if (e <= b) continue;
-    active.push_back({&s, b, e});
-    bounds.push_back(b);
-    bounds.push_back(e);
-  }
-  std::sort(bounds.begin(), bounds.end());
-  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-
-  // Between two adjacent boundaries the set of active spans is constant;
-  // the innermost — begun latest, higher id on ties — owns the segment.
-  // The root is always active, so every segment has a winner.
-  std::vector<BudgetSegment> segs;
-  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-    const std::int64_t t0 = bounds[i], t1 = bounds[i + 1];
-    const Clamped* winner = nullptr;
-    for (const Clamped& c : active) {
-      if (c.begin > t0 || c.end < t1) continue;
-      if (winner == nullptr ||
-          c.span->begin_ps > winner->span->begin_ps ||
-          (c.span->begin_ps == winner->span->begin_ps &&
-           c.span->id > winner->span->id))
-        winner = &c;
-    }
-    if (winner == nullptr) continue;  // unreachable: the root covers all
-    if (!segs.empty() && segs.back().span == winner->span &&
-        segs.back().end_ps == t0) {
-      segs.back().end_ps = t1;  // merge adjacent segments of one span
-    } else {
-      segs.push_back({t0, t1, winner->span});
-    }
-  }
-  return segs;
+  std::vector<const SpanRec*> spans;
+  for (const SpanRec& s : f.spans)
+    if (s.trace == trace_id) spans.push_back(&s);
+  return sweep_root(f, *tr, spans);
 }
 
 PhaseBudget budget(const SpanFile& f) {
@@ -299,6 +316,10 @@ PhaseBudget budget(const SpanFile& f) {
           "latency budget: closed traces sum to more than 2^63-1 ps "
           "(~106 simulated days)");
   };
+  // Group the spans by trace once (the loader gave each a trace line).
+  std::vector<std::vector<const SpanRec*>> by_trace(f.traces.size());
+  for (const SpanRec& s : f.spans)
+    if (find_trace(f, s.trace) != nullptr) by_trace[s.trace - 1].push_back(&s);
   PhaseBudget b;
   for (const TraceRec& t : f.traces) {
     if (t.status == "aborted") {
@@ -311,7 +332,7 @@ PhaseBudget budget(const SpanFile& f) {
     }
     ++b.closed_traces;
     add(b.total_ps, root_duration(f, t));
-    for (const BudgetSegment& seg : sweep_trace(f, t.id))
+    for (const BudgetSegment& seg : sweep_root(f, t, by_trace[t.id - 1]))
       add(b.phase_ps[seg.span->phase], seg.end_ps - seg.begin_ps);
   }
   return b;
@@ -394,35 +415,13 @@ LaneStats lane_stats(const SpanFile& f) {
     }
   }
 
-  // Sweep each lane's state boundaries, ends before begins at an instant:
-  // between two of them the innermost active state (begun last, higher id
-  // on ties) owns the time.
+  // Every instant of a lane belongs to its innermost active state.
   const auto states = lane_states(f, st.lanes);
-  for (std::int64_t lane = 0; lane < st.lanes; ++lane) {
-    std::vector<std::tuple<std::int64_t, bool, const SpanRec*>> edges;
-    for (const SpanRec* s : states[static_cast<std::size_t>(lane)]) {
-      if (s->end_ps <= s->begin_ps) continue;  // owns no time
-      edges.emplace_back(s->begin_ps, true, s);
-      edges.emplace_back(s->end_ps, false, s);
-    }
-    std::stable_sort(edges.begin(), edges.end(), [](const auto& a,
-                                                    const auto& b) {
-      return std::get<0>(a) != std::get<0>(b) ? std::get<0>(a) < std::get<0>(b)
-                                              : std::get<1>(a) < std::get<1>(b);
-    });
-    std::set<std::pair<std::int64_t, std::uint64_t>> active;  // (begin, id)
-    std::int64_t t = 0;
-    for (const auto& [at, opens, s] : edges) {
-      if (!active.empty() && at > t)
-        st.state_ps[{lane, span_by_id(f, active.rbegin()->second)->name}] +=
-            at - t;
-      t = at;
-      if (opens)
-        active.insert({s->begin_ps, s->id});
-      else
-        active.erase({s->begin_ps, s->id});
-    }
-  }
+  for (std::int64_t lane = 0; lane < st.lanes; ++lane)
+    for (const BudgetSegment& seg :
+         sweep_innermost(f, states[static_cast<std::size_t>(lane)],
+                         INT64_MIN, INT64_MAX))
+      st.state_ps[{lane, seg.span->name}] += seg.end_ps - seg.begin_ps;
   return st;
 }
 

@@ -5,10 +5,11 @@
 // lines, span lines, footer), so the loader is a strict line scanner, not
 // a general JSON parser.  Strict means: a missing or wrong header, a
 // missing footer, a footer whose counts disagree with the lines actually
-// present, an integer field that is not a number, a closed span that ends
-// before it begins, a root or parent id naming no span of the same trace,
-// or a malformed lane key is a hard load error — gtw-trace turns those
-// into a non-zero exit so CI catches truncated or corrupt artifacts
+// present, an integer field that is not a number, span or trace ids out
+// of 1..N file order, a closed span that ends before it begins, a span
+// naming no trace line, a root or parent id naming no span of the same
+// trace, or a malformed lane key is a hard load error — gtw-trace turns
+// those into a non-zero exit so CI catches truncated or corrupt artifacts
 // instead of silently analysing them.
 //
 // Analyses:

@@ -8,13 +8,13 @@
 //     ledgers (build-mode independent);
 //   - the hook-driven checkers (SchedulerChecker, PathChecker) driven
 //     directly through their observer interfaces, plus end-to-end
-//     scenarios against the real scheduler/pool where the notification
-//     call sites exist (GTW_CHECK builds).
+//     scenarios against the real scheduler and pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "check/attach.hpp"
 #include "check/invariants.hpp"
@@ -22,8 +22,14 @@
 #include "des/pool.hpp"
 #include "des/scheduler.hpp"
 #include "des/time.hpp"
+#include "fire/pipeline.hpp"
+#include "meta/metacomputer.hpp"
+#include "meta/path_transport.hpp"
+#include "net/fault.hpp"
 #include "net/link.hpp"
 #include "net/units.hpp"
+#include "obs/span.hpp"
+#include "testbed/testbed.hpp"
 
 namespace gtw::check {
 namespace {
@@ -365,9 +371,7 @@ TEST(EndToEndTest, LinkConservationSilentOnCleanRun) {
   EXPECT_TRUE(mon.clean());
 }
 
-#if defined(GTW_CHECK)
-// The notification call sites inside the scheduler and pool only exist in
-// checked builds; these fixtures prove the wiring end to end.
+// These fixtures prove the scheduler's and pool's wiring end to end.
 
 TEST(EndToEndCheckedTest, CopiedHandleDoubleCancelCaught) {
   des::Scheduler sched;
@@ -442,7 +446,143 @@ TEST(EndToEndCheckedTest, ScheduleIntoThePastCaught) {
   EXPECT_EQ(mon.violations()[0].checker, "des.sched.past-schedule");
 }
 #endif  // NDEBUG
-#endif  // GTW_CHECK
+
+// --- attaching GTW-San does not perturb a run -------------------------------
+// Each scenario runs once bare and once with the full catalog attached (and
+// a span tracer, which GTW-San audits); the two must simulate the same
+// world, and the monitored one must finish clean.
+
+// What a run simulated: its event stream, when its work landed, and the
+// counters of the component that carried it.
+struct Outcome {
+  std::uint64_t events = 0;
+  std::uint64_t hash = 0;
+  std::vector<std::int64_t> landed_ps;
+  std::vector<std::uint64_t> counters;
+  bool operator==(const Outcome&) const = default;
+};
+
+// An 8-stream 16 MB Metacomputer::wan_send through a BER burst and a 0.5 s
+// cut of the data direction.
+Outcome faulted_wan_send(bool monitored) {
+  testbed::Testbed tb{testbed::TestbedOptions{}};
+  meta::Metacomputer mc{tb.scheduler()};
+  meta::MachineSpec a;
+  a.name = "JUELICH";
+  a.frontend = &tb.gw_o200();
+  meta::MachineSpec b;
+  b.name = "GMD";
+  b.frontend = &tb.gw_e5000();
+  const int ma = mc.add_machine(a);
+  const int mb = mc.add_machine(b);
+  meta::PathConfig pc;
+  pc.tcp.mss = tb.options().atm_mtu - units::Bytes{40};
+  pc.tcp.recv_buffer = units::Bytes{4u << 20};
+  pc.streams = 8;
+  pc.chunk_bytes = units::Bytes{256u << 10};
+  pc.stream_window = units::Bytes{2u << 20};
+  pc.chunk_timeout = des::SimTime::milliseconds(400);
+  pc.adapt_interval = des::SimTime::milliseconds(500);
+  pc.min_streams = 2;
+  mc.link_machines(ma, mb, pc, 7000);
+  meta::PathTransport& path = *mc.wan_path(ma, mb);
+  net::FaultPlan plan(tb.scheduler());
+  plan.ber_burst(tb.wan_link_j_to_g(), des::SimTime::milliseconds(1),
+                 des::SimTime::seconds(30), 1.3e-7);
+  plan.link_down(tb.wan_link_j_to_g(), des::SimTime::milliseconds(100),
+                 des::SimTime::milliseconds(500));
+
+  obs::SpanTracer spans;
+  Monitor mon(tb.scheduler());
+  if (monitored) {
+    tb.scheduler().set_span_hook(&spans);
+    attach_testbed(mon, tb);
+    attach_path_transport(mon, path, "wan");
+    attach_fault_plan(mon, plan);
+    attach_span_tracer(mon, spans);
+  }
+  Outcome out;
+  mc.wan_send(ma, mb, units::Bytes{16u << 20}, [&] {
+    out.landed_ps.push_back(tb.scheduler().now().ps());
+  });
+  tb.scheduler().run();
+  if (monitored) {
+    mon.finish();
+    EXPECT_TRUE(mon.clean()) << mon.report();
+    EXPECT_GT(spans.spans().size(), 0u);
+  }
+  // The faults bit: frames were cut and corrupted, and chunks resent.
+  EXPECT_GT(tb.wan_link_j_to_g().outage_drops(), 0u);
+  EXPECT_GT(tb.wan_link_j_to_g().corrupted_frames(), 0u);
+  EXPECT_GT(path.stats(0).chunk_resends, 0u);
+  out.events = tb.scheduler().events_executed();
+  out.hash = tb.scheduler().stream_hash();
+  for (int side = 0; side < 2; ++side) {
+    const meta::PathTransport::Stats& st = path.stats(side);
+    out.counters.insert(out.counters.end(),
+                        {st.messages, st.bytes, st.chunks, st.chunk_resends,
+                         st.duplicate_chunks, st.stream_resets,
+                         st.delivered_messages, st.delivered_bytes,
+                         st.reassembly_peak_bytes});
+  }
+  return out;
+}
+
+// The Figure-2 pipeline: scanner front end -> O200 gateway -> Onyx2.
+Outcome fig2_pipeline(bool monitored) {
+  testbed::Testbed tb{testbed::TestbedOptions{}};
+  fire::PipelineConfig cfg;
+  cfg.n_scans = 8;
+  cfg.t3e_pes = 256;
+  fire::FmriPipeline pipe(
+      tb.scheduler(),
+      {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg);
+  obs::SpanTracer spans;
+  Monitor mon(tb.scheduler());
+  if (monitored) {
+    tb.scheduler().set_span_hook(&spans);
+    attach_testbed(mon, tb);
+    attach_stage_graph(mon, pipe.graph(), "fire");
+    attach_span_tracer(mon, spans);
+  }
+  pipe.start();
+  tb.scheduler().run();
+  if (monitored) {
+    mon.finish();
+    EXPECT_TRUE(mon.clean()) << mon.report();
+    EXPECT_GT(spans.spans().size(), 0u);
+  }
+  Outcome out;
+  out.events = tb.scheduler().events_executed();
+  out.hash = tb.scheduler().stream_hash();
+  const fire::PipelineResult res = pipe.result();
+  for (const fire::ScanRecord& r : res.records)
+    for (const des::SimTime t : {r.acquired, r.at_server, r.sent, r.at_compute,
+                                 r.processed, r.at_client, r.displayed})
+      out.landed_ps.push_back(t.ps());
+  out.counters.push_back(static_cast<std::uint64_t>(res.scans_skipped));
+  return out;
+}
+
+TEST(AttachPerturbationTest, FaultedWanSendSimulatesTheSameWorld) {
+  const Outcome bare = faulted_wan_send(false);
+  const Outcome checked = faulted_wan_send(true);
+  EXPECT_EQ(bare.landed_ps.size(), 1u);
+  EXPECT_EQ(bare.events, checked.events);
+  EXPECT_EQ(bare.hash, checked.hash);
+  EXPECT_EQ(bare.landed_ps, checked.landed_ps);
+  EXPECT_EQ(bare.counters, checked.counters);
+}
+
+TEST(AttachPerturbationTest, Fig2PipelineSimulatesTheSameWorld) {
+  const Outcome bare = fig2_pipeline(false);
+  const Outcome checked = fig2_pipeline(true);
+  EXPECT_EQ(bare.landed_ps.size(), 8u * 7u);
+  EXPECT_EQ(bare.events, checked.events);
+  EXPECT_EQ(bare.hash, checked.hash);
+  EXPECT_EQ(bare.landed_ps, checked.landed_ps);
+  EXPECT_EQ(bare.counters, checked.counters);
+}
 
 }  // namespace
 }  // namespace gtw::check

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "cbr_stream.hpp"
@@ -151,6 +152,53 @@ TEST(LinkTest, CutDuringTransmissionLosesOnlyTheWireAndQueue) {
   EXPECT_EQ(arrived, (std::vector<std::uint32_t>{1, 4}));
   EXPECT_EQ(link.submitted_frames(), 4u);
   conserved();
+}
+
+// A cut shorter than the frame on the wire still loses that frame: the line
+// is restored before the frame's wire time ends, and a frame submitted at
+// the restore waits for the wire and is then carried.
+TEST(LinkTest, CutShorterThanFrameStillLosesIt) {
+  des::Scheduler sched;
+  // 1250 B at 1 Mbit/s = 10 ms on the wire.
+  Link link(sched, "l",
+            {units::BitRate::mbps(1.0), des::SimTime::zero(),
+             units::Bytes{1 << 20}, des::SimTime::zero()});
+  std::vector<std::uint32_t> arrived;
+  std::vector<std::int64_t> arrived_ps;
+  link.set_sink([&](Frame f) {
+    arrived.push_back(f.pkt.datagram_id);
+    arrived_ps.push_back(sched.now().ps());
+  });
+  auto submit = [&](std::uint32_t id) {
+    Frame f;
+    f.pkt.datagram_id = id;
+    f.wire_bytes = 1250;
+    return link.submit(std::move(f));
+  };
+  ASSERT_TRUE(submit(1));
+  sched.schedule_at(des::SimTime::milliseconds(2),
+                    [&] { link.set_up(false); });
+  sched.schedule_at(des::SimTime::milliseconds(3), [&] {
+    link.set_up(true);
+    EXPECT_TRUE(submit(2));
+  });
+  sched.run();
+
+  EXPECT_EQ(arrived, std::vector<std::uint32_t>{2});
+  // Frame 2 waits for the cut frame's wire time (to 10 ms), then takes its
+  // own 10 ms.
+  EXPECT_EQ(arrived_ps,
+            std::vector<std::int64_t>{des::SimTime::milliseconds(20).ps()});
+  EXPECT_EQ(link.frames_sent(), 1u);
+  EXPECT_EQ(link.outage_drops(), 1u);
+  EXPECT_EQ(link.outage_dropped_bytes(), 1250u);
+  EXPECT_EQ(link.queue_frames(), 0u);
+  EXPECT_EQ(link.submitted_frames(), link.frames_sent() + link.drops() +
+                                         link.outage_drops() +
+                                         link.queue_frames());
+  EXPECT_EQ(link.submitted_bytes(), link.bytes_sent() + link.dropped_bytes() +
+                                        link.outage_dropped_bytes() +
+                                        link.queue_bytes());
 }
 
 // Two hosts on one ATM switch exchanging datagrams through a provisioned VC.

@@ -9,13 +9,19 @@
 // observer and its path, likewise).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
+#include "des/random.hpp"
 #include "des/scheduler.hpp"
 #include "des/span_hook.hpp"
 #include "meta/communicator.hpp"
@@ -324,6 +330,301 @@ TEST(SpanAnalysisTest, LoaderRejectsMalformedLaneKeys) {
                   "missing \"to\"");
 }
 
+TEST(SpanAnalysisTest, LoaderRejectsRepeatedTraceLine) {
+  // The trace listed twice, with a footer that counts both: the budget
+  // would count its root twice.
+  const std::string line =
+      "{\"trace\": 1, \"root\": 1, \"origin\": \"test.origin\", "
+      "\"status\": \"closed\"}\n";
+  expect_rejected(with(with(small_artifact(), line, line + line),
+                       "\"traces_total\": 1", "\"traces_total\": 2"),
+                  "non-sequential trace id 1");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsSpanNamingNoTraceLine) {
+  // Span 2 (the body, which no span names as parent) moved to trace 2,
+  // which has no trace line.
+  expect_rejected(with(small_artifact(), "{\"span\": 2, \"trace\": 1, "
+                                         "\"parent\": 1,",
+                       "{\"span\": 2, \"trace\": 2, \"parent\": 0,"),
+                  "span 2 names trace 2, which has no trace line");
+}
+
+// --- seeded corruption of a tracer-written artifact -------------------------
+
+// Every kind of line: closed, aborted, open and zero-length traces, nested
+// and overlapping spans with equal begins, an open span, lane states and a
+// message.
+std::string mixed_artifact() {
+  SpanTracer t;
+  const des::TraceContext a = t.mint("test.a", ps(0));
+  const std::uint64_t a1 =
+      t.begin_span(a, des::SpanPhase::kSerialize, "link", "wire", ps(100));
+  const std::uint64_t a2 = t.begin_span(
+      des::under(a, a1), des::SpanPhase::kPropagate, "link", "fiber", ps(100));
+  t.end_span(a2, ps(300));
+  t.end_span(a1, ps(450));
+  const std::uint64_t a3 =
+      t.begin_span(a, des::SpanPhase::kCompute, "flow", "body", ps(400));
+  t.set_lane(a3, des::Lane{0});
+  t.end_span(a3, ps(900));
+  t.recv_message(t.send_message(a, "flow", 0, 1, 64, ps(900)), "flow", 1,
+                 ps(950));
+  t.close_trace(a, ps(1'000));
+
+  const des::TraceContext b = t.mint("test.b", ps(200));
+  EXPECT_NE(t.begin_span(b, des::SpanPhase::kQueueWait, "link", "q", ps(250)),
+            0u);
+  t.abort_trace(b, "cut", ps(600));  // aborts the queue wait with it
+  const des::TraceContext c = t.mint("test.c", ps(700));
+  EXPECT_NE(t.begin_span(c, des::SpanPhase::kTransfer, "meta", "msg", ps(800)),
+            0u);  // left open, as is the trace
+  const des::TraceContext d = t.mint("test.d", ps(1'000));
+  t.close_trace(d, ps(1'000));
+  std::ostringstream os;
+  t.write_json(os, "mixed");
+  return os.str();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string l; std::getline(is, l);) lines.push_back(l);
+  return lines;
+}
+
+std::string joined(const std::vector<std::string>& lines, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n && i < lines.size(); ++i)
+    out += lines[i] + '\n';
+  return out;
+}
+
+bool starts(const std::string& line, const char* prefix) {
+  return line.rfind(prefix, 0) == 0;
+}
+
+// The span lines and the trace lines among `lines`.
+std::pair<std::size_t, std::size_t> records(
+    const std::vector<std::string>& lines) {
+  std::size_t spans = 0, traces = 0;
+  for (const std::string& l : lines) {
+    if (starts(l, "{\"span\"")) ++spans;
+    if (starts(l, "{\"trace\"")) ++traces;
+  }
+  return {spans, traces};
+}
+
+// `lines` with the footer's span and trace counts rewritten to the lines
+// present, so that only the id checks can catch a repeated line.
+std::vector<std::string> footer_matched(std::vector<std::string> lines) {
+  const auto [spans, traces] = records(lines);
+  for (std::string& l : lines) {
+    const auto tail = l.find(", \"open_spans\"");
+    if (starts(l, "{\"spans_total\"") && tail != std::string::npos)
+      l = "{\"spans_total\": " + std::to_string(spans) +
+          ", \"traces_total\": " + std::to_string(traces) + l.substr(tail);
+  }
+  return lines;
+}
+
+// One mutant must be rejected with a one-line reason, or load with footer
+// counts equal to the lines present, trace ids 1..T, and a budget that is
+// exact or throws std::overflow_error.  Returns whether it loaded.
+bool loads_consistently(const std::string& text, const std::string& what) {
+  std::istringstream is(text);
+  SpanFile f;
+  std::string error;
+  if (!load_spans(is, what, f, error)) {
+    EXPECT_FALSE(error.empty()) << what;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << what << ": " << error;
+    return false;
+  }
+  const auto [spans, traces] = records(lines_of(text));
+  EXPECT_EQ(f.spans.size(), spans) << what;
+  EXPECT_EQ(f.spans_total, spans) << what;
+  EXPECT_EQ(f.traces.size(), traces) << what;
+  EXPECT_EQ(f.traces_total, traces) << what;
+  for (std::size_t i = 0; i < f.traces.size(); ++i)
+    EXPECT_EQ(f.traces[i].id, i + 1) << what;
+  try {
+    const PhaseBudget b = budget(f);
+    std::uint64_t sum = 0;  // unsigned: a wrong budget must not overflow
+    for (const auto& [phase, t_ps] : b.phase_ps)
+      sum += static_cast<std::uint64_t>(t_ps);
+    EXPECT_EQ(sum, static_cast<std::uint64_t>(b.total_ps)) << what;
+  } catch (const std::overflow_error&) {
+  }
+  return true;
+}
+
+TEST(SpanAnalysisTest, CorruptedArtifactsAreRejectedOrLoadConsistently) {
+  const std::string base = mixed_artifact();
+  const std::vector<std::string> lines = lines_of(base);
+  ASSERT_TRUE(loads_consistently(base, "base"));
+  des::Rng rng{0x7370616e73ULL};
+
+  // Cut at every line boundary (only the whole file loads), and at one
+  // seeded byte inside each line.
+  for (std::size_t n = 0; n <= lines.size(); ++n)
+    EXPECT_EQ(loads_consistently(joined(lines, n), "cut " + std::to_string(n)),
+              n == lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].size() < 2) continue;
+    const std::size_t at = 1 + rng.uniform_int(lines[i].size() - 1);
+    EXPECT_FALSE(loads_consistently(joined(lines, i) + lines[i].substr(0, at),
+                                    "cut in line " + std::to_string(i)));
+  }
+
+  // Seeded line mutations, each tried as is and with the footer's counts
+  // matched to the lines present.
+  std::size_t loaded = 0;
+  for (int m = 0; m < 400; ++m) {
+    std::vector<std::string> mutant = lines;
+    const std::size_t i = rng.uniform_int(mutant.size());
+    const std::uint64_t kind = rng.uniform_int(4);
+    const bool repeats_record = kind == 1 && (starts(mutant[i], "{\"span\"") ||
+                                              starts(mutant[i], "{\"trace\""));
+    if (kind == 0) {
+      mutant.erase(mutant.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (kind == 1) {
+      mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(i),
+                    std::string(mutant[i]));
+    } else if (kind == 2 && i + 1 < mutant.size()) {
+      std::swap(mutant[i], mutant[i + 1]);
+    } else if (kind == 3) {
+      std::vector<std::size_t> digits;
+      for (std::size_t k = 0; k < mutant[i].size(); ++k)
+        if (mutant[i][k] >= '0' && mutant[i][k] <= '9') digits.push_back(k);
+      if (digits.empty()) continue;
+      char& c = mutant[i][digits[rng.uniform_int(digits.size())]];
+      const int shift = 1 + static_cast<int>(rng.uniform_int(9));  // 1..9
+      c = static_cast<char>('0' + (c - '0' + shift) % 10);
+    }
+    const std::string what = "mutation " + std::to_string(m) + " kind " +
+                             std::to_string(kind) + " line " +
+                             std::to_string(i);
+    for (const auto& text : {joined(mutant, mutant.size()),
+                             joined(footer_matched(mutant), mutant.size())}) {
+      const bool ok = loads_consistently(text, what);
+      if (ok) ++loaded;
+      EXPECT_FALSE(ok && repeats_record) << what << " accepted a repeat";
+    }
+  }
+  EXPECT_GT(loaded, 0u);  // some mutants (a changed timestamp) do load
+}
+
+// --- the innermost-span sweep against a brute-force owner ------------------
+
+// The span covering instant x within [lo, hi) that began last, higher id on
+// ties; nullptr when none does.
+const SpanRec* brute_owner(const std::vector<const SpanRec*>& spans,
+                           std::int64_t x, std::int64_t lo, std::int64_t hi) {
+  const SpanRec* best = nullptr;
+  for (const SpanRec* s : spans) {
+    if (std::max(s->begin_ps, lo) > x || std::min(s->end_ps, hi) <= x)
+      continue;
+    if (best == nullptr || s->begin_ps > best->begin_ps ||
+        (s->begin_ps == best->begin_ps && s->id > best->id))
+      best = s;
+  }
+  return best;
+}
+
+// Two closed traces within [0, 63) ps: nested spans, equal begins,
+// zero-width spans and spans reaching outside their root, on lanes 0 and 1.
+SpanFile random_spans(des::Rng& rng) {
+  SpanFile f;
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  const auto add = [&f](std::uint64_t trace, std::uint64_t parent,
+                        const char* phase, std::int64_t b, std::int64_t e) {
+    SpanRec s;
+    s.id = f.spans.size() + 1;
+    s.trace = trace;
+    s.parent = parent;
+    s.phase = phase;
+    s.status = "ok";
+    s.begin_ps = b;
+    s.end_ps = e;
+    f.spans.push_back(s);
+    return &f.spans.back();
+  };
+  for (std::uint64_t t = 1; t <= 2; ++t) {
+    const std::int64_t rb = draw(5, 15);
+    TraceRec tr;
+    tr.id = t;
+    tr.root = add(t, 0, "root", rb, rb + draw(10, 25))->id;
+    tr.status = "closed";
+    f.traces.push_back(tr);
+  }
+  const char* phases[] = {"serialize", "propagate", "compute"};
+  const char* names[] = {"a", "b", "c"};
+  const std::uint64_t n = 2 + rng.uniform_int(14);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t trace = 1 + rng.uniform_int(2);
+    std::int64_t b = draw(0, 50);
+    std::int64_t e = b + draw(0, 12);
+    if (rng.bernoulli(0.4)) {  // nest in an earlier span
+      const SpanRec& p = f.spans[rng.uniform_int(f.spans.size())];
+      b = draw(p.begin_ps, p.end_ps);
+      e = draw(b, p.end_ps);
+    }
+    if (rng.bernoulli(0.15)) e = b;  // zero width
+    SpanRec* s = add(trace, f.traces[trace - 1].root,
+                     phases[rng.uniform_int(3)], b, e);
+    s->name = names[rng.uniform_int(3)];
+    s->lane = static_cast<std::int64_t>(rng.uniform_int(3)) - 1;  // -1: none
+  }
+  f.spans_total = f.spans.size();
+  f.traces_total = f.traces.size();
+  return f;
+}
+
+TEST(SpanAnalysisTest, SweepsAgreeWithBruteForceOwner) {
+  des::Rng rng{0x7377656570ULL};
+  for (int round = 0; round < 300; ++round) {
+    const SpanFile f = random_spans(rng);
+    std::map<std::string, std::int64_t> phase_ps;
+    for (const TraceRec& tr : f.traces) {
+      std::vector<const SpanRec*> spans;
+      for (const SpanRec& s : f.spans)
+        if (s.trace == tr.id) spans.push_back(&s);
+      const SpanRec& root = f.spans[tr.root - 1];
+      const auto segs = sweep_trace(f, tr.id);
+      ASSERT_FALSE(segs.empty()) << round;
+      EXPECT_EQ(segs.front().begin_ps, root.begin_ps) << round;
+      EXPECT_EQ(segs.back().end_ps, root.end_ps) << round;
+      for (std::size_t i = 0; i < segs.size(); ++i) {
+        if (i > 0) {
+          EXPECT_EQ(segs[i].begin_ps, segs[i - 1].end_ps) << round;
+          EXPECT_NE(segs[i].span, segs[i - 1].span) << round;  // merged
+        }
+        for (std::int64_t x = segs[i].begin_ps; x < segs[i].end_ps; ++x)
+          EXPECT_EQ(segs[i].span,
+                    brute_owner(spans, x, root.begin_ps, root.end_ps))
+              << "round " << round << " trace " << tr.id << " at " << x;
+      }
+      for (std::int64_t x = root.begin_ps; x < root.end_ps; ++x)
+        ++phase_ps[brute_owner(spans, x, root.begin_ps, root.end_ps)->phase];
+    }
+    EXPECT_EQ(budget(f).phase_ps, phase_ps) << round;
+
+    std::map<std::pair<std::int64_t, std::string>, std::int64_t> state_ps;
+    for (std::int64_t lane = 0; lane < 2; ++lane) {
+      std::vector<const SpanRec*> on_lane;
+      for (const SpanRec& s : f.spans)
+        if (s.lane == lane) on_lane.push_back(&s);
+      for (std::int64_t x = 0; x < 80; ++x)
+        if (const SpanRec* s = brute_owner(on_lane, x, 0, 80))
+          ++state_ps[{lane, s->name}];
+    }
+    EXPECT_EQ(lane_stats(f).state_ps, state_ps) << round;
+  }
+}
+
 // --- WAN lifecycle edge cases -----------------------------------------------
 
 // Two hosts joined by one ATM switch — the same WAN shape the transport
@@ -536,10 +837,9 @@ TEST(SpanLifecycleTest, SchedulerDestroyedFirstForgetsTracer) {
   EXPECT_EQ(tracer.installed_on(), &s2);
 }
 
-// The GTW-San check hook follows the same lifetime rules.  It only counts
-// its calls, which happen in GTW_CHECK builds only; the pointer bookkeeping
-// runs in every build.  Hook and scheduler live on the heap so that a
-// dangling link is a heap-use-after-free under ASan.
+// The GTW-San check hook follows the same lifetime rules.  It counts its
+// calls.  Hook and scheduler live on the heap so that a dangling link is a
+// heap-use-after-free under ASan.
 struct CountingCheckHook final : des::SchedulerCheckHook {
   void on_schedule(SimTime, SimTime, std::uint64_t) override { ++calls; }
   void on_fire(SimTime, std::uint64_t) override { ++calls; }
@@ -574,9 +874,7 @@ TEST(CheckHookLifecycleTest, SchedulerDestroyedFirstForgetsCheckHook) {
   sched.reset();
   // The hook's own destructor will find no scheduler to detach from.
   EXPECT_EQ(hook.installed_on(), nullptr);
-#if defined(GTW_CHECK)
   EXPECT_EQ(hook.calls, 2u);  // one schedule, one fire
-#endif
 
   // The hook outlives its scheduler and can serve another, one at a time.
   des::Scheduler s1;
@@ -634,9 +932,7 @@ TEST(CheckHookLifecycleTest, PathDestroyedFirstForgetsObserver) {
   EXPECT_EQ(p2.check_observer(), &obs);
   EXPECT_EQ(obs.installed_on(), &p2);
   striped_message(p2, f.sched);
-#if defined(GTW_CHECK)
   EXPECT_EQ(obs.calls, 3u);  // two chunks, one message
-#endif
 }
 
 }  // namespace

@@ -1,23 +1,27 @@
-// Fixture: mutating expressions inside GTW_CHECK_HOOK arguments.  Both
-// sites below steer checker-only state from inside the macro, so the
-// checked build simulates a different world than the unchecked one.
-#define GTW_CHECK_HOOK(expr) \
-  do {                       \
-    expr;                    \
-  } while (false)
+// Fixture: mutating expressions in the arguments of check-hook
+// notifications.  Both sites below steer simulation state from inside the
+// call, so a run with a checker attached simulates a different world than
+// the bare run.
+struct Hook {
+  virtual ~Hook() = default;
+  virtual void on_fire(unsigned long seq) = 0;
+  virtual void on_chunk(int side, unsigned long seq, unsigned idx,
+                        bool duplicate) = 0;
+};
 
-struct Sampler {
-  unsigned long fires = 0;
+struct Engine {
+  Hook* hook = nullptr;
+  unsigned long seq = 0;
   bool armed = false;
 
-  void on_fire() {
-    GTW_CHECK_HOOK(++fires);        // mutating increment in hook argument
-    GTW_CHECK_HOOK(armed = false);  // assignment in hook argument
+  void step() {
+    if (hook != nullptr) hook->on_fire(++seq);  // increment in hook argument
+    if (hook != nullptr)
+      hook->on_chunk(0, seq, 0, armed = false);  // assignment in hook argument
   }
 
-  // Observe-only invocation: comparisons and calls are fine.
-  void on_probe(const Sampler* peer) {
-    GTW_CHECK_HOOK(if (peer != nullptr) peer->noop());
+  // Observe-only notification: comparisons and arithmetic are fine.
+  void probe() {
+    if (hook != nullptr) hook->on_chunk(0, seq - 1, 0, seq == 0);
   }
-  void noop() const {}
 };

@@ -1,28 +1,21 @@
-// Fixture: observe-only GTW_CHECK_HOOK invocations plus checker-state
-// maintenance done the sanctioned way — inside an explicit #if block, not
-// inside the macro argument.  check-side-effect must stay silent.
-#define GTW_CHECK_HOOK(expr) \
-  do {                       \
-    expr;                    \
-  } while (false)
-
+// Fixture: observe-only check-hook notifications, with the simulation's own
+// state maintenance done outside the call.  check-side-effect must stay
+// silent.
 struct Hook {
   virtual ~Hook() = default;
   virtual void on_fire(unsigned long seq) = 0;
+  virtual void on_message(int side, unsigned long seq, unsigned long bytes) = 0;
 };
 
 struct Engine {
   Hook* hook = nullptr;
   unsigned long seq = 0;
-#if defined(GTW_CHECK)
-  bool check_live = false;
-#endif
+  unsigned long delivered = 0;
 
   void step() {
-#if defined(GTW_CHECK)
-    check_live = true;  // checker-state maintenance, outside the macro
-#endif
-    GTW_CHECK_HOOK(if (hook != nullptr) hook->on_fire(seq));
-    GTW_CHECK_HOOK(if (hook != nullptr && seq >= 1) hook->on_fire(seq - 1));
+    ++seq;  // state maintenance, outside the notification
+    if (hook != nullptr) hook->on_fire(seq);
+    if (hook != nullptr && seq >= 1) hook->on_fire(seq - 1);
+    if (hook != nullptr) hook->on_message(0, delivered, seq << 2);
   }
 };

@@ -53,13 +53,13 @@ Per-file rules
                         path_transport.  The meta layer reaches the WAN
                         through meta::PathTransport only.
   check-side-effect     A mutating expression (assignment, ++/--, compound
-                        assignment) inside the argument of a GTW_CHECK_HOOK(
-                        ...) invocation.  Hook sites must observe, never
-                        steer: anything they mutate exists only in checked
-                        builds, so a side effect here makes the checked and
-                        unchecked builds simulate different worlds.  Checker-
-                        private state maintenance belongs in an explicit
-                        `#if defined(GTW_CHECK)` block, not in the macro.
+                        assignment) in the argument list of a check-hook
+                        notification: `->on_schedule(`, `->on_fire(`,
+                        `->on_cancel(`, `->on_chunk(` or `->on_message(`.
+                        Hook sites must observe, never steer: such a side
+                        effect happens only while a checker is attached, so
+                        attached and bare runs would simulate different
+                        worlds.
   span-unclosed         (src/ outside src/obs/)  A member call to
                         begin_span() or mint() whose returned span id /
                         TraceContext is discarded.  A lost id can never be
@@ -435,6 +435,10 @@ POOLED_TYPES = ("Entry", "Frame", "IpPacket")
 UNIT_TYPES = ("Bytes", "Bits", "Cells", "Ops",
               "BitRate", "ByteRate", "OpRate")
 
+# The check-hook notifications (des::SchedulerCheckHook,
+# meta::PathCheckObserver) whose arguments check-side-effect polices.
+CHECK_HOOK_CALLS = ("on_schedule", "on_fire", "on_cancel", "on_chunk",
+                    "on_message")
 MUTATING_OPS = ("=", "++", "--", "+=", "-=", "*=", "/=", "%=",
                 "&=", "|=", "^=", "<<=", ">>=")
 
@@ -749,13 +753,13 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
 
     # ---- check-side-effect ----------------------------------------------
     for i, t in enumerate(toks):
-        if not is_id(t, "GTW_CHECK_HOOK"):
+        if not is_id(t, *CHECK_HOOK_CALLS):
+            continue
+        p = prev_tok(toks, i)
+        if p is None or not is_p(p, "->"):
             continue
         if i + 1 >= len(toks) or not is_p(toks[i + 1], "("):
             continue
-        p = prev_tok(toks, i)
-        if p is not None and is_id(p, "define"):
-            continue  # the macro's own #define, not an invocation
         close = matching_close(toks, i + 1, "(", ")")
         if close is None:
             continue
@@ -763,17 +767,16 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
             tk = toks[k]
             if tk.kind == "punct" and tk.text in MUTATING_OPS:
                 rep.report(sf, tk.line, "check-side-effect",
-                           f"mutating '{tk.text}' inside a GTW_CHECK_HOOK "
-                           "argument: hooks must observe, never steer — a "
-                           "side effect here exists only in checked builds, "
-                           "so checked and unchecked runs simulate different "
-                           "worlds; move checker-state maintenance into an "
-                           "explicit #if defined(GTW_CHECK) block")
+                           f"mutating '{tk.text}' in the arguments of "
+                           f"'->{t.text}(': hooks must observe, never steer "
+                           "— this side effect happens only while a checker "
+                           "is attached, so attached and bare runs would "
+                           "simulate different worlds")
 
     # ---- span-unclosed ---------------------------------------------------
     # begin_span() returns the span id; mint() returns the TraceContext.
     # Discarding either is a guaranteed leak: the span can never be ended
-    # or aborted, the trace never closed, and the GTW_CHECK drain census
+    # or aborted, the trace never closed, and GTW-San's drain census
     # (obs.span.leak) will fire long after the offending line ran.  Catch
     # it at the call site instead.  Member-access requirement skips the
     # SpanTracer definitions themselves (SpanTracer::begin_span).
@@ -1410,7 +1413,7 @@ RULE_HELP = {
     "pool-bypass-new": "heap allocation of a pooled event/packet record",
     "meta-raw-tcp": "raw TcpConnection in src/meta/",
     "unit-escape": ".value()/.count() re-entering unit-typed expressions",
-    "check-side-effect": "mutating expression inside GTW_CHECK_HOOK",
+    "check-side-effect": "mutating expression in a check-hook call",
     "span-unclosed": "discarded begin_span()/mint() result",
     "layer-violation": "include edge not allowed by the module DAG",
     "layer-cycle": "cycle in the module include graph",
