@@ -10,9 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 
 #include "check/attach.hpp"
@@ -162,22 +160,14 @@ void print_fig2(bool with_trace) {
                    : "[failed to write BENCH_fig2_fmri_pipeline.json]\n\n");
 
   if (with_trace) {
-    std::stringstream span_json;
-    spans.write_json(span_json, "fig2_fmri_pipeline");
     {
-      obs::SpanFile file;
-      std::string error;
-      if (!obs::load_spans(span_json, "fig2 spans", file, error)) {
-        std::fprintf(stderr, "fig2: %s\n", error.c_str());
-        std::exit(1);
-      }
       std::ofstream chrome("OBS_fig2_fmri_pipeline.chrome.json",
                            std::ios::binary);
       obs::ChromeTraceOptions copts;
       copts.process_name = "fig2_fmri_pipeline";
       copts.series = &sampler;
       copts.marks_from = &reg;
-      obs::write_chrome_trace(chrome, file, copts);
+      obs::write_chrome_trace(chrome, spans.file(), copts);
     }
     {
       std::ofstream metrics("OBS_fig2_fmri_pipeline.metrics.json",
@@ -191,7 +181,7 @@ void print_fig2(bool with_trace) {
     }
     {
       std::ofstream sp("OBS_fig2_fmri_pipeline.spans.json", std::ios::binary);
-      sp << span_json.str();
+      spans.write_json(sp, "fig2_fmri_pipeline");
     }
     std::printf("[wrote OBS_fig2_fmri_pipeline.{chrome.json,metrics.json,"
                 "series.json,spans.json}]\n\n");

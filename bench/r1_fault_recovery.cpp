@@ -9,6 +9,7 @@
 // so BENCH_r1_fault_recovery.json is byte-stable across runs.
 #include <benchmark/benchmark.h>
 
+#include <any>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -46,17 +47,29 @@ TcpRow run_tcp(double outage_s) {
   }
   net::TcpConfig cfg;
   cfg.recv_buffer = units::Bytes{4u << 20};
+  // net::run_bulk_transfer's transfer, on a connection GTW-San can see.
+  const units::Bytes amount{128u << 20};
+  net::TcpConnection conn(tb.gw_o200(), tb.gw_e5000(), 5000, 5001, cfg);
   // GTW-San: conservation across the cut — outage drops must balance the
-  // ledgers, and every fault must revert by drain.
+  // ledgers, and every fault must revert by drain.  The connection's
+  // sequence space stays sane, and at drain every byte is acked.
   check::Monitor mon(tb.scheduler());
   check::attach_testbed(mon, tb);
   check::attach_fault_plan(mon, plan);
-  const auto res = net::run_bulk_transfer(tb.scheduler(), tb.gw_o200(),
-                                          tb.gw_e5000(), units::Bytes{128u << 20}, cfg);
+  check::attach_tcp(mon, conn, "r1", /*expect_complete=*/true);
+  des::SimTime done;
+  bool finished = false;
+  conn.send(0, amount, {}, [&](const std::any&, des::SimTime when) {
+    done = when;
+    finished = true;
+  });
+  tb.scheduler().run();
   mon.finish();
   mon.require_clean("r1_fault_recovery tcp");
-  return {res.duration.sec(), res.goodput.bps() / 1e6,
-          res.sender_stats.retransmits, res.sender_stats.timeouts,
+  const bool ok = finished && done > des::SimTime::zero();  // began at 0
+  return {ok ? done.sec() : 0.0,
+          ok ? units::per(amount.to_bits(), done).bps() / 1e6 : 0.0,
+          conn.stats(0).retransmits, conn.stats(0).timeouts,
           tb.wan_link_j_to_g().outage_drops()};
 }
 

@@ -6,8 +6,6 @@
 //   $ ./coupled_groundwater
 #include <cstdio>
 #include <memory>
-#include <sstream>
-#include <string>
 
 #include "apps/groundwater.hpp"
 #include "meta/communicator.hpp"
@@ -66,16 +64,9 @@ int main() {
   std::printf("particles still in the domain: %d / 400\n",
               res.particles_remaining);
 
-  std::stringstream json;
-  spans.write_json(json, "coupled_groundwater");
-  obs::SpanFile file;
-  std::string error;
-  if (!obs::load_spans(json, "coupled_groundwater spans", file, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  std::printf("\nVAMPIR-style summary:\n%s", obs::profile(file).c_str());
+  std::printf("\nVAMPIR-style summary:\n%s",
+              obs::profile(spans.file()).c_str());
   std::printf("\ntimeline (f = flow solve, a = advect):\n%s",
-              obs::gantt(file, 64).c_str());
+              obs::gantt(spans.file(), 64).c_str());
   return 0;
 }

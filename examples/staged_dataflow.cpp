@@ -3,8 +3,6 @@
 // per-stage metrics report and the VAMPIR-style Gantt that every
 // flow::StageGraph provides for free: each stage's spans sit on its lane.
 #include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "des/scheduler.hpp"
 #include "flow/graph.hpp"
@@ -42,15 +40,7 @@ void run_mode(const char* label, flow::GraphConfig cfg) {
   std::printf("== %s ==\n", label);
   std::printf("%s", g.metrics().report().c_str());
   std::printf("steady-state period %.2f s\n", period.sec());
-  std::stringstream json;
-  spans.write_json(json, "staged_dataflow");
-  obs::SpanFile file;
-  std::string error;
-  if (!obs::load_spans(json, "staged_dataflow spans", file, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return;
-  }
-  std::printf("%s\n", obs::gantt(file, 64).c_str());
+  std::printf("%s\n", obs::gantt(spans.file(), 64).c_str());
 }
 
 }  // namespace

@@ -43,13 +43,13 @@ void SchedulerChecker::on_fire(des::SimTime when, std::uint64_t seq) {
   }
   last_fire_ = when;
   fired_any_ = true;
-  mon_.note(fmt("fire seq=%llu", static_cast<unsigned long long>(seq)));
+  mon_.note_event("fire", seq);
 }
 
 void SchedulerChecker::on_cancel(std::uint64_t seq, CancelOutcome outcome) {
   switch (outcome) {
     case CancelOutcome::kCancelled:
-      mon_.note(fmt("cancel seq=%llu", static_cast<unsigned long long>(seq)));
+      mon_.note_event("cancel", seq);
       break;
     case CancelOutcome::kStale:
       // Cancelling an already-fired or recycled event is a documented
@@ -230,9 +230,7 @@ void PathChecker::on_message(int side, std::uint64_t msg_seq,
   } else {
     ++next_msg_[side];
   }
-  mon_.note(fmt("path %s side %d msg %llu (%llu B) delivered", id_.c_str(),
-                side, static_cast<unsigned long long>(msg_seq),
-                static_cast<unsigned long long>(bytes)));
+  mon_.note_delivered(id_.c_str(), side, msg_seq, bytes);
 }
 
 void attach_path_transport(Monitor& mon, meta::PathTransport& path,
@@ -327,10 +325,12 @@ void attach_flow_metrics(Monitor& mon, const flow::MetricsRegistry& metrics,
 void attach_fault_plan(Monitor& mon, net::FaultPlan& plan,
                        const std::string& prefix) {
   // Observer state lives in a checker object so it survives as long as the
-  // monitor; the plan notifies begin/end transitions always-on.
+  // monitor; the plan notifies begin/end transitions always-on.  The fault
+  // breadcrumbs point at the targets' names kept here.
   struct Brackets {
     std::uint64_t begins = 0;
     std::uint64_t ends = 0;
+    std::set<std::string> targets;
   };
   auto& b = mon.make_checker<Brackets>();
   plan.add_observer([&mon, &b, prefix](const net::FaultEvent& ev,
@@ -345,8 +345,8 @@ void attach_fault_plan(Monitor& mon, net::FaultPlan& plan,
                           ev.target.c_str()));
       }
     }
-    mon.note(fmt("fault %s %s %s", to_string(ev.kind), ev.target.c_str(),
-                 active ? "begin" : "end"));
+    const std::string& target = *b.targets.insert(ev.target).first;
+    mon.note_fault(to_string(ev.kind), target.c_str(), active);
   });
   mon.add_drain_check(prefix + ".all-reverted",
                       [&plan, &b]() -> std::optional<std::string> {

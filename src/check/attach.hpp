@@ -112,7 +112,9 @@ void attach_tcp(Monitor& mon, const net::TcpConnection& conn,
 // --- meta -------------------------------------------------------------------
 // Exactly-once, strictly-in-order delivery ledger for one PathTransport
 // side pair, via meta::PathCheckObserver.  Public (like SchedulerChecker)
-// so the violation-fixture harness can feed it chunks directly.
+// so the violation-fixture harness can feed it chunks directly.  Its
+// delivery breadcrumbs point at its id, so its Monitor must record no
+// violation once it is gone; attach_path_transport lets the Monitor own it.
 class PathChecker : public meta::PathCheckObserver {
  public:
   PathChecker(Monitor& mon, std::string id) : mon_(mon), id_(std::move(id)) {}

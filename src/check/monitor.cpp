@@ -5,28 +5,63 @@
 
 namespace gtw::check {
 
-void Monitor::note(std::string tag) {
-  if (ring_.size() < kHistoryCapacity) {
-    ring_.emplace_back(sched_.now(), std::move(tag));
-  } else {
-    auto& slot = ring_[static_cast<std::size_t>(ring_count_ % kHistoryCapacity)];
-    slot.first = sched_.now();
-    slot.second = std::move(tag);
-  }
-  ++ring_count_;
+Monitor::Breadcrumb& Monitor::note(Breadcrumb::Kind kind) {
+  Breadcrumb& b =
+      ring_[static_cast<std::size_t>(ring_count_++ % kHistoryCapacity)];
+  b.kind = kind;
+  b.at = sched_.now();
+  return b;
+}
+
+void Monitor::note_event(const char* what, std::uint64_t seq) {
+  Breadcrumb& b = note(Breadcrumb::Kind::kEvent);
+  b.name = what;
+  b.seq = seq;
+}
+
+void Monitor::note_delivered(const char* path, int side, std::uint64_t msg,
+                             std::uint64_t bytes) {
+  Breadcrumb& b = note(Breadcrumb::Kind::kDelivered);
+  b.name = path;
+  b.side = side;
+  b.seq = msg;
+  b.bytes = bytes;
+}
+
+void Monitor::note_fault(const char* kind, const char* target, bool begin) {
+  Breadcrumb& b = note(Breadcrumb::Kind::kFault);
+  b.name = kind;
+  b.target = target;
+  b.begin = begin;
 }
 
 std::vector<std::string> Monitor::history_snapshot() const {
   std::vector<std::string> out;
-  out.reserve(ring_.size());
   const std::uint64_t n = ring_count_;
   const std::uint64_t cap = kHistoryCapacity;
   const std::uint64_t start = n > cap ? n - cap : 0;
+  out.reserve(static_cast<std::size_t>(n - start));
   for (std::uint64_t i = start; i < n; ++i) {
-    const auto& slot = ring_[static_cast<std::size_t>(i % cap)];
+    const Breadcrumb& b = ring_[static_cast<std::size_t>(i % cap)];
+    const auto seq = static_cast<unsigned long long>(b.seq);
+    char tag[192];
+    switch (b.kind) {
+      case Breadcrumb::Kind::kEvent:
+        std::snprintf(tag, sizeof(tag), "%s seq=%llu", b.name, seq);
+        break;
+      case Breadcrumb::Kind::kDelivered:
+        std::snprintf(tag, sizeof(tag),
+                      "path %s side %d msg %llu (%llu B) delivered", b.name,
+                      b.side, seq, static_cast<unsigned long long>(b.bytes));
+        break;
+      case Breadcrumb::Kind::kFault:
+        std::snprintf(tag, sizeof(tag), "fault %s %s %s", b.name, b.target,
+                      b.begin ? "begin" : "end");
+        break;
+    }
     char stamp[64];
-    std::snprintf(stamp, sizeof(stamp), "[t=%.9fs] ", slot.first.sec());
-    out.push_back(stamp + slot.second);
+    std::snprintf(stamp, sizeof(stamp), "[t=%.9fs] ", b.at.sec());
+    out.push_back(stamp + std::string(tag));
   }
   return out;
 }

@@ -5,9 +5,9 @@
 //     that must hold whenever the simulation is quiescent between events
 //     (check_now()) and a separate set that only holds once the scheduler
 //     has fully drained (finish());
-//   - a ring buffer of the last kHistoryCapacity breadcrumbs (note()) so a
-//     violation report shows the event history leading up to it, not just
-//     the broken ledger;
+//   - a ring buffer of the last kHistoryCapacity breadcrumbs (note_*()) so
+//     a violation report shows the event history leading up to it, not
+//     just the broken ledger;
 //   - the violation list itself, capped so a systemic failure produces a
 //     readable report instead of a million-line flood.
 //
@@ -17,6 +17,7 @@
 // run simulates exactly what the bare run does.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,10 +55,18 @@ class Monitor {
   des::Scheduler& scheduler() { return sched_; }
 
   // --- breadcrumbs ----------------------------------------------------------
-  // Record a short tag ("fire seq=42 t=1.2ms") into the history ring.  Cheap
-  // enough for per-event use in checked runs; the last kHistoryCapacity
-  // survive into any subsequent violation report.
-  void note(std::string tag);
+  // Record one event into the history ring; the last kHistoryCapacity
+  // survive into any subsequent violation report.  The ring holds
+  // fixed-size records, formatted only when a violation snapshots them, so
+  // a note costs a few stores; the strings it points at must outlive the
+  // Monitor.  A report prints, per note:
+  //   <what> seq=<seq>                   ("fire", "cancel")
+  //   path <path> side <side> msg <msg> (<bytes> B) delivered
+  //   fault <kind> <target> begin|end
+  void note_event(const char* what, std::uint64_t seq);
+  void note_delivered(const char* path, int side, std::uint64_t msg,
+                      std::uint64_t bytes);
+  void note_fault(const char* kind, const char* target, bool begin);
 
   // --- reporting ------------------------------------------------------------
   // Record a violation detected by `checker` right now.  The first
@@ -118,6 +127,20 @@ class Monitor {
   static constexpr std::size_t kMaxViolations = 100;
 
  private:
+  struct Breadcrumb {
+    enum class Kind : std::uint8_t { kEvent, kDelivered, kFault };
+    Kind kind = Kind::kEvent;
+    bool begin = false;  // kFault: applied, not reverted
+    int side = 0;        // kDelivered
+    des::SimTime at;
+    std::uint64_t seq = 0;    // the event's, or kDelivered's message's
+    std::uint64_t bytes = 0;  // kDelivered
+    // kEvent: what happened; kDelivered: the path; kFault: the fault kind.
+    const char* name = nullptr;
+    const char* target = nullptr;  // kFault
+  };
+
+  Breadcrumb& note(Breadcrumb::Kind kind);
   std::vector<std::string> history_snapshot() const;
   void run_set(
       const std::vector<std::pair<std::string, InvariantFn>>& set,
@@ -126,7 +149,7 @@ class Monitor {
   des::Scheduler& sched_;
 
   // Fixed-size ring: ring_[i % capacity], ring_count_ total notes ever.
-  std::vector<std::pair<des::SimTime, std::string>> ring_;
+  std::array<Breadcrumb, kHistoryCapacity> ring_{};
   std::uint64_t ring_count_ = 0;
 
   std::vector<std::pair<std::string, InvariantFn>> invariants_;

@@ -75,7 +75,7 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
     emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(t.id) + ",\"tid\":0,\"args\":{\"name\":\"trace " +
          std::to_string(t.id) + " " + json_escape(t.origin) + " (" +
-         json_escape(t.status) + ")\"}}");
+         trace_status_name(t.status) + ")\"}}");
   }
   for (const SpanRec& s : f.spans) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
@@ -83,12 +83,12 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
          ",\"args\":{\"name\":\"" + json_escape(s.layer) + "/" +
          json_escape(s.name) + "\"}}");
     emit("{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
-         json_escape(s.phase) + "\",\"ph\":\"X\",\"pid\":" +
+         des::span_phase_name(s.phase) + "\",\"ph\":\"X\",\"pid\":" +
          std::to_string(s.trace) + ",\"tid\":" + std::to_string(s.id) +
          ",\"ts\":" + ts_us(s.begin_ps) + ",\"dur\":" +
          ts_us(s.end_ps - s.begin_ps) + ",\"args\":{\"layer\":\"" +
-         json_escape(s.layer) + "\",\"status\":\"" + json_escape(s.status) +
-         "\"}}");
+         json_escape(s.layer) + "\",\"status\":\"" +
+         span_status_name(s.status) + "\"}}");
   }
   // Causal edges: a flow arrow from each parent span to each child, bound
   // at the child's begin time (the instant causality transfers).
@@ -108,7 +108,7 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
   // from its send to its recv.  Message arrows take the id space after the
   // span edges', so every flow id in the file is unique.
   for (const SpanRec& s : f.spans) {
-    if (s.lane < 0 || s.status != "ok") continue;
+    if (s.lane < 0 || s.status != SpanStatus::kOk) continue;
     const SpanRec* send = span_by_id(f, s.parent);
     const std::string tid = std::to_string(s.lane);
     if (send != nullptr && send->to >= 0) {
@@ -123,9 +123,10 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
            ",\"id\":" + id + ",\"args\":{\"bytes\":" + bytes + "}}");
     } else if (s.to < 0) {
       emit("{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
-           json_escape(s.phase) + "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + tid +
-           ",\"ts\":" + ts_us(s.begin_ps) + ",\"dur\":" +
-           ts_us(s.end_ps - s.begin_ps) + "}");
+           des::span_phase_name(s.phase) +
+           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + tid + ",\"ts\":" +
+           ts_us(s.begin_ps) + ",\"dur\":" + ts_us(s.end_ps - s.begin_ps) +
+           "}");
     }
   }
 

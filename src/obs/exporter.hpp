@@ -33,7 +33,6 @@ struct ChromeTraceOptions {
   const Registry* marks_from = nullptr;       // instant events (ph "i")
 };
 
-// In-process callers get `f` from SpanTracer::write_json and load_spans.
 void write_chrome_trace(std::ostream& os, const SpanFile& f,
                         const ChromeTraceOptions& opts = {});
 

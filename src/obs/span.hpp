@@ -19,6 +19,9 @@
 //   carry a TraceContext, and components bracket asynchronous handoffs
 //   with adopt().
 //
+// It records straight into a SpanFile (span_analysis.hpp), which every
+// view reads: in process as file(), or from the artifact write_json() prints.
+//
 // Perturbation-free by construction: the tracer never touches the
 // scheduler, never reads wall-clock time, and allocates only its own
 // bookkeeping, so attaching it cannot change the event sequence and every
@@ -31,10 +34,10 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "des/span_hook.hpp"
 #include "des/time.hpp"
+#include "obs/span_analysis.hpp"
 
 namespace gtw::obs {
 
@@ -67,31 +70,9 @@ class SpanTracer : public des::SpanHook {
   void set_lane(std::uint64_t span_id, const des::Lane& lane) override;
 
   // --- recorded data --------------------------------------------------------
-  struct Span {
-    std::uint64_t id = 0;
-    std::uint64_t trace = 0;
-    std::uint64_t parent = 0;  // parent span id; 0 for trace roots
-    des::SpanPhase phase = des::SpanPhase::kRoot;
-    std::string layer;
-    std::string name;
-    des::SimTime begin;
-    des::SimTime end;
-    bool open = true;
-    bool aborted = false;
-    des::Lane lane{-1};  // set by set_lane; lane.lane < 0: on no lane
-  };
-  struct Trace {
-    std::uint64_t id = 0;
-    std::uint64_t root = 0;  // root span id
-    std::string origin;
-    // "open" until closed; then "closed" or "aborted".
-    std::string status = "open";
-    std::string abort_reason;
-  };
-
-  // Spans in id order (id == index + 1); traces in id order.
-  const std::vector<Span>& spans() const { return spans_; }
-  const std::map<std::uint64_t, Trace>& traces() const { return traces_; }
+  // Every trace and span so far, in id order.  An open span ends where it
+  // begins until it is ended or aborted.
+  const SpanFile& file() const { return file_; }
 
   // Leak census: spans begun but neither ended nor aborted, and traces
   // still open.  Both must be zero once a run drains and every component
@@ -100,23 +81,22 @@ class SpanTracer : public des::SpanHook {
   std::size_t open_spans() const { return open_spans_; }
   std::size_t open_traces() const { return open_traces_; }
 
-  // Line-oriented spans artifact (OBS_<label>.spans.json): a header line,
-  // one trace line per trace, one span line per span — all timestamps
-  // exact integer picoseconds; a lane span adds "lane", a send also "to"
-  // and "bytes" — and a {"spans_total": N} footer that lets readers detect
-  // truncation.
+  // The spans artifact of file(), headed `label` (write_spans).
   void write_json(std::ostream& os, const std::string& label) const;
 
  private:
-  Span* find_open(std::uint64_t span_id);
+  std::uint64_t append_span(std::uint64_t trace, std::uint64_t parent,
+                            des::SpanPhase phase, const char* layer,
+                            const char* name, des::SimTime now);
+  SpanRec* span(std::uint64_t span_id);
+  TraceRec* trace_if_open(des::TraceContext ctx);
+  void finish(SpanRec& s, des::SimTime now, SpanStatus status);
 
-  std::vector<Span> spans_;
-  std::map<std::uint64_t, Trace> traces_;
+  SpanFile file_;
   std::map<std::string, bool> layer_enabled_;
   // Scheduler-mediated propagation: contexts snapshotted per pending event.
   std::map<std::uint64_t, des::TraceContext> pending_;
   des::TraceContext current_;
-  std::uint64_t next_trace_ = 0;
   std::size_t open_spans_ = 0;
   std::size_t open_traces_ = 0;
 };

@@ -17,7 +17,7 @@ namespace gtw::obs {
 
 namespace {
 
-// Field extraction for our own line-oriented writer (span.cpp): every
+// Field extraction for our own line-oriented writer (below): every
 // field appears as `"key": value` with a single space, values are either
 // integers or quoted strings with no embedded escapes (identifiers and
 // labels).  A full JSON parser would be overkill and a second source of
@@ -25,7 +25,9 @@ namespace {
 // reason one of them failed.
 class LineFields {
  public:
-  explicit LineFields(const std::string& line) : line_(line) {}
+  explicit LineFields(const std::string& line) : line_(line) {
+    if (line.empty() || line.back() != '}') fail("no closing '}'");
+  }
 
   // Where the value of `key` starts, or npos (an error unless `optional`).
   std::size_t find(const char* key, bool optional = false) {
@@ -57,6 +59,19 @@ class LineFields {
       fail(std::string("\"") + key + "\" is not a string");
     else
       out = line_.substr(pos + 1, close - pos - 1);
+  }
+
+  // One of the values of E up to `last`, by the name `name_of` gives it.
+  template <typename E>
+  void named(const char* key, const char* (*name_of)(E), E last, E& out) {
+    std::string name;
+    string(key, name);
+    for (int i = 0; i <= static_cast<int>(last); ++i) {
+      if (name != name_of(static_cast<E>(i))) continue;
+      out = static_cast<E>(i);
+      return;
+    }
+    fail(std::string("unknown \"") + key + "\" \"" + name + "\"");
   }
 
   void fail(const std::string& why) {
@@ -105,31 +120,84 @@ const TraceRec* find_trace(const SpanFile& f, std::uint64_t trace_id) {
 
 }  // namespace
 
+const char* span_status_name(SpanStatus s) {
+  switch (s) {
+    case SpanStatus::kOpen: return "open";
+    case SpanStatus::kOk: return "ok";
+    case SpanStatus::kAborted: return "aborted";
+  }
+  return "unknown";
+}
+
+const char* trace_status_name(TraceStatus s) {
+  switch (s) {
+    case TraceStatus::kOpen: return "open";
+    case TraceStatus::kClosed: return "closed";
+    case TraceStatus::kAborted: return "aborted";
+  }
+  return "unknown";
+}
+
+void write_spans(std::ostream& os, const SpanFile& f,
+                 const std::string& label) {
+  os << "{\"gtw_spans\": 1, \"label\": \"" << label << "\"}\n";
+  for (const TraceRec& t : f.traces) {
+    os << "{\"trace\": " << t.id << ", \"root\": " << t.root
+       << ", \"origin\": \"" << t.origin << "\", \"status\": \""
+       << trace_status_name(t.status) << "\"";
+    if (!t.reason.empty()) os << ", \"reason\": \"" << t.reason << "\"";
+    os << "}\n";
+  }
+  std::size_t open = 0;
+  for (const SpanRec& s : f.spans) {
+    os << "{\"span\": " << s.id << ", \"trace\": " << s.trace
+       << ", \"parent\": " << s.parent << ", \"phase\": \""
+       << des::span_phase_name(s.phase) << "\", \"layer\": \"" << s.layer
+       << "\", \"name\": \"" << s.name << "\", \"begin_ps\": " << s.begin_ps
+       << ", \"end_ps\": " << s.end_ps << ", \"status\": \""
+       << span_status_name(s.status) << "\"";
+    if (s.lane >= 0) {
+      os << ", \"lane\": " << s.lane;
+      if (s.to >= 0)
+        os << ", \"to\": " << s.to << ", \"bytes\": " << s.bytes;
+    }
+    os << "}\n";
+    if (s.status == SpanStatus::kOpen) ++open;
+  }
+  os << "{\"spans_total\": " << f.spans.size()
+     << ", \"traces_total\": " << f.traces.size()
+     << ", \"open_spans\": " << open << "}\n";
+}
+
 bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
                 std::string& error) {
   std::string line;
-  if (!std::getline(in, line) || !starts_with(line, "{\"gtw_spans\": 1")) {
+  if (!std::getline(in, line) || !starts_with(line, "{\"gtw_spans\": 1, ")) {
     error = what + ": not a spans artifact (missing {\"gtw_spans\": 1} header)";
     return false;
   }
-  LineFields(line).string("label", out.label, /*optional=*/true);
-
-  bool have_footer = false;
   std::size_t lineno = 1;
   const auto reject = [&](const std::string& why) {
     error = what + ": line " + std::to_string(lineno) + ": " + why;
     return false;
   };
+  LineFields header(line);
+  header.string("label", out.label);
+  if (!header.error().empty())
+    return reject("malformed header: " + header.error());
+
+  bool have_footer = false;
+  std::uint64_t spans_total = 0, traces_total = 0, open_total = 0;  // footer
+  std::uint64_t open_spans = 0;  // the open span lines present
   while (std::getline(in, line)) {
     ++lineno;
-    if (line.empty()) continue;
     if (have_footer)
       return reject("trailing data after the spans_total footer");
     LineFields fields(line);
     if (starts_with(line, "{\"spans_total\"")) {
-      fields.integer("spans_total", out.spans_total);
-      fields.integer("traces_total", out.traces_total);
-      fields.integer("open_spans", out.open_spans);
+      fields.integer("spans_total", spans_total);
+      fields.integer("traces_total", traces_total);
+      fields.integer("open_spans", open_total);
       if (!fields.error().empty())
         return reject("malformed footer: " + fields.error());
       have_footer = true;
@@ -138,7 +206,8 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
       fields.integer("trace", t.id);
       fields.integer("root", t.root);
       fields.string("origin", t.origin);
-      fields.string("status", t.status);
+      fields.named("status", trace_status_name, TraceStatus::kAborted,
+                   t.status);
       fields.string("reason", t.reason, /*optional=*/true);
       if (!fields.error().empty())
         return reject("malformed trace line: " + fields.error());
@@ -150,12 +219,14 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
       fields.integer("span", s.id);
       fields.integer("trace", s.trace);
       fields.integer("parent", s.parent);
-      fields.string("phase", s.phase);
+      fields.named("phase", des::span_phase_name, des::SpanPhase::kAborted,
+                   s.phase);
       fields.string("layer", s.layer);
       fields.string("name", s.name);
       fields.integer("begin_ps", s.begin_ps);
       fields.integer("end_ps", s.end_ps);
-      fields.string("status", s.status);
+      fields.named("status", span_status_name, SpanStatus::kAborted,
+                   s.status);
       read_lane(fields, s);
       if (!fields.error().empty())
         return reject("malformed span line: " + fields.error());
@@ -164,8 +235,14 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
       if (s.begin_ps < 0 || s.end_ps < 0)
         return reject("span " + std::to_string(s.id) +
                       " has a negative timestamp");
-      if (s.status != "open" && s.end_ps < s.begin_ps)
+      // The writer ends an open span where it begins, so that it owns no
+      // time in any view.
+      if (s.status == SpanStatus::kOpen && s.end_ps != s.begin_ps)
+        return reject("open span " + std::to_string(s.id) +
+                      " does not end where it begins");
+      if (s.end_ps < s.begin_ps)
         return reject("span " + std::to_string(s.id) + " ends before it begins");
+      if (s.status == SpanStatus::kOpen) ++open_spans;
       out.spans.push_back(std::move(s));
     } else {
       return reject("unrecognised line");
@@ -177,13 +254,17 @@ bool load_spans(std::istream& in, const std::string& what, SpanFile& out,
             " likely interrupted";
     return false;
   }
-  if (out.spans.size() != out.spans_total ||
-      out.traces.size() != out.traces_total) {
+  if (out.spans.size() != spans_total || out.traces.size() != traces_total) {
     error = what + ": truncated — footer promises " +
-            std::to_string(out.spans_total) + " span(s) / " +
-            std::to_string(out.traces_total) + " trace(s), file has " +
+            std::to_string(spans_total) + " span(s) / " +
+            std::to_string(traces_total) + " trace(s), file has " +
             std::to_string(out.spans.size()) + " / " +
             std::to_string(out.traces.size());
+    return false;
+  }
+  if (open_spans != open_total) {
+    error = what + ": footer promises " + std::to_string(open_total) +
+            " open span(s), file has " + std::to_string(open_spans);
     return false;
   }
   // Roots and parents must name a span of their own trace.
@@ -322,18 +403,19 @@ PhaseBudget budget(const SpanFile& f) {
     if (find_trace(f, s.trace) != nullptr) by_trace[s.trace - 1].push_back(&s);
   PhaseBudget b;
   for (const TraceRec& t : f.traces) {
-    if (t.status == "aborted") {
+    if (t.status == TraceStatus::kAborted) {
       ++b.aborted_traces;
       continue;
     }
-    if (t.status != "closed") {
+    if (t.status != TraceStatus::kClosed) {
       ++b.open_traces;
       continue;
     }
     ++b.closed_traces;
     add(b.total_ps, root_duration(f, t));
     for (const BudgetSegment& seg : sweep_root(f, t, by_trace[t.id - 1]))
-      add(b.phase_ps[seg.span->phase], seg.end_ps - seg.begin_ps);
+      add(b.phase_ps[des::span_phase_name(seg.span->phase)],
+          seg.end_ps - seg.begin_ps);
   }
   return b;
 }
@@ -351,7 +433,8 @@ const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
   // "worst" and "p99" rank closed traces by end-to-end (root) duration.
   std::vector<std::pair<std::int64_t, const TraceRec*>> closed;
   for (const TraceRec& t : f.traces)
-    if (t.status == "closed") closed.push_back({root_duration(f, t), &t});
+    if (t.status == TraceStatus::kClosed)
+      closed.push_back({root_duration(f, t), &t});
   if (closed.empty()) {
     error = "no closed traces in artifact";
     return nullptr;
@@ -374,7 +457,9 @@ const TraceRec* select_trace(const SpanFile& f, const std::string& selector,
 
 namespace {
 
-bool on_lane(const SpanRec& s) { return s.lane >= 0 && s.status == "ok"; }
+bool on_lane(const SpanRec& s) {
+  return s.lane >= 0 && s.status == SpanStatus::kOk;
+}
 
 bool is_recv(const SpanFile& f, const SpanRec& s) {
   const SpanRec* parent = span_by_id(f, s.parent);

@@ -1,16 +1,19 @@
-// Offline analysis of OBS_*.spans.json artifacts (DESIGN.md section 13):
-// the reader half of the causal tracing layer, consumed by gtw-trace.
+// The span tree's one record (DESIGN.md section 13): obs::SpanTracer
+// appends to a SpanFile, write_spans() and load_spans() are the artifact's
+// writer and reader, and every view below reads a SpanFile.
 //
 // The artifact is line-oriented (one JSON object per line: header, trace
 // lines, span lines, footer), so the loader is a strict line scanner, not
-// a general JSON parser.  Strict means: a missing or wrong header, a
-// missing footer, a footer whose counts disagree with the lines actually
-// present, an integer field that is not a number, span or trace ids out
-// of 1..N file order, a closed span that ends before it begins, a span
-// naming no trace line, a root or parent id naming no span of the same
-// trace, or a malformed lane key is a hard load error — gtw-trace turns
-// those into a non-zero exit so CI catches truncated or corrupt artifacts
-// instead of silently analysing them.
+// a general JSON parser.  Strict means: a missing or wrong header, a blank
+// line or one that does not end in '}', a missing footer, a footer whose
+// counts (spans, traces, open spans) disagree with the lines actually
+// present, an integer field that is not a number, an unknown phase or
+// status name, span or trace ids out of 1..N file order, a span that ends
+// before it begins or an open one that does not end where it begins, a
+// span naming no trace line, a root or parent id naming no span of the
+// same trace, or a malformed lane key is a hard load error — gtw-trace
+// turns those into a non-zero exit so CI catches truncated or corrupt
+// artifacts instead of silently analysing them.
 //
 // Analyses:
 //  - sweep_trace(): the latency-budget decomposition.  At every instant of
@@ -36,39 +39,50 @@
 #include <string>
 #include <vector>
 
+#include "des/span_hook.hpp"
+
 namespace gtw::obs {
+
+enum class SpanStatus : std::uint8_t { kOpen, kOk, kAborted };
+enum class TraceStatus : std::uint8_t { kOpen, kClosed, kAborted };
+// The names the artifact spells them with: open/ok/aborted and
+// open/closed/aborted.
+const char* span_status_name(SpanStatus s);
+const char* trace_status_name(TraceStatus s);
 
 struct SpanRec {
   std::uint64_t id = 0;
   std::uint64_t trace = 0;
   std::uint64_t parent = 0;  // 0 for trace roots
-  std::string phase;
+  des::SpanPhase phase = des::SpanPhase::kRoot;
   std::string layer;
   std::string name;
   std::int64_t begin_ps = 0;
-  std::int64_t end_ps = 0;
-  std::string status;  // "ok" | "aborted" | "open"
+  std::int64_t end_ps = 0;  // begin_ps while open
+  SpanStatus status = SpanStatus::kOpen;
   std::int64_t lane = -1;  // stage index or communicator rank; -1: none
   std::int64_t to = -1;    // a message send's receiving lane; -1: not a send
-  std::uint64_t bytes = 0;  // a message send's size
+  std::uint64_t bytes = 0;  // a message send's size; 0 unless a send
 };
 
 struct TraceRec {
   std::uint64_t id = 0;
   std::uint64_t root = 0;  // root span id
   std::string origin;
-  std::string status;  // "open" | "closed" | "aborted"
+  TraceStatus status = TraceStatus::kOpen;
   std::string reason;  // abort reason, if aborted
 };
 
 struct SpanFile {
   std::string label;
-  std::vector<TraceRec> traces;
-  std::vector<SpanRec> spans;  // id order; id == index + 1
-  std::uint64_t spans_total = 0;
-  std::uint64_t traces_total = 0;
-  std::uint64_t open_spans = 0;
+  std::vector<TraceRec> traces;  // id order; id == index + 1
+  std::vector<SpanRec> spans;    // id order; id == index + 1
 };
+
+// The spans artifact (OBS_<label>.spans.json), headed `label`.  Timestamps
+// are exact integer picoseconds; a lane span adds "lane", a send also "to"
+// and "bytes"; the footer counts spans, traces and open spans.
+void write_spans(std::ostream& os, const SpanFile& f, const std::string& label);
 
 // Strict loader; on failure returns false and sets `error` to a one-line
 // human-readable reason (see the file comment).  `what` names the artifact

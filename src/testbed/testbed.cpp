@@ -12,8 +12,9 @@ namespace {
 // measured throughputs (section 2):
 //  - Cray HiPPI TCP: >430 Mbit/s locally with 64 KByte MTU -> per-segment
 //    cost ~1.1 ms at 64 KB, strongly per-packet-bound at small MTU;
-//  - SP2: ~260 Mbit/s end-to-end, "mainly due to the limitations of the
-//    I/O-system of the microchannel-based SP-nodes";
+//  - SP2: > 260 Mbit/s end-to-end, "mainly due to the limitations of the
+//    I/O-system of the microchannel-based SP-nodes"; these costs cap it
+//    near 31 MByte/s, 247.6 Mbit/s T3E -> SP2 (EXPERIMENTS.md E1);
 //  - gateway workstations forward at ~1 Gbit/s, fast enough not to be the
 //    bottleneck on any measured path.
 net::HostCosts cray_costs() {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "apps/climate.hpp"
@@ -266,11 +265,7 @@ TEST(GroundwaterCouplingTest, RunsToCompletionWithFieldTransfers) {
 
   // One trace per coupling step; its spans saw both compute states on the
   // two rank lanes and every field transfer between them.
-  std::stringstream json;
-  spans.write_json(json, "groundwater");
-  obs::SpanFile file;
-  std::string error;
-  ASSERT_TRUE(obs::load_spans(json, "groundwater", file, error)) << error;
+  const obs::SpanFile& file = spans.file();
   EXPECT_EQ(file.traces.size(), 10u);
   const obs::LaneStats stats = obs::lane_stats(file);
   EXPECT_EQ(stats.state_ps.at({0, "flow"}),

@@ -50,32 +50,34 @@ TEST(MonitorTest, CleanRunReportsAllClear) {
 TEST(MonitorTest, ViolationCarriesHistoryOldestFirst) {
   des::Scheduler sched;
   Monitor mon(sched);
-  mon.note("first");
-  mon.note("second");
+  mon.note_event("fire", 1);
+  mon.note_delivered("meta.path.wan", 1, 7, 4096);
+  mon.note_event("cancel", 2);
+  mon.note_fault("link_down", "j->g", true);
   mon.violation("unit.test", "broke");
   ASSERT_EQ(mon.violations().size(), 1u);
   const Violation& v = mon.violations()[0];
   EXPECT_EQ(v.checker, "unit.test");
-  ASSERT_EQ(v.history.size(), 2u);
-  // Notes carry a simulated-time stamp prefix.
-  EXPECT_NE(v.history[0].find("[t="), std::string::npos);
-  EXPECT_NE(v.history[0].find("first"), std::string::npos);
-  EXPECT_NE(v.history[1].find("second"), std::string::npos);
+  ASSERT_EQ(v.history.size(), 4u);
+  // Notes carry a simulated-time stamp prefix, then each kind's tag.
+  EXPECT_EQ(v.history[0], "[t=0.000000000s] fire seq=1");
+  EXPECT_EQ(v.history[1],
+            "[t=0.000000000s] path meta.path.wan side 1 msg 7 (4096 B) "
+            "delivered");
+  EXPECT_EQ(v.history[2], "[t=0.000000000s] cancel seq=2");
+  EXPECT_EQ(v.history[3], "[t=0.000000000s] fault link_down j->g begin");
 }
 
 TEST(MonitorTest, HistoryRingKeepsLastCapacityNotes) {
   des::Scheduler sched;
   Monitor mon(sched);
-  // Not "n" + std::to_string(i): GCC 12 at -O3 flags that with a false
-  // -Wrestrict.
-  for (int i = 0; i < 100; ++i)
-    mon.note(std::string(1, 'n').append(std::to_string(i)));
+  for (std::uint64_t i = 0; i < 100; ++i) mon.note_event("fire", i);
   mon.violation("unit.test", "broke");
   const auto& hist = mon.violations()[0].history;
   ASSERT_EQ(hist.size(), Monitor::kHistoryCapacity);
-  // 100 notes into a 64-slot ring: n36..n99 survive, oldest first.
-  EXPECT_NE(hist.front().find("n36"), std::string::npos);
-  EXPECT_NE(hist.back().find("n99"), std::string::npos);
+  // 100 notes into a 64-slot ring: 36..99 survive, oldest first.
+  EXPECT_NE(hist.front().find("fire seq=36"), std::string::npos);
+  EXPECT_NE(hist.back().find("fire seq=99"), std::string::npos);
 }
 
 TEST(MonitorTest, ViolationListCapsButCountKeepsGrowing) {
@@ -509,7 +511,7 @@ Outcome faulted_wan_send(bool monitored) {
   if (monitored) {
     mon.finish();
     EXPECT_TRUE(mon.clean()) << mon.report();
-    EXPECT_GT(spans.spans().size(), 0u);
+    EXPECT_GT(spans.file().spans.size(), 0u);
   }
   // The faults bit: frames were cut and corrupted, and chunks resent.
   EXPECT_GT(tb.wan_link_j_to_g().outage_drops(), 0u);
@@ -550,7 +552,7 @@ Outcome fig2_pipeline(bool monitored) {
   if (monitored) {
     mon.finish();
     EXPECT_TRUE(mon.clean()) << mon.report();
-    EXPECT_GT(spans.spans().size(), 0u);
+    EXPECT_GT(spans.file().spans.size(), 0u);
   }
   Outcome out;
   out.events = tb.scheduler().events_executed();

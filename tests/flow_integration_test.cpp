@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 
 #include "apps/traffic.hpp"
@@ -20,23 +19,13 @@
 namespace gtw {
 namespace {
 
-// The traced run as the artifact readers see it.
-obs::SpanFile loaded(const obs::SpanTracer& t) {
-  std::stringstream json;
-  t.write_json(json, "flow_integration");
-  obs::SpanFile f;
-  std::string error;
-  EXPECT_TRUE(obs::load_spans(json, "flow_integration", f, error)) << error;
-  return f;
-}
-
 enum class Kind { kState, kSend, kRecv };
 
 // Closed spans of one kind on `lane`.
 int count_kind(const obs::SpanFile& f, Kind kind, std::int64_t lane) {
   int n = 0;
   for (const obs::SpanRec& s : f.spans) {
-    if (s.lane != lane || s.status != "ok") continue;
+    if (s.lane != lane || s.status != obs::SpanStatus::kOk) continue;
     const obs::SpanRec* parent = obs::span_by_id(f, s.parent);
     const Kind k = s.to >= 0                                  ? Kind::kSend
                    : parent != nullptr && parent->to >= 0 ? Kind::kRecv
@@ -62,7 +51,7 @@ TEST(FlowIntegrationTest, FirePipelineStagesTraceAndMeter) {
   tb.scheduler().set_span_hook(&spans);
   pipe.start();
   tb.scheduler().run();
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
 
   const fire::PipelineResult res = pipe.result();
   EXPECT_EQ(res.records.size(), 6u);
@@ -131,7 +120,7 @@ TEST(FlowIntegrationTest, FireTraceFeedsMultiRankGanttAndProfile) {
   tb.scheduler().run();
 
   // Round-trip through the spans artifact, then render the multi-lane views.
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
   const std::string g = obs::gantt(f, 60);
   for (int r = 0; r < 4; ++r) {
     char label[16];
@@ -163,7 +152,7 @@ TEST(FlowIntegrationTest, FrameStreamerMetersRenderAndUplink) {
   tb.scheduler().set_span_hook(&spans);
   streamer.start();
   tb.scheduler().run();
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
 
   EXPECT_EQ(streamer.frames_delivered(), 10);
   const flow::MetricsRegistry& m = streamer.metrics();
@@ -195,7 +184,7 @@ TEST(FlowIntegrationTest, VideoSessionCountsFramesThroughTheGraph) {
   tb.scheduler().set_span_hook(&spans);
   session.start();
   tb.scheduler().run();
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
 
   const apps::D1VideoReport rep = session.report();
   EXPECT_EQ(rep.frames_sent, 50u);
@@ -220,7 +209,7 @@ TEST(FlowIntegrationTest, TrafficVizSimulateAndPublishStages) {
   tb.scheduler().set_span_hook(&spans);
   run.start();
   tb.scheduler().run();
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
 
   const apps::TrafficVizResult& res = run.result();
   EXPECT_EQ(res.steps_simulated, 30);

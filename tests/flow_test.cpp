@@ -144,8 +144,9 @@ TEST(FlowGraphTest, PayloadTravelsWithItem) {
 int lane_states(const obs::SpanTracer& t, std::int64_t lane,
                 const std::string& stage) {
   int n = 0;
-  for (const obs::SpanTracer::Span& s : t.spans())
-    if (s.lane.lane == lane && s.name == stage && !s.open)
+  for (const obs::SpanRec& s : t.file().spans)
+    if (s.lane == lane && s.name == stage &&
+        s.status != obs::SpanStatus::kOpen)
       ++n;
   return n;
 }

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,15 +209,6 @@ TEST(InteropTest, ColumnMajorRoundTrip3D) {
   EXPECT_EQ(cm[13], src[19]);
 }
 
-obs::SpanFile loaded(const obs::SpanTracer& t) {
-  std::stringstream json;
-  t.write_json(json, "meta2");
-  obs::SpanFile f;
-  std::string error;
-  EXPECT_TRUE(obs::load_spans(json, "meta2", f, error)) << error;
-  return f;
-}
-
 TEST(VampirHookTest, CommunicatorRecordsSendsAndReceives) {
   LocalComm f(3);
   obs::SpanTracer spans;
@@ -229,7 +219,7 @@ TEST(VampirHookTest, CommunicatorRecordsSendsAndReceives) {
   f.comm->send(1, 2, 6, 128);  // unexpected: delivered, no recv posted
   f.sched.run();
 
-  const obs::SpanFile file = loaded(spans);
+  const obs::SpanFile& file = spans.file();
   const obs::LaneStats stats = obs::lane_stats(file);
   EXPECT_EQ(stats.messages.at({0, 2}), 1u);
   EXPECT_EQ(stats.messages.at({1, 2}), 1u);
@@ -251,7 +241,7 @@ TEST(VampirHookTest, CommunicatorRecordsSendsAndReceives) {
   EXPECT_EQ(recvs, 2);
   for (const obs::TraceRec& t : file.traces) {
     EXPECT_EQ(t.origin, "comm.intra");
-    EXPECT_EQ(t.status, "closed");
+    EXPECT_EQ(t.status, obs::TraceStatus::kClosed);
   }
   EXPECT_EQ(spans.open_spans(), 0u);
 }
@@ -275,11 +265,11 @@ TEST(VampirHookTest, AllreduceSpansEveryRankFromArrivalToCompletion) {
   f.tb.scheduler().run();
   ASSERT_GT(done, des::SimTime::milliseconds(3));
 
-  const obs::SpanFile file = loaded(spans);
+  const obs::SpanFile& file = spans.file();
   // The first arrival minted the instance's trace; the WAN legs ran in it.
   ASSERT_EQ(file.traces.size(), 1u);
   EXPECT_EQ(file.traces[0].origin, "comm.allreduce");
-  EXPECT_EQ(file.traces[0].status, "closed");
+  EXPECT_EQ(file.traces[0].status, obs::TraceStatus::kClosed);
   const obs::LaneStats stats = obs::lane_stats(file);
   EXPECT_EQ(stats.lanes, 4);
   EXPECT_EQ(stats.states, (std::vector<std::string>{"allreduce"}));

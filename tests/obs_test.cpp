@@ -305,17 +305,6 @@ TEST(ObsTcpInstrumentationTest, InstrumentationDoesNotPerturbSimulation) {
 
 // --------------------------------------------------------------- exporters
 
-// The Chrome writer reads spans artifacts; in-process spans get there
-// through write_json and load_spans.
-obs::SpanFile loaded(const obs::SpanTracer& t) {
-  std::stringstream json;
-  t.write_json(json, "chrome");
-  obs::SpanFile f;
-  std::string error;
-  EXPECT_TRUE(obs::load_spans(json, "chrome", f, error)) << error;
-  return f;
-}
-
 // A state span on `lane` under `ctx`.
 std::uint64_t lane_state(obs::SpanTracer& t, des::TraceContext ctx,
                          std::uint32_t lane, des::SimTime at) {
@@ -350,7 +339,7 @@ TEST(ObsChromeExportTest, SmallTraceMatchesGolden) {
   std::ostringstream os;
   obs::ChromeTraceOptions opts;
   opts.marks_from = &reg;
-  obs::write_chrome_trace(os, loaded(t), opts);
+  obs::write_chrome_trace(os, t.file(), opts);
   EXPECT_EQ(os.str(), read_golden("chrome_small.json")) << os.str();
 }
 
@@ -383,7 +372,7 @@ TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {
     t.end_span(work, until);
   }
   t.close_trace(ctx, des::SimTime::microseconds(10 * kPairs));
-  const obs::SpanFile f = loaded(t);
+  const obs::SpanFile& f = t.file();
   ASSERT_EQ(f.spans.size(), 1u + 3u * kPairs);
 
   std::ostringstream os1, os2;

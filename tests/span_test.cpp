@@ -58,7 +58,7 @@ TEST(SpanTracerTest, MintBeginEndCloseBookkeeping) {
       t.begin_span(des::under(ctx, s1), des::SpanPhase::kCompute, "flow",
                    "body", ps(200));
   EXPECT_EQ(t.open_spans(), 3u);
-  EXPECT_EQ(t.spans()[s2 - 1].parent, s1);  // nested under the wait span
+  EXPECT_EQ(t.file().spans[s2 - 1].parent, s1);  // nested under the wait span
 
   t.end_span(s2, ps(300));
   t.end_span(s1, ps(400));
@@ -66,10 +66,10 @@ TEST(SpanTracerTest, MintBeginEndCloseBookkeeping) {
   t.close_trace(ctx, ps(500));
   EXPECT_EQ(t.open_spans(), 0u);
   EXPECT_EQ(t.open_traces(), 0u);
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "closed");
+  EXPECT_EQ(t.file().traces[ctx.trace_id - 1].status, TraceStatus::kClosed);
   // Exact integer-picosecond stamps survive.
-  EXPECT_EQ(t.spans()[s1 - 1].begin.ps(), 100);
-  EXPECT_EQ(t.spans()[s1 - 1].end.ps(), 400);
+  EXPECT_EQ(t.file().spans[s1 - 1].begin_ps, 100);
+  EXPECT_EQ(t.file().spans[s1 - 1].end_ps, 400);
 }
 
 TEST(SpanTracerTest, DisabledLayerYieldsSpanZeroAndZeroIsInert) {
@@ -104,19 +104,20 @@ TEST(SpanTracerTest, AbortTraceCascadesAndLateEndIsNoOp) {
   t.abort_trace(ctx, "unreachable", ps(50));
   EXPECT_EQ(t.open_spans(), 0u);
   EXPECT_EQ(t.open_traces(), 0u);
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "aborted");
-  EXPECT_EQ(t.traces().at(ctx.trace_id).abort_reason, "unreachable");
-  EXPECT_TRUE(t.spans()[s1 - 1].aborted);
-  EXPECT_TRUE(t.spans()[s2 - 1].aborted);
+  const TraceRec& trace = t.file().traces[ctx.trace_id - 1];
+  EXPECT_EQ(trace.status, TraceStatus::kAborted);
+  EXPECT_EQ(trace.reason, "unreachable");
+  EXPECT_EQ(t.file().spans[s1 - 1].status, SpanStatus::kAborted);
+  EXPECT_EQ(t.file().spans[s2 - 1].status, SpanStatus::kAborted);
 
   // A late copy of the dropped message tries to end its spans: no-op, the
   // abort stamps stand.
   t.end_span(s2, ps(900));
-  EXPECT_EQ(t.spans()[s2 - 1].end.ps(), 50);
-  EXPECT_TRUE(t.spans()[s2 - 1].aborted);
+  EXPECT_EQ(t.file().spans[s2 - 1].end_ps, 50);
+  EXPECT_EQ(t.file().spans[s2 - 1].status, SpanStatus::kAborted);
   // Double-close of the aborted trace is equally inert.
   t.close_trace(ctx, ps(900));
-  EXPECT_EQ(t.traces().at(ctx.trace_id).status, "aborted");
+  EXPECT_EQ(trace.status, TraceStatus::kAborted);
 }
 
 // --- artifact round trip and analysis ---------------------------------------
@@ -138,9 +139,9 @@ TEST(SpanAnalysisTest, WriteJsonRoundTripsThroughLoader) {
   EXPECT_EQ(f.label, "round_trip");
   ASSERT_EQ(f.traces.size(), 1u);
   ASSERT_EQ(f.spans.size(), 2u);
-  EXPECT_EQ(f.open_spans, 0u);
-  EXPECT_EQ(f.traces[0].status, "closed");
-  EXPECT_EQ(f.spans[1].phase, "serialize");
+  for (const SpanRec& s : f.spans) EXPECT_EQ(s.status, SpanStatus::kOk);
+  EXPECT_EQ(f.traces[0].status, TraceStatus::kClosed);
+  EXPECT_EQ(f.spans[1].phase, des::SpanPhase::kSerialize);
   EXPECT_EQ(f.spans[1].layer, "link");
   EXPECT_EQ(f.spans[1].begin_ps, 1'500);
   EXPECT_EQ(f.spans[1].end_ps, 2'500);
@@ -214,8 +215,8 @@ TEST(SpanAnalysisTest, SweepPartitionsRootIntervalExactly) {
 
   const auto segs = sweep_trace(f, f.traces[0].id);
   ASSERT_EQ(segs.size(), 5u);
-  EXPECT_EQ(segs.front().span->phase, "root");
-  EXPECT_EQ(segs[2].span->phase, "propagate");
+  EXPECT_EQ(segs.front().span->phase, des::SpanPhase::kRoot);
+  EXPECT_EQ(segs[2].span->phase, des::SpanPhase::kPropagate);
   // Segments are contiguous: each begins where the previous ended.
   for (std::size_t i = 1; i < segs.size(); ++i)
     EXPECT_EQ(segs[i].begin_ps, segs[i - 1].end_ps);
@@ -350,6 +351,161 @@ TEST(SpanAnalysisTest, LoaderRejectsSpanNamingNoTraceLine) {
                   "span 2 names trace 2, which has no trace line");
 }
 
+TEST(SpanAnalysisTest, LoaderRejectsUnknownSpanStatus) {
+  expect_rejected(with(small_artifact(), "\"end_ps\": 20, \"status\": \"ok\"",
+                       "\"end_ps\": 20, \"status\": \"bogus\""),
+                  "malformed span line: unknown \"status\" \"bogus\"");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsUnknownTraceStatus) {
+  // Read as anything but closed, the trace would drop out of the budget.
+  expect_rejected(with(small_artifact(), "\"status\": \"closed\"",
+                       "\"status\": \"finished\""),
+                  "malformed trace line: unknown \"status\" \"finished\"");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsUnknownPhase) {
+  expect_rejected(with(small_artifact(), "\"phase\": \"compute\"",
+                       "\"phase\": \"computing\""),
+                  "malformed span line: unknown \"phase\" \"computing\"");
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsOpenSpanCountMismatch) {
+  expect_rejected(with(small_artifact(), "\"open_spans\": 0",
+                       "\"open_spans\": 7"),
+                  "footer promises 7 open span(s), file has 0");
+}
+
+// --- the tracer's record survives the artifact format -----------------------
+
+// A seeded tracer run: traces minted as time goes, spans of every phase
+// nested under earlier spans (also under closed traces and ended spans, as
+// late copies do), zero-width spans, lane states with and without a send's
+// keys, messages, and traces closed, aborted with what they hold open, or
+// left open with their spans.
+void random_run(des::Rng& rng, SpanTracer& t) {
+  std::int64_t now = 0;
+  std::vector<des::TraceContext> traces;
+  std::vector<des::TraceContext> anchors;  // a trace root or a span under it
+  std::vector<std::uint64_t> spans;
+  int phase = 0;  // cycles through every phase
+  constexpr int kPhases = static_cast<int>(des::SpanPhase::kAborted) + 1;
+  const char* layers[] = {"link", "tcp", "meta", "flow"};
+  const std::uint64_t steps = 10 + rng.uniform_int(70);
+  for (std::uint64_t k = 0; k < steps; ++k) {
+    now += static_cast<std::int64_t>(rng.uniform_int(3)) * 10;  // 0: same ps
+    const std::uint64_t action = anchors.empty() ? 0 : rng.uniform_int(8);
+    const des::TraceContext at =
+        anchors.empty() ? des::TraceContext{}
+                        : anchors[rng.uniform_int(anchors.size())];
+    const std::uint64_t span =
+        spans.empty() ? 0 : spans[rng.uniform_int(spans.size())];
+    const des::TraceContext trace =
+        traces.empty() ? des::TraceContext{}
+                       : traces[rng.uniform_int(traces.size())];
+    const std::int64_t lane = static_cast<std::int64_t>(rng.uniform_int(4));
+    switch (action) {
+      case 0:
+        traces.push_back(t.mint("test.origin", ps(now)));
+        anchors.push_back(traces.back());
+        break;
+      case 1:
+      case 2: {
+        const std::uint64_t id = t.begin_span(
+            at, static_cast<des::SpanPhase>(phase++ % kPhases),
+            layers[rng.uniform_int(4)], "work", ps(now));
+        spans.push_back(id);
+        anchors.push_back(des::under(at, id));
+        break;
+      }
+      case 3:
+        t.end_span(span, ps(now));
+        break;
+      case 4:
+        t.abort_span(span, ps(now));
+        break;
+      case 5: {  // a state or a send, maybe with a peer or lane of -1
+        const auto draw = [&rng] {
+          return static_cast<std::int64_t>(rng.uniform_int(4)) - 1;
+        };
+        t.set_lane(span, des::Lane{draw(), draw(), rng.uniform_int(100)});
+        break;
+      }
+      case 6:
+        t.recv_message(
+            t.send_message(at, "meta", lane, (lane + 1) % 4, 64, ps(now)),
+            "meta", (lane + 1) % 4, ps(now + 5));
+        break;
+      case 7:
+        if (rng.bernoulli(0.5))
+          t.close_trace(trace, ps(now));
+        else
+          t.abort_trace(trace, rng.bernoulli(0.5) ? "cut" : "", ps(now));
+        break;
+    }
+  }
+}
+
+TEST(SpanAnalysisTest, TracerRecordRoundTripsExactly) {
+  des::Rng rng{0x7265636f7264ULL};
+  std::size_t open = 0, aborted_traces = 0, sends = 0;
+  for (int round = 0; round < 200; ++round) {
+    SpanTracer t;
+    random_run(rng, t);
+    const SpanFile& mem = t.file();
+    std::ostringstream os;
+    t.write_json(os, "round");
+    std::istringstream is(os.str());
+    SpanFile f;
+    std::string error;
+    ASSERT_TRUE(load_spans(is, "round", f, error)) << round << ": " << error;
+    EXPECT_EQ(f.label, "round");
+
+    ASSERT_EQ(f.traces.size(), mem.traces.size()) << round;
+    for (std::size_t i = 0; i < f.traces.size(); ++i) {
+      const TraceRec& a = mem.traces[i];
+      const TraceRec& b = f.traces[i];
+      EXPECT_EQ(a.id, b.id) << round;
+      EXPECT_EQ(a.root, b.root) << round;
+      EXPECT_EQ(a.origin, b.origin) << round;
+      EXPECT_EQ(a.status, b.status) << round;
+      EXPECT_EQ(a.reason, b.reason) << round;
+      if (a.status == TraceStatus::kAborted) ++aborted_traces;
+    }
+    ASSERT_EQ(f.spans.size(), mem.spans.size()) << round;
+    for (std::size_t i = 0; i < f.spans.size(); ++i) {
+      const SpanRec& a = mem.spans[i];
+      const SpanRec& b = f.spans[i];
+      const std::string at =
+          "round " + std::to_string(round) + " span " + std::to_string(a.id);
+      EXPECT_EQ(a.id, b.id) << at;
+      EXPECT_EQ(a.trace, b.trace) << at;
+      EXPECT_EQ(a.parent, b.parent) << at;
+      EXPECT_EQ(a.phase, b.phase) << at;
+      EXPECT_EQ(a.layer, b.layer) << at;
+      EXPECT_EQ(a.name, b.name) << at;
+      EXPECT_EQ(a.begin_ps, b.begin_ps) << at;
+      EXPECT_EQ(a.end_ps, b.end_ps) << at;
+      EXPECT_EQ(a.status, b.status) << at;
+      EXPECT_EQ(a.lane, b.lane) << at;
+      EXPECT_EQ(a.to, b.to) << at;
+      EXPECT_EQ(a.bytes, b.bytes) << at;
+      if (a.status == SpanStatus::kOpen) {
+        EXPECT_EQ(a.end_ps, a.begin_ps) << at;  // what the writer prints
+        ++open;
+      }
+      if (a.to >= 0) ++sends;
+    }
+    // The loaded record writes the same bytes.
+    std::ostringstream again;
+    write_spans(again, f, f.label);
+    EXPECT_EQ(again.str(), os.str()) << round;
+  }
+  EXPECT_GT(open, 0u);
+  EXPECT_GT(aborted_traces, 0u);
+  EXPECT_GT(sends, 0u);
+}
+
 // --- seeded corruption of a tracer-written artifact -------------------------
 
 // Every kind of line: closed, aborted, open and zero-length traces, nested
@@ -384,6 +540,14 @@ std::string mixed_artifact() {
   std::ostringstream os;
   t.write_json(os, "mixed");
   return os.str();
+}
+
+TEST(SpanAnalysisTest, LoaderRejectsOpenSpanNotEndingWhereItBegins) {
+  // Stretched, the open span would own the time of its trace's root.
+  expect_rejected(with(mixed_artifact(),
+                       "\"end_ps\": 800, \"status\": \"open\"",
+                       "\"end_ps\": 900, \"status\": \"open\""),
+                  "open span 10 does not end where it begins");
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -442,9 +606,7 @@ bool loads_consistently(const std::string& text, const std::string& what) {
   }
   const auto [spans, traces] = records(lines_of(text));
   EXPECT_EQ(f.spans.size(), spans) << what;
-  EXPECT_EQ(f.spans_total, spans) << what;
   EXPECT_EQ(f.traces.size(), traces) << what;
-  EXPECT_EQ(f.traces_total, traces) << what;
   for (std::size_t i = 0; i < f.traces.size(); ++i)
     EXPECT_EQ(f.traces[i].id, i + 1) << what;
   try {
@@ -512,6 +674,27 @@ TEST(SpanAnalysisTest, CorruptedArtifactsAreRejectedOrLoadConsistently) {
     }
   }
   EXPECT_GT(loaded, 0u);  // some mutants (a changed timestamp) do load
+
+  // Status and phase words swapped for another word, of the right kind or
+  // not; an unknown one is always rejected.
+  const char* words[] = {"open", "ok", "closed", "aborted", "root", "bogus"};
+  std::size_t swapped = 0;
+  for (int m = 0; m < 200; ++m) {
+    std::vector<std::string> mutant = lines;
+    std::string& line = mutant[rng.uniform_int(mutant.size())];
+    const std::string key =
+        rng.bernoulli(0.5) ? "\"status\": \"" : "\"phase\": \"";
+    const auto at = line.find(key);
+    if (at == std::string::npos) continue;
+    const std::size_t from = at + key.size();
+    const std::string word = words[rng.uniform_int(6)];
+    line.replace(from, line.find('"', from) - from, word);
+    const std::string what = "word mutation " + std::to_string(m) + ": " + line;
+    const bool ok = loads_consistently(joined(mutant, mutant.size()), what);
+    EXPECT_FALSE(ok && word == "bogus") << what;
+    ++swapped;
+  }
+  EXPECT_GT(swapped, 0u);
 }
 
 // --- the innermost-span sweep against a brute-force owner ------------------
@@ -540,13 +723,13 @@ SpanFile random_spans(des::Rng& rng) {
                     rng.uniform_int(static_cast<std::uint64_t>(hi - lo + 1)));
   };
   const auto add = [&f](std::uint64_t trace, std::uint64_t parent,
-                        const char* phase, std::int64_t b, std::int64_t e) {
+                        des::SpanPhase phase, std::int64_t b, std::int64_t e) {
     SpanRec s;
     s.id = f.spans.size() + 1;
     s.trace = trace;
     s.parent = parent;
     s.phase = phase;
-    s.status = "ok";
+    s.status = SpanStatus::kOk;
     s.begin_ps = b;
     s.end_ps = e;
     f.spans.push_back(s);
@@ -556,11 +739,13 @@ SpanFile random_spans(des::Rng& rng) {
     const std::int64_t rb = draw(5, 15);
     TraceRec tr;
     tr.id = t;
-    tr.root = add(t, 0, "root", rb, rb + draw(10, 25))->id;
-    tr.status = "closed";
+    tr.root = add(t, 0, des::SpanPhase::kRoot, rb, rb + draw(10, 25))->id;
+    tr.status = TraceStatus::kClosed;
     f.traces.push_back(tr);
   }
-  const char* phases[] = {"serialize", "propagate", "compute"};
+  const des::SpanPhase phases[] = {des::SpanPhase::kSerialize,
+                                   des::SpanPhase::kPropagate,
+                                   des::SpanPhase::kCompute};
   const char* names[] = {"a", "b", "c"};
   const std::uint64_t n = 2 + rng.uniform_int(14);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -578,8 +763,6 @@ SpanFile random_spans(des::Rng& rng) {
     s->name = names[rng.uniform_int(3)];
     s->lane = static_cast<std::int64_t>(rng.uniform_int(3)) - 1;  // -1: none
   }
-  f.spans_total = f.spans.size();
-  f.traces_total = f.traces.size();
   return f;
 }
 
@@ -608,7 +791,8 @@ TEST(SpanAnalysisTest, SweepsAgreeWithBruteForceOwner) {
               << "round " << round << " trace " << tr.id << " at " << x;
       }
       for (std::int64_t x = root.begin_ps; x < root.end_ps; ++x)
-        ++phase_ps[brute_owner(spans, x, root.begin_ps, root.end_ps)->phase];
+        ++phase_ps[des::span_phase_name(
+            brute_owner(spans, x, root.begin_ps, root.end_ps)->phase)];
     }
     EXPECT_EQ(budget(f).phase_ps, phase_ps) << round;
 
@@ -698,11 +882,11 @@ TEST(SpanLifecycleTest, StallResetAbortsStrandedChunkSpansWithoutLeaks) {
   EXPECT_EQ(tracer.open_spans(), 0u);
   EXPECT_EQ(tracer.open_traces(), 0u);
   std::size_t aborted = 0;
-  for (const auto& s : tracer.spans())
-    if (s.aborted) ++aborted;
+  for (const SpanRec& s : tracer.file().spans)
+    if (s.status == SpanStatus::kAborted) ++aborted;
   EXPECT_GE(aborted, 1u);
-  ASSERT_EQ(tracer.traces().size(), 1u);
-  EXPECT_EQ(tracer.traces().begin()->second.status, "closed");
+  ASSERT_EQ(tracer.file().traces.size(), 1u);
+  EXPECT_EQ(tracer.file().traces[0].status, TraceStatus::kClosed);
 }
 
 // Registers the fixture's two hosts as linked machines 0 and 1 of `mc`.
@@ -735,12 +919,12 @@ TEST(SpanLifecycleTest, CollectiveMintsOneTraceOverItsWanLegs) {
   f.sched.run();
 
   EXPECT_EQ(got, 3);
-  ASSERT_EQ(tracer.traces().size(), 1u);
-  const SpanTracer::Trace& trace = tracer.traces().begin()->second;
+  ASSERT_EQ(tracer.file().traces.size(), 1u);
+  const TraceRec& trace = tracer.file().traces[0];
   EXPECT_EQ(trace.origin, "comm.broadcast");
-  EXPECT_EQ(trace.status, "closed");
+  EXPECT_EQ(trace.status, TraceStatus::kClosed);
   std::size_t path_spans = 0;
-  for (const auto& s : tracer.spans())
+  for (const SpanRec& s : tracer.file().spans)
     if (s.trace == trace.id && s.layer == "meta") ++path_spans;
   EXPECT_GE(path_spans, 1u);  // PathTransport's message span
   EXPECT_EQ(tracer.open_spans(), 0u);
@@ -782,7 +966,7 @@ TEST(SpanLifecycleTest, AttachingTracerIsPerturbationFree) {
   SpanTracer tracer;
   const SimTime traced = run(&tracer);
   EXPECT_EQ(bare.ps(), traced.ps());
-  EXPECT_GT(tracer.spans().size(), 0u);  // it did observe the run
+  EXPECT_GT(tracer.file().spans.size(), 0u);  // it did observe the run
 }
 
 // Sends a traced 4 MB message and runs 5 ms of it, so the message's
@@ -822,8 +1006,8 @@ TEST(SpanLifecycleTest, SchedulerDestroyedFirstForgetsTracer) {
     run_traced_message_partway(f, tracer, conn);
   }  // conn retires its span through the live tracer, then the scheduler dies
   std::size_t aborted = 0;
-  for (const auto& s : tracer.spans())
-    if (s.aborted) ++aborted;
+  for (const SpanRec& s : tracer.file().spans)
+    if (s.status == SpanStatus::kAborted) ++aborted;
   EXPECT_GE(aborted, 1u);
   EXPECT_EQ(tracer.installed_on(), nullptr);
 

@@ -95,15 +95,6 @@ TEST(RenderModelTest, FrameTimeScalesWithProcessors) {
 
 des::SimTime sec(double s) { return des::SimTime::seconds(s); }
 
-obs::SpanFile loaded(const obs::SpanTracer& t) {
-  std::stringstream json;
-  t.write_json(json, "trace_test");
-  obs::SpanFile f;
-  std::string error;
-  EXPECT_TRUE(obs::load_spans(json, "trace_test", f, error)) << error;
-  return f;
-}
-
 // One trace whose states and messages sit on lanes, entered the way a
 // VAMPIR recorder saw them: in time order.
 struct Lanes {
@@ -124,9 +115,9 @@ struct Lanes {
   void recv(des::TraceContext sent, std::uint32_t at_lane, double at) {
     t.recv_message(sent, "test", at_lane, sec(at));
   }
-  obs::SpanFile file(double end) {
+  const obs::SpanFile& file(double end) {
     t.close_trace(ctx, sec(end));
-    return loaded(t);
+    return t.file();
   }
 };
 
@@ -154,7 +145,7 @@ TEST(TraceTest, MessageMatrix) {
   l.send(2, 0, 512, 0.3);
   l.recv(first, 1, 0.4);
 
-  const obs::SpanFile f = l.file(0.4);
+  const obs::SpanFile& f = l.file(0.4);
   const obs::LaneStats st = obs::lane_stats(f);
   EXPECT_EQ(st.messages.at({0, 1}), 2u);
   EXPECT_EQ(st.bytes.at({0, 1}), 3000u);
@@ -204,7 +195,7 @@ TEST(TraceTest, NestedStatesMatchVampirGolden) {
     l.leave(comm0, 3.0);
     l.leave(compute1, 4.0);
     l.leave(compute0, 5.0);
-    const obs::SpanFile f = l.file(5.0);
+    const obs::SpanFile& f = l.file(5.0);
     EXPECT_EQ(obs::profile(f),
               "state time profile (seconds):\n"
               "  rank 0:  compute=4  comm=1\n"
@@ -227,7 +218,7 @@ TEST(TraceTest, NestedStatesMatchVampirGolden) {
     const auto solve2 = l.enter(2, "solve", 4.5);
     l.leave(solve0, 5.0);
     l.leave(solve2, 5.0);
-    const obs::SpanFile f = l.file(5.0);
+    const obs::SpanFile& f = l.file(5.0);
     EXPECT_EQ(obs::profile(f),
               "state time profile (seconds):\n"
               "  rank 0:  solve=4  exchange=1\n"
@@ -266,7 +257,7 @@ TEST(TraceTest, OverlappingStageMatchesVampirGolden) {
     sched.schedule_at(sec(0.4 * i), [&g, i] { g.push(i); });
   sched.run();
 
-  const obs::SpanFile f = loaded(spans);
+  const obs::SpanFile& f = spans.file();
   EXPECT_EQ(obs::profile(f),
             "state time profile (seconds):\n"
             "  rank 0:  overlap=3.4\n"

@@ -103,22 +103,27 @@ int print_obs_engine(const std::string& path) {
 using gtw::obs::BudgetSegment;
 using gtw::obs::PhaseBudget;
 using gtw::obs::SpanFile;
+using gtw::obs::SpanRec;
+using gtw::obs::SpanStatus;
 using gtw::obs::TraceRec;
+using gtw::obs::TraceStatus;
 
 void print_spans_summary(const SpanFile& f) {
-  std::size_t closed = 0, aborted = 0, open = 0;
+  std::size_t closed = 0, aborted = 0, open = 0, open_spans = 0;
   for (const TraceRec& t : f.traces) {
-    if (t.status == "closed")
+    if (t.status == TraceStatus::kClosed)
       ++closed;
-    else if (t.status == "aborted")
+    else if (t.status == TraceStatus::kAborted)
       ++aborted;
     else
       ++open;
   }
+  for (const SpanRec& s : f.spans)
+    if (s.status == SpanStatus::kOpen) ++open_spans;
   std::cout << "label:   " << f.label << "\n"
             << "traces:  " << f.traces.size() << " (" << closed << " closed, "
             << aborted << " aborted, " << open << " open)\n"
-            << "spans:   " << f.spans.size() << " (" << f.open_spans
+            << "spans:   " << f.spans.size() << " (" << open_spans
             << " open at write)\n";
 }
 
@@ -183,7 +188,7 @@ int print_budget(const SpanFile& f) {
 void print_critical_path(const SpanFile& f, const TraceRec& t) {
   const std::vector<BudgetSegment> segs = gtw::obs::sweep_trace(f, t.id);
   std::cout << "critical path: trace " << t.id << ", origin \"" << t.origin
-            << "\", " << t.status;
+            << "\", " << gtw::obs::trace_status_name(t.status);
   if (!t.reason.empty()) std::cout << " (" << t.reason << ")";
   if (segs.empty()) {
     std::cout << "\n  (no timed spans — trace still open, or zero-width)\n";
@@ -207,10 +212,13 @@ void print_critical_path(const SpanFile& f, const TraceRec& t) {
     // crossing this slice of the budget sits on (flow>meta>tcp>link ...).
     const std::string span_col = gtw::obs::layer_chain(f, *seg.span) + "/" +
                                  seg.span->name +
-                                 (seg.span->status == "aborted" ? "!" : "");
+                                 (seg.span->status == SpanStatus::kAborted
+                                      ? "!"
+                                      : "");
     std::printf("  %14lld %14lld  %-16s %-38s |%s|\n",
                 static_cast<long long>(seg.begin_ps - t0),
-                static_cast<long long>(dur), seg.span->phase.c_str(),
+                static_cast<long long>(dur),
+                gtw::des::span_phase_name(seg.span->phase),
                 span_col.c_str(), bar.c_str());
   }
 }

@@ -10,14 +10,9 @@ Checks, per file:
   - instant events ("i") carry a valid scope, counters ("C") a numeric value
   - every "ts" is a non-negative JSON number
 
-Files named *.spans.json are validated as causal-span artifacts instead
-(the line-oriented format obs::SpanTracer::write_json emits, DESIGN.md
-section 13): a {"gtw_spans": 1} header, trace and span lines with exact
-integer-picosecond stamps, dense 1-based span ids and well-formed lane keys
-("lane"; a message send adds "to" and "bytes"), and a footer whose counts
-must match the lines actually present — the same truncation detection
-gtw-trace's loader performs, kept in sync here so CI catches a bad
-artifact even without running the tool.
+Spans artifacts (*.spans.json) are checked by gtw-trace, which loads them
+with the strict obs::load_spans and exits non-zero on a malformed line or a
+footer mismatch.
 
 This is intentionally a format check, not a semantic one: the byte-level
 determinism of the same files is covered by tools/determinism_gate.py.
@@ -76,114 +71,7 @@ def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
     return ev
 
 
-SPAN_TRACE_STATUS = ("open", "closed", "aborted")
-SPAN_STATUS = ("ok", "aborted", "open")
-
-
-def validate_spans(path: str) -> list[str]:
-    """Causal-span artifact (line-oriented, see obs::SpanTracer::write_json):
-    header, trace lines, span lines (dense 1-based ids, integer-picosecond
-    stamps), and a footer whose counts must match what is present."""
-    errors: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        return [f"unreadable: {e}"]
-    if not lines:
-        return ["empty file: missing {\"gtw_spans\"} header"]
-
-    def parse(idx: int) -> dict | None:
-        try:
-            obj = json.loads(lines[idx])
-        except ValueError as e:
-            errors.append(f"line {idx + 1}: invalid JSON: {e}")
-            return None
-        if not isinstance(obj, dict):
-            errors.append(f"line {idx + 1}: not an object")
-            return None
-        return obj
-
-    header = parse(0)
-    if header is None:
-        return errors
-    if header.get("gtw_spans") != 1 or not isinstance(header.get("label"),
-                                                      str):
-        return [f"line 1: bad header {lines[0]!r}: expected "
-                "{\"gtw_spans\": 1, \"label\": ...}"]
-
-    traces = spans = open_spans = 0
-    footer = None
-    for idx in range(1, len(lines)):
-        obj = parse(idx)
-        if obj is None:
-            continue
-
-        def err(msg: str) -> None:
-            errors.append(f"line {idx + 1}: {msg}")
-
-        if "spans_total" in obj:
-            footer = obj
-            if idx != len(lines) - 1:
-                err("footer is not the last line")
-            break
-        if "span" in obj:
-            spans += 1
-            if obj.get("span") != spans:
-                err(f"span id {obj.get('span')!r}: ids must be dense and "
-                    f"1-based (expected {spans})")
-            if obj.get("status") not in SPAN_STATUS:
-                err(f"span status {obj.get('status')!r} not one of "
-                    f"{'/'.join(SPAN_STATUS)}")
-            if obj.get("status") == "open":
-                open_spans += 1
-            for k in ("trace", "parent", "begin_ps", "end_ps"):
-                v = obj.get(k)
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    err(f"span field {k} must be a non-negative integer, "
-                        f"got {v!r}")
-            for k in ("phase", "layer", "name"):
-                if not isinstance(obj.get(k), str):
-                    err(f"span field {k} must be a string")
-            # Lane keys: "lane" alone, or a send's "lane", "to" and "bytes".
-            lane_keys = {k for k in ("lane", "to", "bytes") if k in obj}
-            if lane_keys not in (set(), {"lane"}, {"lane", "to", "bytes"}):
-                err(f"lane keys {sorted(lane_keys)}: want lane, or lane, "
-                    "to and bytes")
-            for k in sorted(lane_keys):
-                v = obj[k]
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    err(f"span field {k} must be a non-negative integer, "
-                        f"got {v!r}")
-        elif "trace" in obj:
-            traces += 1
-            if obj.get("status") not in SPAN_TRACE_STATUS:
-                err(f"trace status {obj.get('status')!r} not one of "
-                    f"{'/'.join(SPAN_TRACE_STATUS)}")
-            if not isinstance(obj.get("root"), int):
-                err("trace line missing integer root span id")
-            if not isinstance(obj.get("origin"), str):
-                err("trace line missing string origin")
-        else:
-            err(f"neither trace, span nor footer line: {lines[idx]!r}")
-
-    if footer is None:
-        errors.append("truncated: no {\"spans_total\"} footer")
-    else:
-        for k, have in (("spans_total", spans), ("traces_total", traces),
-                        ("open_spans", open_spans)):
-            if footer.get(k) != have:
-                errors.append(f"footer {k}={footer.get(k)!r} but file has "
-                              f"{have}")
-    if not errors:
-        print(f"validate-chrome-trace: ok: {path} (spans artifact: "
-              f"{traces} trace(s), {spans} span(s), {open_spans} open)")
-    return errors
-
-
 def validate(path: str) -> list[str]:
-    if path.endswith(".spans.json"):
-        return validate_spans(path)
     errors: list[str] = []
     try:
         with open(path, "rb") as f:
