@@ -5,8 +5,6 @@
 // whole set of modules on a mid-range parallel computer."
 // Compares the full raster against coarse-raster + iterative refinement on
 // accuracy, reference evaluations, and modelled T3E time.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -85,24 +83,9 @@ void print_a1() {
               "as the paper expected)\n\n");
 }
 
-void BM_RvoFullRaster(benchmark::State& state) {
-  const fire::Dims d{4, 4, 2};
-  fire::StimulusDesign stim{8, 8};
-  std::vector<fire::VolumeF> series(32, fire::VolumeF(d, 100.0f));
-  fire::RvoConfig cfg;
-  cfg.delay_steps = 8;
-  cfg.disp_steps = 8;
-  cfg.min_intensity_fraction = 0.0;
-  fire::RvoAnalyzer rvo(d, stim, 2.0, cfg);
-  for (auto _ : state) benchmark::DoNotOptimize(rvo.analyze(series));
-}
-BENCHMARK(BM_RvoFullRaster)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // work.  In particular, a new image is requested from the RT-server only
 // after the processing and displaying of the previous one is completed."
 // Sequential vs pipelined orchestration across scanner repetition times.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
 
@@ -77,17 +75,9 @@ void print_a2() {
                    : "[failed to write BENCH_a2_pipelining.json]\n\n");
 }
 
-void BM_SequentialPipeline(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run(3.0, fire::PipelineMode::kSequential, 256));
-}
-BENCHMARK(BM_SequentialPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

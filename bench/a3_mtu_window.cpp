@@ -4,8 +4,6 @@
 // 430 Mbit/s are achieved ... when an MTU of 64 KByte is used", and the
 // Fore adapters' large-MTU support is what makes 64 KB packets possible
 // "throughout the network".
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "net/tcp.hpp"
@@ -65,21 +63,9 @@ void print_a3() {
               "bandwidth-delay product)\n\n");
 }
 
-void BM_WanTransfer64kMtu(benchmark::State& state) {
-  for (auto _ : state) {
-    testbed::Testbed tb{testbed::TestbedOptions{}};
-    benchmark::DoNotOptimize(
-        throughput(tb.t3e600(), tb.sp2(), tb, units::Bytes{65280u},
-                   units::Bytes{1u << 20}));
-  }
-}
-BENCHMARK(BM_WanTransfer64kMtu)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_a3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

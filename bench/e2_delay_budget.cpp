@@ -8,8 +8,6 @@
 //    RT-client and the T3E, which is 2.7 seconds ... the scanner can
 //    safely be operated with a repetition rate of 3 seconds."
 // Sweeps the PE count and prints the delay decomposition per row.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
 
@@ -182,20 +180,10 @@ void emit_e2_spans() {
                  : "[failed to write OBS_e2_delay_budget.spans.json]\n\n");
 }
 
-void BM_PipelineRun(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_pipeline(256, fire::PipelineMode::kSequential, 3.0));
-  }
-}
-BENCHMARK(BM_PipelineRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_e2();
   emit_e2_spans();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 //    using classical IP."
 // Prints the closed-form CLIP/AAL5 arithmetic and the event-driven measured
 // rate on the simulated testbed, sweeping the link rate.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "net/units.hpp"
@@ -54,18 +52,9 @@ void print_e3() {
               "for 622 Mbit/s Onyx2 interfaces)\n\n");
 }
 
-void BM_ClassicalIpFps(benchmark::State& state) {
-  viz::WorkbenchFormat fmt;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(viz::classical_ip_fps(fmt, net::kOc12Line));
-}
-BENCHMARK(BM_ClassicalIpFps);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_e3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 //   * multimedia: 270 Mbit/s uncompressed D1 video, alone on each era and,
 //     on OC-12, beside greedy TCP with and without per-VC CBR shaping.
 // Each row shows whether the era sustains the application's requirement.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
@@ -196,31 +194,9 @@ void print_e4() {
   std::printf("\n");
 }
 
-void BM_GroundwaterSolve(benchmark::State& state) {
-  apps::TraceConfig cfg;
-  cfg.dims = {24, 24, 8};
-  apps::TraceFlowSolver solver(cfg);
-  for (auto _ : state) benchmark::DoNotOptimize(solver.solve());
-}
-BENCHMARK(BM_GroundwaterSolve)->Unit(benchmark::kMillisecond);
-
-void BM_MusicMetric(benchmark::State& state) {
-  apps::MegConfig mcfg;
-  apps::MegSimulator sim(mcfg);
-  const apps::SimulatedDipole d{{0.02, 0.01, 0.05}, {1e-8, 0, 0}, 10, 0};
-  const linalg::Matrix data = sim.simulate({d});
-  apps::MusicScanner scanner(sim.sensors());
-  const linalg::Matrix pn = scanner.noise_projector(data, 1);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(scanner.metric(pn, {0.01, 0.0, 0.05}));
-}
-BENCHMARK(BM_MusicMetric)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_e4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

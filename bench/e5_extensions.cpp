@@ -5,8 +5,6 @@
 // paper gives no numbers for these — this bench demonstrates feasibility
 // of each planned project on the extended topology, plus the traffic
 // model's fundamental diagram (the series the traffic community plots).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
@@ -139,29 +137,9 @@ void print_e5() {
   std::printf("\n");
 }
 
-void BM_NaschStep(benchmark::State& state) {
-  apps::NaschConfig cfg;
-  cfg.cells = 10000;
-  apps::NaschRoad road(cfg);
-  for (auto _ : state) road.step();
-  state.SetItemsProcessed(state.iterations() * road.vehicles());
-}
-BENCHMARK(BM_NaschStep)->Unit(benchmark::kMicrosecond);
-
-void BM_LjStep(benchmark::State& state) {
-  apps::LjConfig cfg;
-  cfg.n_particles = 400;
-  apps::LjFluid fluid(cfg);
-  for (auto _ : state) fluid.step();
-  state.SetItemsProcessed(state.iterations() * cfg.n_particles);
-}
-BENCHMARK(BM_LjStep)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_e5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

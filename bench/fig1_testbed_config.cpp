@@ -4,8 +4,6 @@
 // gateways, several workstations via 622 or 155 Mbit/s ATM interfaces."
 // Prints the assembled topology as an attachment table plus a full
 // reachability / path-latency audit between all host pairs.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "net/units.hpp"
@@ -84,19 +82,9 @@ void print_fig1() {
                   tb.gw_e5000().packets_forwarded()));
 }
 
-void BM_TestbedConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    testbed::Testbed tb{testbed::TestbedOptions{}};
-    benchmark::DoNotOptimize(tb.hosts().size());
-  }
-}
-BENCHMARK(BM_TestbedConstruction)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

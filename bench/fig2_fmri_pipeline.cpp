@@ -6,12 +6,10 @@
 // over the testbed to a Responsive Workbench in Jülich."
 // Runs the full distributed pipeline (with real numerics on the synthetic
 // scanner) and prints the per-stage event log for the first scans plus the
-// detected activation.
-#include <benchmark/benchmark.h>
-
+// detected activation.  Writes BENCH_fig2_fmri_pipeline.json and, from the
+// span tracer and probes attached to every run, four OBS_ artifacts.
 #include <cstdio>
 #include <fstream>
-#include <string_view>
 
 #include "check/attach.hpp"
 #include "check/monitor.hpp"
@@ -21,7 +19,6 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/span.hpp"
-#include "obs/span_analysis.hpp"
 #include "scanner/phantom.hpp"
 #include "testbed/testbed.hpp"
 #include "viz/merge.hpp"
@@ -31,7 +28,7 @@ namespace {
 
 using namespace gtw;
 
-void print_fig2(bool with_trace) {
+void print_fig2() {
   std::printf("== Figure 2: distributed realtime-fMRI pipeline ==\n");
   testbed::Testbed tb{testbed::TestbedOptions{}};
 
@@ -57,34 +54,29 @@ void print_fig2(bool with_trace) {
       {&tb.scanner_frontend(), &tb.gw_o200(), &tb.onyx2_juelich()}, cfg,
       [&gen](int t) { return gen.acquire(t); }, &engine);
 
-  // --trace: record causal spans and attach the observability registry.
-  // Everything here is read-only probes plus sampler ticks, so the pipeline
-  // results (and BENCH_*.json) are unchanged by tracing.
+  // Causal span tracing (DESIGN.md section 13): per-scan latency trees
+  // rooted at pipeline admission, with each stage's spans on its VAMPIR
+  // lane (transfer / compute / return / display), plus the observability
+  // registry.  Everything here is read-only probes plus sampler ticks, so
+  // the pipeline results (and BENCH_*.json) are unchanged by tracing.
   obs::Registry reg;
   obs::TimeSeriesSampler sampler(tb.scheduler(), reg);
   obs::SpanTracer spans;
-  if (with_trace) {
-    // Causal span tracing (DESIGN.md section 13): per-scan latency trees
-    // rooted at pipeline admission, with each stage's spans on its VAMPIR
-    // lane (transfer / compute / return / display).  Observe-only —
-    // attaching the hook schedules nothing and BENCH_*.json stays
-    // byte-identical.
-    tb.scheduler().set_span_hook(&spans);
-    obs::instrument_link(reg, tb.wan_link_j_to_g(), "net.link.wan_j_to_g");
-    obs::instrument_link(reg, tb.wan_link_g_to_j(), "net.link.wan_g_to_j");
-    obs::instrument_host(reg, tb.scanner_frontend());
-    obs::instrument_host(reg, tb.gw_o200());
-    obs::instrument_host(reg, tb.onyx2_juelich());
-    obs::instrument_atm_switch(reg, tb.atm_juelich());
-    obs::instrument_atm_switch(reg, tb.atm_gmd());
-    obs::bridge_flow_metrics(reg, pipe.metrics(), "fire");
-    sampler.watch("net.link.wan_j_to_g.queue_bytes");
-    sampler.watch("net.link.wan_j_to_g.utilization");
-    sampler.watch_prefix("fire.stage.");
-    sampler.watch("fire.graph.completed");
-    sampler.sample_every(des::SimTime::milliseconds(500),
-                         des::SimTime::seconds(50));
-  }
+  tb.scheduler().set_span_hook(&spans);
+  obs::instrument_link(reg, tb.wan_link_j_to_g(), "net.link.wan_j_to_g");
+  obs::instrument_link(reg, tb.wan_link_g_to_j(), "net.link.wan_g_to_j");
+  obs::instrument_host(reg, tb.scanner_frontend());
+  obs::instrument_host(reg, tb.gw_o200());
+  obs::instrument_host(reg, tb.onyx2_juelich());
+  obs::instrument_atm_switch(reg, tb.atm_juelich());
+  obs::instrument_atm_switch(reg, tb.atm_gmd());
+  obs::bridge_flow_metrics(reg, pipe.metrics(), "fire");
+  sampler.watch("net.link.wan_j_to_g.queue_bytes");
+  sampler.watch("net.link.wan_j_to_g.utilization");
+  sampler.watch_prefix("fire.stage.");
+  sampler.watch("fire.graph.completed");
+  sampler.sample_every(des::SimTime::milliseconds(500),
+                       des::SimTime::seconds(50));
 
   // GTW-San: whole-testbed conservation sweep plus the pipeline's stage
   // graph (item conservation, drain census, per-stage ledgers); attaching
@@ -159,65 +151,36 @@ void print_fig2(bool with_trace) {
   std::printf(json ? "[wrote BENCH_fig2_fmri_pipeline.json]\n\n"
                    : "[failed to write BENCH_fig2_fmri_pipeline.json]\n\n");
 
-  if (with_trace) {
-    {
-      std::ofstream chrome("OBS_fig2_fmri_pipeline.chrome.json",
-                           std::ios::binary);
-      obs::ChromeTraceOptions copts;
-      copts.process_name = "fig2_fmri_pipeline";
-      copts.series = &sampler;
-      copts.marks_from = &reg;
-      obs::write_chrome_trace(chrome, spans.file(), copts);
-    }
-    {
-      std::ofstream metrics("OBS_fig2_fmri_pipeline.metrics.json",
-                            std::ios::binary);
-      obs::write_metrics_json(metrics, reg, "fig2_fmri_pipeline");
-    }
-    {
-      std::ofstream series("OBS_fig2_fmri_pipeline.series.json",
-                           std::ios::binary);
-      obs::write_series_json(series, sampler);
-    }
-    {
-      std::ofstream sp("OBS_fig2_fmri_pipeline.spans.json", std::ios::binary);
-      spans.write_json(sp, "fig2_fmri_pipeline");
-    }
-    std::printf("[wrote OBS_fig2_fmri_pipeline.{chrome.json,metrics.json,"
-                "series.json,spans.json}]\n\n");
+  {
+    std::ofstream chrome("OBS_fig2_fmri_pipeline.chrome.json",
+                         std::ios::binary);
+    obs::ChromeTraceOptions copts;
+    copts.process_name = "fig2_fmri_pipeline";
+    copts.series = &sampler;
+    copts.marks_from = &reg;
+    obs::write_chrome_trace(chrome, spans.file(), copts);
   }
+  {
+    std::ofstream metrics("OBS_fig2_fmri_pipeline.metrics.json",
+                          std::ios::binary);
+    obs::write_metrics_json(metrics, reg, "fig2_fmri_pipeline");
+  }
+  {
+    std::ofstream series("OBS_fig2_fmri_pipeline.series.json",
+                         std::ios::binary);
+    obs::write_series_json(series, sampler);
+  }
+  {
+    std::ofstream sp("OBS_fig2_fmri_pipeline.spans.json", std::ios::binary);
+    spans.write_json(sp, "fig2_fmri_pipeline");
+  }
+  std::printf("[wrote OBS_fig2_fmri_pipeline.{chrome.json,metrics.json,"
+              "series.json,spans.json}]\n\n");
 }
-
-void BM_AnalysisScan(benchmark::State& state) {
-  scanner::FmriConfig scfg;
-  scfg.dims = {32, 32, 8};
-  scanner::FmriSeriesGenerator gen(scfg);
-  fire::AnalysisConfig acfg;
-  acfg.stimulus = scfg.stimulus;
-  acfg.tr_s = scfg.tr_s;
-  acfg.motion_correction = false;
-  fire::AnalysisEngine engine(scfg.dims, acfg);
-  const fire::VolumeF img = gen.acquire(0);
-  for (auto _ : state) benchmark::DoNotOptimize(engine.process_scan(img));
-}
-BENCHMARK(BM_AnalysisScan)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip our own --trace flag before google-benchmark sees the arguments.
-  bool with_trace = false;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--trace") {
-      with_trace = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  print_fig2(with_trace);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  print_fig2();
   return 0;
 }

@@ -6,8 +6,6 @@
 // can be specified."
 // Non-graphical equivalent: an ASCII correlation-overlay slice, the ROI
 // time-course panel, and the stimulus/HRF model panel.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -96,28 +94,9 @@ void print_fig3() {
   std::printf("\n");
 }
 
-void BM_RoiTimeCourse(benchmark::State& state) {
-  scanner::FmriConfig scfg;
-  scfg.dims = {32, 32, 8};
-  scanner::FmriSeriesGenerator gen(scfg);
-  fire::AnalysisConfig acfg;
-  acfg.stimulus = scfg.stimulus;
-  acfg.tr_s = scfg.tr_s;
-  acfg.motion_correction = false;
-  fire::AnalysisEngine engine(scfg.dims, acfg);
-  for (int t = 0; t < 16; ++t) engine.process_scan(gen.acquire(t));
-  std::vector<std::size_t> roi;
-  for (std::size_t i = 0; i < 200; ++i) roi.push_back(i * 40);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(engine.roi_time_course(roi));
-}
-BENCHMARK(BM_RoiTimeCourse)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Non-graphical equivalent: run the analysis, merge the functional map onto
 // the 256x256x128 anatomical head, report the activated regions, and show
 // the workbench streaming budget for displaying the result remotely.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "fire/analysis.hpp"
@@ -77,20 +75,9 @@ void print_fig4() {
               viz::classical_ip_fps(fmt, net::kOc12Line));
 }
 
-void BM_MergeFunctional(benchmark::State& state) {
-  const fire::VolumeF anat = scanner::make_anatomical({128, 128, 64});
-  fire::VolumeF corr({32, 32, 8}, 0.0f);
-  corr.at(10, 20, 4) = 0.8f;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(viz::merge_functional(anat, corr, 0.35f));
-}
-BENCHMARK(BM_MergeFunctional)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_fig4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // metacomputing lesson is the orders-of-magnitude gap between the two
 // fabrics — the reason only loosely-coupled applications profit from the
 // metacomputer.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -205,27 +203,9 @@ void print_m1() {
   std::printf("\n");
 }
 
-void BM_IntraMessage(benchmark::State& state) {
-  for (auto _ : state) {
-    Rig r;
-    benchmark::DoNotOptimize(message_time(r, false, 65536));
-  }
-}
-BENCHMARK(BM_IntraMessage)->Unit(benchmark::kMicrosecond);
-
-void BM_WanMessage(benchmark::State& state) {
-  for (auto _ : state) {
-    Rig r;
-    benchmark::DoNotOptimize(message_time(r, true, 65536));
-  }
-}
-BENCHMARK(BM_WanMessage)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_m1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

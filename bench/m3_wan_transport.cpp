@@ -25,10 +25,8 @@
 //
 // Deterministic by construction (DES clock only); BENCH_m3_wan_transport
 // .json and OBS_m3_wan_transport.metrics.json are byte-stable and sit
-// under the double-run determinism replay gate (--replay is accepted for
-// symmetry with des_speed; no field here is wall-clock-derived).
-#include <benchmark/benchmark.h>
-
+// under the double-run determinism replay gate (no field here is
+// wall-clock-derived).
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -100,7 +98,7 @@ struct Row {
 };
 
 Row run_case(double distance_km, std::string_view schedule,
-             std::string_view config, bool emit_obs = false) {
+             std::string_view config, bool emit_obs) {
   testbed::TestbedOptions opts;
   opts.distance_km = distance_km;
   testbed::Testbed tb{opts};
@@ -289,31 +287,9 @@ void print_m3() {
                    : "[failed to write BENCH_m3_wan_transport.json]\n\n");
 }
 
-void BM_SingleStreamLossOutage(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_case(100.0, "loss_outage", "single"));
-}
-BENCHMARK(BM_SingleStreamLossOutage)->Unit(benchmark::kMillisecond);
-
-void BM_MultiStreamLossOutage(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_case(100.0, "loss_outage", "multi8"));
-}
-BENCHMARK(BM_MultiStreamLossOutage)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // --replay is accepted for determinism-gate symmetry with des_speed; the
-  // artifact contains no wall-clock-derived fields either way.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--replay") continue;
-    argv[out++] = argv[i];
-  }
-  argc = out;
+int main() {
   print_m3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 //     (frames superseded, recovery time once the line heals).
 // Deterministic by construction: the same script replays bit-identically,
 // so BENCH_r1_fault_recovery.json is byte-stable across runs.
-#include <benchmark/benchmark.h>
-
 #include <any>
 #include <cstdint>
 #include <cstdio>
@@ -86,7 +84,7 @@ struct FireRow {
 // With emit_obs set, one run additionally carries the observability layer
 // (read-only probes + sampler ticks — results are unchanged) and exports
 // OBS_r1_fault_recovery.{metrics,series}.json.
-FireRow run_fire(double outage_s, bool emit_obs = false) {
+FireRow run_fire(double outage_s, bool emit_obs) {
   testbed::Testbed tb{testbed::TestbedOptions{}};
   fire::PipelineConfig cfg;
   cfg.n_scans = 20;
@@ -193,21 +191,9 @@ void print_r1() {
                    : "[failed to write BENCH_r1_fault_recovery.json]\n\n");
 }
 
-void BM_TcpThroughOutage(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_tcp(2.0));
-}
-BENCHMARK(BM_TcpThroughOutage)->Unit(benchmark::kMillisecond);
-
-void BM_FireThroughOutage(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_fire(2.0));
-}
-BENCHMARK(BM_FireThroughOutage)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_r1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

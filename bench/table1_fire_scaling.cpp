@@ -4,18 +4,11 @@
 //
 // The kernels' work estimates come from the actual implementations in
 // src/fire (see fire/workload.cpp); the T3E-600 machine model is in
-// exec::MachineProfile::t3e600().  Google-benchmark micro-benchmarks of the
-// real kernels on this host follow the table.
-#include <benchmark/benchmark.h>
-
+// exec::MachineProfile::t3e600().
 #include <cstdio>
 
 #include "exec/machine.hpp"
-#include "fire/filters.hpp"
-#include "fire/motion.hpp"
-#include "fire/rigid.hpp"
 #include "fire/workload.hpp"
-#include "scanner/phantom.hpp"
 
 namespace {
 
@@ -68,35 +61,9 @@ void print_table1() {
               total_at(wb, 1) / total_at(wb, 256));
 }
 
-// Micro-benchmarks of the real kernels (host wall clock, for reference).
-void BM_MedianFilter(benchmark::State& state) {
-  using namespace gtw;
-  const fire::VolumeF img = scanner::make_head_phantom({64, 64, 16});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fire::median_filter_3x3(img));
-  }
-}
-BENCHMARK(BM_MedianFilter)->Unit(benchmark::kMillisecond);
-
-void BM_MotionCorrection(benchmark::State& state) {
-  using namespace gtw;
-  const fire::VolumeF ref = scanner::make_head_phantom({64, 64, 16});
-  fire::RigidTransform t;
-  t.tx = 0.5;
-  t.ry = 0.01;
-  const fire::VolumeF moved = fire::resample(ref, t);
-  fire::MotionCorrector mc(ref);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mc.correct(moved));
-  }
-}
-BENCHMARK(BM_MotionCorrection)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
 """Double-run determinism gate.
 
-Runs a seeded benchmark (or any artifact-writing command) twice, each time
-in a fresh empty directory, and fails unless every artifact both runs
-produced is byte-identical.  This is the runtime complement to the static
-rules in tools/lint/gtw_lint.py: gtw-lint bans the constructs that *cause*
+Runs a seeded bench or example program twice, each time in a fresh empty
+directory, and fails unless both runs printed the same output (stdout with
+stderr merged) and wrote the same BENCH_*.json and OBS_*.json artifacts,
+byte for byte.  This is the runtime complement to the static rules in
+tools/lint/gtw_lint.py: gtw-lint bans the constructs that *cause*
 divergence, this gate proves the absence of divergence end to end — same
 binary, same seed, same bytes out.
 
-Benchmark binaries in this repo write their reproduction artifacts
-(BENCH_*.json) from main() before google-benchmark takes over, so passing
-a never-matching --benchmark_filter replays the deterministic simulation
-without timing noise.
-
-Exit status: 0 byte-identical, 1 divergence (or no artifacts), 2 usage or
-subprocess failure.  Standard library only.
+Exit status: 0 byte-identical, 1 divergence (or nothing printed or
+written), 2 usage or subprocess failure.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,21 +24,21 @@ import subprocess
 import sys
 import tempfile
 
-# Matches no benchmark name, so only the deterministic artifact-writing
-# part of the binary runs.
-NO_BENCHMARKS = "--benchmark_filter=$^"
+ARTIFACT_GLOBS = ["BENCH_*.json", "OBS_*.json"]
+# The run's own output is compared as one more artifact; no file the
+# globs match can carry this name.
+OUTPUT = "(stdout+stderr)"
 
 
-def run_once(cmd: list[str], workdir: str,
-             patterns: list[str]) -> dict[str, bytes]:
+def run_once(cmd: list[str], workdir: str) -> dict[str, bytes]:
     proc = subprocess.run(cmd, cwd=workdir, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout.decode(errors="replace"))
         raise RuntimeError(
             f"command exited {proc.returncode}: {' '.join(cmd)}")
-    artifacts: dict[str, bytes] = {}
-    for pattern in patterns:
+    artifacts: dict[str, bytes] = {OUTPUT: proc.stdout}
+    for pattern in ARTIFACT_GLOBS:
         for path in sorted(glob.glob(os.path.join(workdir, pattern))):
             with open(path, "rb") as f:
                 artifacts[os.path.basename(path)] = f.read()
@@ -120,14 +116,9 @@ def main(argv: list[str]) -> int:
         prog="determinism_gate", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--bench", required=True,
-                    help="benchmark binary to replay twice")
-    ap.add_argument("--artifact-glob", action="append", default=None,
-                    dest="artifact_globs",
-                    help="artifacts to compare, repeatable (default: "
-                         "BENCH_*.json and OBS_*.json)")
-    ap.add_argument("--arg", action="append", default=None, dest="args",
-                    help="extra argument to pass instead of the default "
-                         "never-matching --benchmark_filter (repeatable)")
+                    help="bench or example binary to replay twice")
+    ap.add_argument("--arg", action="append", default=[], dest="args",
+                    help="argument to pass to the binary (repeatable)")
     ap.add_argument("--expect", action="append", default=[],
                     dest="expected",
                     help="artifact filename that MUST be produced "
@@ -136,23 +127,20 @@ def main(argv: list[str]) -> int:
                          "non-vacuous")
     args = ap.parse_args(argv)
 
-    cmd = [os.path.abspath(args.bench)]
-    cmd += args.args if args.args is not None else [NO_BENCHMARKS]
-    globs = (args.artifact_globs if args.artifact_globs is not None
-             else ["BENCH_*.json", "OBS_*.json"])
+    cmd = [os.path.abspath(args.bench)] + args.args
 
     try:
         with tempfile.TemporaryDirectory(prefix="det_run1_") as d1, \
                 tempfile.TemporaryDirectory(prefix="det_run2_") as d2:
-            run1 = run_once(cmd, d1, globs)
-            run2 = run_once(cmd, d2, globs)
+            run1 = run_once(cmd, d1)
+            run2 = run_once(cmd, d2)
     except (RuntimeError, OSError) as e:
         print(f"determinism-gate: ERROR: {e}", file=sys.stderr)
         return 2
 
-    if not run1:
-        print(f"determinism-gate: ERROR: no artifacts matching "
-              f"{globs} were produced — the gate would "
+    if not any(run1.values()):
+        print(f"determinism-gate: ERROR: the run printed nothing and wrote "
+              f"no {' or '.join(ARTIFACT_GLOBS)} — the gate would "
               f"vacuously pass", file=sys.stderr)
         return 1
 

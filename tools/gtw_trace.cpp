@@ -26,18 +26,23 @@
 //
 //   gtw-trace OBS_x.metrics.json                 its DES-engine section
 //
-// A missing, malformed, or truncated spans artifact (footer counts
-// disagree with the lines present) is a non-zero exit with a one-line
-// reason — CI depends on that.
+// A missing, malformed, or truncated artifact (spans: footer counts
+// disagree with the lines present; metrics: the "metrics" object or the
+// file is not closed) is a non-zero exit with a one-line reason — CI
+// depends on that.
 //
-// Flags combine; sections print in the order given above.
+// Spans flags combine; sections print in the order given above.  The
+// metrics mode takes no flag.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/exporter.hpp"
@@ -64,35 +69,72 @@ int usage(const char* argv0) {
 }
 
 // Print the engine-core metrics (scheduler and event pool) out of an
-// OBS_*.metrics.json snapshot.  The exporter writes one metric per line as
-// `    "name": value,` so a line scan suffices — no JSON parser needed for
-// our own format.
+// OBS_*.metrics.json snapshot.  The exporter writes the "metrics" object
+// one `    "name": value,` per line, so a line scan suffices — no JSON
+// parser needed for our own format.  The scan holds the file to that
+// framing: the object's opener, a `"name": <number>` on every line inside
+// it, its closing brace and the file's final `}`.  Anything else is a
+// truncated or foreign file, and nothing is printed from it.
 int print_obs_engine(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "gtw-trace: cannot open '" << path << "'\n";
     return 1;
   }
-  std::cout << "des engine (" << path << ")\n";
-  bool any = false;
+  const auto reject = [&path](const std::string& why) {
+    std::cerr << "gtw-trace: " << path << ": " << why << "\n";
+    return 1;
+  };
+  const auto trim = [](std::string_view v) {
+    while (!v.empty() && v.front() == ' ') v.remove_prefix(1);
+    while (!v.empty() && v.back() == ' ') v.remove_suffix(1);
+    return v;
+  };
   std::string line;
-  while (std::getline(in, line)) {
-    const auto q0 = line.find('"');
-    if (q0 == std::string::npos) continue;
-    const auto q1 = line.find('"', q0 + 1);
-    if (q1 == std::string::npos) continue;
-    const std::string name = line.substr(q0 + 1, q1 - q0 - 1);
-    if (name.rfind("des.sched.", 0) != 0) continue;
-    auto colon = line.find(':', q1);
-    if (colon == std::string::npos) continue;
-    std::string value = line.substr(colon + 1);
-    while (!value.empty() && (value.front() == ' ')) value.erase(0, 1);
-    while (!value.empty() && (value.back() == ',' || value.back() == ' '))
-      value.pop_back();
-    std::cout << "  " << name << ": " << value << "\n";
-    any = true;
+  std::size_t lineno = 0;
+  bool opened = false;
+  while (!opened && std::getline(in, line)) {
+    ++lineno;
+    opened = trim(line) == "\"metrics\": {";
   }
-  if (!any)
+  if (!opened)
+    return reject("no \"metrics\" object (not a metrics snapshot)");
+
+  std::vector<std::pair<std::string, std::string>> engine;
+  bool closed = false;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::string_view v = trim(line);
+    if (v == "}" || v == "},") {
+      closed = true;
+      break;
+    }
+    if (!v.empty() && v.back() == ',') v.remove_suffix(1);
+    const auto sep = v.find('"', 1);
+    const bool named = !v.empty() && v.front() == '"' &&
+                       sep != std::string_view::npos && sep > 1 &&
+                       v.substr(sep, 3) == "\": ";
+    const std::string value(named ? v.substr(sep + 3) : std::string_view{});
+    char* end = nullptr;
+    std::strtod(value.c_str(), &end);
+    if (value.empty() || value.front() == ' ' || *end != '\0')
+      return reject("line " + std::to_string(lineno) +
+                    ": expected \"name\": <number> inside \"metrics\"");
+    std::string name(v.substr(1, sep - 1));
+    if (name.rfind("des.sched.", 0) == 0)
+      engine.emplace_back(std::move(name), value);
+  }
+  if (!closed)
+    return reject("the \"metrics\" object is not closed (truncated?)");
+  std::string last;
+  while (std::getline(in, line))
+    if (const std::string_view v = trim(line); !v.empty()) last = v;
+  if (last != "}") return reject("the file does not end in '}' (truncated?)");
+
+  std::cout << "des engine (" << path << ")\n";
+  for (const auto& [name, value] : engine)
+    std::cout << "  " << name << ": " << value << "\n";
+  if (engine.empty())
     std::cout << "  (no des.sched.* metrics in snapshot — was the scheduler"
                  " instrumented?)\n";
   return 0;
@@ -314,6 +356,6 @@ int main(int argc, char** argv) {
     return run_spans_mode(path, argc, argv);
 
   if (path.size() > 5 && path.rfind(".json") == path.size() - 5)
-    return print_obs_engine(path);
+    return argc == 2 ? print_obs_engine(path) : usage(argv[0]);
   return usage(argv[0]);
 }

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Structural validator for the Chrome trace-event JSON the obs exporters
-emit (and chrome://tracing / Perfetto load).
+"""Structural validator for the Chrome trace-event JSON that
+obs::write_chrome_trace emits (and chrome://tracing / Perfetto load).
 
 Checks, per file:
   - the file parses as JSON: an object with a "traceEvents" array
-  - every event is an object with a known "ph" and integer "pid"
-  - duration events ("B"/"E") carry name/tid/ts and balance per (tid, name)
+  - every event is an object with an integer "pid" and one of the six
+    phases the exporter writes: metadata "M", complete "X", flow "s"/"f",
+    instant "i" and counter "C"; any other "ph", duration "B"/"E" pairs
+    among them, is an error
+  - "M", "X", "i" and "C" events carry a name; complete events ("X") a
+    tid and a non-negative dur
   - flow arrows ("s"/"f") carry id/tid/ts and every finish has a start
   - instant events ("i") carry a valid scope, counters ("C") a numeric value
   - every "ts" is a non-negative JSON number
@@ -25,7 +29,7 @@ import json
 import numbers
 import sys
 
-KNOWN_PHASES = {"M", "B", "E", "X", "s", "f", "i", "C"}
+KNOWN_PHASES = {"M", "X", "s", "f", "i", "C"}
 
 
 def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
@@ -47,10 +51,9 @@ def check_event(ev: object, idx: int, errors: list[str]) -> dict | None:
         if not isinstance(ts, numbers.Real) or isinstance(ts, bool) or ts < 0:
             err(f"ph {ph}: ts must be a non-negative number, got {ts!r}")
 
-    if ph in ("M", "B", "E", "X", "i", "C") \
-            and not isinstance(ev.get("name"), str):
+    if ph in ("M", "X", "i", "C") and not isinstance(ev.get("name"), str):
         err(f"ph {ph}: missing string name")
-    if ph in ("B", "E", "X", "s", "f") and not isinstance(ev.get("tid"), int):
+    if ph in ("X", "s", "f") and not isinstance(ev.get("tid"), int):
         err(f"ph {ph}: missing integer tid")
     if ph == "X":
         dur = ev.get("dur")
@@ -82,7 +85,6 @@ def validate(path: str) -> list[str]:
                                                    list):
         return ["top level must be an object with a traceEvents array"]
 
-    opened: dict[tuple[int, str], int] = {}  # (tid, name) -> open B count
     flows_started: set[int] = set()
     counts: dict[str, int] = {}
     for idx, raw in enumerate(doc["traceEvents"]):
@@ -91,24 +93,12 @@ def validate(path: str) -> list[str]:
             continue
         ph = ev["ph"]
         counts[ph] = counts.get(ph, 0) + 1
-        key = (ev.get("tid"), ev.get("name"))
-        if ph == "B":
-            opened[key] = opened.get(key, 0) + 1
-        elif ph == "E":
-            if opened.get(key, 0) <= 0:
-                errors.append(f"event {idx}: E without matching B for {key}")
-            else:
-                opened[key] -= 1
-        elif ph == "s":
+        if ph == "s":
             flows_started.add(ev["id"])
         elif ph == "f":
             if ev["id"] not in flows_started:
                 errors.append(
                     f"event {idx}: flow finish id {ev['id']} never started")
-
-    for key, n in sorted(opened.items()):
-        if n != 0:
-            errors.append(f"unbalanced duration events for {key}: {n} open")
     if not errors:
         summary = " ".join(f"{ph}={counts[ph]}" for ph in sorted(counts))
         print(f"validate-chrome-trace: ok: {path} "
