@@ -31,7 +31,7 @@ int main() {
 
   // 3. Report.
   std::printf("transferred 64 MB in %s -> %.1f Mbit/s "
-              "(paper measured ~260 Mbit/s, SP2 I/O bound)\n",
+              "(paper measured > 260 Mbit/s, SP2 I/O bound)\n",
               res.duration.to_string().c_str(), res.goodput.mbps());
   std::printf("sender: %llu segments, %llu retransmits, srtt %.2f ms\n",
               static_cast<unsigned long long>(res.sender_stats.segments_sent),

@@ -1,6 +1,7 @@
 #include "apps/groundwater.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "linalg/cg.hpp"
@@ -68,6 +69,30 @@ TraceFlowSolver::Solution TraceFlowSolver::solve() const {
   auto dirichlet_value = [&](int x) {
     return x == 0 ? cfg_.head_inlet : cfg_.head_outlet;
   };
+  auto inside = [&](int x, int y, int z) {
+    return x >= 0 && x < d.nx && y >= 0 && y < d.ny && z >= 0 && z < d.nz;
+  };
+
+  // Each cell's six face conductivities, worked out once per solve, in the
+  // order the operator couples its neighbours: x-1, x+1, y-1, y+1, z-1,
+  // z+1.  A no-flux face holds 0.
+  std::vector<std::array<double, 6>> face(n);
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        const std::size_t i = idx(x, y, z);
+        auto set = [&](std::size_t f, int xn, int yn, int zn) {
+          if (inside(xn, yn, zn)) face[i][f] = face_k(x, y, z, xn, yn, zn);
+        };
+        set(0, x - 1, y, z);
+        set(1, x + 1, y, z);
+        set(2, x, y - 1, z);
+        set(3, x, y + 1, z);
+        set(4, x, y, z - 1);
+        set(5, x, y, z + 1);
+      }
+    }
+  }
 
   auto apply = [&](const linalg::Vector& h, linalg::Vector& out) {
     out.assign(n, 0.0);
@@ -80,21 +105,19 @@ TraceFlowSolver::Solution TraceFlowSolver::solve() const {
             continue;
           }
           double diag = 0.0, off = 0.0;
-          auto couple = [&](int xn, int yn, int zn) {
-            if (xn < 0 || xn >= d.nx || yn < 0 || yn >= d.ny || zn < 0 ||
-                zn >= d.nz)
-              return;  // no-flux boundary
-            const double k = face_k(x, y, z, xn, yn, zn);
+          auto couple = [&](std::size_t f, int xn, int yn, int zn) {
+            if (!inside(xn, yn, zn)) return;  // no-flux boundary
+            const double k = face[i][f];
             diag += k;
             if (is_dirichlet(xn)) return;  // moved to RHS
             off += k * h[idx(xn, yn, zn)];
           };
-          couple(x - 1, y, z);
-          couple(x + 1, y, z);
-          couple(x, y - 1, z);
-          couple(x, y + 1, z);
-          couple(x, y, z - 1);
-          couple(x, y, z + 1);
+          couple(0, x - 1, y, z);
+          couple(1, x + 1, y, z);
+          couple(2, x, y - 1, z);
+          couple(3, x, y + 1, z);
+          couple(4, x, y, z - 1);
+          couple(5, x, y, z + 1);
           out[i] = diag * h[i] - off;
         }
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "fire/filters.hpp"
 #include "linalg/matrix.hpp"
@@ -53,6 +54,8 @@ MotionCorrector::MotionCorrector(VolumeF reference, MotionConfig cfg)
 }
 
 MotionResult MotionCorrector::correct(const VolumeF& scan) const {
+  if (!(scan.dims() == ref_.dims()))
+    throw std::invalid_argument("MotionCorrector: dims mismatch");
   const Dims d = ref_.dims();
   const double cx = (d.nx - 1) / 2.0, cy = (d.ny - 1) / 2.0,
                cz = (d.nz - 1) / 2.0;

@@ -47,6 +47,8 @@ class MotionCorrector {
  public:
   explicit MotionCorrector(VolumeF reference, MotionConfig cfg = {});
 
+  // Throws std::invalid_argument if the scan's dims differ from the
+  // reference's.
   MotionResult correct(const VolumeF& scan) const;
 
   const VolumeF& reference() const { return ref_; }

@@ -1,6 +1,7 @@
 #include "fire/rigid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -56,16 +57,47 @@ class RigidMap {
 };
 
 // Warps voxels [x0, x1) of row (y, z): out_row[x] = src.sample(T(x, y, z)).
+// A chunk of the row is mapped first, then sampled.  A point whose floor
+// lies in [0, n - 2] on every axis reads its cell's eight corners straight
+// through corner_sum(), which is the sum sample() takes there; any other
+// point, and any whose sum is NaN (sample() sums those again), goes
+// through sample() itself.
 void warp_row(const VolumeF& src, const RigidMap& map, int y, int z, int x0,
               int x1, float* out_row) {
   const Dims d = src.dims();
   const double cx = (d.nx - 1) / 2.0;
   const double cy = (d.ny - 1) / 2.0;
   const double cz = (d.nz - 1) / 2.0;
-  for (int x = x0; x < x1; ++x) {
-    double sx, sy, sz;
-    map.apply(cx, cy, cz, x, y, z, sx, sy, sz);
-    out_row[x] = static_cast<float>(src.sample(sx, sy, sz));
+  const std::size_t row = static_cast<std::size_t>(d.nx);
+  const std::size_t plane = row * static_cast<std::size_t>(d.ny);
+  constexpr int kChunk = 16;
+  std::array<double, kChunk> px{}, py{}, pz{};
+  for (int c = x0; c < x1; c += kChunk) {
+    // The whole chunk is mapped, past the row's end too: a loop of fixed
+    // length lets the compiler map several points per instruction.
+    for (int i = 0; i < kChunk; ++i)
+      map.apply(cx, cy, cz, c + i, y, z, px[i], py[i], pz[i]);
+    const int n = std::min(kChunk, x1 - c);
+    for (int i = 0; i < n; ++i) {
+      const double sx = px[i], sy = py[i], sz = pz[i];
+      if (sx >= 0.0 && sx < d.nx - 1 && sy >= 0.0 && sy < d.ny - 1 &&
+          sz >= 0.0 && sz < d.nz - 1) {
+        // Non-negative, so truncation is the floor.
+        const int ix = static_cast<int>(sx), iy = static_cast<int>(sy),
+                  iz = static_cast<int>(sz);
+        const std::size_t x_lo = static_cast<std::size_t>(ix);
+        const std::size_t y_lo = static_cast<std::size_t>(iy) * row;
+        const std::size_t z_lo = static_cast<std::size_t>(iz) * plane;
+        const double v = src.corner_sum(sx - ix, sy - iy, sz - iz, x_lo,
+                                        x_lo + 1, y_lo, y_lo + row, z_lo,
+                                        z_lo + plane);
+        if (!std::isnan(v)) {
+          out_row[c + i] = static_cast<float>(v);
+          continue;
+        }
+      }
+      out_row[c + i] = static_cast<float>(src.sample(sx, sy, sz));
+    }
   }
 }
 

@@ -97,16 +97,38 @@ class Volume {
       z_lo = clamped_offset(z0, dims_.nz, sz);
       z_hi = clamped_offset(z0 + 1, dims_.nz, sz);
     }
-    // The eight corners in z, y, x order, each weighted ((wx * wy) * wz),
-    // with no test on the weights.  A corner of zero weight adds a zero
-    // product where the plain trilinear sum skips it, and that leaves the
-    // sum bit for bit as it was: the sum starts at +0.0, round-to-nearest
-    // addition gives -0.0 only from two -0.0 operands, so the sum is never
-    // -0.0, and adding a zero keeps whatever it holds.  Only a zero weight
-    // on an infinite or NaN voxel differs: its product is NaN.  So a NaN
-    // sum is summed again, skipping zero weights.  That sum is a loop, as
-    // the plain formulation's is, so that the running sum stays the left
-    // operand of every addition: of two NaN operands, x86 returns the left.
+    // corner_sum() adds the eight corners with no test on the weights.  A
+    // corner of zero weight adds a zero product where the plain trilinear
+    // sum skips it, and that leaves the sum bit for bit as it was: the sum
+    // starts at +0.0, round-to-nearest addition gives -0.0 only from two
+    // -0.0 operands, so the sum is never -0.0, and adding a zero keeps
+    // whatever it holds.  Only a zero weight on an infinite or NaN voxel
+    // differs: its product is NaN.  So a NaN sum is summed again, skipping
+    // zero weights.  That sum is a loop, as the plain formulation's is, so
+    // that the running sum stays the left operand of every addition: of
+    // two NaN operands, x86 returns the left.
+    double acc = corner_sum(fx, fy, fz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi);
+    if (!std::isnan(acc)) return acc;
+    const double lx = 1.0 - fx, ly = 1.0 - fy, lz = 1.0 - fz;  // low side
+    acc = 0.0;
+    for (unsigned c = 0; c < 8; ++c) {  // bits: z, y, x high side
+      const bool hx = (c & 1u) != 0, hy = (c & 2u) != 0, hz = (c & 4u) != 0;
+      const double wx = hx ? fx : lx, wy = hy ? fy : ly, wz = hz ? fz : lz;
+      if (wx == 0.0 || wy == 0.0 || wz == 0.0) continue;
+      const std::size_t offset =
+          (hz ? z_hi : z_lo) + (hy ? y_hi : y_lo) + (hx ? x_hi : x_lo);
+      acc += wx * wy * wz * static_cast<double>(data_[offset]);
+    }
+    return acc;
+  }
+
+  // The trilinear sum of sample() over one lattice cell: its eight corners,
+  // at the given offsets into data() on the low and high side of each
+  // axis, in z, y, x order, each weighted ((wx * wy) * wz), where the high
+  // side weighs the fraction and the low side one minus it.
+  double corner_sum(double fx, double fy, double fz, std::size_t x_lo,
+                    std::size_t x_hi, std::size_t y_lo, std::size_t y_hi,
+                    std::size_t z_lo, std::size_t z_hi) const {
     const T* p = data_.data();
     const double lx = 1.0 - fx, ly = 1.0 - fy, lz = 1.0 - fz;  // low side
     const auto corner = [p](double wx, double wy, double wz,
@@ -122,16 +144,6 @@ class Volume {
     acc += corner(fx, ly, fz, z_hi + y_lo + x_hi);
     acc += corner(lx, fy, fz, z_hi + y_hi + x_lo);
     acc += corner(fx, fy, fz, z_hi + y_hi + x_hi);
-    if (!std::isnan(acc)) return acc;
-    acc = 0.0;
-    for (unsigned c = 0; c < 8; ++c) {  // bits: z, y, x high side
-      const bool hx = (c & 1u) != 0, hy = (c & 2u) != 0, hz = (c & 4u) != 0;
-      const double wx = hx ? fx : lx, wy = hy ? fy : ly, wz = hz ? fz : lz;
-      if (wx == 0.0 || wy == 0.0 || wz == 0.0) continue;
-      const std::size_t offset =
-          (hz ? z_hi : z_lo) + (hy ? y_hi : y_lo) + (hx ? x_hi : x_lo);
-      acc += corner(wx, wy, wz, offset);
-    }
     return acc;
   }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "apps/climate.hpp"
 #include "apps/groundwater.hpp"
 #include "apps/meg.hpp"
 #include "apps/video.hpp"
+#include "linalg/cg.hpp"
 #include "meta/communicator.hpp"
 #include "obs/span.hpp"
 #include "obs/span_analysis.hpp"
@@ -58,6 +61,120 @@ TEST(TraceFlowTest, FlowAvoidsLowPermeabilityLens) {
                      sol.velocity.vz[i] * sol.velocity.vz[i]);
   };
   EXPECT_LT(vmag(12, 8, 4), 0.5 * vmag(12, 1, 1));
+}
+
+// The solve with the operator written out plainly: every face conductivity
+// is worked out from its two cells wherever the operator or the RHS uses it.
+TraceFlowSolver::Solution plain_solve(const TraceFlowSolver& solver) {
+  const TraceConfig& cfg = solver.config();
+  const fire::Dims d = cfg.dims;
+  const std::size_t n = d.voxels();
+  auto idx = [&](int x, int y, int z) {
+    return (static_cast<std::size_t>(z) * d.ny + y) * d.nx + x;
+  };
+  auto face_k = [&](int x0, int y0, int z0, int x1, int y1, int z1) {
+    const double a = solver.conductivity(x0, y0, z0);
+    const double b = solver.conductivity(x1, y1, z1);
+    return 2.0 * a * b / (a + b);
+  };
+  auto is_dirichlet = [&](int x) { return x == 0 || x == d.nx - 1; };
+  auto apply = [&](const linalg::Vector& h, linalg::Vector& out) {
+    out.assign(n, 0.0);
+    for (int z = 0; z < d.nz; ++z) {
+      for (int y = 0; y < d.ny; ++y) {
+        for (int x = 0; x < d.nx; ++x) {
+          const std::size_t i = idx(x, y, z);
+          if (is_dirichlet(x)) {
+            out[i] = h[i];
+            continue;
+          }
+          double diag = 0.0, off = 0.0;
+          auto couple = [&](int xn, int yn, int zn) {
+            if (xn < 0 || xn >= d.nx || yn < 0 || yn >= d.ny || zn < 0 ||
+                zn >= d.nz)
+              return;
+            const double k = face_k(x, y, z, xn, yn, zn);
+            diag += k;
+            if (is_dirichlet(xn)) return;
+            off += k * h[idx(xn, yn, zn)];
+          };
+          couple(x - 1, y, z);
+          couple(x + 1, y, z);
+          couple(x, y - 1, z);
+          couple(x, y + 1, z);
+          couple(x, y, z - 1);
+          couple(x, y, z + 1);
+          out[i] = diag * h[i] - off;
+        }
+      }
+    }
+  };
+  linalg::Vector rhs(n, 0.0);
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        const std::size_t i = idx(x, y, z);
+        if (is_dirichlet(x)) {
+          rhs[i] = x == 0 ? cfg.head_inlet : cfg.head_outlet;
+          continue;
+        }
+        if (x - 1 == 0) rhs[i] += face_k(x, y, z, x - 1, y, z) * cfg.head_inlet;
+        if (x + 1 == d.nx - 1)
+          rhs[i] += face_k(x, y, z, x + 1, y, z) * cfg.head_outlet;
+      }
+    }
+  }
+  const linalg::CgResult cg = linalg::conjugate_gradient(
+      apply, rhs, cfg.cg_max_iterations, cfg.cg_tolerance);
+  TraceFlowSolver::Solution sol;
+  sol.cg_iterations = cg.iterations;
+  sol.converged = cg.converged;
+  sol.head = fire::VolumeF(d);
+  for (std::size_t i = 0; i < n; ++i) sol.head[i] = static_cast<float>(cg.x[i]);
+  sol.velocity.dims = d;
+  for (int z = 0; z < d.nz; ++z) {
+    for (int y = 0; y < d.ny; ++y) {
+      for (int x = 0; x < d.nx; ++x) {
+        const double k = solver.conductivity(x, y, z);
+        const auto& h = sol.head;
+        const double hx =
+            (h.clamped(x + 1, y, z) - h.clamped(x - 1, y, z)) / 2.0;
+        const double hy =
+            (h.clamped(x, y + 1, z) - h.clamped(x, y - 1, z)) / 2.0;
+        const double hz =
+            (h.clamped(x, y, z + 1) - h.clamped(x, y, z - 1)) / 2.0;
+        sol.velocity.vx.push_back(static_cast<float>(-k * hx));
+        sol.velocity.vy.push_back(static_cast<float>(-k * hy));
+        sol.velocity.vz.push_back(static_cast<float>(-k * hz));
+      }
+    }
+  }
+  return sol;
+}
+
+void expect_same_floats(const std::vector<float>& got,
+                        const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "cell " << i << " is " << got[i] << ", expected " << want[i];
+}
+
+TEST(TraceFlowTest, SolveMatchesPlainOperator) {
+  // The lens puts cells of both conductivities side by side, so the
+  // faces between them differ from the faces beside them.
+  TraceConfig cfg;
+  cfg.dims = {12, 10, 6};
+  const TraceFlowSolver solver(cfg);
+  const auto got = solver.solve();
+  const auto want = plain_solve(solver);
+  EXPECT_EQ(got.cg_iterations, want.cg_iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  expect_same_floats(got.head.data(), want.head.data());
+  expect_same_floats(got.velocity.vx, want.velocity.vx);
+  expect_same_floats(got.velocity.vy, want.velocity.vy);
+  expect_same_floats(got.velocity.vz, want.velocity.vz);
 }
 
 TEST(ParTraceTest, ParticlesMoveDownGradient) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "des/random.hpp"
@@ -300,6 +301,13 @@ TEST(MotionTest, RecoversInjectedRotation) {
   EXPECT_LT(std::abs(res.estimate.tx), 0.2);
 }
 
+TEST(MotionTest, ScanOfOtherDimsThrows) {
+  const MotionCorrector mc(scanner::make_head_phantom(Dims{24, 24, 8}));
+  EXPECT_THROW(mc.correct(scanner::make_head_phantom(Dims{12, 12, 4})),
+               std::invalid_argument);
+  EXPECT_THROW(mc.correct(VolumeF(Dims{24, 24, 9})), std::invalid_argument);
+}
+
 TEST(MotionTest, IdentityInputYieldsNearZeroEstimate) {
   const VolumeF ref = scanner::make_head_phantom(Dims{24, 24, 8});
   MotionCorrector mc(ref);
@@ -410,10 +418,12 @@ TEST(VolumeTest, NanCoordinateGivesNan) {
 // --- exactness of the per-voxel kernels --------------------------------------
 //
 // The kernels read interior voxels straight from memory, evaluate the
-// rotation's trig once per volume, select the median with a network and
-// keep the normal equations in locals.  Each must still give, bit for bit,
-// what the plain formulation below gives: trig per point, edge-clamped
-// reads, std::nth_element, and J^T J accumulated through linalg::Matrix.
+// rotation's trig once per volume, warp a row's interior points through
+// the direct eight-corner sum, sum the average's voxels in blocks, select
+// the median with a network and keep the normal equations in locals.
+// Each must still give, bit for bit, what the plain formulation below
+// gives: trig per point, edge-clamped reads, one voxel at a time,
+// std::nth_element, and J^T J accumulated through linalg::Matrix.
 
 namespace plain {
 
@@ -619,8 +629,11 @@ void expect_same_voxels(const VolumeF& got, const VolumeF& want) {
                            << ", expected " << want[i];
 }
 
+// The widths 9 to 18 put one or two of the average filter's 8-voxel blocks
+// in a row, with none, some or all of its interior voxels left over.
 const std::vector<Dims> kExactnessDims = {
-    {1, 1, 1}, {2, 3, 1}, {3, 3, 3}, {5, 4, 3}, {64, 64, 16}};
+    {1, 1, 1},  {2, 3, 1},  {3, 3, 3},  {5, 4, 3},  {9, 3, 2},
+    {10, 2, 3}, {11, 3, 3}, {17, 4, 2}, {18, 3, 3}, {64, 64, 16}};
 
 // Seeded values of both signs.
 VolumeF random_volume(Dims d, std::uint64_t seed) {
@@ -705,7 +718,6 @@ TEST(KernelExactnessTest, ApplyMatchesPlainFormulation) {
 
 TEST(KernelExactnessTest, ResampleMatchesPlainFormulation) {
   for (const Dims& d : kExactnessDims) {
-    const VolumeF v = random_volume(d, 200 + d.voxels());
     // Seeded spans for resample_spans: rows whole, in pieces, or left out.
     des::Rng rng(d.voxels());
     std::vector<RowSpan> spans;
@@ -717,20 +729,26 @@ TEST(KernelExactnessTest, ResampleMatchesPlainFormulation) {
           if (rng.bernoulli(0.6)) spans.push_back({y, z, x, x + len});
           x += len;
         }
-    for (const RigidTransform& t : exactness_transforms(d.voxels())) {
-      SCOPED_TRACE(::testing::Message()
-                   << d.nx << "x" << d.ny << "x" << d.nz << " t=(" << t.tx
-                   << ", " << t.ty << ", " << t.tz << ", " << t.rx << ", "
-                   << t.ry << ", " << t.rz << ")");
-      const VolumeF want = plain::resample(v, t);
-      expect_same_voxels(resample(v, t), want);
-      // The span voxels get resample's bits; every other keeps its value.
-      VolumeF got(d, 12345.0f), expect(d, 12345.0f);
-      resample_spans(v, t, spans, got);
-      for (const RowSpan& s : spans)
-        for (int x = s.x0; x < s.x1; ++x)
-          expect.at(x, s.y, s.z) = want.at(x, s.y, s.z);
-      expect_same_voxels(got, expect);
+    // On the non-finite volume, interior points with a zero weight on an
+    // infinite or NaN corner give a NaN direct sum, which must be summed
+    // again as sample() does.
+    for (const VolumeF& v : {random_volume(d, 200 + d.voxels()),
+                             non_finite_volume(d, 250 + d.voxels())}) {
+      for (const RigidTransform& t : exactness_transforms(d.voxels())) {
+        SCOPED_TRACE(::testing::Message()
+                     << d.nx << "x" << d.ny << "x" << d.nz << " t=(" << t.tx
+                     << ", " << t.ty << ", " << t.tz << ", " << t.rx << ", "
+                     << t.ry << ", " << t.rz << ")");
+        const VolumeF want = plain::resample(v, t);
+        expect_same_voxels(resample(v, t), want);
+        // The span voxels get resample's bits; every other keeps its value.
+        VolumeF got(d, 12345.0f), expect(d, 12345.0f);
+        resample_spans(v, t, spans, got);
+        for (const RowSpan& s : spans)
+          for (int x = s.x0; x < s.x1; ++x)
+            expect.at(x, s.y, s.z) = want.at(x, s.y, s.z);
+        expect_same_voxels(got, expect);
+      }
     }
   }
 }
@@ -741,6 +759,11 @@ TEST(KernelExactnessTest, FiltersMatchPlainFormulation) {
     const VolumeF v = random_volume(d, 300 + d.voxels());
     expect_same_voxels(median_filter_3x3(v), plain::median_filter_3x3(v));
     expect_same_voxels(average_filter_3x3x3(v), plain::average_filter_3x3x3(v));
+    // Infinities of both signs make NaN sums, whose bits the average must
+    // keep too.  (A NaN has no place in an order, so the median network and
+    // std::nth_element may pick different medians of a window holding one.)
+    const VolumeF w = non_finite_volume(d, 350 + d.voxels());
+    expect_same_voxels(average_filter_3x3x3(w), plain::average_filter_3x3x3(w));
   }
 }
 
