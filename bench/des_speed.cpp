@@ -1,26 +1,17 @@
-// S — DES engine speed (DESIGN.md §10).  Not a paper figure: this bench
-// measures the simulator's event-heap engine core on two axes:
+// S — the national replay fixture (DESIGN.md §10).  Not a paper figure: a
+// national-scale topology (32 sites, >2000 hosts, 100 000 flows), far
+// beyond the two-site testbed, run to completion with GTW-San attached
+// (require_clean gates the run).  Its event count, stream hash, makespan
+// and stream-hash checkpoints are deterministic: the replay gate holds them
+// byte for byte and localises a divergence by the checkpoints.  It times
+// nothing; gtwbench/ is the one timing harness.
 //
-//  1. events/sec sweeps of the scheduler on a PHOLD-style self-rescheduling
-//     workload and a TCP-timer churn workload.  Each row's event count and
-//     event-stream hash are deterministic.
-//  2. a national-scale topology (32 sites, >2000 hosts, 100 000 flows)
-//     far beyond the two-site testbed, run to completion with GTW-San
-//     attached (require_clean gates the run; its wall time includes it).
-//
-// Writes BENCH_des_speed.json and OBS_des_speed.metrics.json.  With
-// --replay every wall-clock-derived field is omitted so the double-run
-// determinism gate can hold the artifact to byte identity; everything else
-// (event counts, stream hashes, makespans) is deterministic.
-#include <array>
-#include <cassert>
-#include <chrono>
+// Writes BENCH_des_speed.json and OBS_des_speed.metrics.json.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,129 +30,6 @@ namespace {
 
 using namespace gtw;
 
-// ---------------------------------------------------------------------------
-// Wall-clock stopwatch.  Timing is *reported* only (events/sec columns); it
-// never feeds back into any simulation input, and --replay drops every field
-// derived from it, so the determinism contract is untouched.
-struct WallTimer {
-  std::chrono::steady_clock::time_point t0 =   // gtw-lint: allow(wall-clock)
-      std::chrono::steady_clock::now();        // gtw-lint: allow(wall-clock)
-  double elapsed_s() const {
-    const auto t1 = std::chrono::steady_clock::now();  // gtw-lint: allow(wall-clock)
-    return std::chrono::duration<double>(t1 - t0).count();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Synthetic engine workloads.
-
-struct RunStats {
-  std::uint64_t events = 0;
-  std::uint64_t hash = 0;
-  double wall_s = 0.0;
-};
-
-// Closure ballast sized like the simulator's real hot-path actions (a
-// Host::emit completion captures this + a full IpPacket + a route, ~112
-// bytes), which des::Action keeps inline.
-using Ballast = std::array<std::uint64_t, 12>;
-
-// PHOLD-style hold model: a fixed population of self-rescheduling events.
-// 15/16 hops stay within ~200 µs, 1/16 jump up to ~80 ms ahead, so the
-// pending set mixes imminent events with far timers.
-struct HoldState {
-  des::Scheduler sched;
-  des::Rng rng{0x686f6c64ULL};
-  std::uint64_t to_schedule = 0;
-  // 1-in-N hops jump far ahead; 0 keeps every hop near (the
-  // network-simulation steady state, where pending events are timers and
-  // serializations within a few RTTs of now).
-  std::uint64_t far_one_in = 16;
-};
-
-void hold_fire(HoldState* st, const Ballast& b) {
-  if (st->to_schedule == 0) return;
-  --st->to_schedule;
-  const bool far =
-      st->far_one_in != 0 && st->rng.uniform_int(st->far_one_in) == 0;
-  const auto d = static_cast<std::int64_t>(
-      1 + st->rng.uniform_int(far ? 80'000'000'000ULL : 200'000'000ULL));
-  Ballast next = b;
-  next[0] ^= static_cast<std::uint64_t>(d);
-  st->sched.schedule_after(des::SimTime::picoseconds(d),
-                           [st, next] { hold_fire(st, next); });
-}
-
-RunStats run_hold(std::size_t population, std::uint64_t budget,
-                  std::uint64_t far_one_in) {
-  HoldState st;
-  st.to_schedule = budget;
-  st.far_one_in = far_one_in;
-  const WallTimer timer;
-  const Ballast b{};
-  for (std::size_t i = 0; i < population && st.to_schedule != 0; ++i) {
-    --st.to_schedule;
-    const auto d =
-        static_cast<std::int64_t>(1 + st.rng.uniform_int(200'000'000ULL));
-    st.sched.schedule_at(des::SimTime::picoseconds(d),
-                         [p = &st, b] { hold_fire(p, b); });
-  }
-  st.sched.run();
-  return {st.sched.events_executed(), st.sched.stream_hash(),
-          timer.elapsed_s()};
-}
-
-// TCP-retransmit-timer churn: every "segment send" arms an RTO timer that
-// the next send cancels (the ack won the race) — except for a 1-in-8 stall
-// where the timer genuinely fires first.  ~1 cancellation per executed
-// event, so the sweep times the cancel path, not just schedule and fire.
-struct ChurnSim {
-  des::Scheduler sched;
-  des::Rng rng{0x636875726eULL};
-  std::uint64_t sends_left = 0;
-  std::uint64_t timeouts = 0;
-  std::vector<des::EventHandle> rto;  // one armed timer per connection
-};
-
-void churn_send(ChurnSim* sim, std::size_t c) {
-  sim->rto[c].cancel();
-  if (sim->sends_left == 0) return;
-  --sim->sends_left;
-  sim->rto[c] = sim->sched.schedule_after(des::SimTime::microseconds(500),
-                                          [sim] { ++sim->timeouts; });
-  const bool stall = sim->rng.uniform_int(8) == 0;
-  const auto gap = static_cast<std::int64_t>(
-      stall ? 700'000'000 : 1 + sim->rng.uniform_int(400'000'000ULL));
-  sim->sched.schedule_after(des::SimTime::picoseconds(gap),
-                            [sim, c] { churn_send(sim, c); });
-}
-
-RunStats run_churn(std::size_t connections, std::uint64_t budget) {
-  ChurnSim sim;
-  sim.sends_left = budget;
-  sim.rto.resize(connections);
-  const WallTimer timer;
-  for (std::size_t c = 0; c < connections; ++c) {
-    const auto start =
-        static_cast<std::int64_t>(1 + sim.rng.uniform_int(400'000'000ULL));
-    sim.sched.schedule_at(des::SimTime::picoseconds(start),
-                          [p = &sim, c] { churn_send(p, c); });
-  }
-  sim.sched.run();
-  return {sim.sched.events_executed(), sim.sched.stream_hash(),
-          timer.elapsed_s()};
-}
-
-struct SweepRow {
-  const char* workload;
-  std::size_t population;
-  RunStats run;
-  double events_per_s() const {
-    return static_cast<double>(run.events) / run.wall_s;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // National-scale scenario: a star of `sites` metro sites hanging off one
 // national core, each site an access router fanning out to `leaves_per_site`
 // hosts.  100 000 datagram flows cross it.  Dozens of sites and thousands
@@ -203,7 +71,6 @@ struct NationalStats {
   std::uint64_t events = 0;
   std::uint64_t hash = 0;
   double makespan_s = 0.0;
-  double wall_s = 0.0;
   // (simulated time, running stream hash) sampled every checkpoint
   // interval; the determinism gate diffs these between runs to localize a
   // divergence to a simulated-time window instead of a raw byte offset.
@@ -310,13 +177,12 @@ NationalStats run_national(const NationalConfig& nc) {
 
   // GTW-San: full conservation sweep over the national topology.  Attaching
   // schedules nothing, so the event stream (and its hash checkpoints) is
-  // identical to an unmonitored run; the wall time below includes it.
+  // identical to an unmonitored run.
   check::Monitor mon(sched);
   check::attach_scheduler(mon, sched);
   for (const auto& h : hosts) check::attach_host(mon, *h);
   for (const auto& l : links) check::attach_link(mon, *l);
 
-  const WallTimer timer;
   // Drive the run step-by-step so the stream hash can be sampled at fixed
   // simulated-time checkpoints.  Pure observation: nothing is scheduled,
   // so events and final hash match a plain sched.run() exactly.
@@ -329,14 +195,14 @@ NationalStats run_national(const NationalConfig& nc) {
       next_cp = next_cp + cp_interval;
     }
   }
-  const double wall_s = timer.elapsed_s();
 
   mon.finish();
   mon.require_clean("des_speed national");
 
   {
     // Snapshot the engine-core dashboard after the run (probes read current
-    // values at export time); gtw-trace --obs renders this file.
+    // values at export time); `gtw-trace OBS_des_speed.metrics.json`
+    // renders its des.sched.* section.
     obs::Registry reg;
     obs::instrument_scheduler(reg, sched);
     obs::instrument_link(reg, *first_core_trunk, "net.link.core_trunk0");
@@ -358,66 +224,14 @@ NationalStats run_national(const NationalConfig& nc) {
   st.events = sched.events_executed();
   st.hash = sched.stream_hash();
   st.makespan_s = sched.now().sec();
-  st.wall_s = wall_s;
   st.hash_checkpoints = std::move(checkpoints);
   // The final hash is always the last checkpoint, even off the grid.
   st.hash_checkpoints.emplace_back(st.makespan_s, st.hash);
   return st;
 }
 
-// ---------------------------------------------------------------------------
-
-void print_des_speed(bool replay) {
-  std::printf("== DES engine: event queue sweeps ==\n");
-
-  struct SweepCase {
-    const char* workload;
-    std::size_t population;
-    std::uint64_t budget;
-    std::uint64_t far_one_in;
-  };
-  // The population-64 row is the small pending set of a WAN bulk transfer
-  // (gtw-bench's wan_bulk peaks at 97 pending events).
-  const SweepCase cases[] = {
-      {"hold", 64, 300'000, 16},
-      {"hold", 1'000, 300'000, 16},
-      {"hold", 10'000, 500'000, 16},
-      {"hold", 100'000, 800'000, 16},
-      {"hold_near", 1'000'000, 1'500'000, 0},
-      {"churn", 20'000, 400'000, 0},
-  };
-  // Best of two timed runs: the schedule (and hash) is identical both
-  // times, only the wall clock varies, so min-of-N is the standard way to
-  // strip scheduler/turbo noise from the rate estimate.  --replay reports no
-  // rate, so one run is enough there.
-  std::vector<SweepRow> rows;
-  for (const SweepCase& c : cases) {
-    const auto run = [&c] {
-      return std::string_view(c.workload) == "churn"
-                 ? run_churn(c.population, c.budget)
-                 : run_hold(c.population, c.budget, c.far_one_in);
-    };
-    SweepRow r{c.workload, c.population, run()};
-    if (!replay) {
-      const RunStats again = run();
-      assert(again.hash == r.run.hash && again.events == r.run.events);
-      if (again.wall_s < r.run.wall_s) r.run = again;
-    }
-    rows.push_back(r);
-  }
-
-  std::printf("workload | population |   events |   events/s\n");
-  for (const SweepRow& r : rows) {
-    const auto events = static_cast<unsigned long long>(r.run.events);
-    if (replay)
-      std::printf("%8s | %10zu | %8llu |   (replay)\n", r.workload,
-                  r.population, events);
-    else
-      std::printf("%8s | %10zu | %8llu | %10.3g\n", r.workload,
-                  r.population, events, r.events_per_s());
-  }
-
-  std::printf("\n== national scale: 32 sites, 2081 hosts, 100000 flows ==\n");
+void print_des_speed() {
+  std::printf("== national scale: 32 sites, 2081 hosts, 100000 flows ==\n");
   const NationalConfig nat_cfg;
   const NationalStats nat = run_national(nat_cfg);
   std::printf("exact: %zu hosts, %zu links, delivered %llu, drops %llu, "
@@ -427,32 +241,11 @@ void print_des_speed(bool replay) {
               static_cast<unsigned long long>(nat.drops),
               static_cast<unsigned long long>(nat.events), nat.makespan_s,
               nat.completed ? "" : "  [INCOMPLETE]");
-  if (!replay)
-    std::printf("exact wall %.2f s (%.3g events/s)\n", nat.wall_s,
-                static_cast<double>(nat.events) / nat.wall_s);
 
   // ---- BENCH_des_speed.json ----
   std::ofstream json("BENCH_des_speed.json", std::ios::binary);
-  json << "{\n  \"bench\": \"des_speed\",\n  \"replay\": "
-       << (replay ? "true" : "false") << ",\n  \"sweeps\": [\n";
+  json << "{\n  \"bench\": \"des_speed\",\n";
   char buf[640];
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"workload\": \"%s\", \"population\": %zu, "
-                  "\"events\": %llu, \"stream_hash\": \"0x%016llx\"",
-                  r.workload, r.population,
-                  static_cast<unsigned long long>(r.run.events),
-                  static_cast<unsigned long long>(r.run.hash));
-    json << buf;
-    if (!replay) {
-      std::snprintf(buf, sizeof buf, ", \"events_per_s\": %.17g",
-                    r.events_per_s());
-      json << buf;
-    }
-    json << (i + 1 < rows.size() ? "},\n" : "}\n");
-  }
-  json << "  ],\n";
   std::snprintf(
       buf, sizeof buf,
       "  \"national_exact\": {\"sites\": %d, \"hosts\": %zu, "
@@ -478,22 +271,12 @@ void print_des_speed(bool replay) {
                       nat.hash_checkpoints[i].second));
     json << buf;
   }
-  json << "]";
-  if (!replay) {
-    std::snprintf(buf, sizeof buf,
-                  ", \"wall_s\": %.17g, \"events_per_s\": %.17g",
-                  nat.wall_s, static_cast<double>(nat.events) / nat.wall_s);
-    json << buf;
-  }
-  json << "}\n}\n";
+  json << "]}\n}\n";
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool replay = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string_view(argv[i]) == "--replay") replay = true;
-  print_des_speed(replay);
+int main() {
+  print_des_speed();
   return 0;
 }

@@ -67,12 +67,15 @@ void print_e4() {
 
   std::printf("-- ground water (TRACE->PARTRACE 3-D field per step; paper: "
               "up to 30 MByte/s) --\n");
+  apps::TraceConfig flow_cfg;
+  flow_cfg.dims = {64, 64, 16};  // 3.1 MB field per step
+  // The flow does not depend on the WAN: one solve serves every era.
+  const apps::FlowField field =
+      apps::TraceFlowSolver(flow_cfg).solve().velocity;
   for (auto era : {testbed::WanEra::kBWin155, testbed::WanEra::kOc12_1997,
                    testbed::WanEra::kOc48_1998}) {
     Rig rig(era);
-    apps::TraceConfig cfg;
-    cfg.dims = {64, 64, 16};  // 3.1 MB field per step
-    apps::GroundwaterCoupling run(rig.pair(), cfg, 200, 12);
+    apps::GroundwaterCoupling run(rig.pair(), flow_cfg, field, 200, 12);
     run.start();
     rig.tb.scheduler().run();
     const auto& r = run.result();

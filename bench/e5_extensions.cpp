@@ -90,7 +90,8 @@ void print_e5() {
     cfg.dims = {32, 32, 16};
     cfg.k_background = 1e-7;  // crustal rock, orders below an aquifer
     cfg.k_lens = 1e-9;        // impermeable intrusion
-    apps::GroundwaterCoupling run(comm, cfg, 150, 10);
+    apps::GroundwaterCoupling run(
+        comm, cfg, apps::TraceFlowSolver(cfg).solve().velocity, 150, 10);
     run.start();
     tb.scheduler().run();
     const auto& r = run.result();

@@ -48,7 +48,9 @@ int main() {
               "400 particles (T3E), coupled every step...\n", cfg.dims.nx,
               cfg.dims.ny, cfg.dims.nz);
 
-  apps::GroundwaterCoupling run(comm, cfg, /*particles=*/400, /*steps=*/15);
+  apps::GroundwaterCoupling run(comm, cfg,
+                                apps::TraceFlowSolver(cfg).solve().velocity,
+                                /*particles=*/400, /*steps=*/15);
   run.start();
   tb.scheduler().run();
 

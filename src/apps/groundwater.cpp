@@ -219,20 +219,17 @@ int ParTraceTracker::step(std::vector<Particle>& particles,
 }
 
 GroundwaterCoupling::GroundwaterCoupling(
-    std::shared_ptr<meta::Communicator> comm, TraceConfig cfg, int particles,
-    int steps, CouplingTiming timing)
-    : comm_(std::move(comm)), solver_(cfg), tracker_(2.0 / cfg.k_background),
-      steps_(steps), timing_(timing) {
+    std::shared_ptr<meta::Communicator> comm, const TraceConfig& cfg,
+    FlowField field, int particles, int steps, CouplingTiming timing)
+    : comm_(std::move(comm)),
+      field_(std::make_shared<const FlowField>(std::move(field))),
+      tracker_(2.0 / cfg.k_background), steps_(steps), timing_(timing) {
   des::Rng rng(42);
   particles_ = tracker_.seed(cfg.dims, particles, rng);
 }
 
 void GroundwaterCoupling::start() {
   started_ = comm_->metacomputer().scheduler().now();
-  // The flow solve runs for real once (steady flow; the real application
-  // recomputes it per step, which the modeled solve_per_step accounts for).
-  auto sol = std::make_shared<TraceFlowSolver::Solution>(solver_.solve());
-  field_ = std::make_shared<FlowField>(std::move(sol->velocity));
   result_.bytes_per_step = field_->bytes();
   coupling_step(0);
 }
@@ -278,7 +275,7 @@ void GroundwaterCoupling::coupling_step(int step) {
                               "advect", sched.now());
       h2->set_lane(advect, des::Lane{1});
     }
-    auto field = std::any_cast<std::shared_ptr<FlowField>>(msg.data);
+    auto field = std::any_cast<std::shared_ptr<const FlowField>>(msg.data);
     sched.schedule_after(timing_.advect_per_step, [this, step, field, ctx,
                                                    advect, &sched]() {
       tracker_.step(particles_, *field);

@@ -83,6 +83,10 @@ class ParTraceTracker {
 // The coupled metacomputing run: rank 0 (flow machine) recomputes/sends the
 // velocity field every coupling step, rank 1 (particle machine) advects.
 // Communication is the paper's pattern: one 3-D field transfer per step.
+// The flow is steady, so the caller solves it for real once
+// (TraceFlowSolver::solve() with the same TraceConfig) and hands in the
+// velocity field; the modeled solve_per_step stands for the real
+// application's per-step recomputation.
 // While a span hook is installed, each step is a trace: the solve (state
 // "flow") on lane 0, the field transfer, then "advect" on lane 1.
 struct CouplingResult {
@@ -108,8 +112,8 @@ struct CouplingTiming {
 class GroundwaterCoupling {
  public:
   GroundwaterCoupling(std::shared_ptr<meta::Communicator> comm,
-                      TraceConfig cfg, int particles, int steps,
-                      CouplingTiming timing = {});
+                      const TraceConfig& cfg, FlowField field, int particles,
+                      int steps, CouplingTiming timing = {});
 
   // Schedules the coupled run; inspect result() after the scheduler drains.
   void start();
@@ -119,7 +123,7 @@ class GroundwaterCoupling {
   void coupling_step(int step);
 
   std::shared_ptr<meta::Communicator> comm_;
-  TraceFlowSolver solver_;
+  std::shared_ptr<const FlowField> field_;
   ParTraceTracker tracker_;
   std::vector<Particle> particles_;
   int steps_;
@@ -128,7 +132,6 @@ class GroundwaterCoupling {
   des::SimTime send_started_;
   double transfer_accum_s_ = 0.0;
   CouplingResult result_;
-  std::shared_ptr<FlowField> field_;
 };
 
 }  // namespace gtw::apps

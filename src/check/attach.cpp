@@ -34,15 +34,17 @@ void SchedulerChecker::on_schedule(des::SimTime when, des::SimTime now,
 }
 
 void SchedulerChecker::on_fire(des::SimTime when, std::uint64_t seq) {
-  if (fired_any_ && when < last_fire_) {
+  if (fired_ != 0 && when < last_fire_) {
     mon_.violation("des.sched.monotonic-fire",
                    fmt("event seq=%llu fired at t=%.9fs after an event at "
                        "t=%.9fs — dispatch went backwards",
                        static_cast<unsigned long long>(seq), when.sec(),
                        last_fire_.sec()));
   }
+  // The previous event has finished and this one has not begun: the
+  // quiescent point the invariants are written for.
+  if (++fired_ % kSweepEvery == 0) mon_.check_now();
   last_fire_ = when;
-  fired_any_ = true;
   mon_.note_event("fire", seq);
 }
 

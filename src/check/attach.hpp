@@ -41,10 +41,15 @@ namespace gtw::check {
 //   des.sched.monotonic-fire   dispatch times never go backwards
 //   des.sched.past-schedule    no event scheduled before now()
 //   des.sched.double-cancel    the same tombstone cancelled twice
-// The class is public (rather than an attach-internal detail) so the
-// violation-fixture harness can drive its on_* methods directly.
+// It also drives the Monitor's quiescent invariants during the run: before
+// every kSweepEvery-th event fires it calls check_now(), so a ledger that
+// breaks and heals before drain is still reported.  That schedules
+// nothing.  The class is public (rather than an attach-internal detail) so
+// the violation-fixture harness can drive its on_* methods directly.
 class SchedulerChecker : public des::SchedulerCheckHook {
  public:
+  static constexpr std::uint64_t kSweepEvery = 4096;
+
   explicit SchedulerChecker(Monitor& mon) : mon_(mon) {}
 
   void on_schedule(des::SimTime when, des::SimTime now,
@@ -59,7 +64,7 @@ class SchedulerChecker : public des::SchedulerCheckHook {
  private:
   Monitor& mon_;
   des::SimTime last_fire_;
-  bool fired_any_ = false;
+  std::uint64_t fired_ = 0;
   std::uint64_t stale_cancels_ = 0;
 };
 

@@ -98,15 +98,6 @@ std::size_t Monitor::finish() {
   return found;
 }
 
-void Monitor::arm_periodic(des::SimTime interval) {
-  sched_.schedule_after(interval, [this, interval] {
-    check_now();
-    // Re-arm only while other events remain: the tick chain must not keep
-    // an otherwise-drained simulation alive.
-    if (!sched_.empty()) arm_periodic(interval);
-  });
-}
-
 std::string Monitor::report() const {
   if (clean()) return "gtw-check: clean (0 violations)\n";
   std::string out;

@@ -86,19 +86,12 @@ class Monitor {
   }
 
   // Evaluate all quiescent invariants; returns violations found this sweep.
+  // attach_scheduler's checker calls it between events during the run.
   std::size_t check_now();
 
   // End-of-run sweep: quiescent invariants plus drain checks (leak census,
   // conservation at rest).  Call after the scheduler has drained.
   std::size_t finish();
-
-  // Arm a periodic self-check: every `interval` of simulated time the
-  // monitor runs check_now(), re-arming only while other work remains so
-  // the tick chain ends at natural drain.  NOTE: this schedules events, so
-  // it perturbs event sequence numbers (and thus stream_hash) relative to
-  // an unmonitored run — fine within a checked build, but never compare
-  // its hashes against an unchecked baseline.
-  void arm_periodic(des::SimTime interval);
 
   // --- results --------------------------------------------------------------
   bool clean() const { return total_violations_ == 0; }

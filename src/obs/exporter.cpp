@@ -2,7 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <istream>
 #include <ostream>
+#include <string_view>
 
 namespace gtw::obs {
 
@@ -175,6 +178,57 @@ void write_metrics_json(std::ostream& os, const Registry& reg,
     first = false;
   }
   os << "\n  ]\n}\n";
+}
+
+bool load_metrics(std::istream& in, const std::string& what,
+                  std::vector<MetricRec>& out, std::string& error) {
+  const auto reject = [&](const std::string& why) {
+    error = what + ": " + why;
+    return false;
+  };
+  const auto trim = [](std::string_view v) {
+    while (!v.empty() && v.front() == ' ') v.remove_prefix(1);
+    while (!v.empty() && v.back() == ' ') v.remove_suffix(1);
+    return v;
+  };
+  std::string line;
+  std::size_t lineno = 0;
+  bool opened = false;
+  while (!opened && std::getline(in, line)) {
+    ++lineno;
+    opened = trim(line) == "\"metrics\": {";
+  }
+  if (!opened)
+    return reject("no \"metrics\" object (not a metrics snapshot)");
+
+  bool closed = false;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::string_view v = trim(line);
+    if (v == "}" || v == "},") {
+      closed = true;
+      break;
+    }
+    if (!v.empty() && v.back() == ',') v.remove_suffix(1);
+    const auto sep = v.find('"', 1);
+    const bool named = !v.empty() && v.front() == '"' &&
+                       sep != std::string_view::npos && sep > 1 &&
+                       v.substr(sep, 3) == "\": ";
+    std::string value(named ? v.substr(sep + 3) : std::string_view{});
+    char* end = nullptr;
+    std::strtod(value.c_str(), &end);
+    if (value.empty() || value.front() == ' ' || *end != '\0')
+      return reject("line " + std::to_string(lineno) +
+                    ": expected \"name\": <number> inside \"metrics\"");
+    out.push_back({std::string(v.substr(1, sep - 1)), std::move(value)});
+  }
+  if (!closed)
+    return reject("the \"metrics\" object is not closed (truncated?)");
+  std::string last;
+  while (std::getline(in, line))
+    if (const std::string_view v = trim(line); !v.empty()) last = v;
+  if (last != "}") return reject("the file does not end in '}' (truncated?)");
+  return true;
 }
 
 void write_series_json(std::ostream& os, const TimeSeriesSampler& sampler) {

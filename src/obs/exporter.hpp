@@ -11,6 +11,9 @@
 //  - stable-ordered JSON snapshots of a Registry and the long-format time
 //    series a TimeSeriesSampler collected.
 //
+// load_metrics() reads a snapshot back, as load_spans() reads a spans
+// artifact: this module owns the metrics format.
+//
 // All timestamps are simulated time.  Chrome `ts` is microseconds; we print
 // it as <us>.<6 digits> with the fraction computed in integer picoseconds,
 // so exports are byte-identical run to run (no double rounding anywhere on
@@ -19,6 +22,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
@@ -40,6 +44,22 @@ void write_chrome_trace(std::ostream& os, const SpanFile& f,
 //  "marks": [...]} — instruments in lexicographic name order.
 void write_metrics_json(std::ostream& os, const Registry& reg,
                         const std::string& label = "");
+
+// One line of a snapshot's "metrics" object: the name, and the value as
+// the writer printed it.
+struct MetricRec {
+  std::string name;
+  std::string value;
+};
+
+// Strict reader of the framing write_metrics_json writes: the "metrics"
+// object's opener, a `"name": <number>` on every line inside it, the
+// object's closing brace and the file's final '}'.  The "histograms" and
+// "marks" blocks are not read.  Appends the metrics in file order; on a
+// truncated or foreign file returns false and sets `error` to a one-line
+// reason that starts with `what` (usually the path).
+bool load_metrics(std::istream& in, const std::string& what,
+                  std::vector<MetricRec>& out, std::string& error);
 
 // {"series": [{"name": ..., "points": [[t_ps, value], ...]}, ...]} in watch
 // order.

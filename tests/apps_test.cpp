@@ -369,7 +369,9 @@ TEST(GroundwaterCouplingTest, RunsToCompletionWithFieldTransfers) {
   AppsFixture f;
   TraceConfig cfg;
   cfg.dims = {16, 16, 4};
-  GroundwaterCoupling run(f.pair_comm(), cfg, /*particles=*/100, /*steps=*/10);
+  GroundwaterCoupling run(f.pair_comm(), cfg,
+                          TraceFlowSolver(cfg).solve().velocity,
+                          /*particles=*/100, /*steps=*/10);
   obs::SpanTracer spans;
   f.tb.scheduler().set_span_hook(&spans);
   run.start();

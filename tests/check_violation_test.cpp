@@ -100,23 +100,39 @@ TEST(MonitorTest, DrainChecksOnlyRunAtFinish) {
   EXPECT_EQ(mon.violations()[0].checker, "drain.only");
 }
 
-TEST(MonitorTest, PeriodicSweepEndsAtNaturalDrain) {
+TEST(MonitorTest, InRunSweepReportsViolationHealedBeforeDrain) {
   des::Scheduler sched;
   Monitor mon(sched);
-  int sweeps = 0;
-  mon.add_invariant("count.sweeps", [&sweeps]() -> std::optional<std::string> {
-    ++sweeps;
-    return std::nullopt;
+  attach_scheduler(mon, sched);
+  bool balanced = true;
+  mon.add_invariant("unit.ledger", [&balanced]() -> std::optional<std::string> {
+    if (balanced) return std::nullopt;
+    return std::string("out of balance");
   });
-  // 10ms of real events; a 1ms sweep tick must ride along, then stop.
-  for (int i = 1; i <= 10; ++i) {
-    sched.schedule_at(des::SimTime::milliseconds(i), [] {});
+  // The ledger is out of balance from the end of event `from` to the end
+  // of event `from + kSweepEvery`: whatever the sweep phase, exactly one
+  // in-run sweep falls inside that stretch.  It heals long before drain.
+  const std::uint64_t every = SchedulerChecker::kSweepEvery;
+  const std::uint64_t from = every / 2;
+  for (std::uint64_t i = 1; i <= 3 * every; ++i) {
+    sched.schedule_at(des::SimTime::microseconds(static_cast<std::int64_t>(i)),
+                      [&balanced, i, from, every] {
+                        if (i == from) balanced = false;
+                        if (i == from + every) balanced = true;
+                      });
   }
-  mon.arm_periodic(des::SimTime::milliseconds(1));
   sched.run();
-  EXPECT_TRUE(sched.empty());  // the tick chain did not keep the sim alive
-  EXPECT_GE(sweeps, 5);
-  EXPECT_TRUE(mon.clean());
+  EXPECT_EQ(sched.events_executed(), 3 * every);
+  EXPECT_EQ(mon.finish(), 0u);  // healed: the end-of-run sweep sees nothing
+  ASSERT_EQ(mon.total_violations(), 1u);
+  const Violation& v = mon.violations()[0];
+  EXPECT_EQ(v.checker, "unit.ledger");
+  // Reported at the last quiet point inside the stretch, with the events
+  // that led up to it.
+  EXPECT_EQ(v.when, des::SimTime::microseconds(static_cast<std::int64_t>(
+                        every - 1)));
+  ASSERT_FALSE(v.history.empty());
+  EXPECT_NE(v.history.back().find("fire seq="), std::string::npos);
 }
 
 // --- pure invariant verdicts on broken ledgers ------------------------------

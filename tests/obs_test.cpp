@@ -356,6 +356,20 @@ TEST(ObsChromeExportTest, MetricsJsonMatchesGolden) {
   EXPECT_EQ(os.str(), read_golden("metrics_small.json")) << os.str();
 }
 
+// load_metrics reads back every metric write_metrics_json writes, with
+// the value text as written (gtw-trace prints only the des.sched.* ones).
+TEST(ObsChromeExportTest, MetricsJsonLoadsBack) {
+  std::istringstream in(read_golden("metrics_small.json"));
+  std::vector<obs::MetricRec> metrics;
+  std::string error;
+  ASSERT_TRUE(obs::load_metrics(in, "golden", metrics, error)) << error;
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_EQ(metrics[0].name, "net.link.wan.tx_bytes");
+  EXPECT_EQ(metrics[0].value, "123456789");
+  EXPECT_EQ(metrics[1].name, "net.link.wan.utilization");
+  EXPECT_EQ(metrics[1].value, "0.640625");
+}
+
 // Traces beyond 65k flow ids must export with unique ids and stay
 // byte-deterministic (a 16-bit id counter would silently wrap here).
 TEST(ObsChromeExportTest, LargeTraceExportsAllEventsDeterministically) {

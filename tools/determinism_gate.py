@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Double-run determinism gate.
 
-Runs a seeded bench or example program twice, each time in a fresh empty
-directory, and fails unless both runs printed the same output (stdout with
-stderr merged) and wrote the same BENCH_*.json and OBS_*.json artifacts,
-byte for byte.  This is the runtime complement to the static rules in
-tools/lint/gtw_lint.py: gtw-lint bans the constructs that *cause*
-divergence, this gate proves the absence of divergence end to end — same
-binary, same seed, same bytes out.
+Runs a seeded bench or example program twice, without arguments, each
+time in a fresh empty directory, and fails unless both runs printed the
+same output (stdout with stderr merged) and wrote the same BENCH_*.json
+and OBS_*.json artifacts, byte for byte.  This is the runtime complement
+to the static rules in tools/lint/gtw_lint.py: gtw-lint bans the
+constructs that *cause* divergence, this gate proves the absence of
+divergence end to end — same binary, same seed, same bytes out.
 
 Exit status: 0 byte-identical, 1 divergence (or nothing printed or
 written), 2 usage or subprocess failure.  Standard library only.
@@ -30,13 +30,12 @@ ARTIFACT_GLOBS = ["BENCH_*.json", "OBS_*.json"]
 OUTPUT = "(stdout+stderr)"
 
 
-def run_once(cmd: list[str], workdir: str) -> dict[str, bytes]:
-    proc = subprocess.run(cmd, cwd=workdir, stdout=subprocess.PIPE,
+def run_once(binary: str, workdir: str) -> dict[str, bytes]:
+    proc = subprocess.run([binary], cwd=workdir, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout.decode(errors="replace"))
-        raise RuntimeError(
-            f"command exited {proc.returncode}: {' '.join(cmd)}")
+        raise RuntimeError(f"command exited {proc.returncode}: {binary}")
     artifacts: dict[str, bytes] = {OUTPUT: proc.stdout}
     for pattern in ARTIFACT_GLOBS:
         for path in sorted(glob.glob(os.path.join(workdir, pattern))):
@@ -117,8 +116,6 @@ def main(argv: list[str]) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--bench", required=True,
                     help="bench or example binary to replay twice")
-    ap.add_argument("--arg", action="append", default=[], dest="args",
-                    help="argument to pass to the binary (repeatable)")
     ap.add_argument("--expect", action="append", default=[],
                     dest="expected",
                     help="artifact filename that MUST be produced "
@@ -127,13 +124,13 @@ def main(argv: list[str]) -> int:
                          "non-vacuous")
     args = ap.parse_args(argv)
 
-    cmd = [os.path.abspath(args.bench)] + args.args
+    binary = os.path.abspath(args.bench)
 
     try:
         with tempfile.TemporaryDirectory(prefix="det_run1_") as d1, \
                 tempfile.TemporaryDirectory(prefix="det_run2_") as d2:
-            run1 = run_once(cmd, d1)
-            run2 = run_once(cmd, d2)
+            run1 = run_once(binary, d1)
+            run2 = run_once(binary, d2)
     except (RuntimeError, OSError) as e:
         print(f"determinism-gate: ERROR: {e}", file=sys.stderr)
         return 2

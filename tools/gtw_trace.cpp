@@ -36,12 +36,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,72 +67,28 @@ int usage(const char* argv0) {
 }
 
 // Print the engine-core metrics (scheduler and event pool) out of an
-// OBS_*.metrics.json snapshot.  The exporter writes the "metrics" object
-// one `    "name": value,` per line, so a line scan suffices — no JSON
-// parser needed for our own format.  The scan holds the file to that
-// framing: the object's opener, a `"name": <number>` on every line inside
-// it, its closing brace and the file's final `}`.  Anything else is a
-// truncated or foreign file, and nothing is printed from it.
+// OBS_*.metrics.json snapshot.  obs::load_metrics holds the file to the
+// writer's framing, so nothing is printed from a truncated or foreign file.
 int print_obs_engine(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "gtw-trace: cannot open '" << path << "'\n";
     return 1;
   }
-  const auto reject = [&path](const std::string& why) {
-    std::cerr << "gtw-trace: " << path << ": " << why << "\n";
+  std::vector<gtw::obs::MetricRec> metrics;
+  std::string error;
+  if (!gtw::obs::load_metrics(in, path, metrics, error)) {
+    std::cerr << "gtw-trace: " << error << "\n";
     return 1;
-  };
-  const auto trim = [](std::string_view v) {
-    while (!v.empty() && v.front() == ' ') v.remove_prefix(1);
-    while (!v.empty() && v.back() == ' ') v.remove_suffix(1);
-    return v;
-  };
-  std::string line;
-  std::size_t lineno = 0;
-  bool opened = false;
-  while (!opened && std::getline(in, line)) {
-    ++lineno;
-    opened = trim(line) == "\"metrics\": {";
   }
-  if (!opened)
-    return reject("no \"metrics\" object (not a metrics snapshot)");
-
-  std::vector<std::pair<std::string, std::string>> engine;
-  bool closed = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string_view v = trim(line);
-    if (v == "}" || v == "},") {
-      closed = true;
-      break;
-    }
-    if (!v.empty() && v.back() == ',') v.remove_suffix(1);
-    const auto sep = v.find('"', 1);
-    const bool named = !v.empty() && v.front() == '"' &&
-                       sep != std::string_view::npos && sep > 1 &&
-                       v.substr(sep, 3) == "\": ";
-    const std::string value(named ? v.substr(sep + 3) : std::string_view{});
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (value.empty() || value.front() == ' ' || *end != '\0')
-      return reject("line " + std::to_string(lineno) +
-                    ": expected \"name\": <number> inside \"metrics\"");
-    std::string name(v.substr(1, sep - 1));
-    if (name.rfind("des.sched.", 0) == 0)
-      engine.emplace_back(std::move(name), value);
-  }
-  if (!closed)
-    return reject("the \"metrics\" object is not closed (truncated?)");
-  std::string last;
-  while (std::getline(in, line))
-    if (const std::string_view v = trim(line); !v.empty()) last = v;
-  if (last != "}") return reject("the file does not end in '}' (truncated?)");
-
   std::cout << "des engine (" << path << ")\n";
-  for (const auto& [name, value] : engine)
+  bool any = false;
+  for (const auto& [name, value] : metrics) {
+    if (name.rfind("des.sched.", 0) != 0) continue;
     std::cout << "  " << name << ": " << value << "\n";
-  if (engine.empty())
+    any = true;
+  }
+  if (!any)
     std::cout << "  (no des.sched.* metrics in snapshot — was the scheduler"
                  " instrumented?)\n";
   return 0;

@@ -47,8 +47,12 @@ Per-file rules
                         src/.  Metrics leave the simulator through the
                         stable-ordered obs exporters or returned strings.
   pool-bypass-new       `new`/make_unique/make_shared of an event or packet
-                        record (Entry, Frame, IpPacket) in src/.  These live
-                        in des::SlabPool arenas (DESIGN.md par. 10).
+                        record (Entry, Frame, IpPacket) in src/.  The
+                        scheduler's Entry lives in a des::SlabPool; Frame
+                        (queued in Link's std::deque<Frame>) and IpPacket
+                        move by value.  A heap-allocated record would put an
+                        allocation back on the per-event path (DESIGN.md
+                        par. 10).
   meta-raw-tcp          `TcpConnection` named in src/meta/ outside
                         path_transport.  The meta layer reaches the WAN
                         through meta::PathTransport only.
@@ -432,6 +436,10 @@ ENTROPY_CALLS = ("rand", "srand", "random", "srandom",
 CLOCK_IDS = ("system_clock", "steady_clock", "high_resolution_clock")
 ORDERED_ASSOC = ("map", "set", "multimap", "multiset")
 POOLED_TYPES = ("Entry", "Frame", "IpPacket")
+POOL_BYPASS_MSG = ("heap allocation of an event/packet record; the per-event "
+                   "hot path is allocation-free — take an Entry from the "
+                   "scheduler's des::SlabPool, move a Frame or IpPacket by "
+                   "value")
 UNIT_TYPES = ("Bytes", "Bits", "Cells", "Ops",
               "BitRate", "ByteRate", "OpRate")
 
@@ -666,11 +674,7 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                     last_id = toks[k].text
                 k += 1
             if last_id in POOLED_TYPES:
-                rep.report(sf, t.line, "pool-bypass-new",
-                           "heap allocation of a pooled event/packet record; "
-                           "the per-event hot path is allocation-free — "
-                           "acquire slots from the owning des::SlabPool "
-                           "instead")
+                rep.report(sf, t.line, "pool-bypass-new", POOL_BYPASS_MSG)
         if library_code and t.text in ("make_unique", "make_shared") \
                 and nxt is not None and is_p(nxt, "<"):
             close = template_close(toks, i + 1)
@@ -683,10 +687,7 @@ def check_per_file(sf: SourceFile, rep: Reporter) -> None:
                         last_id = last_id  # arrays: `Entry[]` keeps the id
                 if last_id in POOLED_TYPES:
                     rep.report(sf, t.line, "pool-bypass-new",
-                               "heap allocation of a pooled event/packet "
-                               "record; the per-event hot path is "
-                               "allocation-free — acquire slots from the "
-                               "owning des::SlabPool instead")
+                               POOL_BYPASS_MSG)
 
         # meta-raw-tcp.
         if meta_wan_guard and t.text == "TcpConnection":
@@ -1410,7 +1411,7 @@ RULE_HELP = {
     "raw-rate-double": "raw floating-point rate outside src/units/",
     "unitless-size-param": "raw byte-count parameter on a net API",
     "raw-metric-print": "direct stdout printing in library code",
-    "pool-bypass-new": "heap allocation of a pooled event/packet record",
+    "pool-bypass-new": "heap allocation of an event/packet record",
     "meta-raw-tcp": "raw TcpConnection in src/meta/",
     "unit-escape": ".value()/.count() re-entering unit-typed expressions",
     "check-side-effect": "mutating expression in a check-hook call",
