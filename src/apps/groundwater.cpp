@@ -254,35 +254,26 @@ void GroundwaterCoupling::coupling_step(int step) {
   }
 
   // The step's trace; the solve and advect spans sit on the ranks' lanes.
-  des::SpanHook* h = sched.span_hook();
-  des::TraceContext prev, ctx;
-  std::uint64_t solve = 0;
-  if (h != nullptr) {
-    prev = h->current();
-    ctx = h->mint("apps.groundwater", sched.now());
-    solve = h->begin_span(ctx, des::SpanPhase::kCompute, "apps", "flow",
-                          sched.now());
-    h->set_lane(solve, des::Lane{0});
-  }
+  // The caller's own context is restored on return.
+  des::TraceScope caller(sched);
+  const des::TraceContext ctx = sched.mint("apps.groundwater");
+  const std::uint64_t solve =
+      sched.begin_span(ctx, des::SpanPhase::kCompute, "apps", "flow");
+  sched.set_lane(solve, des::Lane{0});
 
   // Rank 1 (PARTRACE) posts its receive, then advects when the field lands.
   comm_->recv(1, 0, /*tag=*/step, [this, step, ctx,
                                    &sched](const meta::Message& msg) {
     transfer_accum_s_ += (sched.now() - send_started_).sec();
-    std::uint64_t advect = 0;
-    if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr) {
-      advect = h2->begin_span(ctx, des::SpanPhase::kCompute, "apps",
-                              "advect", sched.now());
-      h2->set_lane(advect, des::Lane{1});
-    }
+    const std::uint64_t advect =
+        sched.begin_span(ctx, des::SpanPhase::kCompute, "apps", "advect");
+    sched.set_lane(advect, des::Lane{1});
     auto field = std::any_cast<std::shared_ptr<const FlowField>>(msg.data);
     sched.schedule_after(timing_.advect_per_step, [this, step, field, ctx,
                                                    advect, &sched]() {
       tracker_.step(particles_, *field);
-      if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr) {
-        h2->end_span(advect, sched.now());
-        h2->close_trace(ctx, sched.now());
-      }
+      sched.end_span(advect);
+      sched.close_trace(ctx);
       ++result_.steps_completed;
       coupling_step(step + 1);
     });
@@ -290,12 +281,10 @@ void GroundwaterCoupling::coupling_step(int step) {
 
   // Rank 0 (TRACE) recomputes the flow, then ships the field.
   sched.schedule_after(timing_.solve_per_step, [this, step, solve, &sched]() {
-    if (des::SpanHook* h2 = sched.span_hook(); h2 != nullptr)
-      h2->end_span(solve, sched.now());
+    sched.end_span(solve);
     send_started_ = sched.now();
     comm_->send(0, 1, /*tag=*/step, field_->bytes(), field_);
   });
-  if (h != nullptr) h->adopt(prev);
 }
 
 }  // namespace gtw::apps

@@ -14,6 +14,10 @@
 // the fired sequence does not depend on the queue's shape, and a heap has
 // no geometry to fit to the workload (DESIGN.md §10 gives the measurements
 // behind choosing it over a calendar queue).
+//
+// The scheduler is also the components' one way into causal tracing
+// (DESIGN.md §13): they trace through its span calls and TraceScope, and
+// only those two call the installed SpanHook.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +118,52 @@ class Scheduler {
   // returns a destroyed hook.
   void set_span_hook(SpanHook* hook);
   SpanHook* span_hook() const { return span_hook_; }
+
+  // Components trace through these calls and TraceScope, never through the
+  // hook: each forwards to the installed hook at now(), and without one
+  // does nothing and returns an invalid context or span id 0.  tracing()
+  // lets a site skip building a context that only spans would read.
+  bool tracing() const { return span_hook_ != nullptr; }
+  TraceContext current_trace() const {
+    return span_hook_ != nullptr ? span_hook_->current() : TraceContext{};
+  }
+  // Mints a trace rooted now; the running event continues under it.
+  TraceContext mint(const char* origin) {
+    return span_hook_ != nullptr ? span_hook_->mint(origin, now_)
+                                 : TraceContext{};
+  }
+  std::uint64_t begin_span(TraceContext parent, SpanPhase phase,
+                           const char* layer, const char* name) {
+    return span_hook_ != nullptr
+               ? span_hook_->begin_span(parent, phase, layer, name, now_)
+               : 0;
+  }
+  void end_span(std::uint64_t span_id) {
+    if (span_hook_ != nullptr) span_hook_->end_span(span_id, now_);
+  }
+  void abort_span(std::uint64_t span_id) {
+    if (span_hook_ != nullptr) span_hook_->abort_span(span_id, now_);
+  }
+  void close_trace(TraceContext ctx) {
+    if (span_hook_ != nullptr) span_hook_->close_trace(ctx, now_);
+  }
+  void abort_trace(TraceContext ctx, const char* reason) {
+    if (span_hook_ != nullptr) span_hook_->abort_trace(ctx, reason, now_);
+  }
+  void set_lane(std::uint64_t span_id, const Lane& lane) {
+    if (span_hook_ != nullptr) span_hook_->set_lane(span_id, lane);
+  }
+  TraceContext send_message(TraceContext ctx, const char* layer,
+                            std::int64_t from, std::int64_t to,
+                            std::uint64_t bytes) {
+    return span_hook_ != nullptr
+               ? span_hook_->send_message(ctx, layer, from, to, bytes, now_)
+               : TraceContext{};
+  }
+  void recv_message(TraceContext send, const char* layer, std::int64_t at) {
+    if (span_hook_ != nullptr) span_hook_->recv_message(send, layer, at, now_);
+  }
+
   // Releases the event pool refused as double frees (check::attach_scheduler).
   std::uint64_t pool_double_frees() const { return pool_.double_frees(); }
 
@@ -165,6 +215,34 @@ class Scheduler {
   std::vector<QItem> heap_;  // 4-ary min-heap on (when, seq), tombstones too
   SchedulerCheckHook* check_hook_ = nullptr;
   SpanHook* span_hook_ = nullptr;
+};
+
+// Runs the rest of a block under a trace context: saves the running
+// context, adopts `ctx` when one is given (valid or not), and restores the
+// saved context when the block ends.  A component that hands a payload
+// across an async boundary opens one around the handoff, so the events it
+// schedules belong to the payload's trace; one opened without `ctx` undoes
+// a mint.  Does nothing without a hook.
+class TraceScope {
+ public:
+  explicit TraceScope(Scheduler& sched)
+      : sched_(sched), saved_(sched.current_trace()) {}
+  TraceScope(Scheduler& sched, TraceContext ctx)
+      : sched_(sched),
+        saved_(sched.span_hook() != nullptr ? sched.span_hook()->adopt(ctx)
+                                            : TraceContext{}) {}
+  ~TraceScope() {
+    if (SpanHook* h = sched_.span_hook(); h != nullptr) h->adopt(saved_);
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+
+  // The context restored at exit: the caller's.
+  TraceContext saved() const { return saved_; }
+
+ private:
+  Scheduler& sched_;
+  TraceContext saved_;
 };
 
 }  // namespace gtw::des

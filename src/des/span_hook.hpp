@@ -4,13 +4,15 @@
 // Same inversion as des/check_hook.hpp: the layering DAG forbids des, net,
 // meta and flow from including obs, so the interface the tracer implements
 // is declared here at the bottom of the DAG and src/obs/ provides the
-// implementation.  Span call sites, like the check hook's, are plain
-// null-checked virtual calls present in every build — tracing is a runtime
-// choice (attach a tracer to the scheduler, run, detach), not a build
-// flavour.  When no hook is installed the cost per site is one pointer
-// load and branch; when one is installed, the hook only *observes*: it
-// must never schedule, cancel, or otherwise steer the simulation, so all
-// BENCH_*.json artifacts are byte-identical with and without tracing.
+// implementation.  Components never call the hook: they trace through
+// des::Scheduler (mint, begin_span, ..., current_trace) and des::TraceScope,
+// which are the only callers, each a null-checked virtual call present in
+// every build — tracing is a runtime choice (attach a tracer to the
+// scheduler, run, detach), not a build flavour.  When no hook is installed
+// the cost per call is one pointer load and branch; when one is installed,
+// the hook only *observes*: it must never schedule, cancel, or otherwise
+// steer the simulation, so all BENCH_*.json artifacts are byte-identical
+// with and without tracing.
 //
 // Causality is carried two ways:
 //  - through the scheduler: on_event_scheduled snapshots the hook's
@@ -20,9 +22,10 @@
 //    with zero per-component code.
 //  - through payloads: packets, frames, TCP messages and PathTransport
 //    chunks carry a TraceContext member; a component that moves a payload
-//    across an async boundary brackets the handoff with adopt() so the
-//    downstream events are attributed to the payload's trace, not to
-//    whatever event happened to perform the move.
+//    across an async boundary opens a des::TraceScope on the payload's
+//    context around the handoff, so the downstream events are attributed
+//    to the payload's trace, not to whatever event happened to perform the
+//    move, and the mover carries on under its own.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +115,7 @@ struct SpanHook {
   virtual TraceContext mint(const char* origin, SimTime now) = 0;
   // The context the currently executing event is attributed to.
   virtual TraceContext current() const = 0;
-  // Swap the current context (returns the previous one so call sites can
+  // Swap the current context (returns the previous one so TraceScope can
   // restore it): the payload-handoff bracket described above.
   virtual TraceContext adopt(TraceContext ctx) = 0;
   // Open a span under `parent` (use current() for "under whatever is

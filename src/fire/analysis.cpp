@@ -42,11 +42,6 @@ VolumeF AnalysisEngine::process_scan(const VolumeF& raw) {
   return img;
 }
 
-RvoResult AnalysisEngine::run_rvo(const RvoConfig& cfg) const {
-  RvoAnalyzer rvo(dims_, cfg_.stimulus, cfg_.tr_s, cfg);
-  return rvo.analyze(processed_series_);
-}
-
 std::vector<double> AnalysisEngine::roi_time_course(
     const std::vector<std::size_t>& voxels) const {
   std::vector<double> out;

@@ -1,5 +1,5 @@
 // The FIRE analysis chain on real data: median filter -> 3-D motion
-// correction -> detrending -> incremental correlation, with RVO on the
+// correction -> detrending -> incremental correlation over the
 // accumulated series.  This is the numerics the RT-client either runs
 // locally on a workstation or delegates to the Cray T3E "in a 'remote
 // procedure call' like manner" (paper section 4); the pipeline module
@@ -15,7 +15,6 @@
 #include "fire/filters.hpp"
 #include "fire/motion.hpp"
 #include "fire/reference.hpp"
-#include "fire/rvo.hpp"
 #include "fire/volume.hpp"
 
 namespace gtw::fire {
@@ -49,9 +48,6 @@ class AnalysisEngine {
   // off or on the reference scan).
   const RigidTransform& last_motion() const { return last_motion_; }
 
-  // Reference-vector optimisation over everything processed so far.
-  RvoResult run_rvo(const RvoConfig& cfg) const;
-
   // Mean time course over a region of interest (list of voxel indices) —
   // the paper's GUI displays exactly these per-ROI signal curves (fig. 3).
   std::vector<double> roi_time_course(
@@ -67,7 +63,7 @@ class AnalysisEngine {
   std::optional<MotionCorrector> motion_;
   std::optional<IncrementalDetrend> detrend_;
   IncrementalCorrelation corr_;
-  std::vector<VolumeF> processed_series_;  // feeds RVO and ROI queries
+  std::vector<VolumeF> processed_series_;  // feeds ROI queries
   RigidTransform last_motion_;
 };
 

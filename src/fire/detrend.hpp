@@ -24,8 +24,6 @@ class IncrementalDetrend {
  public:
   IncrementalDetrend(Dims dims, DetrendConfig cfg);
 
-  int basis_size() const { return k_; }
-
   // Feed the scan at index `t` (consecutive from 0); returns the detrended
   // image (residual after projecting out the basis fitted to scans 0..t).
   VolumeF add_scan(const VolumeF& image);

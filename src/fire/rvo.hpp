@@ -59,10 +59,6 @@ class RvoAnalyzer {
 
   const RvoConfig& config() const { return cfg_; }
 
-  // Number of (delay, dispersion) candidates evaluated per voxel in full
-  // raster mode.
-  int grid_points() const { return cfg_.delay_steps * cfg_.disp_steps; }
-
  private:
   struct Candidate {
     double delay, dispersion;

@@ -8,27 +8,22 @@ des::SimTime StageContext::now() const { return graph->sched_.now(); }
 
 des::TraceContext StageContext::trace_send(int to_stage,
                                            units::Bytes bytes) const {
-  des::SpanHook* h = graph->sched_.span_hook();
-  if (h == nullptr) return {};
-  return h->send_message(trace, "flow", stage, to_stage, bytes.count(),
-                         graph->sched_.now());
+  return graph->sched_.send_message(trace, "flow", stage, to_stage,
+                                    bytes.count());
 }
 
 void StageContext::trace_recv(int at_stage, des::TraceContext send) const {
-  if (des::SpanHook* h = graph->sched_.span_hook(); h != nullptr)
-    h->recv_message(send, "flow", at_stage, graph->sched_.now());
+  graph->sched_.recv_message(send, "flow", at_stage);
 }
 
 StageGraph::StageGraph(des::Scheduler& sched, GraphConfig cfg)
     : sched_(sched), cfg_(cfg) {}
 
 StageGraph::~StageGraph() {
-  des::SpanHook* h = sched_.span_hook();
-  if (h == nullptr) return;
   for (auto& [id, is] : live_) {
-    h->abort_span(is.wait_span, sched_.now());
-    h->abort_span(is.body_span, sched_.now());
-    if (is.owns_trace) h->abort_trace(is.ctx, "teardown", sched_.now());
+    sched_.abort_span(is.wait_span);
+    sched_.abort_span(is.body_span);
+    if (is.owns_trace) sched_.abort_trace(is.ctx, "teardown");
   }
 }
 
@@ -39,10 +34,6 @@ int StageGraph::add_stage(StageConfig cfg) {
   return idx;
 }
 
-const std::string& StageGraph::stage_name(int s) const {
-  return stages_[static_cast<std::size_t>(s)].cfg.name;
-}
-
 void StageGraph::push(int index, std::any payload) {
   ++metrics_.pushed;
   const std::uint64_t id = next_id_++;
@@ -50,18 +41,14 @@ void StageGraph::push(int index, std::any payload) {
   st.item.id = id;
   st.item.index = index;
   st.item.payload = std::move(payload);
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    // Workload origin: an item pushed outside any traced event starts a
-    // fresh trace; one pushed from inside (e.g. a stage body fanning out)
-    // joins the trace of its cause.
-    st.ctx = h->current();
-    if (!st.ctx.valid()) {
-      st.ctx = h->mint("flow.push", sched_.now());
-      st.owns_trace = true;
-    }
-    st.wait_span = h->begin_span(st.ctx, des::SpanPhase::kQueueWait, "flow",
-                                 "admission", sched_.now());
-  }
+  // Workload origin: an item pushed outside any traced event starts a
+  // fresh trace; one pushed from inside (e.g. a stage body fanning out)
+  // joins the trace of its cause.
+  st.ctx = sched_.current_trace();
+  st.owns_trace = sched_.tracing() && !st.ctx.valid();
+  if (st.owns_trace) st.ctx = sched_.mint("flow.push");
+  st.wait_span = sched_.begin_span(st.ctx, des::SpanPhase::kQueueWait, "flow",
+                                   "admission");
   live_.emplace(id, std::move(st));
   admission_.push_back(id);
   if (admission_.size() > metrics_.admission_peak)
@@ -96,11 +83,9 @@ void StageGraph::supersede_waiting() {
     ++metrics_.admission_dropped;
     if (degraded_) ++metrics_.degraded_dropped;
     auto it = live_.find(stale);
-    if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-      h->abort_span(it->second.wait_span, sched_.now());
-      if (it->second.owns_trace)
-        h->abort_trace(it->second.ctx, "superseded", sched_.now());
-    }
+    sched_.abort_span(it->second.wait_span);
+    if (it->second.owns_trace)
+      sched_.abort_trace(it->second.ctx, "superseded");
     live_.erase(it);
   }
 }
@@ -127,14 +112,12 @@ void StageGraph::admit_pending() {
 
 void StageGraph::enqueue(int s, std::uint64_t id) {
   Stage& st = stages_[static_cast<std::size_t>(s)];
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    // An item arriving from the previous stage starts waiting here; one
-    // just admitted keeps its open admission span until it starts.
-    ItemState& is = live_.find(id)->second;
-    if (is.ctx.valid() && is.wait_span == 0)
-      is.wait_span = h->begin_span(is.ctx, des::SpanPhase::kQueueWait, "flow",
-                                   st.cfg.name.c_str(), sched_.now());
-  }
+  // An item arriving from the previous stage starts waiting here; one
+  // just admitted keeps its open admission span until it starts.
+  ItemState& is = live_.find(id)->second;
+  if (is.ctx.valid() && is.wait_span == 0)
+    is.wait_span = sched_.begin_span(is.ctx, des::SpanPhase::kQueueWait,
+                                     "flow", st.cfg.name.c_str());
   st.queue.push_back(id);
   note_queue(s);
   pump(s);
@@ -167,24 +150,20 @@ void StageGraph::start(int s, std::uint64_t id) {
     m.started = true;
     m.first_start = is.started;
   }
-  des::SpanHook* h = sched_.span_hook();
-  const bool traced = h != nullptr && is.ctx.valid();
-  des::TraceContext prev;
-  if (traced) {
-    h->end_span(is.wait_span, is.started);
+  if (is.ctx.valid()) {
+    sched_.end_span(is.wait_span);
     is.wait_span = 0;
-    is.body_span = h->begin_span(is.ctx, des::SpanPhase::kCompute,
-                                 "flow",
-                                 st.cfg.name.c_str(), is.started);
-    h->set_lane(is.body_span, des::Lane{s});
-    // Run the body under its own span so whatever it launches (a WAN
-    // transfer, a CPU job) nests beneath this stage in the span tree.
-    prev = h->adopt(des::under(is.ctx, is.body_span));
+    is.body_span = sched_.begin_span(is.ctx, des::SpanPhase::kCompute, "flow",
+                                     st.cfg.name.c_str());
+    sched_.set_lane(is.body_span, des::Lane{s});
   }
-  st.cfg.body(StageContext{this, s, des::under(is.ctx, is.body_span)},
-              is.item, [this, s, id]() { finish(s, id); });
+  // Run the body under its own span so whatever it launches (a WAN
+  // transfer, a CPU job) nests beneath this stage in the span tree.
+  const des::TraceContext body = des::under(is.ctx, is.body_span);
+  des::TraceScope scope(sched_, body);
+  st.cfg.body(StageContext{this, s, body}, is.item,
+              [this, s, id]() { finish(s, id); });
   // `is` may be gone here: a synchronous Done can complete the item.
-  if (traced) h->adopt(prev);
 }
 
 void StageGraph::finish(int s, std::uint64_t id) {
@@ -199,10 +178,8 @@ void StageGraph::finish(int s, std::uint64_t id) {
   ++m.items_out;
   m.busy += now - is.started;
   m.last_finish = now;
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    h->end_span(is.body_span, now);
-    is.body_span = 0;
-  }
+  sched_.end_span(is.body_span);
+  is.body_span = 0;
   // Release the slot and refill this stage before handing the item on, so
   // an upstream waiter dispatches ahead of the downstream continuation —
   // the ordering the original FIRE transfer callback used.
@@ -229,15 +206,11 @@ void StageGraph::leave_graph(std::uint64_t id) {
     ++metrics_.recoveries;
     metrics_.last_recovery_time = sched_.now() - recovery_started_;
   }
-  des::SpanHook* h = sched_.span_hook();
-  des::TraceContext prev;
-  if (h != nullptr) prev = h->adopt(it->second.ctx);
-  if (complete_) complete_(it->second.item);
-  if (h != nullptr) {
-    h->adopt(prev);
-    if (it->second.owns_trace)
-      h->close_trace(it->second.ctx, sched_.now());
+  {
+    des::TraceScope scope(sched_, it->second.ctx);
+    if (complete_) complete_(it->second.item);
   }
+  if (it->second.owns_trace) sched_.close_trace(it->second.ctx);
   live_.erase(it);
   --in_flight_;
   admit_pending();

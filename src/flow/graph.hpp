@@ -106,7 +106,6 @@ class StageGraph {
   const MetricsRegistry& metrics() const { return metrics_; }
 
   int stage_count() const { return static_cast<int>(stages_.size()); }
-  const std::string& stage_name(int s) const;
   int in_flight() const { return in_flight_; }
   std::size_t waiting_admission() const { return admission_.size(); }
 

@@ -75,13 +75,6 @@ double dot(const Vector& a, const Vector& b) {
 
 double norm2(const Vector& a) { return std::sqrt(dot(a, a)); }
 
-Vector axpy(double alpha, const Vector& x, const Vector& y) {
-  assert(x.size() == y.size());
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = alpha * x[i] + y[i];
-  return out;
-}
-
 void scale(Vector& v, double s) {
   for (auto& x : v) x *= s;
 }

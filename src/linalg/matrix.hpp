@@ -53,7 +53,6 @@ class Matrix {
 // Basic vector helpers.
 double dot(const Vector& a, const Vector& b);
 double norm2(const Vector& a);
-Vector axpy(double alpha, const Vector& x, const Vector& y);  // alpha*x + y
 void scale(Vector& v, double s);
 
 // Sample Pearson correlation between two equal-length series.

@@ -15,13 +15,9 @@ Communicator::Communicator(Metacomputer& mc, std::vector<ProcLoc> ranks)
 }
 
 Communicator::~Communicator() {
-  if (collectives_.empty()) return;
-  des::SpanHook* h = mc_->scheduler().span_hook();
-  if (h == nullptr) return;
-  const des::SimTime now = mc_->scheduler().now();
   for (const auto& [key, c] : collectives_) {
-    for (const std::uint64_t span : c.spans) h->abort_span(span, now);
-    if (c.owns_trace) h->abort_trace(c.ctx, "teardown", now);
+    for (const std::uint64_t span : c.spans) mc_->scheduler().abort_span(span);
+    if (c.owns_trace) mc_->scheduler().abort_trace(c.ctx, "teardown");
   }
 }
 
@@ -39,40 +35,30 @@ void Communicator::send(int src_rank, int dst_rank, int tag,
   // and closed at delivery; either way it is a send on the source rank's
   // lane.  The caller's own context is restored on return.
   const bool wan = src.machine != dst.machine;
-  des::SpanHook* h = mc_->scheduler().span_hook();
-  des::TraceContext prev, ctx, sent;
-  bool minted = false;
-  if (h != nullptr) {
-    prev = h->current();
-    minted = !prev.valid();
-    ctx = minted ? h->mint(wan ? "comm.wan" : "comm.intra",
-                           mc_->scheduler().now())
-                 : prev;
-    sent = h->send_message(ctx, "comm", src_rank, dst_rank, bytes,
-                           mc_->scheduler().now());
-  }
-  const auto delivered = [this, dst_rank, sent, ctx,
-                          minted](Message m) {
+  des::Scheduler& sched = mc_->scheduler();
+  des::TraceScope caller(sched);
+  const bool minted = sched.tracing() && !caller.saved().valid();
+  const des::TraceContext ctx =
+      minted ? sched.mint(wan ? "comm.wan" : "comm.intra") : caller.saved();
+  const des::TraceContext sent =
+      sched.send_message(ctx, "comm", src_rank, dst_rank, bytes);
+  const auto delivered = [this, dst_rank, sent, ctx, minted](Message m) {
     deliver(dst_rank, std::move(m), sent);
-    if (des::SpanHook* h2 = mc_->scheduler().span_hook();
-        h2 != nullptr && minted)
-      h2->close_trace(ctx, mc_->scheduler().now());
+    if (minted) mc_->scheduler().close_trace(ctx);
   };
 
   Message msg{src_rank, tag, bytes, std::move(data)};
   if (!wan) {
     const des::SimTime cost = mc_->intra_cost(src.machine, units::Bytes{bytes});
-    mc_->scheduler().schedule_after(
-        cost, [delivered, msg = std::move(msg)]() mutable {
-          delivered(std::move(msg));
-        });
+    sched.schedule_after(cost, [delivered, msg = std::move(msg)]() mutable {
+      delivered(std::move(msg));
+    });
   } else {
     mc_->wan_send(src.machine, dst.machine, units::Bytes{bytes},
                   [delivered, msg = std::move(msg)]() mutable {
                     delivered(std::move(msg));
                   });
   }
-  if (h != nullptr) h->adopt(prev);
 }
 
 void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
@@ -92,8 +78,7 @@ void Communicator::recv(int rank, int source, int tag, RecvCallback cb) {
 
 void Communicator::deliver(int dst_rank, Message msg,
                            des::TraceContext sent) {
-  if (des::SpanHook* h = mc_->scheduler().span_hook(); h != nullptr)
-    h->recv_message(sent, "comm", dst_rank, mc_->scheduler().now());
+  mc_->scheduler().recv_message(sent, "comm", dst_rank);
   RankState& st = states_.at(static_cast<std::size_t>(dst_rank));
   for (auto it = st.recvs.begin(); it != st.recvs.end(); ++it) {
     if (matches(*it, msg)) {
@@ -123,8 +108,7 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
   RankState& rs = states_.at(static_cast<std::size_t>(rank));
   const std::uint64_t key = rs.collective_calls;
   Collective& c = collectives_[key];
-  des::SpanHook* h = mc_->scheduler().span_hook();
-  const des::SimTime now = mc_->scheduler().now();
+  des::Scheduler& sched = mc_->scheduler();
   if (c.op == nullptr) {
     c.op = &op;
     c.root = root;
@@ -133,12 +117,9 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
     c.spans.resize(ranks_.size());
     // The instance runs under the trace current at its first arrival, or
     // under comm.<op> minted here; the caller's own context is restored.
-    if (h != nullptr) {
-      const des::TraceContext prev = h->current();
-      c.owns_trace = !prev.valid();
-      c.ctx = c.owns_trace ? h->mint(op.origin, now) : prev;
-      h->adopt(prev);
-    }
+    des::TraceScope caller(sched);
+    c.owns_trace = sched.tracing() && !caller.saved().valid();
+    c.ctx = c.owns_trace ? sched.mint(op.origin) : caller.saved();
   } else if (c.op != &op || c.root != root) {
     throw std::invalid_argument(
         "Communicator: collective call " + std::to_string(key) + " of rank " +
@@ -147,13 +128,11 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
         " (root " + std::to_string(c.root) + ")");
   }
   ++rs.collective_calls;
-  if (h != nullptr) {
-    // This rank waits in the call until the instance completes.
-    const std::uint64_t span = h->begin_span(
-        c.ctx, des::SpanPhase::kQueueWait, "comm", op.name, now);
-    h->set_lane(span, des::Lane{rank});
-    c.spans[static_cast<std::size_t>(rank)] = span;
-  }
+  // This rank waits in the call until the instance completes.
+  const std::uint64_t span =
+      sched.begin_span(c.ctx, des::SpanPhase::kQueueWait, "comm", op.name);
+  sched.set_lane(span, des::Lane{rank});
+  c.spans[static_cast<std::size_t>(rank)] = span;
   c.in[static_cast<std::size_t>(rank)] = std::move(in);
   c.done[static_cast<std::size_t>(rank)] = std::move(done);
   if (++c.arrived < size()) return;
@@ -191,19 +170,15 @@ void Communicator::collective(int rank, const CollectiveOp& op, int root,
     if (!phase->empty()) c.phases.push_back(std::move(*phase));
 
   // The legs run under the instance's trace; complete() closes a minted one.
-  des::TraceContext prev;
-  if (h != nullptr) prev = h->adopt(c.ctx);
-  mc_->scheduler().schedule_after(c.intra, [this, key] { run_phase(key, 0); });
-  if (h != nullptr) h->adopt(prev);
+  des::TraceScope scope(sched, c.ctx);
+  sched.schedule_after(c.intra, [this, key] { run_phase(key, 0); });
 }
 
 // Sends the legs of WAN phase `phase`; the last arrival starts the next
 // phase, and after the last phase comes the closing intra stage.
 void Communicator::run_phase(std::uint64_t key, std::size_t phase) {
   Collective& c = collectives_.at(key);
-  des::SpanHook* h = mc_->scheduler().span_hook();
-  des::TraceContext prev;
-  if (h != nullptr) prev = h->adopt(c.ctx);
+  des::TraceScope scope(mc_->scheduler(), c.ctx);
   if (phase == c.phases.size()) {
     mc_->scheduler().schedule_after(c.intra, [this, key] { complete(key); });
   } else {
@@ -216,19 +191,15 @@ void Communicator::run_phase(std::uint64_t key, std::size_t phase) {
                     });
     }
   }
-  if (h != nullptr) h->adopt(prev);
 }
 
 void Communicator::complete(std::uint64_t key) {
   const Collective& c = collectives_.at(key);
   for (std::size_t r = 0; r < c.done.size(); ++r) {
-    if (des::SpanHook* h = mc_->scheduler().span_hook(); h != nullptr)
-      h->end_span(c.spans[r], mc_->scheduler().now());
+    mc_->scheduler().end_span(c.spans[r]);
     if (c.done[r]) c.done[r](c);
   }
-  if (des::SpanHook* h = mc_->scheduler().span_hook();
-      h != nullptr && c.owns_trace)
-    h->close_trace(c.ctx, mc_->scheduler().now());
+  if (c.owns_trace) mc_->scheduler().close_trace(c.ctx);
   collectives_.erase(key);
 }
 

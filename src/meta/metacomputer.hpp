@@ -55,9 +55,6 @@ class Metacomputer {
   // Reserve `n` processing elements on `machine` (MPI-2 spawn support);
   // returns the first PE index.  Throws if the machine is exhausted.
   int allocate_pes(int machine, int n);
-  int pes_in_use(int machine) const {
-    return pe_cursor_.at(static_cast<std::size_t>(machine));
-  }
 
   // Create the WAN router path between two machines' front-ends.  Both must
   // have front-end hosts routed to each other on the testbed.  The TcpConfig

@@ -23,16 +23,14 @@ PathTransport::PathTransport(des::Scheduler& sched, net::Host& a, net::Host& b,
 
 PathTransport::~PathTransport() {
   set_check_observer(nullptr);
-  des::SpanHook* h = sched_.span_hook();
-  if (h == nullptr) return;
   // Messages still in flight at teardown retire their spans as aborted and
   // their traces as torn down; nothing may leak into the tracer's census.
   for (int side = 0; side < 2; ++side) {
     for (auto& [seq, msg] : messages_[side]) {
-      for (Chunk& c : msg.chunks) h->abort_span(c.span, sched_.now());
-      h->abort_span(msg.rx_span, sched_.now());
-      h->abort_span(msg.span, sched_.now());
-      if (msg.owns_trace) h->abort_trace(msg.ctx, "teardown", sched_.now());
+      for (Chunk& c : msg.chunks) sched_.abort_span(c.span);
+      sched_.abort_span(msg.rx_span);
+      sched_.abort_span(msg.span);
+      if (msg.owns_trace) sched_.abort_trace(msg.ctx, "teardown");
     }
   }
 }
@@ -72,16 +70,9 @@ void PathTransport::send(int side, units::Bytes amount,
 
   // Causal trace for the logical message: inherit the running event's
   // context, or mint a fresh root when this send is a workload origin.
-  des::SpanHook* h = sched_.span_hook();
-  des::TraceContext ctx;
-  bool minted = false;
-  if (h != nullptr) {
-    ctx = h->current();
-    if (!ctx.valid()) {
-      ctx = h->mint("meta.path", sched_.now());
-      minted = true;
-    }
-  }
+  des::TraceContext ctx = sched_.current_trace();
+  const bool minted = sched_.tracing() && !ctx.valid();
+  if (minted) ctx = sched_.mint("meta.path");
 
   if (cfg_.passthrough()) {
     // Single plain connection: hand the whole message straight to TCP so
@@ -89,13 +80,11 @@ void PathTransport::send(int side, units::Bytes amount,
     ++st.chunks;
     streams_[0].stats[side].chunks += 1;
     streams_[0].stats[side].bytes += amount.count();
-    std::uint64_t span = 0;
-    des::TraceContext prev;
-    if (h != nullptr && ctx.valid()) {
-      span = h->begin_span(ctx, des::SpanPhase::kTransfer, "meta", "msg",
-                           sched_.now());
-      prev = h->adopt(des::under(ctx, span));
-    }
+    const std::uint64_t span =
+        ctx.valid()
+            ? sched_.begin_span(ctx, des::SpanPhase::kTransfer, "meta", "msg")
+            : 0;
+    des::TraceScope scope(sched_, des::under(ctx, span));
     streams_[0].conn->send(
         side, amount, {},
         [this, side, amount, span, ctx, minted,
@@ -108,15 +97,10 @@ void PathTransport::send(int side, units::Bytes amount,
           if (check_observer_ != nullptr)
             check_observer_->on_message(side, sst.delivered_messages - 1,
                                         amount.count());
-          if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
-            h2->end_span(span, sched_.now());
-            if (cb) cb();
-            if (minted) h2->close_trace(ctx, sched_.now());
-          } else {
-            if (cb) cb();
-          }
+          sched_.end_span(span);
+          if (cb) cb();
+          if (minted) sched_.close_trace(ctx);
         });
-    if (h != nullptr && ctx.valid()) h->adopt(prev);
     return;
   }
 
@@ -126,9 +110,9 @@ void PathTransport::send(int side, units::Bytes amount,
   msg.cb = std::move(on_delivered);
   msg.ctx = ctx;
   msg.owns_trace = minted;
-  if (h != nullptr && ctx.valid())
-    msg.span = h->begin_span(ctx, des::SpanPhase::kTransfer, "meta", "msg",
-                             sched_.now());
+  if (ctx.valid())
+    msg.span =
+        sched_.begin_span(ctx, des::SpanPhase::kTransfer, "meta", "msg");
   // Stripe into chunks; a message no larger than one chunk stays whole
   // (degenerate single-chunk stripe), and a zero-byte message still costs
   // one zero-length chunk so ordering and delivery semantics hold.
@@ -141,11 +125,10 @@ void PathTransport::send(int side, units::Bytes amount,
   } while (remaining > 0);
 
   for (std::uint32_t i = 0; i < msg.chunks.size(); ++i) {
-    if (h != nullptr && msg.ctx.valid())
+    if (msg.ctx.valid())
       msg.chunks[i].span =
-          h->begin_span(des::under(msg.ctx, msg.span),
-                        des::SpanPhase::kQueueWait, "meta", "chunk",
-                        sched_.now());
+          sched_.begin_span(des::under(msg.ctx, msg.span),
+                            des::SpanPhase::kQueueWait, "meta", "chunk");
     const int target = rr_cursor_[side] % active_streams_;
     rr_cursor_[side] = (rr_cursor_[side] + 1) % active_streams_;
     streams_[static_cast<std::size_t>(target)].side[side].pending.push_back(
@@ -213,23 +196,20 @@ void PathTransport::dispatch(int stream, int side, ChunkRef ref) {
   ++stats_[side].chunks;
   s.stats[side].chunks += 1;
   s.stats[side].bytes += bytes.count();
-  des::SpanHook* h = sched_.span_hook();
-  const bool traced = h != nullptr && msg.ctx.valid();
-  des::TraceContext prev;
-  if (traced) {
+  if (msg.ctx.valid()) {
     // Striping queue-wait ends here; the chunk rides its TCP stream under
     // a transfer span and under the message's own trace.
-    h->end_span(chunk.span, sched_.now());
-    chunk.span = h->begin_span(des::under(msg.ctx, msg.span),
-                               des::SpanPhase::kTransfer, "meta", "chunk",
-                               sched_.now());
-    prev = h->adopt(des::under(msg.ctx, chunk.span));
+    sched_.end_span(chunk.span);
+    chunk.span = sched_.begin_span(des::under(msg.ctx, msg.span),
+                                   des::SpanPhase::kTransfer, "meta", "chunk");
   }
-  s.conn->send(side, bytes, {},
-               [this, stream, side, ref](const std::any&, des::SimTime) {
-                 on_chunk_delivered(stream, side, ref);
-               });
-  if (traced) h->adopt(prev);
+  {
+    des::TraceScope scope(sched_, des::under(msg.ctx, chunk.span));
+    s.conn->send(side, bytes, {},
+                 [this, stream, side, ref](const std::any&, des::SimTime) {
+                   on_chunk_delivered(stream, side, ref);
+                 });
+  }
   arm_watchdog(stream, side);
 }
 
@@ -252,18 +232,16 @@ void PathTransport::on_chunk_delivered(int stream, int side, ChunkRef ref) {
   ++mit->second.chunks_done;
   if (check_observer_ != nullptr)
     check_observer_->on_chunk(side, ref.msg_seq, ref.idx, /*duplicate=*/false);
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    h->end_span(chunk.span, sched_.now());
-    chunk.span = 0;
-    // First chunk to land opens the reassembly/reorder wait: the receiver
-    // holds partial data until the stripe completes and every earlier
-    // message has gone up.
-    MessageState& msg = mit->second;
-    if (msg.ctx.valid() && msg.rx_span == 0)
-      msg.rx_span = h->begin_span(des::under(msg.ctx, msg.span),
-                                  des::SpanPhase::kReassemblyWait, "meta",
-                                  "reorder", sched_.now());
-  }
+  sched_.end_span(chunk.span);
+  chunk.span = 0;
+  // First chunk to land opens the reassembly/reorder wait: the receiver
+  // holds partial data until the stripe completes and every earlier
+  // message has gone up.
+  MessageState& msg = mit->second;
+  if (msg.ctx.valid() && msg.rx_span == 0)
+    msg.rx_span = sched_.begin_span(des::under(msg.ctx, msg.span),
+                                    des::SpanPhase::kReassemblyWait, "meta",
+                                    "reorder");
 
   const auto out = std::find_if(
       ss.outstanding.begin(), ss.outstanding.end(), [&](const ChunkRef& r) {
@@ -296,18 +274,13 @@ void PathTransport::deliver_ready(int side) {
     if (check_observer_ != nullptr)
       check_observer_->on_message(side, next_deliver_seq_[side] - 1,
                                   msg.bytes.count());
-    des::SpanHook* h = sched_.span_hook();
-    des::TraceContext prev;
-    if (h != nullptr) {
-      h->end_span(msg.rx_span, sched_.now());
-      h->end_span(msg.span, sched_.now());
-      prev = h->adopt(msg.ctx);
+    sched_.end_span(msg.rx_span);
+    sched_.end_span(msg.span);
+    {
+      des::TraceScope scope(sched_, msg.ctx);
+      if (msg.cb) msg.cb();
     }
-    if (msg.cb) msg.cb();
-    if (h != nullptr) {
-      h->adopt(prev);
-      if (msg.owns_trace) h->close_trace(msg.ctx, sched_.now());
-    }
+    if (msg.owns_trace) sched_.close_trace(msg.ctx);
     it = messages_[side].find(next_deliver_seq_[side]);
   }
 }
@@ -360,22 +333,19 @@ void PathTransport::reset_stream(int stream) {
                                               : a.idx < b.idx;
               });
     stats_[side].chunk_resends += redo.size();
-    if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-      // A stranded chunk's transfer died with the connection: retire its
-      // span as aborted and restart the clock as queue-wait for the
-      // re-issue, so the trace shows the reset instead of one long blur.
-      for (const ChunkRef& ref : redo) {
-        auto mit = messages_[side].find(ref.msg_seq);
-        if (mit == messages_[side].end()) continue;
-        Chunk& c = mit->second.chunks[ref.idx];
-        h->abort_span(c.span, sched_.now());
-        c.span = 0;
-        if (mit->second.ctx.valid())
-          c.span =
-              h->begin_span(des::under(mit->second.ctx, mit->second.span),
-                            des::SpanPhase::kQueueWait, "meta", "chunk",
-                            sched_.now());
-      }
+    // A stranded chunk's transfer died with the connection: retire its
+    // span as aborted and restart the clock as queue-wait for the
+    // re-issue, so the trace shows the reset instead of one long blur.
+    for (const ChunkRef& ref : redo) {
+      auto mit = messages_[side].find(ref.msg_seq);
+      if (mit == messages_[side].end()) continue;
+      Chunk& c = mit->second.chunks[ref.idx];
+      sched_.abort_span(c.span);
+      c.span = 0;
+      if (mit->second.ctx.valid())
+        c.span = sched_.begin_span(
+            des::under(mit->second.ctx, mit->second.span),
+            des::SpanPhase::kQueueWait, "meta", "chunk");
     }
     for (auto rit = redo.rbegin(); rit != redo.rend(); ++rit)
       ss.pending.push_front(*rit);

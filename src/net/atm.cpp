@@ -31,7 +31,6 @@ void AtmSwitch::add_route(int in_port, std::uint32_t in_vc, int out_port,
 
 void AtmSwitch::on_frame(int port, Frame f) {
   ++ingress_frames_;
-  ingress_bytes_ += f.wire_bytes;
   auto it = vcs_.find({port, f.vc});
   if (it == vcs_.end()) {
     ++unroutable_;
@@ -39,23 +38,16 @@ void AtmSwitch::on_frame(int port, Frame f) {
   }
   const auto [out_port, out_vc] = it->second;
   f.vc = out_vc;
-  des::SpanHook* h = sched_.span_hook();
-  const bool traced = h != nullptr && f.pkt.ctx.valid();
-  des::TraceContext prev;
-  if (traced) {
-    f.span = h->begin_span(f.pkt.ctx, des::SpanPhase::kPropagate, "atm",
-                           name_.c_str(), sched_.now());
-    prev = h->adopt(f.pkt.ctx);
-  }
+  if (f.pkt.ctx.valid())
+    f.span = sched_.begin_span(f.pkt.ctx, des::SpanPhase::kPropagate, "atm",
+                               name_.c_str());
+  des::TraceScope scope(sched_, f.pkt.ctx);
   // Cell-level cut-through latency through the fabric.
   sched_.schedule_after(latency_, [this, out_port, f = std::move(f)]() mutable {
-    if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
-      h2->end_span(f.span, sched_.now());
-      f.span = 0;
-    }
+    sched_.end_span(f.span);
+    f.span = 0;
     ports_.at(out_port).out->submit(std::move(f));
   });
-  if (traced) h->adopt(prev);
 }
 
 AtmNic::AtmNic(des::Scheduler& sched, Host& owner, std::string name,
@@ -94,23 +86,16 @@ void AtmNic::transmit(IpPacket pkt, HostId next_hop) {
   if (release <= sched_.now()) {
     uplink_.submit(std::move(f));
   } else {
-    des::SpanHook* h = sched_.span_hook();
-    const bool traced = h != nullptr && f.pkt.ctx.valid();
-    des::TraceContext prev;
-    if (traced) {
-      // CBR shaping delay is queue-wait spent at the NIC, not on the wire.
-      f.span = h->begin_span(f.pkt.ctx, des::SpanPhase::kQueueWait, "atm",
-                             name_.c_str(), sched_.now());
-      prev = h->adopt(f.pkt.ctx);
-    }
+    // CBR shaping delay is queue-wait spent at the NIC, not on the wire.
+    if (f.pkt.ctx.valid())
+      f.span = sched_.begin_span(f.pkt.ctx, des::SpanPhase::kQueueWait, "atm",
+                                 name_.c_str());
+    des::TraceScope scope(sched_, f.pkt.ctx);
     sched_.schedule_at(release, [this, f = std::move(f)]() mutable {
-      if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr) {
-        h2->end_span(f.span, sched_.now());
-        f.span = 0;
-      }
+      sched_.end_span(f.span);
+      f.span = 0;
       uplink_.submit(std::move(f));
     });
-    if (traced) h->adopt(prev);
   }
 }
 

@@ -48,7 +48,6 @@ class AtmSwitch {
   // the egress links' submit attempts — a frame either found its VC route
   // or was counted, never silently vanished in the fabric.
   std::uint64_t ingress_frames() const { return ingress_frames_; }
-  std::uint64_t ingress_bytes() const { return ingress_bytes_; }
 
  private:
   void on_frame(int port, Frame f);
@@ -64,7 +63,6 @@ class AtmSwitch {
   std::map<std::pair<int, std::uint32_t>, std::pair<int, std::uint32_t>> vcs_;
   std::uint64_t unroutable_ = 0;
   std::uint64_t ingress_frames_ = 0;
-  std::uint64_t ingress_bytes_ = 0;
 };
 
 // Host attachment to ATM with Classical-IP (RFC 1577) encapsulation: each IP

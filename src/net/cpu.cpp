@@ -3,9 +3,7 @@
 namespace gtw::net {
 
 void CpuResource::execute(des::SimTime cost, des::Action done) {
-  des::SpanHook* h = sched_.span_hook();
-  queue_.push_back(Job{cost, std::move(done),
-                       h != nullptr ? h->current() : des::TraceContext{}});
+  queue_.push_back(Job{cost, std::move(done), sched_.current_trace()});
   maybe_start();
 }
 
@@ -13,18 +11,14 @@ void CpuResource::maybe_start() {
   if (busy_ || queue_.empty()) return;
   busy_ = true;
   busy_accum_ += queue_.front().cost;
-  des::SpanHook* h = sched_.span_hook();
-  const des::TraceContext prev =
-      h != nullptr ? h->adopt(queue_.front().ctx) : des::TraceContext{};
+  des::TraceScope scope(sched_, queue_.front().ctx);
   sched_.schedule_after(queue_.front().cost, [this]() {
     Job job = std::move(queue_.front());
     queue_.pop_front();
     busy_ = false;
-    ++jobs_;
     job.done();
     maybe_start();
   });
-  if (h != nullptr) h->adopt(prev);
 }
 
 double CpuResource::utilization() const {

@@ -24,7 +24,6 @@ class CpuResource {
   void execute(des::SimTime cost, des::Action done);
 
   double utilization() const;
-  std::uint64_t jobs_completed() const { return jobs_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -45,7 +44,6 @@ class CpuResource {
   std::string name_;
   std::deque<Job> queue_;
   bool busy_ = false;
-  std::uint64_t jobs_ = 0;
   des::SimTime busy_accum_ = des::SimTime::zero();
   des::SimTime created_at_;
 };

@@ -57,10 +57,7 @@ void Host::send_datagram(IpPacket pkt) {
     pkt.datagram_id = static_cast<std::uint32_t>(next_datagram_id());
   // Workload origins upstream (tcp, meta, flow) stamp the context before
   // reaching here; an unstamped packet inherits the running event's trace.
-  if (des::SpanHook* h = sched_.span_hook();
-      h != nullptr && !pkt.ctx.valid()) {
-    pkt.ctx = h->current();
-  }
+  if (!pkt.ctx.valid()) pkt.ctx = sched_.current_trace();
 
   const std::uint32_t mtu =
       static_cast<std::uint32_t>(route->nic->mtu().count());
@@ -92,24 +89,19 @@ void Host::send_datagram(IpPacket pkt) {
 }
 
 void Host::emit(IpPacket pkt, const Route& route) {
-  des::SpanHook* h = sched_.span_hook();
-  std::uint64_t span = 0;
-  des::TraceContext prev;
-  if (h != nullptr && pkt.ctx.valid()) {
-    // Covers both the wait behind earlier packets on the serialized CPU
-    // and this packet's own protocol cost.
-    span = h->begin_span(pkt.ctx, des::SpanPhase::kHostCpu, "host",
-                         name_.c_str(), sched_.now());
-    prev = h->adopt(pkt.ctx);
-  }
+  // Covers both the wait behind earlier packets on the serialized CPU
+  // and this packet's own protocol cost.
+  const std::uint64_t span =
+      pkt.ctx.valid() ? sched_.begin_span(pkt.ctx, des::SpanPhase::kHostCpu,
+                                          "host", name_.c_str())
+                      : 0;
+  des::TraceScope scope(sched_, pkt.ctx);
   cpu_.execute(send_cost(pkt),
                [this, pkt = std::move(pkt), &route, span]() mutable {
-                 if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr)
-                   h2->end_span(span, sched_.now());
+                 sched_.end_span(span);
                  ++packets_sent_;
                  route.nic->transmit(std::move(pkt), route.next_hop);
                });
-  if (h != nullptr && span != 0) h->adopt(prev);
 }
 
 void Host::receive_from_nic(IpPacket pkt) {
@@ -119,17 +111,13 @@ void Host::receive_from_nic(IpPacket pkt) {
     ++recv_outage_drops_;
     return;
   }
-  des::SpanHook* h = sched_.span_hook();
-  std::uint64_t span = 0;
-  des::TraceContext prev;
-  if (h != nullptr && pkt.ctx.valid()) {
-    span = h->begin_span(pkt.ctx, des::SpanPhase::kHostCpu, "host",
-                         name_.c_str(), sched_.now());
-    prev = h->adopt(pkt.ctx);
-  }
+  const std::uint64_t span =
+      pkt.ctx.valid() ? sched_.begin_span(pkt.ctx, des::SpanPhase::kHostCpu,
+                                          "host", name_.c_str())
+                      : 0;
+  des::TraceScope scope(sched_, pkt.ctx);
   cpu_.execute(recv_cost(pkt), [this, pkt = std::move(pkt), span]() mutable {
-    if (des::SpanHook* h2 = sched_.span_hook(); h2 != nullptr)
-      h2->end_span(span, sched_.now());
+    sched_.end_span(span);
     if (pkt.dst != id_) {
       if (!forwarding_ || pkt.ttl == 0) {
         ++unroutable_;
@@ -168,15 +156,12 @@ void Host::deliver_local(IpPacket pkt) {
         [this, key]() {
           auto it = reassembly_.find(key);
           if (it == reassembly_.end()) return;
-          if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
-            h->abort_span(it->second.span, sched_.now());
+          sched_.abort_span(it->second.span);
           reassembly_.erase(it);
         });
-    if (des::SpanHook* h = sched_.span_hook();
-        h != nullptr && pkt.ctx.valid()) {
-      re.span = h->begin_span(pkt.ctx, des::SpanPhase::kReassemblyWait,
-                              "host", name_.c_str(), sched_.now());
-    }
+    if (pkt.ctx.valid())
+      re.span = sched_.begin_span(pkt.ctx, des::SpanPhase::kReassemblyWait,
+                                  "host", name_.c_str());
   }
   re.received_bytes += pkt.total_bytes - kIpHeaderBytes;
   if (pkt.frag_offset == 0) re.first = pkt;
@@ -189,8 +174,7 @@ void Host::deliver_local(IpPacket pkt) {
     whole.frag_offset = 0;
     whole.more_fragments = false;
     re.timeout.cancel();
-    if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
-      h->end_span(re.span, sched_.now());
+    sched_.end_span(re.span);
     reassembly_.erase(key);
     dispatch(whole);
   }

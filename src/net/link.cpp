@@ -20,12 +20,11 @@ void Link::set_up(bool up) {
     // before its wire time ends; transmit-complete drops it.
     if (transmitting_) cut_mid_frame_ = true;
     // Flush the queue: anything waiting for the wire is lost with it.
-    des::SpanHook* h = sched_.span_hook();
     for (const Frame& f : queue_) {
       ++outage_drops_;
       outage_dropped_bytes_ += f.wire_bytes;
       queued_bytes_ -= f.wire_bytes;
-      if (h != nullptr) h->abort_span(f.span, sched_.now());
+      sched_.abort_span(f.span);
     }
     queue_.clear();
     queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
@@ -49,11 +48,9 @@ bool Link::submit(Frame f) {
   }
   queued_bytes_ += f.wire_bytes;
   queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
-  if (des::SpanHook* h = sched_.span_hook();
-      h != nullptr && f.pkt.ctx.valid()) {
-    f.span = h->begin_span(f.pkt.ctx, des::SpanPhase::kQueueWait, "link",
-                           name_.c_str(), sched_.now());
-  }
+  if (f.pkt.ctx.valid())
+    f.span = sched_.begin_span(f.pkt.ctx, des::SpanPhase::kQueueWait, "link",
+                               name_.c_str());
   queue_.push_back(std::move(f));
   maybe_start();
   return true;
@@ -66,40 +63,35 @@ void Link::maybe_start() {
   Frame f = std::move(queue_.front());
   queue_.pop_front();
 
-  des::SpanHook* h = sched_.span_hook();
-  if (h != nullptr) {
-    h->end_span(f.span, sched_.now());  // queue-wait over
-    f.span = f.pkt.ctx.valid()
-                 ? h->begin_span(f.pkt.ctx, des::SpanPhase::kSerialize,
-                                 "link", name_.c_str(), sched_.now())
-                 : 0;
-  }
+  sched_.end_span(f.span);  // queue-wait over
+  f.span = f.pkt.ctx.valid()
+               ? sched_.begin_span(f.pkt.ctx, des::SpanPhase::kSerialize,
+                                   "link", name_.c_str())
+               : 0;
   const des::SimTime tx =
       units::transmission_time(units::Bytes{f.wire_bytes}, cfg_.rate) +
       cfg_.per_frame_overhead;
   busy_accum_ += tx;
-  // Bracket the schedule with adopt(): the transmit event belongs to the
-  // frame's trace, not to whichever event pulled it off the queue.
-  const des::TraceContext prev =
-      h != nullptr ? h->adopt(f.pkt.ctx) : des::TraceContext{};
+  // The transmit event belongs to the frame's trace, not to whichever
+  // event pulled it off the queue.
+  des::TraceScope scope(sched_, f.pkt.ctx);
   sched_.schedule_after(tx, [this, f = std::move(f)]() mutable {
     transmitting_ = false;
     queued_bytes_ -= f.wire_bytes;
     queue_depth_.update(sched_.now(), static_cast<double>(queued_bytes_));
-    des::SpanHook* h2 = sched_.span_hook();
     if (cut_mid_frame_) {
       // The line was cut while this frame was being clocked out.  Serve
       // whatever was queued since a restore.
       cut_mid_frame_ = false;
       ++outage_drops_;
       outage_dropped_bytes_ += f.wire_bytes;
-      if (h2 != nullptr) h2->abort_span(f.span, sched_.now());
+      sched_.abort_span(f.span);
       maybe_start();
       return;
     }
     ++frames_sent_;
     bytes_sent_ += f.wire_bytes;
-    if (h2 != nullptr) h2->end_span(f.span, sched_.now());  // serialized
+    sched_.end_span(f.span);  // serialized
     if (cfg_.bit_error_rate > 0.0) {
       // P(frame corrupted) = 1 - (1-BER)^bits; the AAL5 CRC discards it.
       const double bits = static_cast<double>(f.wire_bytes) * 8.0;
@@ -111,19 +103,17 @@ void Link::maybe_start() {
       }
     }
     if (sink_) {
-      if (h2 != nullptr && f.pkt.ctx.valid())
-        f.span = h2->begin_span(f.pkt.ctx, des::SpanPhase::kPropagate,
-                                "link", name_.c_str(), sched_.now());
+      if (f.pkt.ctx.valid())
+        f.span = sched_.begin_span(f.pkt.ctx, des::SpanPhase::kPropagate,
+                                   "link", name_.c_str());
       sched_.schedule_after(cfg_.propagation, [this, f = std::move(f)]() mutable {
-        if (des::SpanHook* h3 = sched_.span_hook(); h3 != nullptr)
-          h3->end_span(f.span, sched_.now());
+        sched_.end_span(f.span);
         f.span = 0;
         sink_(std::move(f));
       });
     }
     maybe_start();
   });
-  if (h != nullptr) h->adopt(prev);
 }
 
 double Link::utilization() const {

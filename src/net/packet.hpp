@@ -56,10 +56,6 @@ struct IpPacket {
   // Causal trace identity (DESIGN.md §13).  Rides the packet through
   // fragmentation, forwarding and retransmission; trace_id 0 = untraced.
   des::TraceContext ctx;
-
-  std::uint32_t payload_bytes() const {
-    return total_bytes >= 20 ? total_bytes - 20 : 0;
-  }
 };
 
 }  // namespace gtw::net

@@ -45,19 +45,16 @@ TcpConnection::TcpConnection(Host& a, Host& b, std::uint16_t port_a,
 }
 
 TcpConnection::~TcpConnection() {
-  des::SpanHook* h = sched_.span_hook();
   for (auto& e : ep_) {
     if (e.host != nullptr) e.host->unbind(IpProto::kTcp, e.local_port);
     e.rto_timer.cancel();
-    if (h != nullptr) {
-      // A torn-down connection (PathTransport stall reset, test teardown)
-      // retires its in-flight spans as aborted rather than leaking them.
-      h->abort_span(e.stall_span, sched_.now());
-      e.stall_span = 0;
-      for (Message& m : e.messages) {
-        h->abort_span(m.span, sched_.now());
-        m.span = 0;
-      }
+    // A torn-down connection (PathTransport stall reset, test teardown)
+    // retires its in-flight spans as aborted rather than leaking them.
+    sched_.abort_span(e.stall_span);
+    e.stall_span = 0;
+    for (Message& m : e.messages) {
+      sched_.abort_span(m.span);
+      m.span = 0;
     }
   }
 }
@@ -68,13 +65,11 @@ void TcpConnection::send(int side, units::Bytes amount, std::any data,
   Endpoint& e = ep_[side];
   e.snd_end += amount.count();
   e.stats.bytes_queued += amount.count();
-  Message msg{e.snd_end, std::move(data), std::move(on_delivered), {}, 0};
-  if (des::SpanHook* h = sched_.span_hook(); h != nullptr) {
-    msg.ctx = h->current();
-    if (msg.ctx.valid())
-      msg.span = h->begin_span(msg.ctx, des::SpanPhase::kTransfer, "tcp",
-                               "msg", sched_.now());
-  }
+  Message msg{e.snd_end, std::move(data), std::move(on_delivered),
+              sched_.current_trace(), 0};
+  if (msg.ctx.valid())
+    msg.span = sched_.begin_span(msg.ctx, des::SpanPhase::kTransfer, "tcp",
+                                 "msg");
   e.messages.push_back(std::move(msg));
   try_send(side);
 }
@@ -136,18 +131,13 @@ void TcpConnection::send_segment(int side, std::uint64_t seq,
     e.timed_seq = seq + len;
     e.timed_at = sched_.now();
   }
-  des::SpanHook* h = sched_.span_hook();
-  des::TraceContext prev;
-  if (h != nullptr) {
-    // Segments (and their downstream host/link events, including the RTO
-    // timer armed below) belong to the message that owns this byte range,
-    // not to whichever ACK event triggered the transmission.
-    pkt.ctx = ctx_for_seq(e, seq);
-    prev = h->adopt(pkt.ctx);
-  }
+  // Segments (and their downstream host/link events, including the RTO
+  // timer armed below) belong to the message that owns this byte range,
+  // not to whichever ACK event triggered the transmission.
+  if (sched_.tracing()) pkt.ctx = ctx_for_seq(e, seq);
+  des::TraceScope scope(sched_, pkt.ctx);
   arm_rto(side);
   e.host->send_datagram(std::move(pkt));
-  if (h != nullptr) h->adopt(prev);
 }
 
 void TcpConnection::arm_rto(int side) {
@@ -161,16 +151,15 @@ void TcpConnection::on_rto(int side) {
   Endpoint& e = ep_[side];
   if (e.snd_una >= e.snd_end && e.snd_una == e.snd_nxt) return;  // all done
   ++e.stats.timeouts;
-  if (des::SpanHook* h = sched_.span_hook();
-      h != nullptr && e.stall_span == 0) {
+  if (sched_.tracing() && e.stall_span == 0) {
     // Loss recovery begins: the connection makes no forward progress for
     // the application until the cumulative ACK passes today's high-water
     // mark.  One span covers the whole episode (back-to-back RTOs extend
     // it rather than opening new spans).
     des::TraceContext parent = ctx_for_seq(e, e.snd_una);
-    if (!parent.valid()) parent = h->current();
-    e.stall_span = h->begin_span(parent, des::SpanPhase::kRetransmitStall,
-                                 "tcp", "rto", sched_.now());
+    if (!parent.valid()) parent = sched_.current_trace();
+    e.stall_span = sched_.begin_span(parent, des::SpanPhase::kRetransmitStall,
+                                     "tcp", "rto");
     e.stall_until = e.snd_max;
   }
   // Multiplicative decrease and go-back-N.
@@ -262,8 +251,7 @@ void TcpConnection::process_ack(int side, const TcpSegHeader& m) {
   if (m.ack > e.snd_una) {
     e.snd_una = m.ack;
     if (e.stall_span != 0 && e.snd_una >= e.stall_until) {
-      if (des::SpanHook* h = sched_.span_hook(); h != nullptr)
-        h->end_span(e.stall_span, sched_.now());
+      sched_.end_span(e.stall_span);
       e.stall_span = 0;
     }
     // During go-back-N an ACK can overtake the reset send point (the first
@@ -311,13 +299,11 @@ void TcpConnection::process_ack(int side, const TcpSegHeader& m) {
     if (++e.dupacks == 3) {
       // Fast retransmit + multiplicative decrease.
       ++e.stats.fast_retransmits;
-      if (des::SpanHook* h = sched_.span_hook();
-          h != nullptr && e.stall_span == 0) {
+      if (sched_.tracing() && e.stall_span == 0) {
         des::TraceContext parent = ctx_for_seq(e, e.snd_una);
-        if (!parent.valid()) parent = h->current();
-        e.stall_span = h->begin_span(parent,
-                                     des::SpanPhase::kRetransmitStall, "tcp",
-                                     "fast-rtx", sched_.now());
+        if (!parent.valid()) parent = sched_.current_trace();
+        e.stall_span = sched_.begin_span(
+            parent, des::SpanPhase::kRetransmitStall, "tcp", "fast-rtx");
         e.stall_until = e.snd_max;
       }
       const double flight = static_cast<double>(e.snd_nxt - e.snd_una);
@@ -339,17 +325,12 @@ void TcpConnection::deliver_messages(int sender_side) {
          sender.messages.front().end_offset <= received) {
     Message msg = std::move(sender.messages.front());
     sender.messages.pop_front();
-    des::SpanHook* h = sched_.span_hook();
-    des::TraceContext prev;
-    if (h != nullptr) {
-      h->end_span(msg.span, sched_.now());
-      // Delivery continuations (PathTransport reassembly, Communicator
-      // dispatch) run under the message's own trace, not the trace of the
-      // segment whose arrival happened to complete it.
-      prev = h->adopt(msg.ctx);
-    }
+    sched_.end_span(msg.span);
+    // Delivery continuations (PathTransport reassembly, Communicator
+    // dispatch) run under the message's own trace, not the trace of the
+    // segment whose arrival happened to complete it.
+    des::TraceScope scope(sched_, msg.ctx);
     if (msg.cb) msg.cb(msg.data, sched_.now());
-    if (h != nullptr) h->adopt(prev);
   }
 }
 

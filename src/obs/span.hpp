@@ -1,8 +1,9 @@
 // obs::SpanTracer — the runtime half of the causal tracing layer
 // (DESIGN.md section 13).  Implements des::SpanHook, the interface the DES
-// engine and every latency-bearing component call through null-checked
-// virtual dispatch (hook inversion, same shape as GTW-San: interface at
-// the DAG bottom in des/, implementation here at the top).
+// scheduler calls through null-checked virtual dispatch, for itself and for
+// every latency-bearing component that traces through it (hook inversion,
+// same shape as GTW-San: interface at the DAG bottom in des/,
+// implementation here at the top).
 //
 // The tracer records, per logical workload unit (a pipeline item, a WAN
 // message), a tree of typed spans — queue-wait, serialize, propagate,
@@ -17,7 +18,8 @@
 //
 //   payload-carried: packets, frames, TCP messages and transport chunks
 //   carry a TraceContext, and components bracket asynchronous handoffs
-//   with adopt().
+//   with a des::TraceScope, which adopt()s the payload's context and
+//   restores the mover's.
 //
 // It records straight into a SpanFile (span_analysis.hpp), which every
 // view reads: in process as file(), or from the artifact write_json() prints.

@@ -26,10 +26,6 @@ class ExtendedTestbed : public Testbed {
   net::Host& cologne_viz() { return *cologne_; }     // media arts / TV prod.
   net::Host& bonn_md() { return *bonn_; }            // molecular dynamics
 
-  net::AtmSwitch& atm_dlr() { return *sw_dlr_; }
-  net::AtmSwitch& atm_cologne() { return *sw_cologne_; }
-  net::AtmSwitch& atm_bonn() { return *sw_bonn_; }
-
  private:
   // Attach one new site: a switch linked to the GMD switch at `link_rate`,
   // one host on it, fully routed and VC-provisioned against every ATM host

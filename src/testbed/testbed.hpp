@@ -67,7 +67,6 @@ class Testbed {
 
   net::AtmSwitch& atm_juelich() { return *atm_j_; }
   net::AtmSwitch& atm_gmd() { return *atm_g_; }
-  net::HippiSwitch& hippi_juelich() { return *hippi_j_; }
 
   // All hosts by paper name (e.g. "t3e600", "onyx2_gmd").
   const std::map<std::string, net::Host*>& hosts() const { return by_name_; }

@@ -273,7 +273,6 @@ class OpRate {
   static constexpr OpRate per_sec(double v) { return OpRate{v}; }
 
   constexpr double per_sec() const { return v_; }
-  constexpr double mops() const { return v_ / 1e6; }
 
   friend constexpr OpRate operator*(OpRate r, double k) {
     return OpRate{r.v_ * k};

@@ -4,13 +4,15 @@
 // WAN makes interesting — spans held open across a PathTransport stall
 // reset, a collective's WAN legs under one trace, a zero-leak census at
 // drain, the guarantee that attaching the tracer does not perturb the
-// simulation, and tracer and scheduler dying in either order while spans
-// are open (and the GTW-San check hook and scheduler, and the path check
-// observer and its path, likewise).
+// simulation, a host that takes a packet of another trace handing its
+// caller back the caller's own context, and tracer and scheduler dying in
+// either order while spans are open (and the GTW-San check hook and
+// scheduler, and the path check observer and its path, likewise).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -967,6 +969,48 @@ TEST(SpanLifecycleTest, AttachingTracerIsPerturbationFree) {
   const SimTime traced = run(&tracer);
   EXPECT_EQ(bare.ps(), traced.ps());
   EXPECT_GT(tracer.file().spans.size(), 0u);  // it did observe the run
+}
+
+// An event under trace A hands host `via` a packet of trace B through
+// `handoff`.  The host's work belongs to B; the event carries on under A.
+// Returns the event's context after the handoff, and A.
+std::pair<des::TraceContext, des::TraceContext> run_handoff(
+    WanFixture& f, SpanTracer& tracer,
+    const std::function<void(const net::IpPacket&)>& handoff) {
+  net::IpPacket pkt;
+  pkt.dst = f.b.id();
+  pkt.total_bytes = 1000;
+  pkt.ctx = tracer.mint("test.b", f.sched.now());
+  tracer.adopt({});
+  des::TraceContext a, after;
+  f.sched.schedule_after(ms(1), [&] {
+    a = tracer.mint("test.a", f.sched.now());
+    handoff(pkt);
+    after = tracer.current();
+  });
+  f.sched.run();
+  return {after, a};
+}
+
+TEST(SpanLifecycleTest, HostReceiveRestoresTheCallersTrace) {
+  WanFixture f;
+  SpanTracer tracer;
+  f.sched.set_span_hook(&tracer);
+  const auto [after, a] = run_handoff(
+      f, tracer, [&](const net::IpPacket& p) { f.b.receive_from_nic(p); });
+  EXPECT_EQ(after.trace_id, a.trace_id);
+  EXPECT_EQ(after.span_id, a.span_id);
+}
+
+TEST(SpanLifecycleTest, HostSendWithLayerOffRestoresTheCallersTrace) {
+  WanFixture f;
+  SpanTracer tracer;
+  tracer.enable_layer("host", false);
+  f.sched.set_span_hook(&tracer);
+  const auto [after, a] = run_handoff(
+      f, tracer, [&](const net::IpPacket& p) { f.a.send_datagram(p); });
+  EXPECT_EQ(after.trace_id, a.trace_id);
+  EXPECT_EQ(after.span_id, a.span_id);
 }
 
 // Sends a traced 4 MB message and runs 5 ms of it, so the message's

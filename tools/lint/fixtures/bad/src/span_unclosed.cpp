@@ -14,6 +14,13 @@ struct Hook {
   void end_span(std::uint64_t span, std::int64_t now);
 };
 
+// Components trace through the scheduler, which stamps the time itself.
+struct Scheduler {
+  Ctx mint(const char* origin);
+  std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
+                           const char* name);
+};
+
 void send_message(Hook* h, Ctx ctx, std::int64_t now) {
   h->begin_span(ctx, 1, "meta", "msg", now);            // BAD: id discarded
   h->begin_span(ctx, 2, "tcp",                          // BAD: id discarded,
@@ -23,4 +30,9 @@ void send_message(Hook* h, Ctx ctx, std::int64_t now) {
 
 void start_workload(Hook& h, std::int64_t now) {
   h.mint("bench.origin", now);  // BAD: context discarded, trace unclosable
+}
+
+void through_the_scheduler(Scheduler& sched, Ctx ctx) {
+  sched.begin_span(ctx, 1, "link", "wire");  // BAD: id discarded
+  sched.mint("net.origin");                  // BAD: context discarded
 }

@@ -15,6 +15,14 @@ struct Hook {
   Ctx adopt(Ctx ctx);
 };
 
+// Components trace through the scheduler, which stamps the time itself.
+struct Scheduler {
+  Ctx mint(const char* origin);
+  std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
+                           const char* name);
+  void end_span(std::uint64_t span);
+};
+
 struct Message {
   Ctx ctx;
   std::uint64_t span = 0;
@@ -31,6 +39,12 @@ std::uint64_t traced_send(Hook* h, Message& m, std::int64_t now) {
 void consumed_as_argument(Hook* h, Message& m, std::int64_t now) {
   h->end_span(h->begin_span(m.ctx, 1, "tcp", "probe", now),  // fine: consumed
               now);
+}
+
+void through_the_scheduler(Scheduler& sched, Message& m) {
+  m.ctx = sched.mint("net.origin");                        // fine: stored
+  m.span = sched.begin_span(m.ctx, 1, "link", "wire");     // fine: stored
+  sched.end_span(m.span);
 }
 
 void sanctioned_exception(Hook* h, Ctx ctx, std::int64_t now) {

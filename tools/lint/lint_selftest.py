@@ -2,11 +2,11 @@
 """Self-test for gtw-lint: every rule must fire on its known-bad fixture
 and stay silent on clean (and allow-annotated) code.
 
-Runs gtw_lint.py as a subprocess against each fixture in
-tools/lint/fixtures/ and compares the set of (rule, count) findings with
-the expectation table below.  Whole-project rules (layering, obs registry,
-event lifetime) get fixture *trees* — the layering ones carry their own
-layers.toml, passed via --layers.  Also exercises --rules filtering, the
+Imports gtw_lint.py once and calls its main() against each fixture in
+tools/lint/fixtures/, with stdout captured, and compares the set of
+(rule, count) findings with the expectation table below.  Whole-project
+rules (layering, obs registry, event lifetime) get fixture *trees* — the
+layering ones carry their own layers.toml, passed via --layers.  Also exercises --rules filtering, the
 --json SARIF output, and the obs-catalog emit/check round trip.
 Registered as the `gtw_lint_selftest` ctest.
 
@@ -15,17 +15,19 @@ Exit status: 0 all expectations met, 1 otherwise.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-LINT = os.path.join(HERE, "gtw_lint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
+sys.path.insert(0, HERE)
+import gtw_lint  # noqa: E402  (found through HERE)
 
 FINDING_RE = re.compile(r"^(.*?):(\d+): \[([\w-]+)\] ")
 
@@ -56,7 +58,7 @@ EXPECTATIONS = {
     # discarding member fn in poller.cpp — proves the cross-file pass.
     "bad/src/event_lifetime": {"event-lifetime": 2},
     "bad/check_side_effect.cpp": {"check-side-effect": 2},
-    "bad/src/span_unclosed.cpp": {"span-unclosed": 3},
+    "bad/src/span_unclosed.cpp": {"span-unclosed": 5},
     # directory fixture with both src/obs/ and src/check/ catalogs: the
     # whole-project coverage diff must flag the uncovered net::Host.
     "bad/coverage_tree": {"check-coverage": 1},
@@ -85,9 +87,15 @@ LAYERING_EXPECTATIONS = {
 
 
 def run_lint(args: list[str]) -> tuple[int, str]:
-    proc = subprocess.run([sys.executable, LINT] + args,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.returncode, proc.stdout.decode()
+    """gtw_lint.main(args) -> (exit status, stdout); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = gtw_lint.main(args)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code if isinstance(e.code, int) else 2
+    return code, out.getvalue()
 
 
 def findings_by_rule(output: str) -> dict[str, int]:
