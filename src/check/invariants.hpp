@@ -22,7 +22,7 @@ namespace gtw::check {
 // Byte conservation on a link: every byte ever submitted is exactly one of
 // sent, dropped (queue/refused), dropped-by-outage, or still queued.  The
 // *byte* equation holds continuously (between events): a frame being
-// clocked out stays in `queued_bytes` until transmit-complete.  The *frame*
+// clocked out stays in `queued_bytes` until its wire end.  The *frame*
 // equation only holds at drain — an in-transmit frame has left the queue
 // container but is not yet sent, so link_conservation checks bytes alone
 // and link_drained adds the frame ledger once nothing is in flight.

@@ -53,15 +53,14 @@ SchedulerCheckHook::~SchedulerCheckHook() {
   if (installed_on_ != nullptr) installed_on_->set_check_hook(nullptr);
 }
 
-EventHandle Scheduler::schedule_at(SimTime when, Action action) {
+EventHandle Scheduler::insert(SimTime when, std::uint64_t seq, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
   const EventId id = pool_.acquire();
   Entry& e = pool_[id];
   e.when = when;
-  e.seq = next_seq_++;
+  e.seq = seq;
   e.action = std::move(action);
   e.cancelled = false;
-  const std::uint64_t seq = e.seq;
   if (check_hook_ != nullptr) check_hook_->on_schedule(when, now_, seq);
   if (span_hook_ != nullptr) span_hook_->on_event_scheduled(seq);
   ++live_events_;
@@ -189,6 +188,7 @@ bool Scheduler::step(SimTime horizon) {
   if (check_hook_ != nullptr) check_hook_->on_fire(it.when, it.seq);
   --live_events_;
   now_ = it.when;
+  fired_seq_ = it.seq;
   ++executed_;
   fnv1a_mix(stream_hash_, static_cast<std::uint64_t>(it.when.ps()));
   fnv1a_mix(stream_hash_, it.seq);
@@ -210,7 +210,10 @@ bool Scheduler::step(SimTime horizon) {
 std::uint64_t Scheduler::run(SimTime horizon) {
   std::uint64_t n = 0;
   while (step(horizon)) ++n;
-  if (queued_entries() != 0 && horizon != SimTime::max()) now_ = horizon;
+  if (queued_entries() != 0 && horizon != SimTime::max()) {
+    now_ = horizon;
+    fired_seq_ = UINT64_MAX;  // nothing keyed at or before the horizon waits
+  }
   return n;
 }
 

@@ -20,6 +20,7 @@
 // only those two call the installed SpanHook.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -65,7 +66,18 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   // Schedule `action` at absolute time `when` (must be >= now()).
-  EventHandle schedule_at(SimTime when, Action action);
+  EventHandle schedule_at(SimTime when, Action action) {
+    return insert(when, next_seq_++, std::move(action));
+  }
+  // Schedule `action` at `when` under a sequence number taken earlier with
+  // reserve_seq(): it fires among the events at `when` as if it had been
+  // scheduled when the number was taken.  (when, seq) must not have been
+  // reached yet.
+  EventHandle schedule_at(SimTime when, std::uint64_t seq, Action action) {
+    assert(seq < next_seq_ && !reached(when, seq) &&
+           "a reserved event must lie ahead of the run");
+    return insert(when, seq, std::move(action));
+  }
   // Schedule `action` `delay` after the current time.
   EventHandle schedule_after(SimTime delay, Action action) {
     return schedule_at(now_ + delay, std::move(action));
@@ -81,6 +93,18 @@ class Scheduler {
 
   bool empty() const { return live_events_ == 0; }
   std::uint64_t events_executed() const { return executed_; }
+  // Event order, for a component that works out lazily what an event it
+  // schedules only when needed would have done (net::Link's
+  // transmit-complete).  reserve_seq() takes the sequence number the next
+  // schedule call would assign, for a later schedule_at(when, seq, ...).
+  // reached(when, seq) is true once the run is past the point where an
+  // event keyed (when, seq) fires: now() is later, or equal with the
+  // running (or last fired) event at or after `seq`.  After run(horizon)
+  // stops at its horizon, every key at now() is reached.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  bool reached(SimTime when, std::uint64_t seq) const {
+    return now_ > when || (now_ == when && fired_seq_ >= seq);
+  }
   // Running FNV-1a hash over the executed event stream — each fired event
   // folds in its (timestamp, sequence) pair.  Two executions of the same
   // simulation must report identical hashes; the determinism regression
@@ -123,6 +147,9 @@ class Scheduler {
   // hook: each forwards to the installed hook at now(), and without one
   // does nothing and returns an invalid context or span id 0.  tracing()
   // lets a site skip building a context that only spans would read.
+  // begin_span, end_span and abort_span also take an explicit time
+  // `at` <= now(), for a component that stamps an instant it handles late
+  // (a link retiring a frame at its wire end, DESIGN.md §13).
   bool tracing() const { return span_hook_ != nullptr; }
   TraceContext current_trace() const {
     return span_hook_ != nullptr ? span_hook_->current() : TraceContext{};
@@ -134,15 +161,24 @@ class Scheduler {
   }
   std::uint64_t begin_span(TraceContext parent, SpanPhase phase,
                            const char* layer, const char* name) {
+    return begin_span(parent, phase, layer, name, now_);
+  }
+  std::uint64_t begin_span(TraceContext parent, SpanPhase phase,
+                           const char* layer, const char* name, SimTime at) {
+    assert(at <= now_ && "a span cannot begin in the future");
     return span_hook_ != nullptr
-               ? span_hook_->begin_span(parent, phase, layer, name, now_)
+               ? span_hook_->begin_span(parent, phase, layer, name, at)
                : 0;
   }
-  void end_span(std::uint64_t span_id) {
-    if (span_hook_ != nullptr) span_hook_->end_span(span_id, now_);
+  void end_span(std::uint64_t span_id) { end_span(span_id, now_); }
+  void end_span(std::uint64_t span_id, SimTime at) {
+    assert(at <= now_ && "a span cannot end in the future");
+    if (span_hook_ != nullptr) span_hook_->end_span(span_id, at);
   }
-  void abort_span(std::uint64_t span_id) {
-    if (span_hook_ != nullptr) span_hook_->abort_span(span_id, now_);
+  void abort_span(std::uint64_t span_id) { abort_span(span_id, now_); }
+  void abort_span(std::uint64_t span_id, SimTime at) {
+    assert(at <= now_ && "a span cannot end in the future");
+    if (span_hook_ != nullptr) span_hook_->abort_span(span_id, at);
   }
   void close_trace(TraceContext ctx) {
     if (span_hook_ != nullptr) span_hook_->close_trace(ctx, now_);
@@ -191,6 +227,7 @@ class Scheduler {
     return a.seq < b.seq;
   }
 
+  EventHandle insert(SimTime when, std::uint64_t seq, Action action);
   void cancel(std::uint64_t seq, EventId slot);
   bool is_pending(std::uint64_t seq, EventId slot) const;
 
@@ -205,6 +242,7 @@ class Scheduler {
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
+  std::uint64_t fired_seq_ = 0;  // the running or last fired event's seq
   std::uint64_t executed_ = 0;
   std::uint64_t stream_hash_ = 14695981039346656037ULL;  // FNV-1a offset
 

@@ -16,8 +16,9 @@ int AtmSwitch::add_port(Link::Config cfg) {
   return port;
 }
 
-FrameSink AtmSwitch::ingress(int port) {
-  return [this, port](Frame f) { on_frame(port, std::move(f)); };
+void AtmSwitch::connect_ingress(int port, Link& feeder) {
+  feeder.set_sink([this, port](Frame f) { on_frame(port, std::move(f)); },
+                  latency_);
 }
 
 void AtmSwitch::connect_egress(int port, FrameSink remote) {
@@ -38,16 +39,13 @@ void AtmSwitch::on_frame(int port, Frame f) {
   }
   const auto [out_port, out_vc] = it->second;
   f.vc = out_vc;
+  // The frame has just crossed the fabric (cell-level cut-through latency):
+  // its delivery into this switch came latency_ after its propagation.
+  const des::SimTime entered = sched_.now() - latency_;
   if (f.pkt.ctx.valid())
-    f.span = sched_.begin_span(f.pkt.ctx, des::SpanPhase::kPropagate, "atm",
-                               name_.c_str());
-  des::TraceScope scope(sched_, f.pkt.ctx);
-  // Cell-level cut-through latency through the fabric.
-  sched_.schedule_after(latency_, [this, out_port, f = std::move(f)]() mutable {
-    sched_.end_span(f.span);
-    f.span = 0;
-    ports_.at(out_port).out->submit(std::move(f));
-  });
+    sched_.end_span(sched_.begin_span(f.pkt.ctx, des::SpanPhase::kPropagate,
+                                      "atm", name_.c_str(), entered));
+  ports_.at(out_port).out->relay(std::move(f), entered);
 }
 
 AtmNic::AtmNic(des::Scheduler& sched, Host& owner, std::string name,

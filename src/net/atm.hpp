@@ -30,8 +30,11 @@ class AtmSwitch {
   // Add a port whose egress side transmits with `cfg`; returns the port no.
   int add_port(Link::Config cfg);
 
-  // The sink a neighbour should deliver frames into to reach `port`.
-  FrameSink ingress(int port);
+  // Feed `port` from `feeder`: each frame it carries is delivered
+  // propagation + switching latency after its wire end, straight into the
+  // VC lookup and the egress link's submit (the fabric hop rides that one
+  // delivery event).
+  void connect_ingress(int port, Link& feeder);
   // Connect the egress of `port` to a remote sink.
   void connect_egress(int port, FrameSink remote);
 

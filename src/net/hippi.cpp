@@ -15,8 +15,8 @@ int HippiSwitch::add_port(Link::Config cfg) {
   return port;
 }
 
-FrameSink HippiSwitch::ingress(int) {
-  return [this](Frame f) { on_frame(std::move(f)); };
+void HippiSwitch::connect_ingress(int, Link& feeder) {
+  feeder.set_sink([this](Frame f) { on_frame(std::move(f)); }, latency_);
 }
 
 void HippiSwitch::connect_egress(int port, FrameSink remote) {
@@ -34,10 +34,7 @@ void HippiSwitch::on_frame(Frame f) {
     ++unroutable_;
     return;
   }
-  const int out_port = it->second;
-  sched_.schedule_after(latency_, [this, out_port, f = std::move(f)]() mutable {
-    ports_.at(out_port).out->submit(std::move(f));
-  });
+  ports_.at(it->second).out->relay(std::move(f), sched_.now() - latency_);
 }
 
 HippiNic::HippiNic(des::Scheduler& sched, Host& owner, std::string name,

@@ -27,7 +27,10 @@ class HippiSwitch {
               des::SimTime crossbar_latency = des::SimTime::microseconds(1));
 
   int add_port(Link::Config cfg);
-  FrameSink ingress(int port);
+  // Feed the crossbar from `feeder`: each frame it carries is delivered
+  // propagation + crossbar latency after its wire end, straight into the
+  // station lookup and the egress link's submit.
+  void connect_ingress(int port, Link& feeder);
   void connect_egress(int port, FrameSink remote);
 
   // Packets destined to `dst` (or whose next L2 stop is the gateway `dst`)

@@ -4,12 +4,25 @@
 // sink after the propagation delay.  Frames that would overflow the queue
 // limit are dropped whole (early packet discard, as ATM switches of the era
 // did for AAL5 traffic).
+//
+// One event per frame hop (DESIGN.md §10).  A frame's delivery is scheduled
+// when it starts on the wire, at start + wire time + propagation (+ the
+// fabric hop of a switch behind the far end, see set_sink).  A
+// transmit-complete is scheduled only while another frame waits behind the
+// one on the wire, to start it at the wire end.  The frame on the wire is
+// retired at its wire end lazily: every entry point and const accessor first
+// retires it if the run has reached that instant, so the ledgers read at
+// every instant what a link with one transmit-complete event per frame
+// read.  Every frame still has its own exact timestamps; nothing is batched
+// and there is no second, approximate mode (the fluid mode DESIGN.md §10
+// records as deleted).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "des/random.hpp"
 #include "des/scheduler.hpp"
@@ -31,11 +44,10 @@ struct Frame {
 
 using FrameSink = std::function<void(Frame)>;
 
-// Serialization model (DESIGN.md §10): one transmit-complete and one
-// propagation event per frame, so every delivery timestamp is exact.
-// kExact is the only value.  The enum and Link::Config::fidelity, which
-// nothing reads, remain only because gtwbench/src/national_star.cpp
-// assigns the field.
+// Serialization model (DESIGN.md §10): every frame keeps its exact wire
+// end and delivery time.  kExact is the only value.  The enum and
+// Link::Config::fidelity, which nothing reads, remain only because
+// gtwbench/src/national_star.cpp assigns the field.
 enum class LinkFidelity : std::uint8_t { kExact };
 
 class Link {
@@ -55,11 +67,26 @@ class Link {
 
   Link(des::Scheduler& sched, std::string name, Config cfg);
 
+  // Frames leave the far end into `sink` when their propagation ends.
+  // Replacing the sink keeps the fabric hop.
   void set_sink(FrameSink sink) { sink_ = std::move(sink); }
+  // A switch fabric behind the far end (AtmSwitch/HippiSwitch::
+  // connect_ingress): each frame reaches `sink` `hop` after its propagation
+  // ends, in the same event as its delivery.
+  void set_sink(FrameSink sink, des::SimTime hop) {
+    sink_ = std::move(sink);
+    hop_ = hop;
+  }
+  // The installed sink, for a test that wraps it to drop or delay frames.
+  const FrameSink& sink() const { return sink_; }
 
   // Degrade (or repair) the line at runtime — models the testbed's early
-  // attenuation/timing problems and their later fix.
-  void set_bit_error_rate(double ber) { cfg_.bit_error_rate = ber; }
+  // attenuation/timing problems and their later fix.  A frame on the wire
+  // draws at the rate in force at its wire end.
+  void set_bit_error_rate(double ber) {
+    advance();
+    cfg_.bit_error_rate = ber;
+  }
 
   // Cut (or restore) the line.  While down, new submissions are refused,
   // the queue is flushed and anything mid-transmission is lost — a fibre
@@ -71,45 +98,120 @@ class Link {
   // Shrink (or restore) the queue at runtime — a switch-buffer squeeze.
   // Already-queued frames are kept even if they exceed the new limit; the
   // limit gates admissions only.
-  void set_queue_limit(units::Bytes limit) { cfg_.queue_limit = limit; }
+  void set_queue_limit(units::Bytes limit) {
+    advance();
+    cfg_.queue_limit = limit;
+  }
 
   // Enqueue a frame; returns false (and counts a drop) on overflow.
   bool submit(Frame f);
+  // submit() for a switch fabric handing on a frame that entered it at
+  // `entered` (AtmSwitch, HippiSwitch).  The fabric hands it on in the
+  // feeding link's delivery, an event scheduled when the frame started on
+  // that link; at a tie with this link's wire end the frame is ordered as a
+  // hop event scheduled at `entered` would be, after the transmit-complete
+  // of a frame that started on this link before `entered`.
+  bool relay(Frame f, des::SimTime entered);
 
   const std::string& name() const { return name_; }
   const Config& config() const { return cfg_; }
 
-  std::uint64_t queue_bytes() const { return queued_bytes_; }
-  std::size_t queue_frames() const { return queue_.size(); }
+  // Wire bytes queued or on the wire: a frame leaves at its wire end.
+  std::uint64_t queue_bytes() const {
+    sync();
+    return queued_bytes_;
+  }
+  // Frames waiting for the wire.
+  std::size_t queue_frames() const {
+    sync();
+    return queue_.size();
+  }
   // Every submit() attempt, accepted or refused.  Together with the
   // outcome counters below these close the link's conservation law
   // (check::attach_link): submitted == sent + dropped + outage-dropped +
   // still-queued, in bytes at any instant and in frames once drained.
   std::uint64_t submitted_frames() const { return submitted_frames_; }
   std::uint64_t submitted_bytes() const { return submitted_bytes_; }
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::uint64_t frames_sent() const {
+    sync();
+    return frames_sent_;
+  }
+  std::uint64_t bytes_sent() const {
+    sync();
+    return bytes_sent_;
+  }
   std::uint64_t drops() const { return drops_; }
   std::uint64_t dropped_bytes() const { return dropped_bytes_; }
-  std::uint64_t corrupted_frames() const { return corrupted_; }
-  std::uint64_t outage_drops() const { return outage_drops_; }
-  std::uint64_t outage_dropped_bytes() const { return outage_dropped_bytes_; }
+  std::uint64_t corrupted_frames() const {
+    sync();
+    return corrupted_;
+  }
+  std::uint64_t outage_drops() const {
+    sync();
+    return outage_drops_;
+  }
+  std::uint64_t outage_dropped_bytes() const {
+    sync();
+    return outage_dropped_bytes_;
+  }
   double utilization() const;   // busy fraction since construction
   double mean_queue_bytes() const;
 
  private:
-  void maybe_start();
+  // The frame being clocked out.
+  struct Wire {
+    des::SimTime start;        // when it went on the wire
+    des::SimTime end;          // its wire end
+    std::uint64_t seq = 0;     // reserved when it started: its
+                               // transmit-complete's place among the events
+                               // at `end` (des::Scheduler::reached)
+    std::uint32_t bytes = 0;
+    des::TraceContext ctx;
+    std::uint64_t span = 0;    // its serialize span
+    des::EventHandle delivery; // cancelled when the frame is lost
+    bool busy = false;         // a frame is on the wire
+    bool delivers = false;     // `delivery` is pending
+    bool cut = false;          // the line went down during this transmit
+  };
+
+  // Retires the frame on the wire once the run has reached its wire end.
+  // Schedules nothing, so the const accessors may call it through sync():
+  // they are const to their callers, but what they read is the ledger as
+  // of now.  (No Link is defined const; components own theirs mutably.)
+  void retire_due() {
+    if (wire_.busy && sched_.reached(wire_.end, wire_.seq)) retire();
+  }
+  void retire();
+  void sync() const { const_cast<Link*>(this)->retire_due(); }
+  // What the entry points and events run first: retire_due(), then start
+  // a frame that waited for the retired frame's wire end, then arm().
+  void advance();
+  void start(des::SimTime at);
+  // Keeps a transmit-complete scheduled at the wire end, under the frame's
+  // reserved seq, exactly while the frame on the wire has a frame waiting
+  // behind it or no delivery of its own; one that relay() made stale is
+  // cancelled.
+  void arm();
+  void deliver(Frame f);
+  des::SimTime wire_time(units::Bytes bytes) const;
 
   des::Scheduler& sched_;
   std::string name_;
   Config cfg_;
   FrameSink sink_;
+  des::SimTime hop_ = des::SimTime::zero();  // see set_sink
 
-  std::deque<Frame> queue_;
+  std::deque<Frame> queue_;  // waiting for the wire
   std::uint64_t queued_bytes_ = 0;
-  bool transmitting_ = false;
+  Wire wire_;
+  des::EventHandle tc_;      // the transmit-complete, while one is pending
+  std::uint64_t tc_seq_ = 0; // the reserved seq of the frame it retires
+  bool tc_pending_ = false;
   bool up_ = true;
-  bool cut_mid_frame_ = false;  // the line went down during this transmit
+  // Propagate spans of retired traced frames not yet delivered, in frame
+  // order from prop_head_.
+  std::vector<std::uint64_t> prop_spans_;
+  std::size_t prop_head_ = 0;
 
   std::uint64_t submitted_frames_ = 0;
   std::uint64_t submitted_bytes_ = 0;

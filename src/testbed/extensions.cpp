@@ -38,8 +38,8 @@ net::Host* ExtendedTestbed::add_site(const std::string& host_name,
                                 des::SimTime::zero()};
   const int port_site_to_gmd = sw.add_port(trunk);
   const int port_gmd_to_site = gmd.add_port(trunk);
-  sw.connect_egress(port_site_to_gmd, gmd.ingress(port_gmd_to_site));
-  gmd.connect_egress(port_gmd_to_site, sw.ingress(port_site_to_gmd));
+  gmd.connect_ingress(port_gmd_to_site, sw.egress_link(port_site_to_gmd));
+  sw.connect_ingress(port_site_to_gmd, gmd.egress_link(port_gmd_to_site));
 
   // The site's host.
   net::Host* host = add_host(host_name, site_host_costs());

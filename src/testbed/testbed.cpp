@@ -72,7 +72,7 @@ net::AtmNic* Testbed::attach_atm(net::Host& h, net::AtmSwitch& sw,
       sched_, h, h.name() + ".atm", link, opts_.atm_mtu));
   net::AtmNic* nic = atm_nics_.back().get();
   const int port = sw.add_port(link);
-  nic->uplink().set_sink(sw.ingress(port));
+  sw.connect_ingress(port, nic->uplink());
   sw.connect_egress(port, nic->ingress());
   atm_attached_.push_back({nic, &sw, port, &sw == atm_j_.get()});
   attach_rate_[h.name()] = rate;
@@ -109,8 +109,8 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
                                    opts_.switch_buffer, des::SimTime::zero()};
   wan_port_j_ = atm_j_->add_port(wan_link);
   wan_port_g_ = atm_g_->add_port(wan_link);
-  atm_j_->connect_egress(wan_port_j_, atm_g_->ingress(wan_port_g_));
-  atm_g_->connect_egress(wan_port_g_, atm_j_->ingress(wan_port_j_));
+  atm_g_->connect_ingress(wan_port_g_, atm_j_->egress_link(wan_port_j_));
+  atm_j_->connect_ingress(wan_port_j_, atm_g_->egress_link(wan_port_g_));
 
   // --- ATM attachments (622 or 155 Mbit/s adapters, Figure 1) -------------
   net::AtmNic* atm_o200 = attach_atm(*gw_o200_, *atm_j_, net::kOc12Line);
@@ -131,7 +131,7 @@ Testbed::Testbed(TestbedOptions opts) : opts_(opts) {
                                      units::Bytes{4u << 20},
                                      des::SimTime::zero()};
     const int port = hippi_j_->add_port(port_cfg);
-    nic->uplink().set_sink(hippi_j_->ingress(port));
+    hippi_j_->connect_ingress(port, nic->uplink());
     hippi_j_->connect_egress(port, nic->ingress());
     hippi_j_->add_station(h.id(), port);
     if (attach_rate_.find(h.name()) == attach_rate_.end())

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -446,6 +447,69 @@ TEST(EndToEndCheckedTest, CleanRunLeavesBreadcrumbsNotViolations) {
   mon.violation("unit.probe", "inspect history");
   EXPECT_NE(mon.violations()[0].history.back().find("fire seq="),
             std::string::npos);
+}
+
+// A cut of gw_o200's ATM uplink, where a WAN send's queue builds (the
+// gateway hands frames over faster than its 622 Mbit/s adapter clocks them
+// out), at the first instant frames wait behind the one on the wire: the
+// flush and the lost wire frame both reach the outage ledger on a real
+// path, and every link, switch and host ledger balances under GTW-San.
+TEST(EndToEndCheckedTest, UplinkCutFlushesTheQueueAndLosesTheWireFrame) {
+  testbed::Testbed tb{testbed::TestbedOptions{}};
+  des::Scheduler& sched = tb.scheduler();
+  meta::Metacomputer mc{sched};
+  meta::MachineSpec a;
+  a.name = "JUELICH";
+  a.frontend = &tb.gw_o200();
+  meta::MachineSpec b;
+  b.name = "GMD";
+  b.frontend = &tb.gw_e5000();
+  const int ma = mc.add_machine(a);
+  const int mb = mc.add_machine(b);
+  meta::PathConfig pc;
+  pc.tcp.mss = tb.options().atm_mtu - units::Bytes{40};
+  pc.tcp.recv_buffer = units::Bytes{4u << 20};
+  pc.streams = 4;
+  pc.chunk_timeout = des::SimTime::milliseconds(400);
+  mc.link_machines(ma, mb, pc, 7000);
+
+  net::Link* uplink = nullptr;
+  for (net::Link* l : tb.atm_uplinks())
+    if (l->name() == "gw_o200.atm.up") uplink = l;
+  ASSERT_NE(uplink, nullptr);
+
+  Monitor mon(sched);
+  attach_testbed(mon, tb);
+  net::FaultPlan plan(sched);
+  std::uint64_t waiting = 0, flushed = 0, wire_bytes = 0;
+  std::function<void()> poll = [&] {
+    if (uplink->queue_frames() < 2) {
+      sched.schedule_after(des::SimTime::microseconds(5), [&] { poll(); });
+      return;
+    }
+    waiting = uplink->queue_frames();
+    const std::uint64_t before = uplink->outage_drops();
+    plan.link_down(*uplink, sched.now(), des::SimTime::milliseconds(20));
+    sched.schedule_at(sched.now(), [&, before] {  // just after the cut
+      flushed = uplink->outage_drops() - before;
+      wire_bytes = uplink->queue_bytes();  // all of it on the wire
+    });
+  };
+  sched.schedule_at(des::SimTime::milliseconds(1), [&] { poll(); });
+  bool delivered = false;
+  mc.wan_send(ma, mb, units::Bytes{8u << 20}, [&] { delivered = true; });
+  sched.run();
+  mon.finish();
+  EXPECT_TRUE(mon.clean()) << mon.report();
+  mon.require_clean("uplink cut with a queue and a frame on the wire");
+
+  EXPECT_TRUE(delivered);
+  ASSERT_GE(waiting, 2u);
+  EXPECT_EQ(flushed, waiting);  // the queue went with the cut
+  EXPECT_GT(wire_bytes, 0u);    // and a frame was on the wire, lost at its end
+  EXPECT_EQ(uplink->queue_bytes(), 0u);
+  EXPECT_GE(uplink->outage_drops(), flushed + 1);
+  EXPECT_GE(uplink->outage_dropped_bytes(), wire_bytes);
 }
 
 #if defined(NDEBUG)

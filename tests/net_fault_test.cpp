@@ -58,8 +58,8 @@ struct FaultFixture {
                      units::Bytes{4u << 20}, SimTime::zero()};
     pa = sw.add_port(cfg);
     pb = sw.add_port(cfg);
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
@@ -281,8 +281,8 @@ struct OutageFixture {
                                  des::SimTime::zero()};
     pa = sw.add_port(cfg);
     pb = sw.add_port(cfg);
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});

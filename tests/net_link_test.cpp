@@ -226,8 +226,8 @@ struct AtmPair {
         Link::Config{units::BitRate::mbps(622.0),
                      des::SimTime::microseconds(1), units::Bytes{4u << 20},
                      des::SimTime::zero()});
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
@@ -323,8 +323,8 @@ TEST(HippiTest, StationForwarding) {
   const int pb = sw.add_port(Link::Config{kHippiRate, des::SimTime::zero(),
                                           units::Bytes{4u << 20},
                                           des::SimTime::zero()});
-  nic_a.uplink().set_sink(sw.ingress(pa));
-  nic_b.uplink().set_sink(sw.ingress(pb));
+  sw.connect_ingress(pa, nic_a.uplink());
+  sw.connect_ingress(pb, nic_b.uplink());
   sw.connect_egress(pa, nic_a.ingress());
   sw.connect_egress(pb, nic_b.ingress());
   sw.add_station(1, pa);

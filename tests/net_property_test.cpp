@@ -37,8 +37,8 @@ TEST_P(TcpDeliverySweep, DeliversExactByteCountInOrder) {
   AtmNic nic_b(sched, b, "b.atm", fast, units::Bytes{mtu});
   const int pa = sw.add_port(fast);
   const int pb = sw.add_port(bottleneck);
-  nic_a.uplink().set_sink(sw.ingress(pa));
-  nic_b.uplink().set_sink(sw.ingress(pb));
+  sw.connect_ingress(pa, nic_a.uplink());
+  sw.connect_ingress(pb, nic_b.uplink());
   sw.connect_egress(pa, nic_a.ingress());
   sw.connect_egress(pb, nic_b.ingress());
   VcAllocator vcs;
@@ -106,11 +106,11 @@ TEST_P(TcpAdversitySweep, DeliversEveryByteExactlyOnceUnderRandomFaults) {
   sw.egress_link(pb).set_bit_error_rate(
       1e-9 * static_cast<double>(1 + rng.uniform_int(40)));
 
-  // Adversarial interposer on each uplink: drop a few percent of frames,
-  // delay (reorder past later frames) a few percent more.
-  auto harass = [&sched, &rng](Link& uplink, FrameSink pass, double p_drop,
-                               double p_delay) {
-    auto shared_pass = std::make_shared<FrameSink>(std::move(pass));
+  // Adversarial interposer on each uplink, in front of the switch it
+  // feeds: drop a few percent of frames, delay (reorder past later frames)
+  // a few percent more.
+  auto harass = [&sched, &rng](Link& uplink, double p_drop, double p_delay) {
+    auto shared_pass = std::make_shared<FrameSink>(uplink.sink());
     uplink.set_sink([&sched, &rng, shared_pass, p_drop, p_delay](Frame fr) {
       if (rng.bernoulli(p_drop)) return;
       if (rng.bernoulli(p_delay)) {
@@ -124,8 +124,10 @@ TEST_P(TcpAdversitySweep, DeliversEveryByteExactlyOnceUnderRandomFaults) {
       (*shared_pass)(std::move(fr));
     });
   };
-  harass(nic_a.uplink(), sw.ingress(pa), 0.03, 0.05);  // data + a's acks
-  harass(nic_b.uplink(), sw.ingress(pb), 0.02, 0.04);  // b's acks
+  sw.connect_ingress(pa, nic_a.uplink());
+  sw.connect_ingress(pb, nic_b.uplink());
+  harass(nic_a.uplink(), 0.03, 0.05);  // data + a's acks
+  harass(nic_b.uplink(), 0.02, 0.04);  // b's acks
   sw.connect_egress(pa, nic_a.ingress());
   sw.connect_egress(pb, nic_b.ingress());
   VcAllocator vcs;

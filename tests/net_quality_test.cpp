@@ -71,8 +71,8 @@ TEST(BitErrorTest, TcpSurvivesNoisyWanLink) {
   AtmNic nic_b(sched, b, "b.atm", clean, kMtuAtmFore);
   const int pa = sw.add_port(clean);
   const int pb = sw.add_port(dirty);
-  nic_a.uplink().set_sink(sw.ingress(pa));
-  nic_b.uplink().set_sink(sw.ingress(pb));
+  sw.connect_ingress(pa, nic_a.uplink());
+  sw.connect_ingress(pb, nic_b.uplink());
   sw.connect_egress(pa, nic_a.ingress());
   sw.connect_egress(pb, nic_b.ingress());
   VcAllocator vcs;
@@ -100,8 +100,8 @@ TEST(ShapingTest, ShapedVcStaysWithinContract) {
   AtmNic nic_b(sched, b, "b.atm", link, kMtuAtmDefault);
   const int pa = sw.add_port(link);
   const int pb = sw.add_port(link);
-  nic_a.uplink().set_sink(sw.ingress(pa));
-  nic_b.uplink().set_sink(sw.ingress(pb));
+  sw.connect_ingress(pa, nic_a.uplink());
+  sw.connect_ingress(pb, nic_b.uplink());
   sw.connect_egress(pa, nic_a.ingress());
   sw.connect_egress(pb, nic_b.ingress());
   VcAllocator vcs;

@@ -41,8 +41,8 @@ struct TcpFixture {
                            units::Bytes{16u << 20}, des::SimTime::zero()});
     pb = sw.add_port(Link::Config{bottleneck, prop, bottleneck_queue,
                                   des::SimTime::zero()});
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
@@ -53,7 +53,7 @@ struct TcpFixture {
   // Deterministic single loss: drop exactly the n-th data frame (ACKs are
   // 40-byte PDUs, data frames are MTU-sized) leaving a toward the switch.
   void drop_nth_data_frame(int n) {
-    FrameSink pass = sw.ingress(pa);
+    FrameSink pass = nic_a.uplink().sink();
     auto count = std::make_shared<int>(0);
     nic_a.uplink().set_sink([pass, count, n](Frame fr) {
       if (fr.wire_bytes > 1000 && ++*count == n) return;
@@ -64,7 +64,7 @@ struct TcpFixture {
   // One-way outage on b's uplink: every frame b sends (the ACK path in a
   // one-directional transfer) is dropped while `from <= now < until`.
   void silence_b_uplink(des::SimTime from, des::SimTime until) {
-    FrameSink pass = sw.ingress(pb);
+    FrameSink pass = nic_b.uplink().sink();
     nic_b.uplink().set_sink([this, pass, from, until](Frame fr) {
       const des::SimTime now = sched.now();
       if (now >= from && now < until) return;

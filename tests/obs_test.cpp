@@ -170,8 +170,8 @@ struct TcpFixture {
                                        des::SimTime::microseconds(250),
                                        units::Bytes{4u << 20},
                                        des::SimTime::zero()});
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
@@ -181,7 +181,7 @@ struct TcpFixture {
 
   // Drop exactly the n-th MTU-sized data frame leaving a toward the switch.
   void drop_nth_data_frame(int n) {
-    net::FrameSink pass = sw.ingress(pa);
+    net::FrameSink pass = nic_a.uplink().sink();
     auto count = std::make_shared<int>(0);
     nic_a.uplink().set_sink([pass, count, n](net::Frame fr) {
       if (fr.wire_bytes > 1000 && ++*count == n) return;

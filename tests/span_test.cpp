@@ -840,8 +840,8 @@ struct WanFixture {
                                  des::SimTime::zero()};
     pa = sw.add_port(cfg);
     pb = sw.add_port(cfg);
-    nic_a.uplink().set_sink(sw.ingress(pa));
-    nic_b.uplink().set_sink(sw.ingress(pb));
+    sw.connect_ingress(pa, nic_a.uplink());
+    sw.connect_ingress(pb, nic_b.uplink());
     sw.connect_egress(pa, nic_a.ingress());
     sw.connect_egress(pb, nic_b.ingress());
     vcs.provision(nic_a, nic_b, {{&sw, pa, pb}});
@@ -889,6 +889,105 @@ TEST(SpanLifecycleTest, StallResetAbortsStrandedChunkSpansWithoutLeaks) {
   EXPECT_GE(aborted, 1u);
   ASSERT_EQ(tracer.file().traces.size(), 1u);
   EXPECT_EQ(tracer.file().traces[0].status, TraceStatus::kClosed);
+}
+
+// A two-frame message over NIC -> switch -> WAN -> switch -> NIC.  Each
+// hop's spans carry the picoseconds a link with one transmit-complete and
+// one propagation event per frame stamped: 10 kB take 1 ms on an 80 Mbit/s
+// line and 100 us on the 800 Mbit/s WAN, the lines propagate for 1 us and
+// 2 ms, and each fabric hop takes 5 us.  Frame 2 waits behind frame 1 at
+// the sender, and reaches the far egress exactly when frame 1 leaves its
+// wire there.
+TEST(SpanTimelineTest, TwoFramesOverTwoSwitchesKeepTheirStamps) {
+  des::Scheduler sched;
+  SpanTracer tracer;
+  sched.set_span_hook(&tracer);
+  const units::BitRate line = units::BitRate::mbps(80.0);
+  const units::BitRate wan = units::BitRate::mbps(800.0);
+  const units::Bytes buffer{1u << 20};
+  net::Link up(sched, "a.up",
+               net::Link::Config{line, SimTime::microseconds(1), buffer,
+                                 SimTime::zero()});
+  net::AtmSwitch sw_a(sched, "sw_a");
+  net::AtmSwitch sw_b(sched, "sw_b");
+  const int a_in = sw_a.add_port(net::Link::Config{
+      line, SimTime::microseconds(1), buffer, SimTime::zero()});
+  const int a_wan =
+      sw_a.add_port(net::Link::Config{wan, ms(2), buffer, SimTime::zero()});
+  const int b_wan =
+      sw_b.add_port(net::Link::Config{wan, ms(2), buffer, SimTime::zero()});
+  const int b_out = sw_b.add_port(net::Link::Config{
+      line, SimTime::microseconds(1), buffer, SimTime::zero()});
+  sw_a.connect_ingress(a_in, up);
+  sw_b.connect_ingress(b_wan, sw_a.egress_link(a_wan));
+  sw_a.add_route(a_in, 40, a_wan, 41);
+  sw_b.add_route(b_wan, 41, b_out, 42);
+
+  const des::TraceContext msg = sched.mint("test.msg");
+  std::vector<std::int64_t> arrived;
+  sw_b.connect_egress(b_out, [&](net::Frame) {
+    arrived.push_back(sched.now().ps());
+    if (arrived.size() == 2) sched.close_trace(msg);
+  });
+  for (int i = 0; i < 2; ++i) {
+    net::Frame f;
+    f.wire_bytes = 10'000;
+    f.vc = 40;
+    f.pkt.ctx = msg;
+    ASSERT_TRUE(up.submit(std::move(f)));
+  }
+  sched.run();
+
+  constexpr std::int64_t kUs = 1'000'000;  // ps
+  EXPECT_EQ(arrived, (std::vector<std::int64_t>{4112 * kUs, 5112 * kUs}));
+  using Stamps = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  const auto stamps = [&](const std::string& layer, const std::string& name,
+                          des::SpanPhase phase) {
+    Stamps out;
+    for (const SpanRec& s : tracer.file().spans)
+      if (s.layer == layer && s.name == name && s.phase == phase)
+        out.emplace_back(s.begin_ps, s.end_ps);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto us = [&](std::int64_t b, std::int64_t e) {
+    return std::make_pair(b * kUs, e * kUs);
+  };
+  using P = des::SpanPhase;
+  EXPECT_EQ(stamps("link", "a.up", P::kQueueWait),
+            (Stamps{us(0, 0), us(0, 1000)}));
+  EXPECT_EQ(stamps("link", "a.up", P::kSerialize),
+            (Stamps{us(0, 1000), us(1000, 2000)}));
+  EXPECT_EQ(stamps("link", "a.up", P::kPropagate),
+            (Stamps{us(1000, 1001), us(2000, 2001)}));
+  EXPECT_EQ(stamps("atm", "sw_a", P::kPropagate),
+            (Stamps{us(1001, 1006), us(2001, 2006)}));
+  EXPECT_EQ(stamps("link", "sw_a.port1", P::kSerialize),
+            (Stamps{us(1006, 1106), us(2006, 2106)}));
+  EXPECT_EQ(stamps("link", "sw_a.port1", P::kPropagate),
+            (Stamps{us(1106, 3106), us(2106, 4106)}));
+  EXPECT_EQ(stamps("atm", "sw_b", P::kPropagate),
+            (Stamps{us(3106, 3111), us(4106, 4111)}));
+  EXPECT_EQ(stamps("link", "sw_b.port1", P::kQueueWait),
+            (Stamps{us(3111, 3111), us(4111, 4111)}));
+  EXPECT_EQ(stamps("link", "sw_b.port1", P::kSerialize),
+            (Stamps{us(3111, 4111), us(4111, 5111)}));
+  EXPECT_EQ(stamps("link", "sw_b.port1", P::kPropagate),
+            (Stamps{us(4111, 4112), us(5111, 5112)}));
+
+  // At 1000 us frame 1's propagation on a.up and frame 2's serialization
+  // begin together, and at 4111 us the same on sw_b.port1: the budget
+  // gives both microseconds to serialize, because each link opens the
+  // retired frame's propagate span before the next frame's serialize span.
+  const PhaseBudget b = budget(tracer.file());
+  ASSERT_EQ(b.closed_traces, 1u);
+  EXPECT_EQ(b.total_ps, 5112 * kUs);
+  EXPECT_EQ(b.phase_ps.at("queue-wait"), 1000 * kUs);
+  EXPECT_EQ(b.phase_ps.at("serialize"),
+            (1 + 100 + 100 + 995 + 1 + 999) * kUs);
+  EXPECT_EQ(b.phase_ps.at("propagate"),
+            (5 + 894 + 1 + 5 + 1000 + 5 + 5 + 1) * kUs);
+  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 // Registers the fixture's two hosts as linked machines 0 and 1 of `mc`.

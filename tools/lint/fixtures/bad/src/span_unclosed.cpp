@@ -14,11 +14,14 @@ struct Hook {
   void end_span(std::uint64_t span, std::int64_t now);
 };
 
-// Components trace through the scheduler, which stamps the time itself.
+// Components trace through the scheduler, which stamps the time itself,
+// or the explicit earlier time `at` it is given.
 struct Scheduler {
   Ctx mint(const char* origin);
   std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
                            const char* name);
+  std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
+                           const char* name, std::int64_t at);
 };
 
 void send_message(Hook* h, Ctx ctx, std::int64_t now) {
@@ -32,7 +35,8 @@ void start_workload(Hook& h, std::int64_t now) {
   h.mint("bench.origin", now);  // BAD: context discarded, trace unclosable
 }
 
-void through_the_scheduler(Scheduler& sched, Ctx ctx) {
+void through_the_scheduler(Scheduler& sched, Ctx ctx, std::int64_t at) {
   sched.begin_span(ctx, 1, "link", "wire");  // BAD: id discarded
   sched.mint("net.origin");                  // BAD: context discarded
+  sched.begin_span(ctx, 3, "link", "wire", at);  // BAD: id discarded
 }

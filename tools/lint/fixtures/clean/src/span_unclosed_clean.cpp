@@ -15,12 +15,16 @@ struct Hook {
   Ctx adopt(Ctx ctx);
 };
 
-// Components trace through the scheduler, which stamps the time itself.
+// Components trace through the scheduler, which stamps the time itself,
+// or the explicit earlier time `at` it is given.
 struct Scheduler {
   Ctx mint(const char* origin);
   std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
                            const char* name);
+  std::uint64_t begin_span(Ctx parent, int phase, const char* layer,
+                           const char* name, std::int64_t at);
   void end_span(std::uint64_t span);
+  void end_span(std::uint64_t span, std::int64_t at);
 };
 
 struct Message {
@@ -41,10 +45,12 @@ void consumed_as_argument(Hook* h, Message& m, std::int64_t now) {
               now);
 }
 
-void through_the_scheduler(Scheduler& sched, Message& m) {
+void through_the_scheduler(Scheduler& sched, Message& m, std::int64_t at) {
   m.ctx = sched.mint("net.origin");                        // fine: stored
   m.span = sched.begin_span(m.ctx, 1, "link", "wire");     // fine: stored
   sched.end_span(m.span);
+  m.span = sched.begin_span(m.ctx, 3, "link", "wire", at); // fine: stored
+  sched.end_span(m.span, at);
 }
 
 void sanctioned_exception(Hook* h, Ctx ctx, std::int64_t now) {

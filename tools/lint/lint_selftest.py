@@ -58,7 +58,7 @@ EXPECTATIONS = {
     # discarding member fn in poller.cpp — proves the cross-file pass.
     "bad/src/event_lifetime": {"event-lifetime": 2},
     "bad/check_side_effect.cpp": {"check-side-effect": 2},
-    "bad/src/span_unclosed.cpp": {"span-unclosed": 5},
+    "bad/src/span_unclosed.cpp": {"span-unclosed": 6},
     # directory fixture with both src/obs/ and src/check/ catalogs: the
     # whole-project coverage diff must flag the uncovered net::Host.
     "bad/coverage_tree": {"check-coverage": 1},
